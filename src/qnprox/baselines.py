@@ -78,7 +78,8 @@ def nag_solve(oracle, x0: np.ndarray,
         backtracks = 0
         while True:
             u = y - eta * g
-            if float(oracle.value(u)) <= fy - 0.5 * eta * g_sq:
+            fu = float(oracle.value(u))
+            if fu <= fy - 0.5 * eta * g_sq:
                 break
             eta *= config.beta
             backtracks += 1
@@ -86,7 +87,6 @@ def nag_solve(oracle, x0: np.ndarray,
                 record.wall_time = time.perf_counter() - start
                 record.final_x = x
                 raise SolverError("NAG step size underflowed", trace=record)
-        fu = float(oracle.value(u))
 
         if fu <= fx:
             x_next, fx_next = u, fu

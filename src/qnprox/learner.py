@@ -110,13 +110,16 @@ def q_schedule(t: int, failure_budget: float) -> float:
 
 def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
     """B_hat = (2 / L1) (B - (L1 / 2) I); maps Z onto the unit op-norm ball."""
-    d = B.shape[0]
-    return (2.0 / L1) * (B - (L1 / 2.0) * np.eye(d))
+    B_hat = np.array(B, dtype=float)
+    B_hat.flat[::B_hat.shape[0] + 1] -= L1 / 2.0
+    B_hat *= 2.0 / L1
+    return B_hat
 
 
 def rescale_from_unit_ball(B_hat: np.ndarray, L1: float) -> np.ndarray:
-    d = B_hat.shape[0]
-    return (L1 / 2.0) * B_hat + (L1 / 2.0) * np.eye(d)
+    B = (L1 / 2.0) * B_hat
+    B.flat[::B.shape[0] + 1] += L1 / 2.0
+    return B
 
 
 def project_frobenius_ball(M: np.ndarray, radius: float) -> np.ndarray:

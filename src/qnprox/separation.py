@@ -7,6 +7,14 @@ every B in the ball, each guarantee holding with probability at least 1 - q.
 Extreme eigenpairs are estimated by the Lanczos method from a random start on
 the unit sphere, with full reorthogonalization (d stays small here, and it
 keeps the Ritz values trustworthy).
+
+Each oracle call runs a single Lanczos sequence: the coarse decision reads its
+Ritz values after n1 steps, and when a finer estimate is needed the same
+Krylov run continues to max(n1, n2) steps instead of restarting.  Every stage
+is therefore still a Lanczos run of its length from a uniform random start,
+which is all the random-start bound of Kuczynski and Wozniakowski (SIAM J.
+Matrix Anal. Appl. 13(4), 1992) asks for, so each stage keeps its failure
+probability q and the union bound over the calls is unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .oracles import OracleCounters, matvec
+from .oracles import OracleCounters
 
 LANCZOS_BREAKDOWN = 1e-14
 
@@ -43,63 +51,112 @@ class SeparationResult:
         return not self.separated
 
 
-def lanczos_extreme(W: np.ndarray, iterations: int, seed,
-                    counters: Optional[OracleCounters] = None) -> LanczosExtremes:
+class LanczosRun:
+    """One Lanczos sequence on symmetric W that can be extended step by step.
+
+    The start vector is standard Gaussian normalized to the unit sphere, drawn
+    once from ``seed``.  The orthonormal basis is stored row-major in a buffer
+    of ``min(capacity, d)`` rows, and each new vector is fully
+    reorthogonalized against it.  The residual of the last step is formed
+    only when the next step is taken, so a run extended in two calls performs
+    exactly the arithmetic of one run of the combined length.  On Krylov
+    breakdown (beta below 1e-14) the run stops for good: the basis then spans
+    an invariant subspace.  Every product with W is counted on ``counters``.
+    """
+
+    def __init__(self, W: np.ndarray, capacity: int, seed,
+                 counters: Optional[OracleCounters] = None):
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {W.shape}")
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        d = W.shape[0]
+        self.W = W
+        self.counters = counters
+        self.capacity = min(capacity, d)
+        self.basis = np.empty((self.capacity, d))
+        self.alphas = np.empty(self.capacity)
+        self.betas = np.empty(self.capacity)
+        self.steps = 0
+        self.broken_down = False
+        q = np.random.default_rng(seed).standard_normal(d)
+        np.divide(q, np.linalg.norm(q), out=self.basis[0])
+        # W q_{steps-1}; the next step turns it into its residual in place
+        self._Wq: Optional[np.ndarray] = None
+
+    def advance(self, iterations: int) -> int:
+        """Take steps until ``iterations`` in total (capped at the capacity)
+        or breakdown; returns the number of steps taken by this call."""
+        target = min(iterations, self.capacity)
+        Q, alphas, betas = self.basis, self.alphas, self.betas
+        start = self.steps
+        j = start
+        while j < target and not self.broken_down:
+            if j > 0:
+                r = self._Wq
+                r -= alphas[j - 1] * Q[j - 1]
+                if j > 1:
+                    r -= betas[j - 2] * Q[j - 2]
+                r -= (Q[:j] @ r) @ Q[:j]
+                beta = math.sqrt(r @ r)
+                if beta < LANCZOS_BREAKDOWN:
+                    self.broken_down = True
+                    break
+                betas[j - 1] = beta
+                np.divide(r, beta, out=Q[j])
+            self._Wq = self.W @ Q[j]
+            alphas[j] = Q[j] @ self._Wq
+            j += 1
+        self.steps = j
+        if self.counters is not None:
+            self.counters.count_matvec(j - start)
+        return j - start
+
+    def extremes(self) -> tuple[np.ndarray, float, np.ndarray, float]:
+        """Top and bottom Ritz vectors with their Rayleigh quotients
+        <W u, u> (two counted matvecs)."""
+        k = self.steps
+        Q = self.basis[:k]
+        if k == 1:
+            u_max = Q[0].copy()
+            u_min = Q[0].copy()
+        else:
+            a, b = self.alphas[:k], self.betas[:k - 1]
+            _, y_min = eigh_tridiagonal(a, b, select="i", select_range=(0, 0))
+            _, y_max = eigh_tridiagonal(a, b, select="i",
+                                        select_range=(k - 1, k - 1))
+            u_max = y_max[:, 0] @ Q
+            u_max /= np.linalg.norm(u_max)
+            u_min = y_min[:, 0] @ Q
+            u_min /= np.linalg.norm(u_min)
+        lam_max = float(u_max @ (self.W @ u_max))
+        lam_min = float(u_min @ (self.W @ u_min))
+        if self.counters is not None:
+            self.counters.count_matvec(2)
+        return u_max, lam_max, u_min, lam_min
+
+
+def lanczos_extreme(W: np.ndarray, iterations: int, seed=None,
+                    counters: Optional[OracleCounters] = None, *,
+                    run: Optional[LanczosRun] = None) -> LanczosExtremes:
     """Extreme Ritz pairs of symmetric W after ``iterations`` Lanczos steps.
 
-    The start vector is standard Gaussian normalized to the unit sphere.  On
-    Krylov breakdown (beta below 1e-14) the basis is truncated and the current
-    Ritz extremes are returned; they are valid Rayleigh quotients either way
-    because the reported values are recomputed as <W u, u>.
+    Without ``run`` a fresh sequence is started from ``seed``.  With ``run``
+    (a :class:`LanczosRun` on this W) that sequence continues, without a new
+    random draw, to ``iterations`` steps in total; it brings its own start and
+    counters, so ``seed`` and ``counters`` are not used.  Either way the
+    steps stop at d or at Krylov breakdown, and ``matvecs`` counts the steps
+    this call took plus the two Rayleigh quotients: the reported values are
+    recomputed as <W u, u>, so they are valid even after a breakdown.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    d = W.shape[0]
-    iterations = min(iterations, d)
-    rng = np.random.default_rng(seed)
-
-    q = rng.standard_normal(d)
-    q /= np.linalg.norm(q)
-    basis = np.zeros((d, iterations))
-    alphas = np.zeros(iterations)
-    betas = np.zeros(max(iterations - 1, 0))
-    matvecs = 0
-    steps = 0
-    for j in range(iterations):
-        basis[:, j] = q
-        u = matvec(W, q, counters)
-        matvecs += 1
-        alphas[j] = float(q @ u)
-        steps = j + 1
-        if j == iterations - 1:
-            break
-        r = u - alphas[j] * q
-        if j > 0:
-            r -= betas[j - 1] * basis[:, j - 1]
-        # full reorthogonalization against the stored basis
-        r -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ r)
-        beta = float(np.linalg.norm(r))
-        if beta < LANCZOS_BREAKDOWN:
-            break
-        betas[j] = beta
-        q = r / beta
-
-    if steps == 1:
-        ritz_vals = alphas[:1]
-        ritz_vecs = np.ones((1, 1))
-    else:
-        ritz_vals, ritz_vecs = eigh_tridiagonal(alphas[:steps],
-                                                betas[: steps - 1])
-    Q = basis[:, :steps]
-
-    u_max = Q @ ritz_vecs[:, -1]
-    u_max /= np.linalg.norm(u_max)
-    u_min = Q @ ritz_vecs[:, 0]
-    u_min /= np.linalg.norm(u_min)
-    lam_max = float(u_max @ matvec(W, u_max, counters))
-    lam_min = float(u_min @ matvec(W, u_min, counters))
-    matvecs += 2
-    return LanczosExtremes(u_max, lam_max, u_min, lam_min, matvecs)
+    if run is None:
+        run = LanczosRun(W, iterations, seed, counters)
+    elif run.W is not W:
+        raise ValueError("run was started on a different matrix")
+    steps = run.advance(iterations)
+    return LanczosExtremes(*run.extremes(), matvecs=steps + 2)
 
 
 def _lanczos_rounds(d: int, q: float) -> float:
@@ -111,25 +168,33 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
                       ) -> SeparationResult:
     """Randomized separation oracle for {B symmetric : ||B||_op <= 1}.
 
-    First pass: a coarse Lanczos run of min(ceil(log(11 d / q^2) + 1/2), d)
-    steps estimates lam_hat = max(lam_1, -lam_d).  If lam_hat <= 1/2 the input
-    is certified inside (gamma = 2 lam_hat, S = 0); if lam_hat >= 2 it is
-    separated with the scaled certificate gamma = 2 lam_hat and S = +/- 3 u u^T.
-    Otherwise a finer run of min(ceil(log(11 d / q^2) / (4 sqrt(2 delta)) +
-    1/2), d) steps decides: gamma = lam_tilde + delta with S = 0 when
-    lam_tilde <= 1 - delta, else S = +/- u u^T.  Ties between the top and
-    bottom Ritz values resolve to the +u u^T branch.
+    One Lanczos sequence from a random start serves both stages.  After
+    n1 = min(ceil(log(11 d / q^2) + 1/2), d) steps the coarse estimate
+    lam_hat = max(lam_1, -lam_d) decides: if lam_hat <= 1/2 the input is
+    certified inside (gamma = 2 lam_hat, S = 0); if lam_hat >= 2 it is
+    separated with the scaled certificate gamma = 2 lam_hat and
+    S = +/- 3 u u^T.  Otherwise the same run continues to max(n1, n2) steps,
+    n2 = min(ceil(log(11 d / q^2) / (4 sqrt(2 delta)) + 1/2), d), and the
+    finer estimate lam_tilde decides: gamma = lam_tilde + delta with S = 0
+    when lam_tilde <= 1 - delta, else S = +/- u u^T.  Ties between the top
+    and bottom Ritz values resolve to the +u u^T branch.
+
+    A coarse decision costs n1 + 2 matvecs, a fine one max(n1, n2) + 4: the
+    continued steps plus two Rayleigh quotients per stage.  Continuing
+    rather than restarting keeps each stage's guarantee, because the fine
+    stage is itself a max(n1, n2)-step run from a uniform random start.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     d = W.shape[0]
-    rng = np.random.default_rng(seed)
     log_term = _lanczos_rounds(d, q)
-
     n1 = min(math.ceil(log_term + 0.5), d)
-    coarse = lanczos_extreme(W, n1, rng, counters)
+    n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
+    run = LanczosRun(W, max(n1, n2), seed, counters)
+
+    coarse = lanczos_extreme(W, n1, run=run)
     lam_hat = max(coarse.lam_max, -coarse.lam_min)
     matvecs = coarse.matvecs
 
@@ -145,8 +210,7 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
         return SeparationResult(gamma=2.0 * lam_hat, hyperplane=S,
                                 separated=True, matvecs=matvecs)
 
-    n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
-    fine = lanczos_extreme(W, max(n2, 1), rng, counters)
+    fine = lanczos_extreme(W, max(n1, n2), run=run)
     lam_tilde = max(fine.lam_max, -fine.lam_min)
     matvecs += fine.matvecs
     gamma = lam_tilde + delta

@@ -1,10 +1,74 @@
+import math
+
 import numpy as np
 import pytest
 
 from qnprox import (BaselineConfig, CountingOracle, QuadraticObjective,
-                    bfgs_solve, nag_solve)
+                    RunRecord, TraceRow, bfgs_solve, nag_solve,
+                    write_trace_csv)
 from qnprox.errors import ConvergenceError
 from conftest import make_logistic, random_psd
+
+
+class CountingValues:
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.values = 0
+
+    def value(self, x):
+        self.values += 1
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+def nag_reference(objective, x0, config):
+    """Monotone NAG as first written: f(u) is evaluated once more after the
+    backtracking loop accepts u.  Kept as the reference for the trace."""
+    oracle = CountingOracle(objective)
+    x = np.asarray(x0, dtype=float).copy()
+    y = x.copy()
+    fx = float(oracle.value(x))
+    eta = config.eta0
+    t_momentum = 1.0
+    record = RunRecord(method="nag", metadata={
+        "eta0": format(config.eta0, ".17g"),
+        "beta": format(config.beta, ".17g"),
+        "max_iters": str(config.max_iters),
+        "tolerance": format(config.tolerance, ".17g"),
+    })
+    for k in range(config.max_iters):
+        g = oracle.gradient(y)
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm <= config.tolerance:
+            break
+        fy = float(oracle.value(y))
+        g_sq = grad_norm * grad_norm
+        backtracks = 0
+        while True:
+            u = y - eta * g
+            if float(oracle.value(u)) <= fy - 0.5 * eta * g_sq:
+                break
+            eta *= config.beta
+            backtracks += 1
+        fu = float(oracle.value(u))
+        if fu <= fx:
+            x_next, fx_next = u, fu
+        else:
+            x_next, fx_next = x, fx
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0
+        y = (x_next + (t_momentum / t_next) * (u - x_next)
+             + ((t_momentum - 1.0) / t_next) * (x_next - x))
+        x, fx = x_next, fx_next
+        t_momentum = t_next
+        record.append(TraceRow(
+            iteration=k + 1, f_value=fx, eta_hat=eta, case="-",
+            backtracks=backtracks,
+            grad_queries=oracle.counters.gradient_queries,
+            matvecs=oracle.counters.matvecs))
+    return record
 
 
 class TestNag:
@@ -35,6 +99,21 @@ class TestNag:
         record = nag_solve(objective, np.zeros(50),
                            BaselineConfig(max_iters=60))
         assert record.grad_query_deltas() == [1] * len(record.rows)
+
+    def test_trace_matches_reference_with_one_value_query_less(
+            self, logistic_instance, tmp_path):
+        config = BaselineConfig(max_iters=300)
+        x0 = np.zeros(logistic_instance.dimension)
+        objective = CountingValues(logistic_instance)
+        record = nag_solve(objective, x0, config)
+        write_trace_csv(record, tmp_path / "nag.csv")
+        write_trace_csv(nag_reference(logistic_instance, x0, config),
+                        tmp_path / "reference.csv")
+        assert ((tmp_path / "nag.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+        # f(x0), then per iteration f(y) and one f(u) per trial step
+        trials = sum(row.backtracks + 1 for row in record.rows)
+        assert objective.values == 1 + len(record.rows) + trials
 
     def test_monotone_choice_never_increases(self):
         objective = make_logistic(120, 12, seed=7)

@@ -7,7 +7,7 @@ from qnprox import (LossSample, OracleCounters, init_learner, learner_step,
                     matrix_loss, matrix_loss_gradient)
 from qnprox.learner import (delta_schedule, project_frobenius_ball,
                             project_to_curvature_band_dense, q_schedule,
-                            rescale_to_unit_ball)
+                            rescale_from_unit_ball, rescale_to_unit_ball)
 from conftest import random_psd
 
 
@@ -125,6 +125,31 @@ class TestSchedules:
     def test_q_schedule_starts_at_one(self):
         with pytest.raises(ValueError):
             q_schedule(0, 0.01)
+
+
+class TestRescale:
+    def test_matches_the_dense_identity_formula(self):
+        # the in-place diagonal shift gives the same floats as adding a dense
+        # (L1 / 2) I, so the learner's matrices (and the traces) are unchanged
+        rng = np.random.default_rng(21)
+        for d in (1, 2, 7, 40):
+            for _ in range(5):
+                L1 = float(rng.uniform(0.1, 10.0))
+                M = rng.standard_normal((d, d))
+                M = (M + M.T) / 2.0
+                eye = np.eye(d)
+                assert np.array_equal(rescale_to_unit_ball(M, L1),
+                                      (2.0 / L1) * (M - (L1 / 2.0) * eye))
+                assert np.array_equal(rescale_from_unit_ball(M, L1),
+                                      (L1 / 2.0) * M + (L1 / 2.0) * eye)
+
+    def test_leaves_its_input_alone(self):
+        rng = np.random.default_rng(22)
+        M = rng.standard_normal((6, 6))
+        before = M.copy()
+        rescale_to_unit_ball(M, 2.0)
+        rescale_from_unit_ball(M, 2.0)
+        assert np.array_equal(M, before)
 
 
 class TestLearnerStep:

@@ -2,9 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qnprox.separation
 from qnprox import OracleCounters, lanczos_extreme, separation_oracle
+from qnprox.separation import LanczosRun
 from conftest import random_unit_opnorm
+
+
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the products taken with it."""
+
+    def __array_finalize__(self, obj):
+        self.products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        plain = [np.asarray(x) if isinstance(x, CountingMatrix) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def stage_lengths(d, delta, q):
+    log_term = math.log(11.0 * d / q ** 2)
+    n1 = min(math.ceil(log_term + 0.5), d)
+    n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
+    return n1, n2
+
+
+def random_symmetric(rng, d):
+    W = rng.standard_normal((d, d))
+    return (W + W.T) / 2.0
 
 
 def opnorm(W):
@@ -63,6 +93,114 @@ class TestLanczos:
     def test_iterations_validation(self):
         with pytest.raises(ValueError):
             lanczos_extreme(np.eye(3), iterations=0, seed=0)
+
+    def test_run_belongs_to_its_matrix(self):
+        run = LanczosRun(np.eye(3), 3, seed=0)
+        with pytest.raises(ValueError):
+            lanczos_extreme(np.eye(3), 2, run=run)
+
+    def test_continued_run_repeats_one_shot_run(self):
+        rng = np.random.default_rng(6)
+        W = random_symmetric(rng, 25)
+        run = LanczosRun(W, 17, seed=4)
+        lanczos_extreme(W, 9, run=run)
+        continued = lanczos_extreme(W, 17, run=run)
+        one_shot = lanczos_extreme(W, 17, seed=4)
+        assert continued.matvecs == 17 - 9 + 2
+        assert continued.lam_max == one_shot.lam_max
+        assert continued.lam_min == one_shot.lam_min
+        assert np.array_equal(continued.u_max, one_shot.u_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+           start=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_continued_ritz_values_widen_and_match_one_shot(self, d, seed,
+                                                             start, data):
+        n1 = data.draw(st.integers(1, d), label="n1")
+        n2 = data.draw(st.integers(n1, d), label="n2")
+        W = random_symmetric(np.random.default_rng(seed), d)
+        vals = np.linalg.eigvalsh(W)
+        run = LanczosRun(W, n2, seed=start)
+        coarse = lanczos_extreme(W, n1, run=run)
+        fine = lanczos_extreme(W, n2, run=run)
+        assert fine.lam_max >= coarse.lam_max - 1e-10
+        assert fine.lam_min <= coarse.lam_min + 1e-10
+        for result in (coarse, fine):
+            assert vals[0] - 1e-10 <= result.lam_min
+            assert result.lam_max <= vals[-1] + 1e-10
+        # a fresh run from the same start vector
+        reference = lanczos_extreme(W, n2, seed=start)
+        assert abs(fine.lam_max - reference.lam_max) <= 1e-10
+        assert abs(fine.lam_min - reference.lam_min) <= 1e-10
+
+
+class TestContinuedRun:
+    """One Lanczos sequence per oracle call: the fine stage continues the
+    coarse run instead of restarting it."""
+
+    D, Q = 60, 0.05
+
+    def lanczos_calls(self, monkeypatch):
+        calls = []
+        original = qnprox.separation.lanczos_extreme
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(result.matvecs)
+            return result
+
+        monkeypatch.setattr(qnprox.separation, "lanczos_extreme", recording)
+        return calls
+
+    @pytest.mark.parametrize("delta", [0.05, 0.01])
+    def test_matvecs_per_branch(self, delta, monkeypatch):
+        d, q = self.D, self.Q
+        n1, n2 = stage_lengths(d, delta, q)
+        assert n1 < d and n2 < d
+        calls = self.lanczos_calls(monkeypatch)
+        rng = np.random.default_rng(31)
+        cases = [(0.1, "coarse inside", [n1 + 2]),
+                 (5.0, "coarse separated", [n1 + 2]),
+                 (1.0, "fine", [n1 + 2, max(n1, n2) - n1 + 2])]
+        for scale, branch, per_call in cases:
+            calls.clear()
+            W = random_unit_opnorm(rng, d) * scale
+            counters = OracleCounters()
+            result = separation_oracle(W, delta, q, seed=3,
+                                       counters=counters)
+            assert calls == per_call, branch
+            assert counters.matvecs == result.matvecs == sum(per_call)
+        assert sum(per_call) == max(n1, n2) + 4
+
+    def test_fine_stage_draws_no_second_start(self):
+        n1, n2 = stage_lengths(30, 0.05, 0.05)
+        W = random_unit_opnorm(np.random.default_rng(2), 30)
+        generator = np.random.default_rng(5)
+        result = separation_oracle(W, 0.05, 0.05, seed=generator)
+        assert result.matvecs == max(n1, n2) + 4
+        reference = np.random.default_rng(5)
+        reference.standard_normal(30)
+        assert generator.standard_normal() == reference.standard_normal()
+
+    # the Krylov space is invariant after one step (zero matrix, decided by
+    # the coarse stage) or two (rank one with eigenvalue 0.8, fine stage)
+    @pytest.mark.parametrize("kind, matvecs", [("zero", 1 + 2),
+                                               ("rank one", 2 + 4)])
+    def test_counted_matvecs_are_performed_under_breakdown(self, kind,
+                                                            matvecs):
+        d, delta, q = 30, 0.05, 0.05
+        assert min(stage_lengths(d, delta, q)) > 2
+        v = np.random.default_rng(9).standard_normal(d)
+        W = 0.8 * np.outer(v, v) / float(v @ v)
+        if kind == "zero":
+            W = np.zeros((d, d))
+        W = W.view(CountingMatrix)
+        counters = OracleCounters()
+        result = separation_oracle(W, delta, q, seed=0, counters=counters)
+        assert counters.matvecs == result.matvecs == W.products == matvecs
+        assert result.inside
+        if kind == "rank one":
+            assert abs(result.gamma - (0.8 + delta)) <= 1e-12
 
 
 class TestSeparationOracle:
