@@ -14,6 +14,12 @@ ball of radius sqrt(d) (cheap), while feasibility in the operator-norm ball is
 maintained through the randomized separation oracle instead of a dense
 eigendecomposition.
 
+After a separating call the next step descends the surrogate gradient
+G + max(0, -<G, B_hat>) S, with S = weight * u u^T the oracle's rank-one
+certificate.  G has rank two, so <G, B_hat> follows from the vectors s, B s
+and r = w - B s that the loss already holds: the state keeps W, B and the
+pair (u, weight), and neither B_hat nor S is ever stored.
+
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.
 Schedules follow rho = 1/128, delta_t = 1 / (sqrt(t + 2) ln(t + 2)) and
@@ -29,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .oracles import OracleCounters, frobenius_inner, matvec, symmetrize
-from .separation import separation_oracle
+from .oracles import OracleCounters, matvec, symmetrize
+from .separation import SeparationResult, separation_oracle
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
 DEFAULT_FAILURE_BUDGET = 0.01
@@ -52,18 +58,16 @@ class LossSample:
 class LearnerState:
     """State of the online learner between backtracked iterations.
 
-    ``W`` is the Frobenius-ball iterate, ``B`` the matrix currently in play
-    (inside Z up to the separation oracle's failure probability), ``B_hat``
-    its rescaled image in the unit operator-norm ball, and
-    ``surrogate_direction`` the hyperplane from the separation call that
-    produced ``B`` (None when that call certified containment, as for the
-    initial matrix).
+    ``W`` is the Frobenius-ball iterate and ``B`` the matrix in play (inside
+    Z up to the separation oracle's failure probability), the only d x d
+    arrays.  ``certificate`` is the separation result that produced ``B``
+    when that call separated, and None when it certified containment (as
+    for the initial matrix).
     """
 
     W: np.ndarray
     B: np.ndarray
-    B_hat: np.ndarray
-    surrogate_direction: Optional[np.ndarray]
+    certificate: Optional[SeparationResult]
     t: int
     rho: float
     L1: float
@@ -74,8 +78,23 @@ class LearnerState:
 class LearnerStepReport:
     loss_value: float
     separated: bool
-    gamma: float
+    scale: float  # the separation oracle's gamma for the new matrix
     matvecs: int
+
+
+def _loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float
+                   ) -> np.ndarray:
+    return -(np.outer(s, residual) + np.outer(residual, s)) / s2
+
+
+def _surrogate_coefficient(s: np.ndarray, Bs: np.ndarray,
+                           residual: np.ndarray, s2: float, L1: float
+                           ) -> float:
+    """max(0, -<G, B_hat>) for G = (2 / L1) grad and B_hat = (2 / L1) B - I:
+    <G, B_hat> = -(4 / (L1 ||s||^2)) ((2 / L1) (B s) . r - s . r)."""
+    inner = (-4.0 / (L1 * s2)) * ((2.0 / L1) * float(Bs @ residual)
+                                  - float(s @ residual))
+    return max(0.0, -inner)
 
 
 def matrix_loss(B: np.ndarray, sample: LossSample,
@@ -95,7 +114,7 @@ def matrix_loss_gradient(B: np.ndarray, sample: LossSample,
     """
     residual = sample.w - matvec(B, sample.s, counters)
     s2 = float(sample.s @ sample.s)
-    return -(np.outer(sample.s, residual) + np.outer(residual, sample.s)) / s2
+    return _loss_gradient(sample.s, residual, s2)
 
 
 def delta_schedule(t: int) -> float:
@@ -134,9 +153,8 @@ def init_learner(B0: np.ndarray, L1: float,
                  failure_budget: float = DEFAULT_FAILURE_BUDGET) -> LearnerState:
     """Start the learner at a user-supplied B0 in Z (default: (L1/2) I)."""
     B0 = symmetrize(np.asarray(B0, dtype=float))
-    B_hat = rescale_to_unit_ball(B0, L1)
-    return LearnerState(W=B_hat.copy(), B=B0, B_hat=B_hat,
-                        surrogate_direction=None, t=0, rho=rho, L1=L1,
+    return LearnerState(W=rescale_to_unit_ball(B0, L1), B=B0,
+                        certificate=None, t=0, rho=rho, L1=L1,
                         failure_budget=failure_budget)
 
 
@@ -154,53 +172,29 @@ def learner_step(state: LearnerState, sample: LossSample, seed,
     (the action in play when the sample was generated), the Frobenius-ball
     iterate takes one projected gradient step on the surrogate, and the
     separation oracle then forms the next action from the updated iterate.
-    The first fed loss uses B0 directly with no surrogate correction.
+    The first fed loss uses B0 directly with no surrogate correction, as
+    does every loss after a call that certified containment.
     """
     d = state.W.shape[0]
     L1 = state.L1
-    before = counters.matvecs if counters is not None else 0
-
-    residual = sample.w - matvec(state.B, sample.s, counters)
+    Bs = matvec(state.B, sample.s, counters)
+    residual = sample.w - Bs
     s2 = float(sample.s @ sample.s)
     loss_value = float(residual @ residual) / s2
-    grad = -(np.outer(sample.s, residual) + np.outer(residual, sample.s)) / s2
-    G = (2.0 / L1) * grad
-    if state.surrogate_direction is not None:
-        coefficient = max(0.0, -frobenius_inner(G, state.B_hat))
-        G_surrogate = G + coefficient * state.surrogate_direction
-    else:
-        G_surrogate = G
+    G = (2.0 / L1) * _loss_gradient(sample.s, residual, s2)
+    cert = state.certificate
+    if cert is not None:
+        coefficient = _surrogate_coefficient(sample.s, Bs, residual, s2, L1)
+        G += (coefficient * cert.weight) * np.outer(cert.u, cert.u)
 
-    W_next = project_frobenius_ball(state.W - state.rho * G_surrogate,
-                                    math.sqrt(d))
+    W_next = project_frobenius_ball(state.W - state.rho * G, math.sqrt(d))
     t_next = state.t + 1
     sep = separation_oracle(W_next, delta_schedule(t_next),
                             q_schedule(t_next, state.failure_budget),
                             seed, counters)
-    if sep.separated:
-        B_hat = W_next / sep.gamma
-        direction = sep.hyperplane
-    else:
-        B_hat = W_next
-        direction = None
-    B_next = rescale_from_unit_ball(B_hat, L1)
-
-    after = counters.matvecs if counters is not None else 1 + sep.matvecs
-    new_state = replace(state, W=W_next, B=B_next, B_hat=B_hat,
-                        surrogate_direction=direction, t=t_next)
+    B_hat = W_next / sep.gamma if sep.separated else W_next
+    new_state = replace(state, W=W_next, B=rescale_from_unit_ball(B_hat, L1),
+                        certificate=sep if sep.separated else None, t=t_next)
     report = LearnerStepReport(loss_value=loss_value, separated=sep.separated,
-                               gamma=sep.gamma, matvecs=after - before)
+                               scale=sep.gamma, matvecs=1 + sep.matvecs)
     return new_state, report
-
-
-def project_to_curvature_band_dense(M: np.ndarray, L1: float) -> np.ndarray:
-    """Nearest (Frobenius) matrix with eigenvalues in [0, L1].
-
-    Closed form via a dense eigendecomposition with clamped eigenvalues.
-    Reference implementation for tests only: the whole point of the
-    separation-oracle route is to keep this O(d^3) step off the solve path.
-    """
-    M = symmetrize(np.asarray(M, dtype=float))
-    vals, vecs = np.linalg.eigh(M)
-    clamped = np.clip(vals, 0.0, L1)
-    return symmetrize((vecs * clamped) @ vecs.T)

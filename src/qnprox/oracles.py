@@ -14,6 +14,8 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from .errors import NumericsError
+
 
 @dataclass
 class OracleCounters:
@@ -50,7 +52,12 @@ class ObjectiveOracle(Protocol):
 
 
 class CountingOracle:
-    """Wraps an objective so every gradient call increments the counters."""
+    """Wraps an objective so every gradient call increments the counters.
+
+    A gradient with a non-finite entry raises :class:`NumericsError`, so a
+    bad oracle stops the run where it happened instead of surfacing later
+    as a linear-solver or step-size failure.
+    """
 
     def __init__(self, inner, counters: Optional[OracleCounters] = None):
         self.inner = inner
@@ -69,7 +76,10 @@ class CountingOracle:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self.counters.count_gradient()
-        return self.inner.gradient(x)
+        g = self.inner.gradient(x)
+        if not np.isfinite(g).all():
+            raise NumericsError("gradient oracle returned a non-finite entry")
+        return g
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.inner.hessian(x)
@@ -96,11 +106,6 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     are bit-identical.
     """
     return (matrix + matrix.T) / 2.0
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """trace(A^T B), the Frobenius inner product."""
-    return float(np.sum(a * b))
 
 
 class QuadraticObjective:
@@ -176,7 +181,5 @@ def estimate_smoothness(oracle, probes: int = 5, seed: int = 0,
                                                  rng, iterations))
     estimate = 1.1 * best
     if not np.isfinite(estimate):
-        from .errors import NumericsError
-
         raise NumericsError("curvature estimate is not finite")
     return estimate

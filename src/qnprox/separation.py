@@ -2,8 +2,9 @@
 
 Given a symmetric W with ||W||_F <= sqrt(d), the oracle either certifies
 ||W||_op <= 1 or returns a scale gamma > 1 with ||W / gamma||_op <= 1 together
-with a rank-one hyperplane S satisfying <S, W - B> >= gamma - 1 - delta for
-every B in the ball, each guarantee holding with probability at least 1 - q.
+with a rank-one hyperplane S = weight * u u^T, kept as the pair (u, weight),
+satisfying <S, W - B> >= gamma - 1 - delta for every B in the ball, each
+guarantee holding with probability at least 1 - q.
 Extreme eigenpairs are estimated by the Lanczos method from a random start on
 the unit sphere, with full reorthogonalization (d stays small here, and it
 keeps the Ritz values trustworthy).
@@ -41,14 +42,27 @@ class LanczosExtremes(NamedTuple):
 
 @dataclass(frozen=True)
 class SeparationResult:
+    """Scale ``gamma`` and certificate S = ``weight`` * u u^T, with ``u`` the
+    unit Ritz vector that decided the call and ``weight`` 0 inside, +/- 1
+    from the fine stage and +/- 3 from the coarse stage."""
+
     gamma: float
-    hyperplane: np.ndarray
-    separated: bool
+    u: np.ndarray
+    weight: float
     matvecs: int
+
+    @property
+    def separated(self) -> bool:
+        return self.weight != 0.0
 
     @property
     def inside(self) -> bool:
         return not self.separated
+
+    @property
+    def hyperplane(self) -> np.ndarray:
+        """The dense d x d certificate S, built on each read."""
+        return self.weight * np.outer(self.u, self.u)
 
 
 class LanczosRun:
@@ -163,6 +177,13 @@ def _lanczos_rounds(d: int, q: float) -> float:
     return math.log(11.0 * d / q ** 2)
 
 
+def _dominant(extremes: LanczosExtremes) -> tuple[float, np.ndarray, float]:
+    """max(lam_1, -lam_d) with its Ritz vector and sign; ties go to the top."""
+    if extremes.lam_max >= -extremes.lam_min:
+        return extremes.lam_max, extremes.u_max, 1.0
+    return -extremes.lam_min, extremes.u_min, -1.0
+
+
 def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
                       counters: Optional[OracleCounters] = None
                       ) -> SeparationResult:
@@ -171,13 +192,13 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
     One Lanczos sequence from a random start serves both stages.  After
     n1 = min(ceil(log(11 d / q^2) + 1/2), d) steps the coarse estimate
     lam_hat = max(lam_1, -lam_d) decides: if lam_hat <= 1/2 the input is
-    certified inside (gamma = 2 lam_hat, S = 0); if lam_hat >= 2 it is
+    certified inside (gamma = 2 lam_hat, weight 0); if lam_hat >= 2 it is
     separated with the scaled certificate gamma = 2 lam_hat and
     S = +/- 3 u u^T.  Otherwise the same run continues to max(n1, n2) steps,
     n2 = min(ceil(log(11 d / q^2) / (4 sqrt(2 delta)) + 1/2), d), and the
-    finer estimate lam_tilde decides: gamma = lam_tilde + delta with S = 0
-    when lam_tilde <= 1 - delta, else S = +/- u u^T.  Ties between the top
-    and bottom Ritz values resolve to the +u u^T branch.
+    finer estimate lam_tilde decides: gamma = lam_tilde + delta with weight 0
+    when lam_tilde <= 1 - delta, else S = +/- u u^T.  On every branch u is
+    the Ritz vector of the deciding value, the top one on ties (sign +).
 
     A coarse decision costs n1 + 2 matvecs, a fine one max(n1, n2) + 4: the
     continued steps plus two Rayleigh quotients per stage.  Continuing
@@ -195,32 +216,18 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
     run = LanczosRun(W, max(n1, n2), seed, counters)
 
     coarse = lanczos_extreme(W, n1, run=run)
-    lam_hat = max(coarse.lam_max, -coarse.lam_min)
+    lam_hat, u, sign = _dominant(coarse)
     matvecs = coarse.matvecs
-
     if lam_hat <= 0.5:
-        return SeparationResult(gamma=2.0 * lam_hat,
-                                hyperplane=np.zeros_like(W),
-                                separated=False, matvecs=matvecs)
+        return SeparationResult(gamma=2.0 * lam_hat, u=u, weight=0.0,
+                                matvecs=matvecs)
     if lam_hat >= 2.0:
-        if coarse.lam_max >= -coarse.lam_min:
-            S = 3.0 * np.outer(coarse.u_max, coarse.u_max)
-        else:
-            S = -3.0 * np.outer(coarse.u_min, coarse.u_min)
-        return SeparationResult(gamma=2.0 * lam_hat, hyperplane=S,
-                                separated=True, matvecs=matvecs)
+        return SeparationResult(gamma=2.0 * lam_hat, u=u, weight=3.0 * sign,
+                                matvecs=matvecs)
 
     fine = lanczos_extreme(W, max(n1, n2), run=run)
-    lam_tilde = max(fine.lam_max, -fine.lam_min)
+    lam_tilde, u, sign = _dominant(fine)
     matvecs += fine.matvecs
-    gamma = lam_tilde + delta
-
-    if lam_tilde <= 1.0 - delta:
-        return SeparationResult(gamma=gamma, hyperplane=np.zeros_like(W),
-                                separated=False, matvecs=matvecs)
-    if fine.lam_max >= -fine.lam_min:
-        S = np.outer(fine.u_max, fine.u_max)
-    else:
-        S = -np.outer(fine.u_min, fine.u_min)
-    return SeparationResult(gamma=gamma, hyperplane=S,
-                            separated=True, matvecs=matvecs)
+    weight = 0.0 if lam_tilde <= 1.0 - delta else sign
+    return SeparationResult(gamma=lam_tilde + delta, u=u, weight=weight,
+                            matvecs=matvecs)

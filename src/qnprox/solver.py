@@ -67,6 +67,15 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.failure_budget < 1.0:
             raise ValueError("failure_budget must lie in (0, 1)")
+        if self.L1 is not None and not 0.0 < self.L1 < math.inf:
+            raise ValueError(f"L1 must be finite and positive, got {self.L1}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(
+                f"rho must be finite and positive, got {self.rho}")
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if self.max_cr_iters is not None and self.max_cr_iters < 1:
+            raise ValueError("max_cr_iters must be >= 1")
 
 
 @dataclass
@@ -181,6 +190,16 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     return next_state, report
 
 
+def _checked_input(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return array
+
+
 def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
           config: Optional[SolverConfig] = None,
           B0: Optional[np.ndarray] = None,
@@ -194,7 +213,9 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     oracle queries).  Returns the per-iteration trace; an ``observer``
     receives the full :class:`IterationReport` each iteration.
 
-    On failure the partial trace is attached to the raised
+    Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
+    match ``oracle.dimension`` and be finite, else :class:`ValueError`.  On
+    failure during the run the partial trace is attached to the raised
     :class:`SolverError`.
     """
     config = config if config is not None else SolverConfig()
@@ -202,6 +223,11 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     if not isinstance(oracle, CountingOracle):
         oracle = CountingOracle(oracle)
     counters = oracle.counters
+    d = oracle.dimension
+    x = _checked_input("x0", x0, (d,)).copy()
+    z = x.copy() if z0 is None else _checked_input("z0", z0, (d,)).copy()
+    if B0 is not None:
+        B0 = _checked_input("B0", B0, (d, d))
 
     L1 = config.L1
     if L1 is None:
@@ -210,10 +236,8 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
         L1 = estimate_smoothness(oracle.inner, seed=config.seed)
     sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1
 
-    x = np.asarray(x0, dtype=float).copy()
-    z = x.copy() if z0 is None else np.asarray(z0, dtype=float).copy()
     if B0 is None:
-        B0 = default_initial_matrix(x.shape[0], L1)
+        B0 = default_initial_matrix(d, L1)
     learner = init_learner(B0, L1, rho=config.rho,
                            failure_budget=config.failure_budget)
     state = SolverState(x=x, z=z, A=0.0, eta=sigma0, learner=learner, k=0)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qnprox import (LossSample, OracleCounters, init_learner, learner_step,
-                    matrix_loss, matrix_loss_gradient)
-from qnprox.learner import (delta_schedule, project_frobenius_ball,
-                            project_to_curvature_band_dense, q_schedule,
+                    matrix_loss, matrix_loss_gradient, symmetrize)
+from qnprox.learner import (_surrogate_coefficient, delta_schedule,
+                            project_frobenius_ball, q_schedule,
                             rescale_from_unit_ball, rescale_to_unit_ball)
 from conftest import random_psd
 
@@ -201,14 +201,84 @@ class TestLearnerStep:
         for _ in range(60):
             sample = LossSample(w=10.0 * s, s=s)
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
-            if state.surrogate_direction is not None:
-                coeff = max(0.0, -float(np.sum(G * state.B_hat)))
-                G_tilde = G + coeff * state.surrogate_direction
+            if state.certificate is not None:
+                B_hat = rescale_to_unit_ball(state.B, L1)
+                coeff = max(0.0, -float(np.sum(G * B_hat)))
+                G_tilde = G + coeff * state.certificate.hyperplane
                 assert (np.linalg.norm(G_tilde)
                         <= 4.0 * np.linalg.norm(G, "nuc") * (1.0 + 1e-10))
                 checked += 1
             state, _ = learner_step(state, sample, seed=rng)
         assert checked > 0
+
+    @staticmethod
+    def separated_state(rng, d, L1):
+        """Feed one aligned loss (w = 10 s) until a separation call leaves
+        a certificate in the state."""
+        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        sample = LossSample(w=10.0 * np.ones(d), s=np.ones(d))
+        while state.certificate is None:
+            state, _ = learner_step(state, sample, seed=rng)
+        return state
+
+    def test_surrogate_coefficient_matches_dense_inner_product(self):
+        # the vector formula against max(0, -<G, B_hat>) formed densely
+        rng = np.random.default_rng(14)
+        clamped = 0
+        for _ in range(500):
+            d = int(rng.integers(1, 20))
+            L1 = float(rng.uniform(0.1, 10.0))
+            B = random_psd(rng, d, top=L1 * float(rng.uniform(0.0, 1.0)))
+            sample = LossSample(w=rng.standard_normal(d),
+                                s=rng.standard_normal(d))
+            G = (2.0 / L1) * matrix_loss_gradient(B, sample)
+            dense = max(0.0, -float(np.sum(G * rescale_to_unit_ball(B, L1))))
+            Bs = B @ sample.s
+            vector = _surrogate_coefficient(sample.s, Bs, sample.w - Bs,
+                                            float(sample.s @ sample.s), L1)
+            assert abs(vector - dense) <= 1e-12 * dense
+            clamped += dense == 0.0
+        assert 0 < clamped < 500
+
+    def test_surrogate_step_matches_dense_reference(self):
+        rng = np.random.default_rng(15)
+        d, L1 = 6, 1.0
+        state = self.separated_state(rng, d, L1)
+        assert state.certificate.weight in (-3.0, -1.0, 1.0, 3.0)
+        B_hat = rescale_to_unit_ball(state.B, L1)
+        coeff = 0.0
+        while coeff == 0.0:
+            sample = LossSample(w=rng.standard_normal(d),
+                                s=rng.standard_normal(d))
+            G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
+            coeff = max(0.0, -float(np.sum(G * B_hat)))
+        expected = project_frobenius_ball(
+            state.W - state.rho * (G + coeff * state.certificate.hyperplane),
+            math.sqrt(d))
+        state, _ = learner_step(state, sample, seed=rng)
+        assert np.allclose(state.W, expected, rtol=0.0, atol=1e-14)
+
+    def test_state_holds_two_dense_matrices_after_separation(self):
+        rng = np.random.default_rng(16)
+        d, L1 = 6, 1.0
+        state = self.separated_state(rng, d, L1)
+        arrays = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        arrays += [v for v in vars(state.certificate).values()
+                   if isinstance(v, np.ndarray)]
+        assert sum(a.size for a in arrays) == 2 * d * d + d
+        assert [a.ndim for a in arrays] == [2, 2, 1]
+
+    def test_report_counts_loss_and_separation_matvecs(self):
+        rng = np.random.default_rng(17)
+        d, L1 = 5, 1.0
+        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        for _ in range(10):
+            counters = OracleCounters()
+            s = rng.standard_normal(d)
+            state, report = learner_step(state, LossSample(w=3.0 * s, s=s),
+                                         seed=rng, counters=counters)
+            assert report.matvecs == counters.matvecs > 1
+            assert report.separated == (report.scale > 1.0)
 
     def test_static_comparator_regret_bound(self):
         # with a fixed comparator H in Z the cumulative loss obeys
@@ -245,6 +315,19 @@ class TestLearnerStep:
                 state, _ = learner_step(state, sample, seed=rng)
             results.append(state.B.copy())
         assert np.array_equal(results[0], results[1])
+
+
+def project_to_curvature_band_dense(M: np.ndarray, L1: float) -> np.ndarray:
+    """Nearest (Frobenius) matrix with eigenvalues in [0, L1].
+
+    Closed form via a dense eigendecomposition with clamped eigenvalues.
+    Reference implementation for tests only: the whole point of the
+    separation-oracle route is to keep this O(d^3) step off the solve path.
+    """
+    M = symmetrize(np.asarray(M, dtype=float))
+    vals, vecs = np.linalg.eigh(M)
+    clamped = np.clip(vals, 0.0, L1)
+    return symmetrize((vecs * clamped) @ vecs.T)
 
 
 class TestDenseProjectionReference:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnprox import (CountingOracle, OracleCounters, QuadraticObjective,
-                    estimate_smoothness, matvec, symmetrize)
+                    NumericsError, estimate_smoothness, matvec, symmetrize)
 from conftest import make_logistic
 
 
@@ -66,6 +66,17 @@ class TestCountingOracle:
         assert seen == [1, 2, 3, 4, 5]
         oracle.value(np.ones(3))
         assert oracle.counters.gradient_queries == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises(self, bad):
+        class Broken:
+            dimension = 3
+
+            def gradient(self, x):
+                return np.array([0.0, bad, 0.0])
+
+        with pytest.raises(NumericsError, match="gradient"):
+            CountingOracle(Broken()).gradient(np.ones(3))
 
     def test_counts_reproducible_across_seeded_runs(self, small_logistic):
         from qnprox import SolverConfig, solve

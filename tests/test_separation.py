@@ -266,6 +266,31 @@ class TestSeparationOracle:
                 failures += 1
         assert failures <= 0.05 * runs
 
+    # rank one c e e^T: the Rayleigh quotients are exactly c, so gamma tells
+    # the stage apart (2 |c| coarse, |c| + delta fine)
+    @pytest.mark.parametrize("c, gamma, weight", [
+        (0.3, 0.6, 0.0),            # coarse, inside
+        (4.0, 8.0, 3.0),            # coarse, separated by the top pair
+        (-4.0, 8.0, -3.0),          # coarse, separated by the bottom pair
+        (0.8, 0.8 + 0.1, 0.0),      # fine, inside
+        (1.2, 1.2 + 0.1, 1.0),      # fine, separated by the top pair
+        (-1.2, 1.2 + 0.1, -1.0),    # fine, separated by the bottom pair
+    ])
+    def test_rank_one_certificate_per_branch(self, c, gamma, weight):
+        d = 10
+        e = np.random.default_rng(3).standard_normal(d)
+        e /= np.linalg.norm(e)
+        W = c * np.outer(e, e)
+        result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+        assert abs(result.gamma - gamma) <= 1e-12
+        assert result.weight == weight
+        assert result.separated == (weight != 0.0)
+        assert abs(np.linalg.norm(result.u) - 1.0) <= 1e-12
+        assert abs(abs(result.u @ e) - 1.0) <= 1e-12
+        assert np.array_equal(result.hyperplane,
+                              weight * np.outer(result.u, result.u))
+        assert all(np.ndim(v) < 2 for v in vars(result).values())
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         W = random_unit_opnorm(rng, 9) * 1.3

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qnprox import (QuadraticObjective, SolverConfig, momentum_weights,
-                    solve)
+from qnprox import (CountingOracle, QuadraticObjective, SolverConfig,
+                    momentum_weights, solve)
 from qnprox.solver import damped_iterate
-from qnprox.errors import SolverError
+from qnprox.errors import NumericsError, SolverError
 from conftest import reference_minimizer
 
 
@@ -245,11 +245,84 @@ class TestConfigValidation:
 
     def test_partial_trace_attached_on_failure(self, small_logistic):
         # an absurdly tight linear-solver cap forces a convergence error
-        config = SolverConfig(max_iters=50, seed=0, max_cr_iters=0)
+        # (at iteration 32 on this instance; a cap of 0 is rejected up front)
+        config = SolverConfig(max_iters=50, seed=0, max_cr_iters=1)
         with pytest.raises(SolverError) as exc_info:
             solve(small_logistic, np.zeros(small_logistic.dimension),
                   config=config)
         assert exc_info.value.trace is not None
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("L1", -1.0), ("L1", 0.0), ("L1", math.nan), ("L1", math.inf),
+        ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
+        ("tolerance", -1.0), ("tolerance", math.nan),
+        ("max_cr_iters", 0),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value}).validate()
+
+
+class TestInputValidation:
+    """solve() rejects bad inputs before iteration 0, naming the input."""
+
+    @staticmethod
+    def rejects(name, x0, z0=None, B0=None):
+        oracle = CountingOracle(QuadraticObjective(np.eye(4)))
+        with pytest.raises(ValueError, match=name):
+            solve(oracle, x0, z0, SolverConfig(max_iters=5), B0=B0)
+        assert oracle.counters.gradient_queries == 0
+
+    def test_x0_of_wrong_length(self):
+        self.rejects("x0", np.zeros(5))
+
+    def test_x0_not_one_dimensional(self):
+        self.rejects("x0", np.zeros((4, 1)))
+
+    def test_x0_not_finite(self):
+        self.rejects("x0", np.array([0.0, np.nan, 0.0, 0.0]))
+
+    def test_z0_of_wrong_length(self):
+        self.rejects("z0", np.zeros(4), z0=np.zeros(3))
+
+    def test_z0_not_finite(self):
+        self.rejects("z0", np.zeros(4), z0=np.full(4, np.inf))
+
+    def test_B0_of_wrong_shape(self):
+        self.rejects("B0", np.zeros(4), B0=np.eye(3))
+
+    def test_B0_not_finite(self):
+        B0 = np.eye(4)
+        B0[1, 2] = np.nan
+        self.rejects("B0", np.zeros(4), B0=B0)
+
+
+class NanAfter:
+    """Quadratic whose gradient turns NaN after ``good`` calls."""
+
+    dimension = 4
+    smoothness = 1.0
+
+    def __init__(self, good):
+        self.good = good
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        self.good -= 1
+        return x.copy() if self.good >= 0 else np.full(4, np.nan)
+
+
+class TestBadOracle:
+    def test_non_finite_gradient_names_stage_and_iteration(self):
+        with pytest.raises(SolverError,
+                           match=r"iteration \d+: gradient oracle") as info:
+            solve(NanAfter(good=5), np.ones(4),
+                  config=SolverConfig(max_iters=50))
+        assert isinstance(info.value.__cause__, NumericsError)
+        assert len(info.value.trace.rows) >= 1
 
 
 class BareQuadratic:
