@@ -141,6 +141,18 @@ def rescale_from_unit_ball(B_hat: np.ndarray, L1: float) -> np.ndarray:
     return B
 
 
+def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
+                   ) -> Optional[str]:
+    """None when 0 <= B <= L1 I, up to rtol * L1 on either side, else the
+    first eigenvalue bound that fails (dense ``eigvalsh``)."""
+    eigs = np.linalg.eigvalsh(B)
+    if not eigs[0] >= -rtol * L1:
+        return f"smallest eigenvalue {eigs[0]:.6e} is below 0"
+    if not eigs[-1] <= (1.0 + rtol) * L1:
+        return f"largest eigenvalue {eigs[-1]:.6e} is above L1 = {L1:.6e}"
+    return None
+
+
 def project_frobenius_ball(M: np.ndarray, radius: float) -> np.ndarray:
     norm = float(np.linalg.norm(M))
     if norm <= radius:

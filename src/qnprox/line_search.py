@@ -46,7 +46,6 @@ class LineSearchOutcome:
     x_tilde: Optional[np.ndarray]
     grad_at_x_tilde: Optional[np.ndarray]
     matvecs: int
-    linear_solver_iterations: int
 
 
 def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
@@ -67,7 +66,6 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
     grad_tilde = None
     backtracks = 0
     matvecs = 0
-    cr_iterations = 0
 
     while True:
         if eta_hat < UNDERFLOW_RATIO * eta_init:
@@ -86,7 +84,6 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
         solve = conjugate_residual(apply_A, -eta_hat * g, alpha1,
                                    max_iters=max_cr_iters)
         matvecs += solve.matvecs
-        cr_iterations += solve.iterations
         x_hat = y + solve.s
         grad_hat = oracle.gradient(x_hat)
 
@@ -97,30 +94,8 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
             return LineSearchOutcome(
                 eta_hat=eta_hat, x_hat=x_hat, grad_at_x_hat=grad_hat,
                 backtracks=backtracks, x_tilde=x_tilde,
-                grad_at_x_tilde=grad_tilde, matvecs=matvecs,
-                linear_solver_iterations=cr_iterations)
+                grad_at_x_tilde=grad_tilde, matvecs=matvecs)
         x_tilde = x_hat
         grad_tilde = grad_hat
         eta_hat *= beta
         backtracks += 1
-
-
-def step_size_lower_bound(outcome: LineSearchOutcome, y: np.ndarray,
-                          g: np.ndarray, B: np.ndarray,
-                          alpha2: float, beta: float) -> float:
-    """Certified lower bound on the accepted step size after a backtrack.
-
-    The rejected trial x_tilde failed the proximal condition while satisfying
-    the inexact-solve condition, which forces
-
-        eta_hat > alpha2 * beta * ||x_tilde - y||
-                  / ||grad_f(x_tilde) - g - B (x_tilde - y)||.
-
-    Used by tests and the self-check battery as a runtime invariant.
-    """
-    if outcome.x_tilde is None:
-        raise ValueError("the search accepted its first trial; no bound")
-    displacement = outcome.x_tilde - y
-    model_error = outcome.grad_at_x_tilde - g - B @ displacement
-    return (alpha2 * beta * float(np.linalg.norm(displacement))
-            / float(np.linalg.norm(model_error)))

@@ -9,6 +9,7 @@ audited exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
@@ -54,9 +55,9 @@ class ObjectiveOracle(Protocol):
 class CountingOracle:
     """Wraps an objective so every gradient call increments the counters.
 
-    A gradient with a non-finite entry raises :class:`NumericsError`, so a
-    bad oracle stops the run where it happened instead of surfacing later
-    as a linear-solver or step-size failure.
+    A non-finite value, or a gradient with a non-finite entry, raises
+    :class:`NumericsError`, so a bad oracle stops the run where it happened
+    instead of surfacing later as a linear-solver or step-size failure.
     """
 
     def __init__(self, inner, counters: Optional[OracleCounters] = None):
@@ -72,7 +73,10 @@ class CountingOracle:
         return getattr(self.inner, "smoothness", None)
 
     def value(self, x: np.ndarray) -> float:
-        return self.inner.value(x)
+        f = self.inner.value(x)
+        if not math.isfinite(f):
+            raise NumericsError("value oracle returned a non-finite value")
+        return f
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self.counters.count_gradient()

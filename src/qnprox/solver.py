@@ -17,10 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .learner import (LearnerState, LossSample, default_initial_matrix,
-                      init_learner, learner_step)
+from .learner import (LearnerState, LossSample, band_violation,
+                      default_initial_matrix, init_learner, learner_step)
 from .line_search import backtracking_search
-from .oracles import CountingOracle, estimate_smoothness
+from .oracles import CountingOracle, estimate_smoothness, symmetrize
 from .trace import RunRecord, TraceRow
 
 CASE_ACCEPTED = "I"
@@ -214,7 +214,8 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     receives the full :class:`IterationReport` each iteration.
 
     Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
-    match ``oracle.dimension`` and be finite, else :class:`ValueError`.  On
+    match ``oracle.dimension`` and be finite, and the symmetric part of
+    ``B0`` must lie in the band 0 <= B0 <= L1 I, else :class:`ValueError`.  On
     failure during the run the partial trace is attached to the raised
     :class:`SolverError`.
     """
@@ -238,6 +239,9 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
 
     if B0 is None:
         B0 = default_initial_matrix(d, L1)
+    elif problem := band_violation(symmetrize(B0), L1):
+        raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
+                         f"(L1 = {L1:.6g}): {problem}")
     learner = init_learner(B0, L1, rho=config.rho,
                            failure_budget=config.failure_budget)
     state = SolverState(x=x, z=z, A=0.0, eta=sigma0, learner=learner, k=0)

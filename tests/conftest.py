@@ -7,18 +7,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qnprox import (BaselineConfig, LogisticObjective, SolverConfig,
-                    SyntheticLogisticSpec, bfgs_solve, generate_logistic,
-                    solve)
-from qnprox.errors import ConvergenceError
-
-
-def random_psd(rng, d, top=1.0):
-    """Random symmetric PSD matrix rescaled so its largest eigenvalue is top."""
-    Q = rng.standard_normal((d, d))
-    M = Q @ Q.T
-    M = M * (top / np.linalg.eigvalsh(M)[-1])
-    return (M + M.T) / 2.0
+from qnprox import SolverConfig, solve
+from qnprox.selftest import (make_logistic, random_psd,  # noqa: F401
+                             reference_minimizer)
 
 
 def random_unit_opnorm(rng, d):
@@ -26,29 +17,6 @@ def random_unit_opnorm(rng, d):
     M = rng.standard_normal((d, d))
     M = (M + M.T) / 2.0
     return M / np.abs(np.linalg.eigvalsh(M)).max()
-
-
-def reference_minimizer(objective, x0):
-    """BFGS to its numerical floor, then Newton polish to ||grad|| <= 1e-13."""
-    try:
-        record = bfgs_solve(objective, x0,
-                            BaselineConfig(max_iters=2000, tolerance=1e-13))
-        x = record.final_x
-    except ConvergenceError as exc:
-        x = exc.best
-    for _ in range(10):
-        g = objective.gradient(x)
-        if np.linalg.norm(g) <= 1e-14:
-            break
-        x = x - np.linalg.solve(objective.hessian(x), g)
-    assert np.linalg.norm(objective.gradient(x)) <= 1e-13
-    return x
-
-
-def make_logistic(n, d, seed, sigma=0.8):
-    dataset = generate_logistic(SyntheticLogisticSpec(n=n, d=d, sigma=sigma,
-                                                      seed=seed))
-    return LogisticObjective(dataset)
 
 
 @pytest.fixture(scope="session")

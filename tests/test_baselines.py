@@ -6,7 +6,7 @@ import pytest
 from qnprox import (BaselineConfig, CountingOracle, QuadraticObjective,
                     RunRecord, TraceRow, bfgs_solve, nag_solve,
                     write_trace_csv)
-from qnprox.errors import ConvergenceError
+from qnprox.errors import ConvergenceError, NumericsError
 from conftest import make_logistic, random_psd
 
 
@@ -114,6 +114,15 @@ class TestNag:
         # f(x0), then per iteration f(y) and one f(u) per trial step
         trials = sum(row.backtracks + 1 for row in record.rows)
         assert objective.values == 1 + len(record.rows) + trials
+
+    def test_non_finite_value_raises(self):
+        class NanValue(QuadraticObjective):
+            def value(self, x):
+                return math.nan
+
+        with pytest.raises(NumericsError, match="value oracle"):
+            nag_solve(NanValue(np.eye(3)), np.ones(3),
+                      BaselineConfig(max_iters=5))
 
     def test_monotone_choice_never_increases(self):
         objective = make_logistic(120, 12, seed=7)

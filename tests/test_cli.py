@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qnprox import read_dataset_csv
+from qnprox import read_dataset_csv, selftest
 from qnprox.cli import main
 
 
@@ -85,3 +90,28 @@ class TestSelftest:
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_failing_check_prints_fail_and_exits_one(self, capsys,
+                                                      monkeypatch):
+        checks = list(selftest.CHECKS)
+        checks[2] = (checks[2][0], lambda: "planted violation")
+        monkeypatch.setattr(selftest, "CHECKS", tuple(checks))
+        code = run_cli(["selftest"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[FAIL] separation-oracle: planted violation" in out
+        assert out.count("[PASS]") == 5
+
+    def test_runs_from_a_checkout_without_install(self):
+        # PYTHONPATH=src python3 -m qnprox.cli selftest, from the repo root
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "qnprox.cli", "selftest"], cwd=root,
+            env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+            text=True, timeout=600)
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == ["[PASS]"] * 6
+        assert [line.split()[1] for line in lines] == [
+            "momentum-identity", "linear-solver", "separation-oracle",
+            "learner", "line-search", "solver-certificate"]

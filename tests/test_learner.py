@@ -5,9 +5,11 @@ import pytest
 
 from qnprox import (LossSample, OracleCounters, init_learner, learner_step,
                     matrix_loss, matrix_loss_gradient, symmetrize)
-from qnprox.learner import (_surrogate_coefficient, delta_schedule,
-                            project_frobenius_ball, q_schedule,
-                            rescale_from_unit_ball, rescale_to_unit_ball)
+from qnprox.learner import (_surrogate_coefficient, band_violation,
+                            delta_schedule, project_frobenius_ball,
+                            q_schedule, rescale_from_unit_ball,
+                            rescale_to_unit_ball)
+from qnprox.selftest import fed_loss_violation
 from conftest import random_psd
 
 
@@ -46,12 +48,13 @@ class TestLoss:
         # below L1^2
         rng = np.random.default_rng(1)
         d, L1 = 7, 2.5
+        losses = []
         for _ in range(200):
             H = random_psd(rng, d, top=L1 * float(rng.uniform(0.1, 1.0)))
             B = random_psd(rng, d, top=L1 * float(rng.uniform(0.1, 1.0)))
             s = rng.standard_normal(d)
-            loss = matrix_loss(B, LossSample(w=H @ s, s=s))
-            assert loss <= L1 ** 2 * (1.0 + 1e-12)
+            losses.append(matrix_loss(B, LossSample(w=H @ s, s=s)))
+        assert fed_loss_violation(losses, L1, rtol=1e-12) is None
 
     def test_zero_displacement_rejected(self):
         with pytest.raises(ValueError):
@@ -183,9 +186,7 @@ class TestLearnerStep:
             H = random_psd(rng, d, top=L1)
             state, _ = learner_step(state, LossSample(w=H @ s, s=s), seed=rng)
             assert np.linalg.norm(state.W) <= math.sqrt(d) + 1e-12
-            eigs = np.linalg.eigvalsh(state.B)
-            assert eigs[0] >= -1e-8 * L1
-            assert eigs[-1] <= (1.0 + 1e-8) * L1
+            assert band_violation(state.B, L1) is None
             assert np.max(np.abs(state.B - state.B.T)) == 0.0
 
     def test_surrogate_gradient_norm_bound(self):

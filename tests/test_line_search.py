@@ -5,7 +5,7 @@ import pytest
 
 from qnprox import CountingOracle, QuadraticObjective, backtracking_search
 from qnprox.errors import ConfigurationError
-from qnprox.line_search import step_size_lower_bound
+from qnprox.selftest import displacement_violation, step_size_bound_violation
 from conftest import make_logistic, random_psd
 
 ALPHA1, ALPHA2, BETA = 0.1, 0.85, 0.5
@@ -90,23 +90,15 @@ class TestInvariants:
             assert spent == outcome.backtracks + 1
 
     def test_step_size_lower_bound(self, backtracked):
-        seen = 0
+        assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
         for y, g, B, outcome, _, _ in backtracked:
-            if outcome.backtracks == 0:
-                continue
-            seen += 1
-            bound = step_size_lower_bound(outcome, y, g, B, ALPHA2, BETA)
-            assert outcome.eta_hat >= bound * (1.0 - 1e-10)
-        assert seen > 0
+            assert step_size_bound_violation(outcome, y, g, B, ALPHA2,
+                                             BETA) is None
 
     def test_displacement_relation(self, backtracked):
-        ratio = (1.0 + ALPHA1) / (BETA * (1.0 - ALPHA1))
+        assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
         for y, _, _, outcome, _, _ in backtracked:
-            if outcome.backtracks == 0:
-                continue
-            assert (np.linalg.norm(outcome.x_tilde - y)
-                    <= ratio * np.linalg.norm(outcome.x_hat - y)
-                    * (1.0 + 1e-10))
+            assert displacement_violation(outcome, y, ALPHA1, BETA) is None
 
     def test_accepted_pair_satisfies_both_conditions(self, backtracked):
         for y, g, B, outcome, _, _ in backtracked:
@@ -158,12 +150,3 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             backtracking_search(anchor, pull, np.zeros((3, 3)), 1.0, ALPHA1,
                                 ALPHA2, BETA, oracle)
-
-    def test_lower_bound_requires_backtrack(self):
-        oracle = CountingOracle(QuadraticObjective(np.eye(2)))
-        y = np.zeros(2)
-        outcome = backtracking_search(y, np.zeros(2), np.eye(2), 1.0, ALPHA1,
-                                      ALPHA2, BETA, oracle)
-        with pytest.raises(ValueError):
-            step_size_lower_bound(outcome, y, np.zeros(2), np.eye(2), ALPHA2,
-                                  BETA)

@@ -69,14 +69,20 @@ class TestCountingOracle:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_raises(self, bad):
+        # and a non-finite value, through the same parametrization
         class Broken:
             dimension = 3
+
+            def value(self, x):
+                return bad
 
             def gradient(self, x):
                 return np.array([0.0, bad, 0.0])
 
         with pytest.raises(NumericsError, match="gradient"):
             CountingOracle(Broken()).gradient(np.ones(3))
+        with pytest.raises(NumericsError, match="value"):
+            CountingOracle(Broken()).value(np.ones(3))
 
     def test_counts_reproducible_across_seeded_runs(self, small_logistic):
         from qnprox import SolverConfig, solve

@@ -1,0 +1,135 @@
+"""Every shared invariant check holds on real data and reports a planted
+violation, so no check in ``qnprox.selftest`` can pass vacuously."""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from qnprox import (SolverConfig, conjugate_residual, momentum_weights,
+                    separation_oracle, solve)
+from qnprox.learner import band_violation
+from qnprox.selftest import (backtrack_violation, certificate_violation,
+                             conjugate_residual_violation, fed_loss_violation,
+                             gradient_query_violation, momentum_violation,
+                             potential_violation, separation_violation,
+                             weight_growth_violation)
+from conftest import random_psd, reference_minimizer
+
+
+@pytest.fixture(scope="module")
+def run(small_logistic):
+    x0 = np.zeros(small_logistic.dimension)
+    reports = []
+    config = SolverConfig(max_iters=60, seed=0)
+    record = solve(small_logistic, x0, config=config,
+                   observer=reports.append)
+    x_star = reference_minimizer(small_logistic, x0)
+    return SimpleNamespace(objective=small_logistic, x0=x0, config=config,
+                           record=record, reports=reports, x_star=x_star,
+                           f_star=float(small_logistic.value(x_star)))
+
+
+def with_report(reports, k, **changes):
+    return reports[:k] + [replace(reports[k], **changes)] + reports[k + 1:]
+
+
+# each case returns (check, data on which it holds, data with a violation)
+
+def momentum(run):
+    A, eta = 3.0, 2.0
+    a, _ = momentum_weights(A, eta, np.zeros(1), np.zeros(1))
+    return lambda a: momentum_violation(A, eta, a), a, a * (1.0 + 1e-6)
+
+
+def certificate(run):
+    def check(reports):
+        return certificate_violation(reports, run.objective, run.x_star,
+                                     run.f_star, run.x0)
+    A = run.reports[0].A
+    return check, run.reports, with_report(run.reports, 0, A=1e12 * A)
+
+
+def potential(run):
+    def check(reports):
+        return potential_violation(reports, run.objective, run.x_star,
+                                   run.f_star, run.x0)
+    z = run.reports[10].z
+    return check, run.reports, with_report(run.reports, 10, z=z + 100.0)
+
+
+def weight_growth(run):
+    def check(reports):
+        return weight_growth_violation(reports, run.config.beta)
+    return check, run.reports, with_report(run.reports, 30, A=0.0)
+
+
+def gradient_queries(run):
+    rows = list(run.record.rows)
+    rows[5] = replace(rows[5], backtracks=rows[5].backtracks + 1)
+    return (gradient_query_violation, run.record,
+            replace(run.record, rows=rows))
+
+
+def fed_loss(run):
+    L1 = run.objective.smoothness
+    fed = [rep.loss_fed for rep in run.reports if rep.loss_fed is not None]
+    return (lambda losses: fed_loss_violation(losses, L1), fed,
+            fed[:-1] + [1.1 * L1 ** 2])
+
+
+def backtracked_report(run):
+    return next(rep for rep in run.reports if rep.x_tilde is not None)
+
+
+def backtrack_check(run):
+    c = run.config
+    return lambda rep: backtrack_violation(rep, rep.y, rep.grad_at_y,
+                                           rep.B_used, c.alpha1, c.alpha2,
+                                           c.beta)
+
+
+def backtrack_step(run):
+    rep = backtracked_report(run)
+    return backtrack_check(run), rep, replace(rep, eta_hat=0.0)
+
+
+def backtrack_displacement(run):
+    rep = backtracked_report(run)
+    return backtrack_check(run), rep, replace(rep, x_hat=rep.y)
+
+
+def conjugate_residual_cap(run):
+    rng = np.random.default_rng(0)
+    A = np.eye(10) + 5.0 * random_psd(rng, 10)
+    b = rng.standard_normal(10)
+    result = conjugate_residual(lambda v: A @ v, b, 0.1)
+    return (lambda res: conjugate_residual_violation(res, A, b, 0.1), result,
+            replace(result, iterations=result.iterations + 100))
+
+
+def separation(run):
+    W = np.zeros((10, 10))
+    W[0, 0] = 4.0
+    result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+    assert result.separated
+    return lambda W: separation_violation(result, W), W, 10.0 * W
+
+
+def band(run):
+    L1 = 2.0
+    return (lambda B: band_violation(B, L1), 0.5 * L1 * np.eye(4),
+            1.1 * L1 * np.eye(4))
+
+
+@pytest.mark.parametrize("case", [
+    momentum, certificate, potential, weight_growth, gradient_queries,
+    fed_loss, backtrack_step, backtrack_displacement, conjugate_residual_cap,
+    separation, band,
+], ids=lambda case: case.__name__)
+def test_planted_violation_is_reported(case, run):
+    check, holds, planted = case(run)
+    assert check(holds) is None
+    message = check(planted)
+    assert isinstance(message, str) and message

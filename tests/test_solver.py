@@ -7,6 +7,9 @@ from qnprox import (CountingOracle, QuadraticObjective, SolverConfig,
                     momentum_weights, solve)
 from qnprox.solver import damped_iterate
 from qnprox.errors import NumericsError, SolverError
+from qnprox.selftest import (certificate_violation, fed_loss_violation,
+                             gradient_query_violation, momentum_violation,
+                             potential_violation, weight_growth_violation)
 from conftest import reference_minimizer
 
 
@@ -31,7 +34,7 @@ class TestMomentumWeights:
             A = float(rng.uniform(0.0, 1e4))
             eta = float(rng.uniform(1e-8, 1e4))
             a, _ = momentum_weights(A, eta, np.zeros(1), np.zeros(1))
-            assert abs(eta * (A + a) - a * a) <= 1e-12 * a * a
+            assert momentum_violation(A, eta, a) is None
 
 
 class TestStepUpdates:
@@ -96,10 +99,8 @@ class TestSolveOnQuadratic:
         config = SolverConfig(max_iters=60, seed=0)
         x0 = np.zeros(4)
         solve(objective, x0, x0.copy(), config, observer=reports.append)
-        dist_sq = float(center @ center)
-        for rep in reports:
-            gap = objective.value(rep.x)  # f* = 0
-            assert gap <= dist_sq / (2.0 * rep.A) * (1.0 + 1e-10)
+        assert certificate_violation(reports, objective, center, 0.0,
+                                     x0) is None
 
     def test_stationary_start_stays_put(self):
         center = np.array([1.0, -2.0])
@@ -148,32 +149,18 @@ class TestSolveInvariants:
     def test_potential_non_increasing(self, observed_run, small_logistic):
         record, reports, config, x_star = observed_run
         f_star = small_logistic.value(x_star)
-        dist_sq = float(x_star @ x_star)
-        phi_prev = 0.5 * dist_sq
-        for rep in reports:
-            gap = small_logistic.value(rep.x) - f_star
-            phi = rep.A * gap + 0.5 * float(
-                (rep.z - x_star) @ (rep.z - x_star))
-            assert phi <= phi_prev + 1e-9 * 0.5 * dist_sq
-            phi_prev = phi
+        assert potential_violation(reports, small_logistic, x_star, f_star,
+                                   np.zeros_like(x_star)) is None
 
     def test_certificate_inequality(self, observed_run, small_logistic):
         record, reports, config, x_star = observed_run
         f_star = small_logistic.value(x_star)
-        dist_sq = float(x_star @ x_star)
-        for rep in reports:
-            gap = small_logistic.value(rep.x) - f_star
-            bound = dist_sq / (2.0 * rep.A)
-            assert gap <= bound * (1.0 + 1e-10)
+        assert certificate_violation(reports, small_logistic, x_star, f_star,
+                                     np.zeros_like(x_star)) is None
 
     def test_weight_growth_bound(self, observed_run):
         record, reports, config, _ = observed_run
-        beta = config.beta
-        const = (1.0 - math.sqrt(beta)) ** 2 / (4.0 * (2.0 - math.sqrt(beta)) ** 2)
-        partial = 0.0
-        for rep in reports:
-            partial += math.sqrt(rep.eta_hat)
-            assert rep.A >= const * partial ** 2 * (1.0 - 1e-12)
+        assert weight_growth_violation(reports, config.beta) is None
 
     def test_iterate_boundedness(self, observed_run, small_logistic):
         record, reports, config, x_star = observed_run
@@ -199,7 +186,7 @@ class TestSolveInvariants:
         L1 = small_logistic.smoothness
         fed = [rep.loss_fed for rep in reports if rep.loss_fed is not None]
         assert fed
-        assert max(fed) <= L1 ** 2 * (1.0 + 1e-8)
+        assert fed_loss_violation(fed, L1) is None
 
     def test_step_size_square_sum_bound(self, observed_run, small_logistic):
         record, reports, config, _ = observed_run
@@ -212,15 +199,9 @@ class TestSolveInvariants:
                / ((1.0 - beta ** 2) * alpha2 ** 2 * beta ** 2) * fed)
         assert lhs <= rhs * (1.0 + 1e-10)
 
-    def test_gradient_query_accounting(self, observed_run, small_logistic):
-        record, reports, config, _ = observed_run
-        for delta, row in zip(record.grad_query_deltas(), record.rows):
-            assert delta == 2 + row.backtracks
-        N = len(record.rows)
-        sigma0 = config.alpha2 / small_logistic.smoothness
-        bound = 3 * N + math.log(sigma0 * small_logistic.smoothness
-                                 / config.alpha2) / math.log(1.0 / config.beta)
-        assert record.rows[-1].grad_queries <= bound
+    def test_gradient_query_accounting(self, observed_run):
+        record, _, _, _ = observed_run
+        assert gradient_query_violation(record) is None
 
     def test_matvec_conservation(self, observed_run):
         record, reports, _, _ = observed_run
@@ -297,6 +278,13 @@ class TestInputValidation:
         B0[1, 2] = np.nan
         self.rejects("B0", np.zeros(4), B0=B0)
 
+    def test_B0_below_the_band(self):
+        self.rejects("B0", np.zeros(4), B0=-5.0 * np.eye(4))
+
+    def test_B0_above_the_band(self):
+        # the oracle's smoothness is 1, so 100 I is far above L1 I
+        self.rejects("B0", np.zeros(4), B0=100.0 * np.eye(4))
+
 
 class NanAfter:
     """Quadratic whose gradient turns NaN after ``good`` calls."""
@@ -315,6 +303,19 @@ class NanAfter:
         return x.copy() if self.good >= 0 else np.full(4, np.nan)
 
 
+class NanValue:
+    """Quadratic gradient with a NaN value."""
+
+    dimension = 4
+    smoothness = 1.0
+
+    def value(self, x):
+        return math.nan
+
+    def gradient(self, x):
+        return x.copy()
+
+
 class TestBadOracle:
     def test_non_finite_gradient_names_stage_and_iteration(self):
         with pytest.raises(SolverError,
@@ -323,6 +324,13 @@ class TestBadOracle:
                   config=SolverConfig(max_iters=50))
         assert isinstance(info.value.__cause__, NumericsError)
         assert len(info.value.trace.rows) >= 1
+
+    def test_non_finite_value_names_stage_and_iteration(self):
+        with pytest.raises(SolverError,
+                           match=r"iteration \d+: value oracle") as info:
+            solve(NanValue(), np.ones(4),
+                  config=SolverConfig(max_iters=5))
+        assert isinstance(info.value.__cause__, NumericsError)
 
 
 class BareQuadratic:
