@@ -71,13 +71,25 @@ def generate_logistic(spec: SyntheticLogisticSpec) -> LogisticDataset:
 
 
 class LogisticObjective:
-    """Averaged logistic loss over a fixed dataset."""
+    """Averaged logistic loss over a fixed dataset.
+
+    The margins S x (S the label-signed features) of the last point
+    evaluated are kept, so ``value``, ``gradient`` and ``hessian`` at one
+    point share a single n x d product; a copy of that point decides the
+    reuse, so an ``x`` mutated in place is recomputed.  The instance holds
+    2 n + d floats of scratch space and must not be called from two threads
+    at once.
+    """
 
     def __init__(self, dataset: LogisticDataset, smoothness_seed: int = 0):
         self.features = dataset.features
         self.labels = dataset.labels
         self.dimension = dataset.d
         self._signed = self.features * self.labels[:, None]
+        n = self._signed.shape[0]
+        self._margins = np.empty(n)
+        self._work = np.empty(n)
+        self._margins_x = np.full(self.dimension, np.nan)  # NaN: none cached
         self.smoothness = self._compute_smoothness(smoothness_seed)
 
     def _compute_smoothness(self, seed: int) -> float:
@@ -89,17 +101,26 @@ class LogisticObjective:
         return power_iteration_extreme(apply_h, A.shape[1], rng,
                                        iterations=300)
 
+    def _margins_at(self, x: np.ndarray) -> np.ndarray:
+        """S x, recomputed only when x differs from the last point; the
+        returned buffer is overwritten by the next call at a new point."""
+        if not np.array_equal(x, self._margins_x):
+            np.matmul(self._signed, x, out=self._margins)
+            np.copyto(self._margins_x, x)
+        return self._margins
+
     def value(self, x: np.ndarray) -> float:
-        margins = self._signed @ x
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        losses = np.negative(self._margins_at(x), out=self._work)
+        np.logaddexp(0.0, losses, out=losses)
+        return float(np.mean(losses))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        margins = self._signed @ x
-        weights = expit(-margins)
+        weights = np.negative(self._margins_at(x), out=self._work)
+        expit(weights, out=weights)
         return -(self._signed.T @ weights) / self._signed.shape[0]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        margins = self._signed @ x
+        margins = self._margins_at(x)
         weights = expit(margins) * expit(-margins)
         return (self.features.T * weights) @ self.features / self.features.shape[0]
 

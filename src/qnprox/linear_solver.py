@@ -12,6 +12,7 @@ costs exactly one fresh matrix-vector product, plus one for A r0 at the start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -55,11 +56,12 @@ def conjugate_residual(apply_A: Callable[[np.ndarray], np.ndarray],
     p = Ar = Ap = None
     matvecs = 0
     iterations = 0
-    history = [float(np.linalg.norm(r))]
+    history = []
 
     while True:
-        res_norm = float(np.linalg.norm(r))
-        if res_norm <= alpha * float(np.linalg.norm(s)):
+        res_norm = math.sqrt(r @ r)
+        history.append(res_norm)
+        if res_norm <= alpha * math.sqrt(s @ s):
             return LinearSolveResult(s=s, iterations=iterations,
                                      final_residual_norm=res_norm,
                                      matvecs=matvecs,
@@ -82,13 +84,14 @@ def conjugate_residual(apply_A: Callable[[np.ndarray], np.ndarray],
                 f"conjugate residual breakdown: <Ap, Ap> = {denom:.3e}")
         r_Ar = float(r @ Ar)
         step = r_Ar / denom
-        s = s + step * p
-        r = r - step * Ap
+        s += step * p
+        r -= step * Ap
         Ar_next = apply_A(r)
         matvecs += 1
         beta = float(r @ Ar_next) / r_Ar
-        p = r + beta * p
-        Ap = Ar_next + beta * Ap
+        p *= beta
+        p += r
+        Ap *= beta
+        Ap += Ar_next
         Ar = Ar_next
         iterations += 1
-        history.append(float(np.linalg.norm(r)))

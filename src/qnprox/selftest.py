@@ -110,7 +110,12 @@ def gradient_query_violation(record):
     sigma0, L1, alpha2, beta = (float(record.metadata[key]) for key in
                                 ("sigma0", "L1", "alpha2", "beta"))
     N = len(record.rows)
-    bound = 3 * N + math.log(sigma0 * L1 / alpha2) / math.log(1.0 / beta)
+    ratio = sigma0 * L1 / alpha2
+    # the default sigma0 = alpha2 / L1 gives a ratio of 1 up to rounding,
+    # where the paper's bound is exactly 3 N
+    if abs(ratio - 1.0) <= 4.0 * math.ulp(1.0):
+        ratio = 1.0
+    bound = 3 * N + math.log(ratio) / math.log(1.0 / beta)
     if not record.rows[-1].grad_queries <= bound:
         return f"{record.rows[-1].grad_queries} gradient queries > {bound}"
     return None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .oracles import OracleCounters
 
@@ -63,6 +63,27 @@ class SeparationResult:
     def hyperplane(self) -> np.ndarray:
         """The dense d x d certificate S, built on each read."""
         return self.weight * np.outer(self.u, self.u)
+
+
+def _tridiagonal_eigenvector(a: np.ndarray, b: np.ndarray,
+                             index: int) -> np.ndarray:
+    """Unit eigenvector ``index`` (0 = lowest) of the symmetric tridiagonal
+    matrix with diagonal ``a`` and off-diagonal ``b``.
+
+    These are the LAPACK calls (bisection ``stebz``, then inverse iteration
+    ``stein``) that ``scipy.linalg.eigh_tridiagonal(a, b, select="i")`` makes,
+    with the same arguments, so the result is the same to the bit; calling
+    them directly skips the wrapper's argument checks.
+    """
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (a, b))
+    m, w, iblock, isplit, info = stebz(a, b, 2, 0.0, 1.0, index + 1,
+                                       index + 1, 0.0, "B")
+    if info == 0:
+        v, info = stein(a, b, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal eigenvector {index} failed (LAPACK info {info})")
+    return v[:, 0]
 
 
 class LanczosRun:
@@ -136,12 +157,9 @@ class LanczosRun:
             u_min = Q[0].copy()
         else:
             a, b = self.alphas[:k], self.betas[:k - 1]
-            _, y_min = eigh_tridiagonal(a, b, select="i", select_range=(0, 0))
-            _, y_max = eigh_tridiagonal(a, b, select="i",
-                                        select_range=(k - 1, k - 1))
-            u_max = y_max[:, 0] @ Q
+            u_max = _tridiagonal_eigenvector(a, b, k - 1) @ Q
             u_max /= np.linalg.norm(u_max)
-            u_min = y_min[:, 0] @ Q
+            u_min = _tridiagonal_eigenvector(a, b, 0) @ Q
             u_min /= np.linalg.norm(u_min)
         lam_max = float(u_max @ (self.W @ u_max))
         lam_min = float(u_min @ (self.W @ u_min))

@@ -61,8 +61,9 @@ class SolverConfig:
             raise ValueError("alpha1 + alpha2 must be < 1")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.sigma0 is not None and self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
+        if self.sigma0 is not None and not 0.0 < self.sigma0 < math.inf:
+            raise ValueError(
+                f"sigma0 must be finite and positive, got {self.sigma0}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.failure_budget < 1.0:

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from qnprox import (LogisticObjective, SyntheticLogisticSpec,
-                    generate_logistic, read_dataset_csv, write_dataset_csv)
+from qnprox import (BaselineConfig, CountingOracle, LogisticObjective,
+                    NumericsError, SolverConfig, SyntheticLogisticSpec,
+                    bfgs_solve, generate_logistic, nag_solve,
+                    read_dataset_csv, solve, write_dataset_csv,
+                    write_trace_csv)
 
 
 class TestGeneration:
@@ -118,3 +124,111 @@ class TestLogisticObjective:
             x = rng.standard_normal(objective.dimension) * 3.0
             top = float(np.linalg.eigvalsh(objective.hessian(x))[-1])
             assert top <= objective.smoothness * (1.0 + 1e-9)
+
+
+class UncachedLogistic:
+    """The loss formulas without the margin cache: a fresh S x and fresh
+    n-vectors on every call."""
+
+    def __init__(self, objective):
+        self.features = objective.features
+        self.dimension = objective.dimension
+        self.smoothness = objective.smoothness
+        self.signed = objective.features * objective.labels[:, None]
+
+    def value(self, x):
+        margins = self.signed @ x
+        return float(np.mean(np.logaddexp(0.0, -margins)))
+
+    def gradient(self, x):
+        margins = self.signed @ x
+        weights = expit(-margins)
+        return -(self.signed.T @ weights) / self.signed.shape[0]
+
+    def hessian(self, x):
+        margins = self.signed @ x
+        weights = expit(margins) * expit(-margins)
+        return (self.features.T * weights) @ self.features / self.features.shape[0]
+
+
+class TestMarginCache:
+    """Value, gradient and Hessian at one point share one S x; every result
+    stays bit-identical to the uncached formulas."""
+
+    def test_interleaved_calls_match_uncached_formulas(self):
+        cached = LogisticObjective(generate_logistic(
+            SyntheticLogisticSpec(n=80, d=10, sigma=0.8, seed=5)))
+        plain = UncachedLogistic(cached)
+        rng = np.random.default_rng(3)
+        x1, x2 = rng.standard_normal((2, cached.dimension))
+        moving = x2.copy()
+
+        def check(method, x):
+            got = getattr(cached, method)(x)
+            want = getattr(plain, method)(x)
+            assert np.array_equal(got, want), (method, x)
+
+        check("value", x1)
+        check("gradient", x1)        # value -> gradient at one point
+        check("gradient", x2)
+        check("value", x2)           # gradient -> value at one point
+        check("hessian", x2)
+        check("hessian", x1)
+        check("value", x1)
+        check("value", moving)
+        moving[0] += 0.5             # the same array, mutated in place
+        check("gradient", moving)
+        check("value", moving)
+        zero = np.zeros(cached.dimension)
+        check("value", zero)
+        check("gradient", -zero)     # -0.0 equals 0.0: the cache is reused
+        check("value", -zero)
+        check("hessian", zero)
+        integer = np.arange(cached.dimension) % 3 - 1
+        check("value", integer)
+        check("gradient", integer)
+        check("value", integer.astype(float))
+
+        oracle = CountingOracle(cached)
+        bad = np.full(cached.dimension, np.nan)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError):
+                oracle.gradient(bad)
+            with pytest.raises(NumericsError):
+                oracle.value(bad)
+        check("value", x1)
+        check("gradient", x1)
+
+    def test_solver_traces_match_uncached_formulas(self, logistic_instance,
+                                                   tmp_path):
+        plain = UncachedLogistic(logistic_instance)
+        x0 = np.zeros(logistic_instance.dimension)
+        runs = {
+            "aqnpe": lambda f: solve(f, x0, config=SolverConfig(
+                max_iters=150, seed=0)),
+            "nag": lambda f: nag_solve(f, x0, BaselineConfig(max_iters=300)),
+            "bfgs": lambda f: bfgs_solve(f, x0, BaselineConfig(max_iters=60)),
+        }
+        for name, run in runs.items():
+            cached_csv = tmp_path / f"{name}_cached.csv"
+            plain_csv = tmp_path / f"{name}_plain.csv"
+            write_trace_csv(run(logistic_instance), cached_csv)
+            write_trace_csv(run(plain), plain_csv)
+            assert cached_csv.read_bytes() == plain_csv.read_bytes(), name
+
+    @pytest.mark.parametrize("method", ["value", "gradient"])
+    def test_call_allocates_no_n_vector(self, method):
+        n = 4000
+        objective = LogisticObjective(generate_logistic(
+            SyntheticLogisticSpec(n=n, d=10, sigma=0.8, seed=1)))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((2, objective.dimension))
+        call = getattr(objective, method)
+        call(x)                      # warm-up
+        tracemalloc.start()
+        try:
+            call(y)                  # a new point: the product runs again
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8

@@ -11,6 +11,33 @@ def counted_operator(A, counters):
     return lambda v: matvec(A, v, counters)
 
 
+def allocating_conjugate_residual(apply_A, b, alpha):
+    """The loop with fresh vectors per update and two norms per iteration,
+    kept to check that the in-place loop does the same arithmetic."""
+    s, r = np.zeros_like(b), b.copy()
+    p = Ar = Ap = None
+    iterations = matvecs = 0
+    history = [float(np.linalg.norm(r))]
+    while float(np.linalg.norm(r)) > alpha * float(np.linalg.norm(s)):
+        if p is None:
+            p, Ar = r.copy(), apply_A(r)
+            Ap = Ar.copy()
+            matvecs += 1
+        r_Ar = float(r @ Ar)
+        step = r_Ar / float(Ap @ Ap)
+        s = s + step * p
+        r = r - step * Ap
+        Ar_next = apply_A(r)
+        matvecs += 1
+        beta = float(r @ Ar_next) / r_Ar
+        p = r + beta * p
+        Ap = Ar_next + beta * Ap
+        Ar = Ar_next
+        iterations += 1
+        history.append(float(np.linalg.norm(r)))
+    return s, iterations, matvecs, tuple(history)
+
+
 class TestContract:
     def test_identity_single_step(self):
         b = np.zeros(4)
@@ -42,6 +69,21 @@ class TestContract:
             s_star = np.linalg.solve(A, b)
             assert (np.linalg.norm(result.s - s_star)
                     <= alpha * np.linalg.norm(result.s) + 1e-12)
+
+    def test_same_arithmetic_as_allocating_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            d = int(rng.integers(2, 40))
+            A = np.eye(d) + rng.uniform(0.1, 50.0) * random_psd(rng, d)
+            b = rng.standard_normal(d)
+            alpha = rng.uniform(0.01, 0.5)
+            result = conjugate_residual(lambda v: A @ v, b, alpha)
+            s, iterations, matvecs, history = allocating_conjugate_residual(
+                lambda v: A @ v, b, alpha)
+            assert np.array_equal(result.s, s)
+            assert result.iterations == iterations
+            assert result.matvecs == matvecs
+            assert result.residual_history == history
 
     def test_alpha_validation(self):
         for alpha in (0.0, 1.0, -0.2, 2.0):

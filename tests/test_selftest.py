@@ -1,6 +1,7 @@
 """Every shared invariant check holds on real data and reports a planted
 violation, so no check in ``qnprox.selftest`` can pass vacuously."""
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -133,3 +134,24 @@ def test_planted_violation_is_reported(case, run):
     assert check(holds) is None
     message = check(planted)
     assert isinstance(message, str) and message
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["3N", "3N+1"])
+def test_gradient_query_bound_is_exactly_3n_at_the_default_sigma0(run, extra):
+    # with L1 = 2.5 the default sigma0 = alpha2 / L1 gives a ratio
+    # sigma0 L1 / alpha2 one ulp below 1; with beta = 0.999 its log term
+    # (-1.1e-13) would move the bound below 3 N in floating point
+    alpha2, L1, beta = 0.85, 2.5, 0.999
+    sigma0 = alpha2 / L1
+    assert sigma0 * L1 / alpha2 < 1.0
+    rows = [replace(row, backtracks=1, grad_queries=3 * (i + 1))
+            for i, row in enumerate(run.record.rows)]
+    N = len(rows)
+    assert 3 * N + math.log(sigma0 * L1 / alpha2) / math.log(1 / beta) < 3 * N
+    rows[-1] = replace(rows[-1], backtracks=1 + extra,
+                       grad_queries=3 * N + extra)
+    metadata = dict(run.record.metadata, sigma0=repr(sigma0), L1=repr(L1),
+                    alpha2=repr(alpha2), beta=repr(beta))
+    message = gradient_query_violation(replace(run.record, rows=rows,
+                                               metadata=metadata))
+    assert (message is None) == (extra == 0)

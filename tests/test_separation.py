@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import qnprox.separation
 from qnprox import OracleCounters, lanczos_extreme, separation_oracle
@@ -107,6 +108,24 @@ class TestLanczos:
         assert continued.lam_max == one_shot.lam_max
         assert continued.lam_min == one_shot.lam_min
         assert np.array_equal(continued.u_max, one_shot.u_max)
+
+    def test_ritz_pairs_equal_eigh_tridiagonal(self):
+        # the direct LAPACK calls must give scipy's wrapper's result exactly
+        W = random_symmetric(np.random.default_rng(8), 80)
+        for k in range(2, 81):
+            run = LanczosRun(W, k, seed=k)
+            run.advance(k)
+            a, b = run.alphas[:k], run.betas[:k - 1]
+            Q = run.basis[:k]
+            u_max, lam_max, u_min, lam_min = run.extremes()
+            for u, lam, index in ((u_max, lam_max, k - 1),
+                                  (u_min, lam_min, 0)):
+                _, y = eigh_tridiagonal(a, b, select="i",
+                                        select_range=(index, index))
+                want = y[:, 0] @ Q
+                want /= np.linalg.norm(want)
+                assert np.array_equal(u, want), (k, index)
+                assert lam == float(want @ (W @ want)), (k, index)
 
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),

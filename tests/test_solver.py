@@ -239,6 +239,7 @@ class TestConfigValidation:
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
         ("tolerance", -1.0), ("tolerance", math.nan),
         ("max_cr_iters", 0),
+        ("sigma0", math.nan), ("sigma0", math.inf), ("sigma0", 0.0),
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):
