@@ -1,6 +1,7 @@
 """Matrix-free convex solver combining proximal-extragradient acceleration
 with an online-learned curvature matrix, plus NAG and BFGS baselines and a
-synthetic logistic-regression benchmark."""
+synthetic logistic-regression benchmark.  Internals are imported from their
+own modules."""
 
 from .baselines import BaselineConfig, bfgs_solve, nag_solve
 from .datasets import (LogisticDataset, LogisticObjective,
@@ -8,30 +9,18 @@ from .datasets import (LogisticDataset, LogisticObjective,
                        read_dataset_csv, write_dataset_csv)
 from .errors import (ConfigurationError, ConvergenceError, NumericsError,
                      SolverError)
-from .learner import (LearnerState, LossSample, init_learner, learner_step,
-                      matrix_loss, matrix_loss_gradient)
-from .line_search import LineSearchOutcome, backtracking_search
-from .linear_solver import LinearSolveResult, conjugate_residual
-from .oracles import (CountingOracle, OracleCounters, QuadraticObjective,
-                      estimate_smoothness, matvec, symmetrize)
-from .separation import SeparationResult, lanczos_extreme, separation_oracle
-from .solver import SolverConfig, SolverState, momentum_weights, solve, step
+from .oracles import CountingOracle, OracleCounters
+from .solver import SolverConfig, solve
 from .trace import RunRecord, TraceRow, read_trace_csv, write_trace_csv
 
 __all__ = [
-    "BaselineConfig", "bfgs_solve", "nag_solve",
+    "solve", "SolverConfig",
+    "BaselineConfig", "nag_solve", "bfgs_solve",
     "LogisticDataset", "LogisticObjective", "SyntheticLogisticSpec",
     "generate_logistic", "read_dataset_csv", "write_dataset_csv",
     "ConfigurationError", "ConvergenceError", "NumericsError", "SolverError",
-    "LearnerState", "LossSample", "init_learner", "learner_step",
-    "matrix_loss", "matrix_loss_gradient",
-    "LineSearchOutcome", "backtracking_search",
-    "LinearSolveResult", "conjugate_residual",
-    "CountingOracle", "OracleCounters", "QuadraticObjective",
-    "estimate_smoothness", "matvec", "symmetrize",
-    "SeparationResult", "lanczos_extreme", "separation_oracle",
-    "SolverConfig", "SolverState", "momentum_weights", "solve", "step",
     "RunRecord", "TraceRow", "read_trace_csv", "write_trace_csv",
+    "CountingOracle", "OracleCounters",
 ]
 
 __version__ = "0.1.0"

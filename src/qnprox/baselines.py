@@ -1,7 +1,9 @@
 """First-order and quasi-Newton baselines: monotone NAG and BFGS.
 
 Both record their traces through the same counting oracle as the accelerated
-solver, so gradient-query comparisons are like for like.
+solver, so gradient-query comparisons are like for like.  ``x0`` is checked
+like :func:`qnprox.solver.solve` checks it, and an error raised during a run
+carries the partial trace as ``trace``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, SolverError
-from .oracles import CountingOracle, matvec
-from .trace import RunRecord, TraceRow
+from .oracles import CountingOracle, checked_input, matvec, symmetrize
+from .trace import RunRecord, TraceRow, format_float
 
 
 @dataclass(frozen=True)
@@ -55,56 +57,56 @@ def nag_solve(oracle, x0: np.ndarray,
         oracle = CountingOracle(oracle)
     counters = oracle.counters
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = checked_input("x0", x0, (oracle.dimension,)).copy()
     y = x.copy()
-    fx = float(oracle.value(x))
     eta = config.eta0
     t_momentum = 1.0
 
     record = RunRecord(method="nag", metadata={
-        "eta0": format(config.eta0, ".17g"),
-        "beta": format(config.beta, ".17g"),
+        "eta0": format_float(config.eta0),
+        "beta": format_float(config.beta),
         "max_iters": str(config.max_iters),
-        "tolerance": format(config.tolerance, ".17g"),
+        "tolerance": format_float(config.tolerance),
     })
     start = time.perf_counter()
-    for k in range(config.max_iters):
-        g = oracle.gradient(y)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= config.tolerance:
-            break
-        fy = float(oracle.value(y))
-        g_sq = grad_norm * grad_norm
-        backtracks = 0
-        while True:
-            u = y - eta * g
-            fu = float(oracle.value(u))
-            if fu <= fy - 0.5 * eta * g_sq:
+    try:
+        fx = float(oracle.value(x))
+        for k in range(config.max_iters):
+            g = oracle.gradient(y)
+            grad_norm = float(np.linalg.norm(g))
+            if grad_norm <= config.tolerance:
                 break
-            eta *= config.beta
-            backtracks += 1
-            if eta < 1e-300:
-                record.wall_time = time.perf_counter() - start
-                record.final_x = x
-                raise SolverError("NAG step size underflowed", trace=record)
+            fy = float(oracle.value(y))
+            g_sq = grad_norm * grad_norm
+            backtracks = 0
+            while True:
+                u = y - eta * g
+                fu = float(oracle.value(u))
+                if fu <= fy - 0.5 * eta * g_sq:
+                    break
+                eta *= config.beta
+                backtracks += 1
+                if eta < 1e-300:
+                    raise SolverError("NAG step size underflowed")
 
-        if fu <= fx:
-            x_next, fx_next = u, fu
-        else:
-            x_next, fx_next = x, fx
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0
-        y = (x_next + (t_momentum / t_next) * (u - x_next)
-             + ((t_momentum - 1.0) / t_next) * (x_next - x))
-        x, fx = x_next, fx_next
-        t_momentum = t_next
+            if fu <= fx:
+                x_next, fx_next = u, fu
+            else:
+                x_next, fx_next = x, fx
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0
+            y = (x_next + (t_momentum / t_next) * (u - x_next)
+                 + ((t_momentum - 1.0) / t_next) * (x_next - x))
+            x, fx = x_next, fx_next
+            t_momentum = t_next
 
-        record.append(TraceRow(
-            iteration=k + 1, f_value=fx, eta_hat=eta, case="-",
-            backtracks=backtracks, grad_queries=counters.gradient_queries,
-            matvecs=counters.matvecs))
-    record.wall_time = time.perf_counter() - start
-    record.final_x = x
-    return record
+            record.append(TraceRow(
+                iteration=k + 1, f_value=fx, eta_hat=eta, case="-",
+                backtracks=backtracks, grad_queries=counters.gradient_queries,
+                matvecs=counters.matvecs))
+    except Exception as exc:
+        exc.trace = record.finish(start, x)
+        raise
+    return record.finish(start, x)
 
 
 def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2, max_zoom):
@@ -141,8 +143,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2, max_zoom):
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
                 lo, phi_lo, dphi_lo = t, phi_t, dphi_t
         raise ConvergenceError(
-            f"strong Wolfe zoom failed after {max_zoom} steps",
-            diagnostic=(lo, hi))
+            f"strong Wolfe zoom failed after {max_zoom} steps")
 
     t_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     t = 1.0
@@ -178,62 +179,60 @@ def bfgs_solve(oracle, x0: np.ndarray,
         oracle = CountingOracle(oracle)
     counters = oracle.counters
 
-    x = np.asarray(x0, dtype=float).copy()
-    d = x.shape[0]
-    identity = np.eye(d)
+    x = checked_input("x0", x0, (oracle.dimension,)).copy()
+    identity = np.eye(x.shape[0])
     H = identity.copy()
-    f = float(oracle.value(x))
-    g = oracle.gradient(x)
 
     record = RunRecord(method="bfgs", metadata={
-        "c1": format(config.c1, ".17g"),
-        "c2": format(config.c2, ".17g"),
+        "c1": format_float(config.c1),
+        "c2": format_float(config.c2),
         "max_iters": str(config.max_iters),
-        "tolerance": format(config.tolerance, ".17g"),
+        "tolerance": format_float(config.tolerance),
     })
     start = time.perf_counter()
-    for k in range(config.max_iters):
-        if float(np.linalg.norm(g)) <= config.tolerance:
-            break
-        p = -matvec(H, g, counters)
-        if float(g @ p) >= 0.0:
-            H = identity.copy()
-            p = -g
-        descent = float(g @ p)
-        try:
-            t, f_new, g_new, evals = _strong_wolfe(
-                oracle, x, p, f, descent, config.c1, config.c2,
-                config.max_zoom)
-        except ConvergenceError as exc:
-            if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
-                # the predicted decrease is below the float resolution of f,
-                # so the Wolfe conditions were noise: converged to the floor
-                record.metadata["stopped"] = "precision_floor"
+    try:
+        f = float(oracle.value(x))
+        g = oracle.gradient(x)
+        for k in range(config.max_iters):
+            if float(np.linalg.norm(g)) <= config.tolerance:
                 break
-            record.wall_time = time.perf_counter() - start
-            record.final_x = x
-            error = ConvergenceError(
-                f"BFGS line search failed at iteration {k} "
-                f"(gradient norm {np.linalg.norm(g):.3e}): {exc}",
-                best=x, diagnostic=float(np.linalg.norm(g)))
-            error.trace = record
-            raise error from exc
-        s = t * p
-        y_vec = g_new - g
-        x = x + s
-        sy = float(s @ y_vec)
-        if sy > CURVATURE_SKIP * float(np.linalg.norm(s)) * float(np.linalg.norm(y_vec)):
-            rho = 1.0 / sy
-            V = identity - rho * np.outer(s, y_vec)
-            H = V @ H @ V.T + rho * np.outer(s, s)
-            H = (H + H.T) / 2.0
-        f, g = f_new, g_new
+            p = -matvec(H, g, counters)
+            if float(g @ p) >= 0.0:
+                H = identity.copy()
+                p = -g
+            descent = float(g @ p)
+            try:
+                t, f_new, g_new, evals = _strong_wolfe(
+                    oracle, x, p, f, descent, config.c1, config.c2,
+                    config.max_zoom)
+            except ConvergenceError as exc:
+                if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
+                    # the predicted decrease is below the float resolution of
+                    # f, so the Wolfe conditions were noise: converged to the
+                    # floor
+                    record.metadata["stopped"] = "precision_floor"
+                    break
+                raise ConvergenceError(
+                    f"BFGS line search failed at iteration {k} "
+                    f"(gradient norm {np.linalg.norm(g):.3e}): {exc}",
+                    best=x) from exc
+            s = t * p
+            y_vec = g_new - g
+            x = x + s
+            sy = float(s @ y_vec)
+            if sy > CURVATURE_SKIP * float(np.linalg.norm(s)) * float(np.linalg.norm(y_vec)):
+                rho = 1.0 / sy
+                V = identity - rho * np.outer(s, y_vec)
+                H = V @ H @ V.T + rho * np.outer(s, s)
+                H = symmetrize(H)
+            f, g = f_new, g_new
 
-        record.append(TraceRow(
-            iteration=k + 1, f_value=f, eta_hat=t, case="-",
-            backtracks=evals - 1, grad_queries=counters.gradient_queries,
-            matvecs=counters.matvecs))
-    record.wall_time = time.perf_counter() - start
-    record.final_x = x
+            record.append(TraceRow(
+                iteration=k + 1, f_value=f, eta_hat=t, case="-",
+                backtracks=evals - 1, grad_queries=counters.gradient_queries,
+                matvecs=counters.matvecs))
+    except Exception as exc:
+        exc.trace = record.finish(start, x)
+        raise
     record.extras["inverse_hessian"] = H
-    return record
+    return record.finish(start, x)

@@ -56,21 +56,14 @@ def reference_value(objective, runs: Sequence[MethodRun],
         if run.record is None or not run.record.rows:
             continue
         best = min(best, min(row.f_value for row in run.record.rows))
-        if run.record.final_x is not None:
-            try:
-                polish = bfgs_solve(
-                    objective, run.record.final_x,
-                    BaselineConfig(max_iters=polish_iters, tolerance=1e-13))
-            except ConvergenceError as exc:  # polish is best effort
-                if exc.best is not None:
-                    best = min(best, float(objective.value(exc.best)))
-                continue
-            if polish.rows:
-                best = min(best, polish.rows[-1].f_value)
-            if polish.final_x is not None:
-                best = min(best, float(objective.value(polish.final_x)))
-    if not math.isfinite(best):
-        best = float(objective.value(np.zeros(objective.dimension)))
+        try:
+            polish = bfgs_solve(
+                objective, run.record.final_x,
+                BaselineConfig(max_iters=polish_iters, tolerance=1e-13))
+        except ConvergenceError as exc:  # polish is best effort
+            best = min(best, float(objective.value(exc.best)))
+            continue
+        best = min(best, float(objective.value(polish.final_x)))
     return best
 
 
@@ -142,15 +135,6 @@ def _write_grad_histogram(record: RunRecord, path: Path) -> None:
     for queries in sorted(counts):
         lines.append(f"{queries},{counts[queries]}")
     path.write_text("\n".join(lines) + "\n")
-
-
-def iterations_to_gap(record: RunRecord, f_star: float, gap: float
-                      ) -> Optional[int]:
-    """First iteration whose objective gap drops to ``gap`` (None if never)."""
-    for row in record.rows:
-        if row.f_value - f_star <= gap:
-            return row.iteration
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,8 @@ def main(argv=None) -> int:
         print(f"results written to {args.out_dir}")
         return 0 if all(run.ok for run in runs) else 1
 
-    if args.command == "selftest":
-        return 0 if run_selftest() else 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    # the subcommand is required, so what is left is selftest
+    return 0 if run_selftest() else 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ with constant lambda_max(A^T A) / (4 n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -137,19 +138,31 @@ def write_dataset_csv(dataset: LogisticDataset, path) -> None:
 
 
 def read_dataset_csv(path) -> LogisticDataset:
+    """Read a dataset CSV; malformed input raises :class:`ValueError` naming
+    the file and the line."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith(DATA_HEADER_PREFIX):
         raise ValueError(f"{path} is not a dataset CSV (bad header)")
-    labels = []
-    rows = []
-    for line in text[1:]:
+    width = text[0].count(",") + 1
+    labels, rows = [], []
+    for number, line in enumerate(text[1:], start=2):
         if not line:
             continue
+        where = f"{path}, line {number}"
         parts = line.split(",")
-        labels.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    features = np.asarray(rows, dtype=float)
-    labels_arr = np.asarray(labels, dtype=float)
-    if not np.all(np.abs(labels_arr) == 1.0):
-        raise ValueError("labels must be +-1")
-    return LogisticDataset(features=features, labels=labels_arr)
+        if len(parts) != width:
+            raise ValueError(f"{where}: {len(parts)} fields, header has {width}")
+        try:
+            values = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{where}: non-finite entry")
+        if abs(values[0]) != 1.0:
+            raise ValueError(f"{where}: labels must be +-1")
+        labels.append(values[0])
+        rows.append(values[1:])
+    if not rows:
+        raise ValueError(f"{path}, line 1: header with no data rows")
+    return LogisticDataset(features=np.asarray(rows, dtype=float),
+                           labels=np.asarray(labels, dtype=float))

@@ -11,16 +11,12 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap.
+    """An iterative routine hit its iteration cap; ``best`` holds the best
+    iterate seen so far."""
 
-    Carries the best iterate seen so far in ``best`` together with the
-    residual/diagnostic value that failed the stopping test.
-    """
-
-    def __init__(self, message, best=None, diagnostic=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.diagnostic = diagnostic
 
 
 class SolverError(RuntimeError):

@@ -97,26 +97,6 @@ def _surrogate_coefficient(s: np.ndarray, Bs: np.ndarray,
     return max(0.0, -inner)
 
 
-def matrix_loss(B: np.ndarray, sample: LossSample,
-                counters: Optional[OracleCounters] = None) -> float:
-    """||w - B s||^2 / ||s||^2 (one counted matvec)."""
-    residual = sample.w - matvec(B, sample.s, counters)
-    return float(residual @ residual) / float(sample.s @ sample.s)
-
-
-def matrix_loss_gradient(B: np.ndarray, sample: LossSample,
-                         counters: Optional[OracleCounters] = None
-                         ) -> np.ndarray:
-    """Gradient of :func:`matrix_loss` over the space of symmetric matrices.
-
-    Equals -(s r^T + r s^T) / ||s||^2 with r = w - B s; rank at most two and
-    exactly symmetric.
-    """
-    residual = sample.w - matvec(B, sample.s, counters)
-    s2 = float(sample.s @ sample.s)
-    return _loss_gradient(sample.s, residual, s2)
-
-
 def delta_schedule(t: int) -> float:
     return 1.0 / (math.sqrt(t + 2.0) * math.log(t + 2.0))
 
@@ -168,11 +148,6 @@ def init_learner(B0: np.ndarray, L1: float,
     return LearnerState(W=rescale_to_unit_ball(B0, L1), B=B0,
                         certificate=None, t=0, rho=rho, L1=L1,
                         failure_budget=failure_budget)
-
-
-def default_initial_matrix(dimension: int, L1: float) -> np.ndarray:
-    """Center of Z, which minimizes the worst-case distance to any Hessian."""
-    return (L1 / 2.0) * np.eye(dimension)
 
 
 def learner_step(state: LearnerState, sample: LossSample, seed,

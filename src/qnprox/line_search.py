@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linear_solver import conjugate_residual
-from .oracles import matvec, power_iteration_extreme
+from .oracles import matvec
 
 UNDERFLOW_RATIO = 1e-16
 
@@ -69,14 +69,10 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
 
     while True:
         if eta_hat < UNDERFLOW_RATIO * eta_init:
-            op_norm = power_iteration_extreme(
-                lambda v: B @ v, B.shape[0], np.random.default_rng(0),
-                iterations=20)
             raise ConfigurationError(
                 "line search step size underflowed: no trial in "
                 f"[{eta_hat:.3e}, {eta_init:.3e}] was accepted; the supplied "
-                "smoothness constant is likely inconsistent with the oracle "
-                f"(estimated ||B||_op = {op_norm:.3e})")
+                "smoothness constant is likely inconsistent with the oracle")
 
         def apply_A(v, eta=eta_hat):
             return v + eta * matvec(B, v, counters)

@@ -13,7 +13,7 @@ costs exactly one fresh matrix-vector product, plus one for A r0 at the start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,9 +27,8 @@ BREAKDOWN_FLOOR = 1e-300
 class LinearSolveResult:
     s: np.ndarray
     iterations: int
-    final_residual_norm: float
     matvecs: int
-    residual_history: tuple = field(default=())
+    residual_history: tuple
 
 
 def conjugate_residual(apply_A: Callable[[np.ndarray], np.ndarray],
@@ -63,7 +62,6 @@ def conjugate_residual(apply_A: Callable[[np.ndarray], np.ndarray],
         history.append(res_norm)
         if res_norm <= alpha * math.sqrt(s @ s):
             return LinearSolveResult(s=s, iterations=iterations,
-                                     final_residual_norm=res_norm,
                                      matvecs=matvecs,
                                      residual_history=tuple(history))
         if iterations >= max_iters:
@@ -71,7 +69,7 @@ def conjugate_residual(apply_A: Callable[[np.ndarray], np.ndarray],
                 f"conjugate residual did not satisfy ||As - b|| <= "
                 f"{alpha} * ||s|| within {max_iters} iterations "
                 f"(residual {res_norm:.3e})",
-                best=s, diagnostic=res_norm)
+                best=s)
         if p is None:
             p = r.copy()
             Ar = apply_A(r)

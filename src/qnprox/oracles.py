@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 import numpy as np
 
@@ -35,21 +35,6 @@ class OracleCounters:
 
     def count_matvec(self, n: int = 1) -> None:
         self.matvecs += n
-
-
-@runtime_checkable
-class ObjectiveOracle(Protocol):
-    """Smooth convex objective exposing values and gradients.
-
-    ``hessian`` is an optional capability used only by tests and by
-    :func:`estimate_smoothness`; solvers never call it.
-    """
-
-    dimension: int
-
-    def value(self, x: np.ndarray) -> float: ...
-
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
 
 
 class CountingOracle:
@@ -85,8 +70,16 @@ class CountingOracle:
             raise NumericsError("gradient oracle returned a non-finite entry")
         return g
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.inner.hessian(x)
+
+def checked_input(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries, else
+    :class:`ValueError` naming ``name``."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return array
 
 
 def matvec(matrix: np.ndarray, vector: np.ndarray,
@@ -110,30 +103,6 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     are bit-identical.
     """
     return (matrix + matrix.T) / 2.0
-
-
-class QuadraticObjective:
-    """f(x) = 1/2 (x - c)^T Q (x - c) for symmetric PSD Q.
-
-    Mostly a test fixture; ``smoothness`` is the largest eigenvalue of Q.
-    """
-
-    def __init__(self, Q: np.ndarray, center: Optional[np.ndarray] = None):
-        self.Q = symmetrize(np.asarray(Q, dtype=float))
-        self.dimension = self.Q.shape[0]
-        self.center = (np.zeros(self.dimension) if center is None
-                       else np.asarray(center, dtype=float))
-        self.smoothness = float(np.linalg.eigvalsh(self.Q)[-1])
-
-    def value(self, x: np.ndarray) -> float:
-        r = x - self.center
-        return 0.5 * float(r @ (self.Q @ r))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.Q @ (x - self.center)
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.Q.copy()
 
 
 def power_iteration_extreme(apply_h, dimension: int, rng,

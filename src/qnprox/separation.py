@@ -55,15 +55,6 @@ class SeparationResult:
     def separated(self) -> bool:
         return self.weight != 0.0
 
-    @property
-    def inside(self) -> bool:
-        return not self.separated
-
-    @property
-    def hyperplane(self) -> np.ndarray:
-        """The dense d x d certificate S, built on each read."""
-        return self.weight * np.outer(self.u, self.u)
-
 
 def _tridiagonal_eigenvector(a: np.ndarray, b: np.ndarray,
                              index: int) -> np.ndarray:
@@ -168,25 +159,16 @@ class LanczosRun:
         return u_max, lam_max, u_min, lam_min
 
 
-def lanczos_extreme(W: np.ndarray, iterations: int, seed=None,
-                    counters: Optional[OracleCounters] = None, *,
-                    run: Optional[LanczosRun] = None) -> LanczosExtremes:
-    """Extreme Ritz pairs of symmetric W after ``iterations`` Lanczos steps.
+def lanczos_extreme(run: LanczosRun, iterations: int) -> LanczosExtremes:
+    """Extreme Ritz pairs after continuing ``run`` to ``iterations`` steps.
 
-    Without ``run`` a fresh sequence is started from ``seed``.  With ``run``
-    (a :class:`LanczosRun` on this W) that sequence continues, without a new
-    random draw, to ``iterations`` steps in total; it brings its own start and
-    counters, so ``seed`` and ``counters`` are not used.  Either way the
-    steps stop at d or at Krylov breakdown, and ``matvecs`` counts the steps
-    this call took plus the two Rayleigh quotients: the reported values are
-    recomputed as <W u, u>, so they are valid even after a breakdown.
+    The steps stop at the run's capacity or at Krylov breakdown, and
+    ``matvecs`` counts the steps this call took plus the two Rayleigh
+    quotients: the reported values are recomputed as <W u, u>, so they are
+    valid even after a breakdown.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if run is None:
-        run = LanczosRun(W, iterations, seed, counters)
-    elif run.W is not W:
-        raise ValueError("run was started on a different matrix")
     steps = run.advance(iterations)
     return LanczosExtremes(*run.extremes(), matvecs=steps + 2)
 
@@ -233,7 +215,7 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
     n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
     run = LanczosRun(W, max(n1, n2), seed, counters)
 
-    coarse = lanczos_extreme(W, n1, run=run)
+    coarse = lanczos_extreme(run, n1)
     lam_hat, u, sign = _dominant(coarse)
     matvecs = coarse.matvecs
     if lam_hat <= 0.5:
@@ -243,7 +225,7 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
         return SeparationResult(gamma=2.0 * lam_hat, u=u, weight=3.0 * sign,
                                 matvecs=matvecs)
 
-    fine = lanczos_extreme(W, max(n1, n2), run=run)
+    fine = lanczos_extreme(run, max(n1, n2))
     lam_tilde, u, sign = _dominant(fine)
     matvecs += fine.matvecs
     weight = 0.0 if lam_tilde <= 1.0 - delta else sign

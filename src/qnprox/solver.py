@@ -17,11 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .learner import (LearnerState, LossSample, band_violation,
-                      default_initial_matrix, init_learner, learner_step)
+from .learner import (DEFAULT_FAILURE_BUDGET, DEFAULT_STEP_SIZE,
+                      LearnerState, LossSample, band_violation, init_learner,
+                      learner_step)
 from .line_search import backtracking_search
-from .oracles import CountingOracle, estimate_smoothness, symmetrize
-from .trace import RunRecord, TraceRow
+from .oracles import (CountingOracle, checked_input, estimate_smoothness,
+                      symmetrize)
+from .trace import RunRecord, TraceRow, format_float
 
 CASE_ACCEPTED = "I"
 CASE_DAMPED = "II"
@@ -49,8 +51,8 @@ class SolverConfig:
     L1: Optional[float] = None
     max_iters: int = 100
     tolerance: float = 0.0
-    failure_budget: float = 0.01
-    rho: float = 1.0 / 128.0
+    failure_budget: float = DEFAULT_FAILURE_BUDGET
+    rho: float = DEFAULT_STEP_SIZE
     seed: int = 0
     max_cr_iters: Optional[int] = None
 
@@ -191,16 +193,6 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     return next_state, report
 
 
-def _checked_input(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with finite entries."""
-    array = np.asarray(value, dtype=float)
-    if array.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} has a non-finite entry")
-    return array
-
-
 def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
           config: Optional[SolverConfig] = None,
           B0: Optional[np.ndarray] = None,
@@ -226,10 +218,10 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
         oracle = CountingOracle(oracle)
     counters = oracle.counters
     d = oracle.dimension
-    x = _checked_input("x0", x0, (d,)).copy()
-    z = x.copy() if z0 is None else _checked_input("z0", z0, (d,)).copy()
+    x = checked_input("x0", x0, (d,)).copy()
+    z = x.copy() if z0 is None else checked_input("z0", z0, (d,)).copy()
     if B0 is not None:
-        B0 = _checked_input("B0", B0, (d, d))
+        B0 = checked_input("B0", B0, (d, d))
 
     L1 = config.L1
     if L1 is None:
@@ -239,7 +231,8 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1
 
     if B0 is None:
-        B0 = default_initial_matrix(d, L1)
+        # the center of Z minimizes the worst-case distance to any Hessian
+        B0 = (L1 / 2.0) * np.eye(d)
     elif problem := band_violation(symmetrize(B0), L1):
         raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
                          f"(L1 = {L1:.6g}): {problem}")
@@ -249,14 +242,14 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     rng = np.random.default_rng(config.seed)
 
     record = RunRecord(method="aqnpe", metadata={
-        "alpha1": format(config.alpha1, ".17g"),
-        "alpha2": format(config.alpha2, ".17g"),
-        "beta": format(config.beta, ".17g"),
-        "sigma0": format(sigma0, ".17g"),
-        "L1": format(L1, ".17g"),
+        "alpha1": format_float(config.alpha1),
+        "alpha2": format_float(config.alpha2),
+        "beta": format_float(config.beta),
+        "sigma0": format_float(sigma0),
+        "L1": format_float(L1),
         "seed": str(config.seed),
         "max_iters": str(config.max_iters),
-        "tolerance": format(config.tolerance, ".17g"),
+        "tolerance": format_float(config.tolerance),
     })
     start = time.perf_counter()
     try:
@@ -280,10 +273,6 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
             if report.grad_norm_at_x_hat <= config.tolerance:
                 break
     except Exception as exc:
-        record.wall_time = time.perf_counter() - start
-        record.final_x = state.x
         raise SolverError(f"solver aborted at iteration {state.k}: {exc}",
-                          trace=record) from exc
-    record.wall_time = time.perf_counter() - start
-    record.final_x = state.x
-    return record
+                          trace=record.finish(start, state.x)) from exc
+    return record.finish(start, state.x)

@@ -10,6 +10,7 @@ but never written, for the same reason.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -47,6 +48,12 @@ class RunRecord:
         if self.rows and row.iteration <= self.rows[-1].iteration:
             raise ValueError("trace rows must be strictly ordered by iteration")
         self.rows.append(row)
+
+    def finish(self, start: float, final_x) -> "RunRecord":
+        """Stamp the wall time since ``start`` and the last iterate."""
+        self.wall_time = time.perf_counter() - start
+        self.final_x = final_x
+        return self
 
     def grad_query_deltas(self) -> list:
         """Gradient queries spent per iteration (first row counts from 0)."""

@@ -11,18 +11,19 @@ from collections import Counter
 
 import numpy as np
 
-from qnprox import (BaselineConfig, LossSample, SolverConfig, bfgs_solve,
-                    conjugate_residual, matrix_loss_gradient, nag_solve,
-                    separation_oracle, solve, write_trace_csv)
-from qnprox.bench import iterations_to_gap
+from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
+                    solve, write_trace_csv)
 from qnprox.errors import ConvergenceError
-from qnprox.learner import band_violation
+from qnprox.learner import LossSample, band_violation
+from qnprox.linear_solver import conjugate_residual
+from qnprox.separation import separation_oracle
 from qnprox.selftest import (backtrack_violation, certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation, potential_violation,
                              separation_violation, weight_growth_violation)
 from conftest import (make_logistic, random_psd, random_unit_opnorm,
                       reference_minimizer)
+from helpers import hyperplane, iterations_to_gap, matrix_loss_gradient
 from test_learner import fd_symmetric_gradient
 
 
@@ -136,7 +137,7 @@ def test_c09_separation_certificates():
         W = random_unit_opnorm(rng, d) * target
         result = separation_oracle(W, delta=delta, q=q, seed=seed)
         ok = separation_violation(result, W) is None
-        s_norm = float(np.linalg.norm(result.hyperplane))
+        s_norm = float(np.linalg.norm(hyperplane(result)))
         if result.separated and abs(s_norm - 3.0) <= 1e-9:
             branch_seen["coarse_separated"] += 1
         elif result.separated:
@@ -148,7 +149,7 @@ def test_c09_separation_certificates():
             assert abs(s_norm - 1.0) <= 1e-9 or abs(s_norm - 3.0) <= 1e-9
             for _ in range(100):
                 B_hat = random_unit_opnorm(rng, d)
-                margin = float(np.sum(result.hyperplane * (W - B_hat)))
+                margin = float(np.sum(hyperplane(result) * (W - B_hat)))
                 if margin < result.gamma - 1.0 - delta - 1e-9:
                     ok = False
         else:

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qnprox import (BaselineConfig, CountingOracle, QuadraticObjective,
-                    RunRecord, TraceRow, bfgs_solve, nag_solve,
-                    write_trace_csv)
+from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
+                    bfgs_solve, nag_solve, write_trace_csv)
 from qnprox.errors import ConvergenceError, NumericsError
 from conftest import make_logistic, random_psd
+from helpers import QuadraticObjective
 
 
 class CountingValues:
@@ -207,6 +207,48 @@ class TestBfgs:
         err = exc_info.value
         assert err.best is not None
         assert err.trace is not None
+
+
+class NanGradientAfter:
+    """Wraps an objective; every gradient after the first ``good`` is NaN."""
+
+    def __init__(self, inner, good):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.good = good
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.good -= 1
+        g = self.inner.gradient(x)
+        return g if self.good >= 0 else np.full_like(g, np.nan)
+
+
+@pytest.mark.parametrize("solver", [nag_solve, bfgs_solve])
+class TestBothBaselines:
+    @pytest.mark.parametrize("x0", [np.zeros(5),
+                                    np.array([0.0, np.nan, 0.0, 0.0])],
+                             ids=["wrong length", "nan"])
+    def test_bad_x0_raises_naming_it(self, solver, x0):
+        oracle = CountingOracle(QuadraticObjective(np.eye(4)))
+        with pytest.raises(ValueError, match="x0"):
+            solver(oracle, x0, BaselineConfig(max_iters=5))
+        assert oracle.counters.gradient_queries == 0
+
+    def test_failure_mid_run_keeps_the_partial_trace(self, solver,
+                                                     small_logistic):
+        # the gradient turns NaN right after iteration 8 completes
+        config = BaselineConfig(max_iters=40)
+        x0 = np.zeros(small_logistic.dimension)
+        full = solver(small_logistic, x0, config)
+        assert len(full.rows) > 8
+        broken = NanGradientAfter(small_logistic, full.rows[7].grad_queries)
+        with pytest.raises(NumericsError, match="gradient oracle") as info:
+            solver(broken, x0, config)
+        assert info.value.trace.rows == full.rows[:8]
+        assert info.value.trace.method == full.method
 
 
 class TestConfig:

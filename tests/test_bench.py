@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from qnprox import SyntheticLogisticSpec, generate_logistic, read_trace_csv
-from qnprox.bench import iterations_to_gap, run_benchmark
+from qnprox import (LogisticObjective, SyntheticLogisticSpec,
+                    generate_logistic, read_trace_csv)
+from qnprox.bench import run_benchmark
 from qnprox.trace import RunRecord, TraceRow
+from helpers import iterations_to_gap
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,28 @@ class TestRunBenchmark:
         summary = (tmp_path / "summary.csv").read_text()
         assert "nag,failed" in summary
         assert "bfgs,ok" in summary
+
+    @pytest.mark.parametrize("method", ["nag", "bfgs"])
+    def test_failed_baseline_writes_its_partial_trace(
+            self, small_dataset, tmp_path, monkeypatch, method):
+        import qnprox.bench as bench_module
+
+        class NanAfterFive(LogisticObjective):
+            calls = 0
+
+            def gradient(self, x):
+                self.calls += 1
+                g = super().gradient(x)
+                return g if self.calls <= 5 else np.full_like(g, np.nan)
+
+        monkeypatch.setattr(bench_module, "LogisticObjective", NanAfterFive)
+        runs = run_benchmark(small_dataset, [method], tmp_path, max_iters=25)
+        assert not runs[0].ok
+        trace = read_trace_csv(tmp_path / f"{method}.csv")
+        assert trace.rows == runs[0].record.rows
+        assert 1 <= len(trace.rows) < 25
+        assert f"{method},failed,{len(trace.rows)}," in (
+            tmp_path / "summary.csv").read_text()
 
     def test_svg_charts_emitted(self, small_dataset, tmp_path):
         run_benchmark(small_dataset, ["aqnpe", "nag", "bfgs"], tmp_path,

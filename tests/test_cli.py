@@ -68,6 +68,14 @@ class TestRun:
                         "--out-dir", str(tmp_path / "r")])
         assert code == 2
 
+    def test_non_finite_dataset_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("y,a_0,a_1\n1,nan,1.0\n")
+        code = run_cli(["run", "--data", str(path),
+                        "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "cannot read dataset" in capsys.readouterr().err
+
     def test_method_failure_exits_one(self, data_csv, tmp_path, monkeypatch):
         import qnprox.bench as bench_module
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,26 @@ class TestCsvRoundTrip:
         path.write_text("nope\n1,2\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+    @staticmethod
+    def rejects(tmp_path, text, line, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: ")
+                           + problem):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_entry(self, tmp_path, entry):
+        self.rejects(tmp_path, f"y,a_0,a_1\n1,0.5,1.0\n-1,{entry},1.0\n",
+                     3, "non-finite")
+
+    def test_rejects_row_of_wrong_width(self, tmp_path):
+        self.rejects(tmp_path, "y,a_0,a_1\n1,0.5,1.0\n-1,0.5\n", 3,
+                     "2 fields, header has 3")
+
+    def test_rejects_header_without_rows(self, tmp_path):
+        self.rejects(tmp_path, "y,a_0,a_1\n", 1, "header with no data rows")
 
 
 @pytest.fixture(scope="module")

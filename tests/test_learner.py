@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qnprox import (LossSample, OracleCounters, init_learner, learner_step,
-                    matrix_loss, matrix_loss_gradient, symmetrize)
-from qnprox.learner import (_surrogate_coefficient, band_violation,
+from qnprox import OracleCounters
+from qnprox.learner import (LossSample, _surrogate_coefficient, band_violation,
                             delta_schedule, project_frobenius_ball,
-                            q_schedule, rescale_from_unit_ball,
-                            rescale_to_unit_ball)
+                            init_learner, learner_step, q_schedule,
+                            rescale_from_unit_ball, rescale_to_unit_ball)
+from qnprox.oracles import symmetrize
 from qnprox.selftest import fed_loss_violation
 from conftest import random_psd
+from helpers import hyperplane, matrix_loss, matrix_loss_gradient
 
 
 def fd_symmetric_gradient(B, sample, h=1e-6):
@@ -205,7 +206,7 @@ class TestLearnerStep:
             if state.certificate is not None:
                 B_hat = rescale_to_unit_ball(state.B, L1)
                 coeff = max(0.0, -float(np.sum(G * B_hat)))
-                G_tilde = G + coeff * state.certificate.hyperplane
+                G_tilde = G + coeff * hyperplane(state.certificate)
                 assert (np.linalg.norm(G_tilde)
                         <= 4.0 * np.linalg.norm(G, "nuc") * (1.0 + 1e-10))
                 checked += 1
@@ -254,7 +255,7 @@ class TestLearnerStep:
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
             coeff = max(0.0, -float(np.sum(G * B_hat)))
         expected = project_frobenius_ball(
-            state.W - state.rho * (G + coeff * state.certificate.hyperplane),
+            state.W - state.rho * (G + coeff * hyperplane(state.certificate)),
             math.sqrt(d))
         state, _ = learner_step(state, sample, seed=rng)
         assert np.allclose(state.W, expected, rtol=0.0, atol=1e-14)

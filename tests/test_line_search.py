@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qnprox import CountingOracle, QuadraticObjective, backtracking_search
+from qnprox import CountingOracle
 from qnprox.errors import ConfigurationError
+from qnprox.line_search import backtracking_search
 from qnprox.selftest import displacement_violation, step_size_bound_violation
 from conftest import make_logistic, random_psd
+from helpers import QuadraticObjective
 
 ALPHA1, ALPHA2, BETA = 0.1, 0.85, 0.5
 

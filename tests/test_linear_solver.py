@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qnprox import OracleCounters, conjugate_residual, matvec
+from qnprox import OracleCounters
 from qnprox.errors import ConvergenceError, NumericsError
+from qnprox.linear_solver import conjugate_residual
+from qnprox.oracles import matvec
 from qnprox.selftest import conjugate_residual_violation
 from conftest import random_psd
 
@@ -45,7 +47,7 @@ class TestContract:
         result = conjugate_residual(lambda v: v.copy(), b, alpha=0.5)
         assert result.iterations == 1
         assert np.allclose(result.s, b)
-        assert result.final_residual_norm == 0.0
+        assert result.residual_history[-1] == 0.0
 
     def test_zero_rhs_returns_immediately(self):
         counters = OracleCounters()

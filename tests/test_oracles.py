@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qnprox import (CountingOracle, OracleCounters, QuadraticObjective,
-                    NumericsError, estimate_smoothness, matvec, symmetrize)
+from qnprox import CountingOracle, NumericsError, OracleCounters
+from qnprox.oracles import estimate_smoothness, matvec, symmetrize
 from conftest import make_logistic
+from helpers import QuadraticObjective
 
 
 class TestMatvec:

@@ -8,9 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qnprox import (SolverConfig, conjugate_residual, momentum_weights,
-                    separation_oracle, solve)
+from qnprox import SolverConfig, solve
 from qnprox.learner import band_violation
+from qnprox.linear_solver import conjugate_residual
+from qnprox.separation import separation_oracle
+from qnprox.solver import momentum_weights
 from qnprox.selftest import (backtrack_violation, certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation, momentum_violation,

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import qnprox.separation
-from qnprox import OracleCounters, lanczos_extreme, separation_oracle
+from qnprox import OracleCounters
 from qnprox.selftest import separation_violation
-from qnprox.separation import LanczosRun
+from qnprox.separation import LanczosRun, lanczos_extreme, separation_oracle
 from conftest import random_unit_opnorm
+from helpers import hyperplane
 
 
 class CountingMatrix(np.ndarray):
@@ -39,16 +40,22 @@ def random_symmetric(rng, d):
     return (W + W.T) / 2.0
 
 
+def fresh_lanczos(W, iterations, seed, counters=None):
+    """Extreme Ritz pairs of a new ``iterations``-step run from ``seed``."""
+    run = LanczosRun(W, iterations, seed, counters)
+    return lanczos_extreme(run, iterations)
+
+
 class TestLanczos:
     def test_zero_matrix(self):
-        result = lanczos_extreme(np.zeros((6, 6)), iterations=6, seed=0)
+        result = fresh_lanczos(np.zeros((6, 6)), iterations=6, seed=0)
         assert result.lam_max == 0.0
         assert result.lam_min == 0.0
         assert abs(np.linalg.norm(result.u_max) - 1.0) < 1e-12
 
     def test_full_krylov_space_is_exact(self):
         W = np.diag([4.0, 0.0, 0.0, 0.0, 0.0])
-        result = lanczos_extreme(W, iterations=5, seed=1)
+        result = fresh_lanczos(W, iterations=5, seed=1)
         assert abs(result.lam_max - 4.0) <= 1e-10
         assert abs(result.lam_min - 0.0) <= 1e-10
 
@@ -67,7 +74,7 @@ class TestLanczos:
             W = (W + W.T) / 2.0
             vals = np.linalg.eigvalsh(W)
             lam1, lamd = float(vals[-1]), float(vals[0])
-            result = lanczos_extreme(W, iterations, seed=seed)
+            result = fresh_lanczos(W, iterations, seed=seed)
             if result.lam_max >= lam1 - eps * (lam1 - lamd):
                 hits += 1
         assert hits >= 0.95 * runs
@@ -77,7 +84,7 @@ class TestLanczos:
         W = rng.standard_normal((12, 12))
         W = (W + W.T) / 2.0
         vals = np.linalg.eigvalsh(W)
-        result = lanczos_extreme(W, iterations=4, seed=9)
+        result = fresh_lanczos(W, iterations=4, seed=9)
         assert vals[0] - 1e-10 <= result.lam_min <= result.lam_max <= vals[-1] + 1e-10
 
     def test_matvec_accounting(self):
@@ -85,25 +92,20 @@ class TestLanczos:
         rng = np.random.default_rng(3)
         W = rng.standard_normal((10, 10))
         W = (W + W.T) / 2.0
-        result = lanczos_extreme(W, iterations=6, seed=0, counters=counters)
+        result = fresh_lanczos(W, iterations=6, seed=0, counters=counters)
         assert counters.matvecs == result.matvecs == 6 + 2
 
     def test_iterations_validation(self):
         with pytest.raises(ValueError):
-            lanczos_extreme(np.eye(3), iterations=0, seed=0)
-
-    def test_run_belongs_to_its_matrix(self):
-        run = LanczosRun(np.eye(3), 3, seed=0)
-        with pytest.raises(ValueError):
-            lanczos_extreme(np.eye(3), 2, run=run)
+            lanczos_extreme(LanczosRun(np.eye(3), 3, seed=0), iterations=0)
 
     def test_continued_run_repeats_one_shot_run(self):
         rng = np.random.default_rng(6)
         W = random_symmetric(rng, 25)
         run = LanczosRun(W, 17, seed=4)
-        lanczos_extreme(W, 9, run=run)
-        continued = lanczos_extreme(W, 17, run=run)
-        one_shot = lanczos_extreme(W, 17, seed=4)
+        lanczos_extreme(run, 9)
+        continued = lanczos_extreme(run, 17)
+        one_shot = fresh_lanczos(W, 17, seed=4)
         assert continued.matvecs == 17 - 9 + 2
         assert continued.lam_max == one_shot.lam_max
         assert continued.lam_min == one_shot.lam_min
@@ -137,15 +139,15 @@ class TestLanczos:
         W = random_symmetric(np.random.default_rng(seed), d)
         vals = np.linalg.eigvalsh(W)
         run = LanczosRun(W, n2, seed=start)
-        coarse = lanczos_extreme(W, n1, run=run)
-        fine = lanczos_extreme(W, n2, run=run)
+        coarse = lanczos_extreme(run, n1)
+        fine = lanczos_extreme(run, n2)
         assert fine.lam_max >= coarse.lam_max - 1e-10
         assert fine.lam_min <= coarse.lam_min + 1e-10
         for result in (coarse, fine):
             assert vals[0] - 1e-10 <= result.lam_min
             assert result.lam_max <= vals[-1] + 1e-10
         # a fresh run from the same start vector
-        reference = lanczos_extreme(W, n2, seed=start)
+        reference = fresh_lanczos(W, n2, seed=start)
         assert abs(fine.lam_max - reference.lam_max) <= 1e-10
         assert abs(fine.lam_min - reference.lam_min) <= 1e-10
 
@@ -214,7 +216,7 @@ class TestContinuedRun:
         counters = OracleCounters()
         result = separation_oracle(W, delta, q, seed=0, counters=counters)
         assert counters.matvecs == result.matvecs == W.products == matvecs
-        assert result.inside
+        assert not result.separated
         if kind == "rank one":
             assert abs(result.gamma - (0.8 + delta)) <= 1e-12
 
@@ -222,9 +224,9 @@ class TestContinuedRun:
 class TestSeparationOracle:
     def test_zero_matrix_is_inside(self):
         result = separation_oracle(np.zeros((8, 8)), delta=0.1, q=0.05, seed=0)
-        assert result.inside
+        assert not result.separated
         assert result.gamma == 0.0
-        assert np.array_equal(result.hyperplane, np.zeros((8, 8)))
+        assert np.array_equal(hyperplane(result), np.zeros((8, 8)))
 
     def test_spiked_matrix_is_separated_with_margin(self):
         d = 10
@@ -233,11 +235,11 @@ class TestSeparationOracle:
         result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
         assert result.separated
         assert 4.0 < result.gamma <= 8.0 + 1e-12
-        assert abs(np.linalg.norm(result.hyperplane) - 3.0) <= 1e-9
+        assert abs(np.linalg.norm(hyperplane(result)) - 3.0) <= 1e-9
         rng = np.random.default_rng(77)
         for _ in range(100):
             B_hat = random_unit_opnorm(rng, d)
-            margin = float(np.sum(result.hyperplane * (W - B_hat)))
+            margin = float(np.sum(hyperplane(result) * (W - B_hat)))
             assert margin >= result.gamma - 1.0 - 1e-9
 
     def test_small_norm_certified_inside(self):
@@ -247,7 +249,7 @@ class TestSeparationOracle:
         for seed in range(runs):
             W = random_unit_opnorm(rng, d) * 0.4
             result = separation_oracle(W, delta=0.05, q=0.05, seed=seed)
-            if result.inside:
+            if not result.separated:
                 inside += 1
         assert inside >= 0.95 * runs
 
@@ -264,16 +266,16 @@ class TestSeparationOracle:
             delta = 0.05
             result = separation_oracle(W, delta=delta, q=0.05, seed=seed)
             ok = separation_violation(result, W) is None
-            if result.inside:
-                assert np.array_equal(result.hyperplane, np.zeros((d, d)))
+            if not result.separated:
+                assert np.array_equal(hyperplane(result), np.zeros((d, d)))
                 assert result.gamma <= 1.0
             else:
                 assert result.gamma > 1.0
-                s_norm = float(np.linalg.norm(result.hyperplane))
+                s_norm = float(np.linalg.norm(hyperplane(result)))
                 assert abs(s_norm - 1.0) <= 1e-9 or abs(s_norm - 3.0) <= 1e-9
                 for _ in range(20):
                     B_hat = random_unit_opnorm(rng, d)
-                    margin = float(np.sum(result.hyperplane * (W - B_hat)))
+                    margin = float(np.sum(hyperplane(result) * (W - B_hat)))
                     if margin < result.gamma - 1.0 - delta - 1e-9:
                         ok = False
             if not ok:
@@ -301,8 +303,6 @@ class TestSeparationOracle:
         assert result.separated == (weight != 0.0)
         assert abs(np.linalg.norm(result.u) - 1.0) <= 1e-12
         assert abs(abs(result.u @ e) - 1.0) <= 1e-12
-        assert np.array_equal(result.hyperplane,
-                              weight * np.outer(result.u, result.u))
         assert all(np.ndim(v) < 2 for v in vars(result).values())
 
     def test_deterministic_given_seed(self):
@@ -312,17 +312,11 @@ class TestSeparationOracle:
         b = separation_oracle(W, delta=0.07, q=0.02, seed=42)
         assert a.gamma == b.gamma
         assert a.separated == b.separated
-        assert np.array_equal(a.hyperplane, b.hyperplane)
+        assert a.weight == b.weight
+        assert np.array_equal(a.u, b.u)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             separation_oracle(np.eye(3), delta=0.0, q=0.5, seed=0)
         with pytest.raises(ValueError):
             separation_oracle(np.eye(3), delta=0.1, q=1.5, seed=0)
-
-    def test_hyperplane_exactly_symmetric(self):
-        rng = np.random.default_rng(8)
-        W = random_unit_opnorm(rng, 7) * 2.5
-        result = separation_oracle(W, delta=0.1, q=0.05, seed=1)
-        S = result.hyperplane
-        assert np.max(np.abs(S - S.T)) == 0.0

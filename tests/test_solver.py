@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qnprox import (CountingOracle, QuadraticObjective, SolverConfig,
-                    momentum_weights, solve)
-from qnprox.solver import damped_iterate
+from qnprox import CountingOracle, SolverConfig, solve
+from qnprox.solver import damped_iterate, momentum_weights
 from qnprox.errors import NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              gradient_query_violation, momentum_violation,
                              potential_violation, weight_growth_violation)
 from conftest import reference_minimizer
+from helpers import QuadraticObjective
 
 
 class TestMomentumWeights:
