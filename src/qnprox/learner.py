@@ -20,6 +20,23 @@ certificate.  G has rank two, so <G, B_hat> follows from the vectors s, B s
 and r = w - B s that the loss already holds: the state keeps W, B and the
 pair (u, weight), and neither B_hat nor S is ever stored.
 
+Before each oracle call the learner bounds ||W_next||_op from norms it
+already holds.  W_next = c (W_t - rho G), with c = min(1, sqrt(d) /
+||W_t - rho G||_F) the projection scale, so ||W_next||_op is at most both
+||W_next||_F = c ||W_t - rho G||_F and the Weyl bound c (U_t + rho ||G||_op),
+where U_t bounds ||W_t||_op and ||G||_op is bounded in O(d): the loss term
+s r^T + r s^T has eigenvalues s . r +/- ||s|| ||r||, and the surrogate term
+adds |coefficient * weight|.  U_0 = ||W_0||_F; afterwards U_t is the oracle's
+gamma, which bounds ||W||_op on every branch on the event that backs the
+oracle's claims, or the bound itself after a skip.  When the smaller bound,
+inflated by a relative 1e-12 against rounding, is at most 1, W_next is
+certified inside with no oracle call and no matvec.  A skip adds no failure
+event (the Frobenius bound is deterministic, the Weyl bound rests on the last
+call's event), and it still draws the d standard normals of the Lanczos start
+vector, so every later oracle call sees the random stream it would have seen.
+An inside result sets B_hat = W_next whatever its gamma, so B and the solver's
+iterates do not depend on whether the oracle ran.
+
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.
 Schedules follow rho = 1/128, delta_t = 1 / (sqrt(t + 2) ln(t + 2)) and
@@ -40,6 +57,9 @@ from .separation import SeparationResult, separation_oracle
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
 DEFAULT_FAILURE_BUDGET = 0.01
+# relative inflation of the skip bound, so rounding cannot certify a W that
+# lies just outside the unit operator-norm ball
+BOUND_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,12 +82,14 @@ class LearnerState:
     Z up to the separation oracle's failure probability), the only d x d
     arrays.  ``certificate`` is the separation result that produced ``B``
     when that call separated, and None when it certified containment (as
-    for the initial matrix).
+    for the initial matrix).  ``op_bound`` is an upper bound on ||W||_op:
+    ||W_0||_F at the start, then the oracle's gamma or the skip bound.
     """
 
     W: np.ndarray
     B: np.ndarray
     certificate: Optional[SeparationResult]
+    op_bound: float
     t: int
     rho: float
     L1: float
@@ -77,8 +99,6 @@ class LearnerState:
 @dataclass(frozen=True)
 class LearnerStepReport:
     loss_value: float
-    separated: bool
-    scale: float  # the separation oracle's gamma for the new matrix
     matvecs: int
 
 
@@ -133,11 +153,22 @@ def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
     return None
 
 
-def project_frobenius_ball(M: np.ndarray, radius: float) -> np.ndarray:
+def project_frobenius_ball(M: np.ndarray, radius: float
+                           ) -> tuple[np.ndarray, float]:
+    """The projection of M onto the Frobenius ball, and ||M||_F."""
     norm = float(np.linalg.norm(M))
     if norm <= radius:
-        return M
-    return (radius / norm) * M
+        return M, norm
+    return (radius / norm) * M, norm
+
+
+def next_op_norm_bound(op_bound: float, step_op_norm: float, norm: float,
+                       radius: float) -> float:
+    """Upper bound on ||c M||_op for M = W - rho G with ||W||_op <= op_bound,
+    ||rho G||_op <= step_op_norm, ||M||_F = norm and c the projection scale:
+    c min(||M||_F, op_bound + step_op_norm), inflated by BOUND_SLACK."""
+    scale = 1.0 if norm <= radius else radius / norm
+    return BOUND_SLACK * scale * min(norm, op_bound + step_op_norm)
 
 
 def init_learner(B0: np.ndarray, L1: float,
@@ -145,9 +176,10 @@ def init_learner(B0: np.ndarray, L1: float,
                  failure_budget: float = DEFAULT_FAILURE_BUDGET) -> LearnerState:
     """Start the learner at a user-supplied B0 in Z (default: (L1/2) I)."""
     B0 = symmetrize(np.asarray(B0, dtype=float))
-    return LearnerState(W=rescale_to_unit_ball(B0, L1), B=B0,
-                        certificate=None, t=0, rho=rho, L1=L1,
-                        failure_budget=failure_budget)
+    W0 = rescale_to_unit_ball(B0, L1)
+    return LearnerState(W=W0, B=B0, certificate=None,
+                        op_bound=float(np.linalg.norm(W0)), t=0, rho=rho,
+                        L1=L1, failure_budget=failure_budget)
 
 
 def learner_step(state: LearnerState, sample: LossSample, seed,
@@ -158,7 +190,8 @@ def learner_step(state: LearnerState, sample: LossSample, seed,
     The loss gradient is evaluated at the matrix the solver actually used
     (the action in play when the sample was generated), the Frobenius-ball
     iterate takes one projected gradient step on the surrogate, and the
-    separation oracle then forms the next action from the updated iterate.
+    separation oracle then forms the next action from the updated iterate,
+    unless the norm bound (module docstring) already certifies it inside.
     The first fed loss uses B0 directly with no surrogate correction, as
     does every loss after a call that certified containment.
     """
@@ -167,21 +200,34 @@ def learner_step(state: LearnerState, sample: LossSample, seed,
     Bs = matvec(state.B, sample.s, counters)
     residual = sample.w - Bs
     s2 = float(sample.s @ sample.s)
-    loss_value = float(residual @ residual) / s2
+    r2 = float(residual @ residual)
+    loss_value = r2 / s2
     G = (2.0 / L1) * _loss_gradient(sample.s, residual, s2)
+    G_op = ((2.0 / L1) * (abs(float(sample.s @ residual)) + math.sqrt(s2 * r2))
+            / s2)
     cert = state.certificate
     if cert is not None:
         coefficient = _surrogate_coefficient(sample.s, Bs, residual, s2, L1)
         G += (coefficient * cert.weight) * np.outer(cert.u, cert.u)
+        G_op += abs(coefficient * cert.weight)
 
-    W_next = project_frobenius_ball(state.W - state.rho * G, math.sqrt(d))
+    radius = math.sqrt(d)
+    W_next, norm = project_frobenius_ball(state.W - state.rho * G, radius)
+    bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     t_next = state.t + 1
-    sep = separation_oracle(W_next, delta_schedule(t_next),
-                            q_schedule(t_next, state.failure_budget),
-                            seed, counters)
-    B_hat = W_next / sep.gamma if sep.separated else W_next
+    if bound <= 1.0:
+        # the draw the oracle's Lanczos start vector would have taken
+        np.random.default_rng(seed).standard_normal(d)
+        op_bound, certificate, sep_matvecs = bound, None, 0
+    else:
+        sep = separation_oracle(W_next, delta_schedule(t_next),
+                                q_schedule(t_next, state.failure_budget),
+                                seed, counters)
+        op_bound, sep_matvecs = sep.gamma, sep.matvecs
+        certificate = sep if sep.separated else None
+    B_hat = W_next if certificate is None else W_next / op_bound
     new_state = replace(state, W=W_next, B=rescale_from_unit_ball(B_hat, L1),
-                        certificate=sep if sep.separated else None, t=t_next)
-    report = LearnerStepReport(loss_value=loss_value, separated=sep.separated,
-                               scale=sep.gamma, matvecs=1 + sep.matvecs)
+                        certificate=certificate, op_bound=op_bound, t=t_next)
+    report = LearnerStepReport(loss_value=loss_value,
+                               matvecs=1 + sep_matvecs)
     return new_state, report

@@ -180,12 +180,23 @@ def conjugate_residual_violation(result, A, b, alpha, rtol=1e-9,
 
 
 def separation_violation(result, W, rtol=1e-8):
-    """The separation oracle's spectral claim, against dense eigenvalues:
-    ||W||_op <= 1 when inside, ||W||_op <= gamma when separated."""
+    """The separation oracle's spectral claims, against dense eigenvalues:
+    ||W||_op <= gamma on every branch, and ||W||_op <= 1 when inside."""
     op = float(np.abs(np.linalg.eigvalsh(W)).max())
-    claim = result.gamma if result.separated else 1.0
-    if not op <= claim * (1.0 + rtol):
-        return f"||W||_op = {op:.6g} above the certified {claim:.6g}"
+    if not op <= result.gamma * (1.0 + rtol):
+        return f"||W||_op = {op:.6g} above gamma = {result.gamma:.6g}"
+    if not result.separated and not op <= 1.0 + rtol:
+        return f"||W||_op = {op:.6g} above 1 on an inside result"
+    return None
+
+
+def learner_bound_violation(state, rtol=1e-8):
+    """The learner's chained bound ||W||_op <= op_bound, against dense
+    eigenvalues."""
+    op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
+    if not op <= state.op_bound * (1.0 + rtol):
+        return (f"||W||_op = {op:.6g} above the learner's bound "
+                f"{state.op_bound:.6g} at round {state.t}")
     return None
 
 
@@ -248,7 +259,8 @@ def check_learner():
         losses.append(report.loss_value)
         if np.linalg.norm(state.W) > math.sqrt(d) + 1e-12:
             return "Frobenius-ball constraint violated"
-        if problem := band_violation(state.B, L1):
+        if problem := (band_violation(state.B, L1)
+                       or learner_bound_violation(state)):
             return f"round {t}: {problem}"
     return fed_loss_violation(losses, L1)
 

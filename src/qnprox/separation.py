@@ -4,7 +4,8 @@ Given a symmetric W with ||W||_F <= sqrt(d), the oracle either certifies
 ||W||_op <= 1 or returns a scale gamma > 1 with ||W / gamma||_op <= 1 together
 with a rank-one hyperplane S = weight * u u^T, kept as the pair (u, weight),
 satisfying <S, W - B> >= gamma - 1 - delta for every B in the ball, each
-guarantee holding with probability at least 1 - q.
+guarantee holding with probability at least 1 - q.  On either branch gamma
+bounds ||W||_op on that same event.
 Extreme eigenpairs are estimated by the Lanczos method from a random start on
 the unit sphere, with full reorthogonalization (d stays small here, and it
 keeps the Ritz values trustworthy).
@@ -199,6 +200,16 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
     finer estimate lam_tilde decides: gamma = lam_tilde + delta with weight 0
     when lam_tilde <= 1 - delta, else S = +/- u u^T.  On every branch u is
     the Ritz vector of the deciding value, the top one on ties (sign +).
+
+    Every claim rests on one bound per stage, ||W||_op <= gamma, which holds
+    with probability at least 1 - q on the stage's Lanczos event.  The coarse
+    event is lam_hat >= ||W||_op / 2, that is ||W||_op <= 2 lam_hat = gamma:
+    it gives the separated scale when lam_hat >= 2 and containment when
+    lam_hat <= 1/2.  The fine event is lam_tilde >= ||W||_op - delta, that is
+    ||W||_op <= lam_tilde + delta = gamma: it gives the separated scale, and
+    containment when lam_tilde <= 1 - delta.  So gamma bounds ||W||_op on
+    the inside branches too, on the same event and with no further failure
+    probability; the learner chains this bound to skip later calls.
 
     A coarse decision costs n1 + 2 matvecs, a fine one max(n1, n2) + 4: the
     continued steps plus two Rayleigh quotients per stage.  Continuing

@@ -84,37 +84,42 @@ def write_trace_csv(record: RunRecord, path) -> None:
 
 
 def read_trace_csv(path) -> RunRecord:
-    method = ""
-    metadata = {}
-    rows = []
+    """Parse a trace file; a bad header, a malformed row or a row out of
+    iteration order raises ValueError naming the file and the line."""
+    record = RunRecord(method="")
     saw_header = False
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(),
+                                  start=1):
         if not line:
             continue
         if line.startswith("# "):
             key, _, value = line[2:].partition("=")
             if key == "method":
-                method = value
+                record.method = value
             else:
-                metadata[key] = value
+                record.metadata[key] = value
             continue
+        where = f"{path}, line {number}"
         if not saw_header:
             if line != TRACE_HEADER:
-                raise ValueError(f"unexpected trace header: {line!r}")
+                raise ValueError(f"{where}: unexpected trace header {line!r}")
             saw_header = True
             continue
         parts = line.split(",")
         if len(parts) != 7:
-            raise ValueError(f"malformed trace row: {line!r}")
-        rows.append(TraceRow(
-            iteration=int(parts[0]),
-            f_value=float(parts[1]),
-            eta_hat=float(parts[2]),
-            case=parts[3],
-            backtracks=int(parts[4]),
-            grad_queries=int(parts[5]),
-            matvecs=int(parts[6]),
-        ))
+            raise ValueError(f"{where}: expected 7 fields, got {len(parts)}")
+        try:
+            record.append(TraceRow(
+                iteration=int(parts[0]),
+                f_value=float(parts[1]),
+                eta_hat=float(parts[2]),
+                case=parts[3],
+                backtracks=int(parts[4]),
+                grad_queries=int(parts[5]),
+                matvecs=int(parts[6]),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if not saw_header:
         raise ValueError(f"{path} contains no trace header")
-    return RunRecord(method=method, metadata=metadata, rows=rows)
+    return record

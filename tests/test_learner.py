@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qnprox import OracleCounters
+import qnprox.learner
+import qnprox.solver
+from qnprox import OracleCounters, SolverConfig, solve
 from qnprox.learner import (LossSample, _surrogate_coefficient, band_violation,
                             delta_schedule, project_frobenius_ball,
                             init_learner, learner_step, q_schedule,
                             rescale_from_unit_ball, rescale_to_unit_ball)
 from qnprox.oracles import symmetrize
-from qnprox.selftest import fed_loss_violation
+from qnprox.selftest import fed_loss_violation, learner_bound_violation
+from qnprox.separation import separation_oracle
 from conftest import random_psd
 from helpers import hyperplane, matrix_loss, matrix_loss_gradient
 
@@ -167,7 +170,9 @@ class TestLearnerStep:
     def test_projection_identity_inside_ball(self):
         rng = np.random.default_rng(7)
         M = rng.standard_normal((6, 6)) * 0.01
-        assert project_frobenius_ball(M, math.sqrt(6)) is M
+        projected, norm = project_frobenius_ball(M, math.sqrt(6))
+        assert projected is M
+        assert norm == float(np.linalg.norm(M))
 
     def test_clock_counts_fed_losses(self):
         rng = np.random.default_rng(8)
@@ -254,7 +259,7 @@ class TestLearnerStep:
                                 s=rng.standard_normal(d))
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
             coeff = max(0.0, -float(np.sum(G * B_hat)))
-        expected = project_frobenius_ball(
+        expected, _ = project_frobenius_ball(
             state.W - state.rho * (G + coeff * hyperplane(state.certificate)),
             math.sqrt(d))
         state, _ = learner_step(state, sample, seed=rng)
@@ -270,17 +275,61 @@ class TestLearnerStep:
         assert sum(a.size for a in arrays) == 2 * d * d + d
         assert [a.ndim for a in arrays] == [2, 2, 1]
 
-    def test_report_counts_loss_and_separation_matvecs(self):
+    def test_report_counts_loss_and_separation_matvecs(self, monkeypatch):
+        # one matvec for the loss; the oracle's on the steps that call it,
+        # none on the steps whose norm bound certifies W_next inside
+        called = []
+
+        def oracle(*args):
+            called.append(True)
+            return separation_oracle(*args)
+
+        monkeypatch.setattr(qnprox.learner, "separation_oracle", oracle)
         rng = np.random.default_rng(17)
         d, L1 = 5, 1.0
         state = init_learner((L1 / 2.0) * np.eye(d), L1)
-        for _ in range(10):
+        kinds = set()
+        for _ in range(40):
             counters = OracleCounters()
             s = rng.standard_normal(d)
+            called.clear()
             state, report = learner_step(state, LossSample(w=3.0 * s, s=s),
                                          seed=rng, counters=counters)
-            assert report.matvecs == counters.matvecs > 1
-            assert report.separated == (report.scale > 1.0)
+            assert report.matvecs == counters.matvecs
+            if called:
+                assert report.matvecs > 1
+            else:
+                assert report.matvecs == 1
+            kinds.add(bool(called))
+        assert kinds == {False, True}
+
+    def test_skipped_step_draws_the_lanczos_start_vector(self, monkeypatch):
+        # a skip advances the generator by the d normals the oracle's
+        # Lanczos start would have drawn, so later calls see the same stream
+        def no_oracle(*args):
+            raise AssertionError("the norm bound should have certified")
+
+        monkeypatch.setattr(qnprox.learner, "separation_oracle", no_oracle)
+        d, L1 = 7, 1.0
+        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        s = np.random.default_rng(18).standard_normal(d)
+        generator = np.random.default_rng(5)
+        reference = np.random.default_rng(5)
+        state, report = learner_step(state, LossSample(w=s, s=s),
+                                     seed=generator)
+        assert report.matvecs == 1
+        assert state.op_bound <= 1.0
+        reference.standard_normal(d)
+        assert np.array_equal(generator.standard_normal(4),
+                              reference.standard_normal(4))
+
+    def test_initial_bound_is_the_frobenius_norm(self):
+        rng = np.random.default_rng(19)
+        d, L1 = 6, 2.0
+        assert init_learner((L1 / 2.0) * np.eye(d), L1).op_bound == 0.0
+        B0 = random_psd(rng, d, top=L1)
+        state = init_learner(B0, L1)
+        assert state.op_bound == float(np.linalg.norm(state.W))
 
     def test_static_comparator_regret_bound(self):
         # with a fixed comparator H in Z the cumulative loss obeys
@@ -317,6 +366,30 @@ class TestLearnerStep:
                 state, _ = learner_step(state, sample, seed=rng)
             results.append(state.B.copy())
         assert np.array_equal(results[0], results[1])
+
+
+@pytest.mark.parametrize("rho", [1.0 / 128.0, 1.0 / 16.0])
+def test_chained_bound_holds_after_every_step(logistic_instance, monkeypatch,
+                                               rho):
+    # the acceptance instance, solver seeds 0-2: after every learner step
+    # the dense spectrum of W stays under the state's bound, and both skipped
+    # steps (loss matvec only) and oracle calls occur
+    problems, matvecs = [], []
+
+    def checked_step(state, sample, seed, counters=None):
+        state, report = learner_step(state, sample, seed, counters)
+        problems.append(learner_bound_violation(state))
+        matvecs.append(report.matvecs)
+        return state, report
+
+    monkeypatch.setattr(qnprox.solver, "learner_step", checked_step)
+    x0 = np.zeros(logistic_instance.dimension)
+    for seed in range(3):
+        solve(logistic_instance, x0,
+              config=SolverConfig(max_iters=500, rho=rho, seed=seed))
+    assert not any(problems)
+    skipped = matvecs.count(1)
+    assert 0 < skipped < len(matvecs)
 
 
 def project_to_curvature_band_dense(M: np.ndarray, L1: float) -> np.ndarray:

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from qnprox import SolverConfig, solve
-from qnprox.learner import band_violation
+from qnprox.learner import band_violation, init_learner
 from qnprox.linear_solver import conjugate_residual
 from qnprox.separation import separation_oracle
 from qnprox.solver import momentum_weights
 from qnprox.selftest import (backtrack_violation, certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
-                             gradient_query_violation, momentum_violation,
+                             gradient_query_violation,
+                             learner_bound_violation, momentum_violation,
                              potential_violation, separation_violation,
                              weight_growth_violation)
 from conftest import random_psd, reference_minimizer
@@ -120,6 +121,26 @@ def separation(run):
     return lambda W: separation_violation(result, W), W, 10.0 * W
 
 
+def separation_inside(run):
+    # rank one 0.3 e e^T is certified inside with gamma = 0.6; a W with
+    # ||W||_op = 0.75 still lies in the ball but above that gamma
+    e = np.zeros(10)
+    e[0] = 1.0
+    W = 0.3 * np.outer(e, e)
+    result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+    assert not result.separated and result.gamma < 0.75
+    return lambda W: separation_violation(result, W), W, 2.5 * W
+
+
+def learner_bound(run):
+    # the initial bound ||W_0||_F holds; one below ||W_0||_op does not
+    rng = np.random.default_rng(0)
+    state = init_learner(random_psd(rng, 6, top=2.0), 2.0)
+    op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
+    return (learner_bound_violation, state,
+            replace(state, op_bound=0.9 * op))
+
+
 def band(run):
     L1 = 2.0
     return (lambda B: band_violation(B, L1), 0.5 * L1 * np.eye(4),
@@ -129,7 +150,7 @@ def band(run):
 @pytest.mark.parametrize("case", [
     momentum, certificate, potential, weight_growth, gradient_queries,
     fed_loss, backtrack_step, backtrack_displacement, conjugate_residual_cap,
-    separation, band,
+    separation, separation_inside, learner_bound, band,
 ], ids=lambda case: case.__name__)
 def test_planted_violation_is_reported(case, run):
     check, holds, planted = case(run)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import qnprox.learner
 from qnprox import CountingOracle, SolverConfig, solve
 from qnprox.solver import damped_iterate, momentum_weights
 from qnprox.errors import NumericsError, SolverError
@@ -381,3 +383,22 @@ class TestDeterminism:
         second = solve(small_logistic, x0, x0.copy(), config)
         assert first.rows == second.rows
         assert first.metadata == second.metadata
+
+
+def test_skips_change_only_the_matvec_column(criterion_run, logistic_instance,
+                                             monkeypatch):
+    # with the norm bound disabled every learner step calls the oracle; the
+    # acceptance run's columns iter to grad_queries must not notice, and its
+    # matvecs may only be lower
+    record, _, config = criterion_run
+    monkeypatch.setattr(qnprox.learner, "next_op_norm_bound",
+                        lambda *args: math.inf)
+    x0 = np.zeros(logistic_instance.dimension)
+    always_called = solve(logistic_instance, x0, x0.copy(), config)
+    assert len(always_called.rows) == len(record.rows)
+    lower = 0
+    for row, full in zip(record.rows, always_called.rows):
+        assert astuple(row)[:6] == astuple(full)[:6]
+        assert row.matvecs <= full.matvecs
+        lower += row.matvecs < full.matvecs
+    assert lower > 0

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qnprox import RunRecord, TraceRow, read_trace_csv, write_trace_csv
@@ -38,6 +40,33 @@ class TestRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n")
         with pytest.raises(ValueError):
+            read_trace_csv(path)
+
+    @staticmethod
+    def written_with(tmp_path, line, text):
+        """The sample trace with its file line ``line`` replaced."""
+        path = tmp_path / "bad.csv"
+        write_trace_csv(sample_record(), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_rejects_rows_out_of_order(self, tmp_path):
+        # the sample's rows are file lines 5-7 with iterations 1, 2, 3
+        path = self.written_with(tmp_path, 6,
+                                 "1,0.5,0.131118,II,1,5,11")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 6: .*ordered"):
+            read_trace_csv(path)
+
+    def test_malformed_value_names_file_and_line(self, tmp_path):
+        path = self.written_with(tmp_path, 7, "3,abc,0.0655,II,2,9,23")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 7: .*'abc'"):
+            read_trace_csv(path)
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        path = self.written_with(tmp_path, 5, "1,0.69,0.06,I,0,2")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 5: .*7 fields"):
             read_trace_csv(path)
 
 
