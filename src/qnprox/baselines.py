@@ -33,12 +33,19 @@ class BaselineConfig:
     max_zoom: int = 50
 
     def validate(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ValueError(
+                f"eta0 must be finite and positive, got {self.eta0}")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.eta0 <= 0.0:
-            raise ValueError("eta0 must be positive")
+        if self.max_zoom < 1:
+            raise ValueError("max_zoom must be >= 1")
 
 
 def nag_solve(oracle, x0: np.ndarray,

@@ -32,17 +32,24 @@ class MethodRun:
         return self.error is None
 
 
-def _run_method(name: str, objective, x0, max_iters: int, tolerance: float,
-                seed: int) -> RunRecord:
+def method_configs(max_iters: int, tolerance: float, seed: int) -> dict:
+    """Each method's config for these settings, validated, so that a bad
+    setting raises :class:`ValueError` before any method runs."""
+    baseline = BaselineConfig(max_iters=max_iters, tolerance=tolerance)
+    configs = {"aqnpe": SolverConfig(max_iters=max_iters, tolerance=tolerance,
+                                     seed=seed),
+               "nag": baseline, "bfgs": baseline}
+    for config in configs.values():
+        config.validate()
+    return configs
+
+
+def _run_method(name: str, objective, x0, config) -> RunRecord:
     if name == "aqnpe":
-        config = SolverConfig(max_iters=max_iters, tolerance=tolerance,
-                              seed=seed)
         return solve(objective, x0, x0.copy(), config)
     if name == "nag":
-        config = BaselineConfig(max_iters=max_iters, tolerance=tolerance)
         return nag_solve(objective, x0, config)
     if name == "bfgs":
-        config = BaselineConfig(max_iters=max_iters, tolerance=tolerance)
         return bfgs_solve(objective, x0, config)
     raise ValueError(f"unknown method {name!r}; expected one of {KNOWN_METHODS}")
 
@@ -75,22 +82,24 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
     One trace CSV per method, a ``summary.csv`` of all runs, a per-iteration
     gradient-query histogram for the accelerated solver, and (optionally)
     SVG charts of the objective gap by iteration and by gradient queries.
-    Failures are recorded per method without aborting the others.
+    Failures are recorded per method without aborting the others; an
+    unknown method or a setting a method's config rejects raises
+    :class:`ValueError` before ``out_dir`` is created.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name in methods:
         if name not in KNOWN_METHODS:
             raise ValueError(
                 f"unknown method {name!r}; expected one of {KNOWN_METHODS}")
+    configs = method_configs(max_iters, tolerance, seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs: list[MethodRun] = []
     for name in methods:
         objective = LogisticObjective(dataset)
         x0 = np.zeros(objective.dimension)
         try:
-            record = _run_method(name, objective, x0, max_iters, tolerance,
-                                 seed)
+            record = _run_method(name, objective, x0, configs[name])
             runs.append(MethodRun(name=name, record=record, error=None))
         except Exception as exc:
             partial = getattr(exc, "trace", None)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import KNOWN_METHODS, run_benchmark
+from .bench import KNOWN_METHODS, method_configs, run_benchmark
 from .datasets import (SyntheticLogisticSpec, generate_logistic,
                        read_dataset_csv, write_dataset_csv)
 from .selftest import run_selftest
@@ -74,6 +74,10 @@ def main(argv=None) -> int:
             if name not in KNOWN_METHODS:
                 parser.error(f"unknown method {name!r}; choose from "
                              f"{','.join(KNOWN_METHODS)}")
+        try:
+            method_configs(args.max_iters, args.tol, args.seed)
+        except ValueError as exc:
+            parser.error(str(exc))
         try:
             dataset = read_dataset_csv(args.data)
         except (OSError, ValueError) as exc:

@@ -37,6 +37,20 @@ vector, so every later oracle call sees the random stream it would have seen.
 An inside result sets B_hat = W_next whatever its gamma, so B and the solver's
 iterates do not depend on whether the oracle ran.
 
+A step holds at most two d x d arrays besides the W and B of the state it
+is given, and writes into no array of that state, its certificate or the
+sample.  M = W_t - rho G is built in one new array, with one scratch array
+for r s^T and then for u u^T, by the elementwise operations of the dense
+expression W_t - rho ((2 / L1) (-(s r^T + r s^T) / ||s||^2)
++ (coefficient * weight) u u^T) in the same order: M = s r^T, M += r s^T,
+M /= -||s||^2 (negation is exact), M *= 2 / L1, M += (coefficient * weight)
+u u^T, M *= rho, M = W_t - M.  The projection scale multiplies M in place,
+so M becomes W_next.  The scratch array is released before B is formed in
+one new array: W_next / gamma when the call separated, then * L1 / 2, then
+L1 / 2 added to the diagonal.  Every entry therefore takes the same rounding
+as the dense expression, and the iterates and traces do not depend on where
+the arrays live.
+
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.
 Schedules follow rho = 1/128, delta_t = 1 / (sqrt(t + 2) ln(t + 2)) and
@@ -102,11 +116,6 @@ class LearnerStepReport:
     matvecs: int
 
 
-def _loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float
-                   ) -> np.ndarray:
-    return -(np.outer(s, residual) + np.outer(residual, s)) / s2
-
-
 def _surrogate_coefficient(s: np.ndarray, Bs: np.ndarray,
                            residual: np.ndarray, s2: float, L1: float
                            ) -> float:
@@ -135,12 +144,6 @@ def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
     return B_hat
 
 
-def rescale_from_unit_ball(B_hat: np.ndarray, L1: float) -> np.ndarray:
-    B = (L1 / 2.0) * B_hat
-    B.flat[::B.shape[0] + 1] += L1 / 2.0
-    return B
-
-
 def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
                    ) -> Optional[str]:
     """None when 0 <= B <= L1 I, up to rtol * L1 on either side, else the
@@ -151,15 +154,6 @@ def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
     if not eigs[-1] <= (1.0 + rtol) * L1:
         return f"largest eigenvalue {eigs[-1]:.6e} is above L1 = {L1:.6e}"
     return None
-
-
-def project_frobenius_ball(M: np.ndarray, radius: float
-                           ) -> tuple[np.ndarray, float]:
-    """The projection of M onto the Frobenius ball, and ||M||_F."""
-    norm = float(np.linalg.norm(M))
-    if norm <= radius:
-        return M, norm
-    return (radius / norm) * M, norm
 
 
 def next_op_norm_bound(op_bound: float, step_op_norm: float, norm: float,
@@ -197,37 +191,55 @@ def learner_step(state: LearnerState, sample: LossSample, seed,
     """
     d = state.W.shape[0]
     L1 = state.L1
-    Bs = matvec(state.B, sample.s, counters)
+    s = sample.s
+    Bs = matvec(state.B, s, counters)
     residual = sample.w - Bs
-    s2 = float(sample.s @ sample.s)
+    s2 = float(s @ s)
     r2 = float(residual @ residual)
     loss_value = r2 / s2
-    G = (2.0 / L1) * _loss_gradient(sample.s, residual, s2)
-    G_op = ((2.0 / L1) * (abs(float(sample.s @ residual)) + math.sqrt(s2 * r2))
+    G_op = ((2.0 / L1) * (abs(float(s @ residual)) + math.sqrt(s2 * r2))
             / s2)
+    # M = W - rho G in one new array and one scratch array (module docstring)
+    M = np.einsum("i,j->ij", s, residual)
+    scratch = np.einsum("i,j->ij", residual, s)
+    M += scratch
+    M /= -s2
+    M *= 2.0 / L1
     cert = state.certificate
     if cert is not None:
-        coefficient = _surrogate_coefficient(sample.s, Bs, residual, s2, L1)
-        G += (coefficient * cert.weight) * np.outer(cert.u, cert.u)
+        coefficient = _surrogate_coefficient(s, Bs, residual, s2, L1)
+        np.einsum("i,j->ij", cert.u, cert.u, out=scratch)
+        scratch *= coefficient * cert.weight
+        M += scratch
         G_op += abs(coefficient * cert.weight)
+    del scratch
+    M *= state.rho
+    np.subtract(state.W, M, out=M)
 
     radius = math.sqrt(d)
-    W_next, norm = project_frobenius_ball(state.W - state.rho * G, radius)
+    norm = float(np.linalg.norm(M))
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
+    if norm > radius:
+        M *= radius / norm
     t_next = state.t + 1
     if bound <= 1.0:
         # the draw the oracle's Lanczos start vector would have taken
         np.random.default_rng(seed).standard_normal(d)
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
-        sep = separation_oracle(W_next, delta_schedule(t_next),
+        sep = separation_oracle(M, delta_schedule(t_next),
                                 q_schedule(t_next, state.failure_budget),
                                 seed, counters)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
-    B_hat = W_next if certificate is None else W_next / op_bound
-    new_state = replace(state, W=W_next, B=rescale_from_unit_ball(B_hat, L1),
-                        certificate=certificate, op_bound=op_bound, t=t_next)
+    if certificate is None:
+        B = np.multiply(M, L1 / 2.0)
+    else:
+        B = np.divide(M, op_bound)
+        B *= L1 / 2.0
+    B.flat[::d + 1] += L1 / 2.0
+    new_state = replace(state, W=M, B=B, certificate=certificate,
+                        op_bound=op_bound, t=t_next)
     report = LearnerStepReport(loss_value=loss_value,
                                matvecs=1 + sep_matvecs)
     return new_state, report

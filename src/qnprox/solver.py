@@ -79,6 +79,8 @@ class SolverConfig:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.max_cr_iters is not None and self.max_cr_iters < 1:
             raise ValueError("max_cr_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -236,9 +238,11 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     elif problem := band_violation(symmetrize(B0), L1):
         raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
                          f"(L1 = {L1:.6g}): {problem}")
-    learner = init_learner(B0, L1, rho=config.rho,
-                           failure_budget=config.failure_budget)
-    state = SolverState(x=x, z=z, A=0.0, eta=sigma0, learner=learner, k=0)
+    state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0, learner=init_learner(
+        B0, L1, rho=config.rho, failure_budget=config.failure_budget))
+    # neither B0 (the default, or a converted copy of the caller's) nor the
+    # initial learner state may outlive the first learner step
+    del B0
     rng = np.random.default_rng(config.seed)
 
     record = RunRecord(method="aqnpe", metadata={
@@ -272,6 +276,9 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
                 observer(report)
             if report.grad_norm_at_x_hat <= config.tolerance:
                 break
+            # the report's B_used is dead unless the observer kept it; do not
+            # hold it through the next step
+            del report
     except Exception as exc:
         raise SolverError(f"solver aborted at iteration {state.k}: {exc}",
                           trace=record.finish(start, state.x)) from exc

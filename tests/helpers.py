@@ -1,15 +1,21 @@
 """Reference code the tests share and the library does not need: a quadratic
 objective, the learner's loss and its gradient as dense formulas, the dense
-separation hyperplane, and the first iteration to reach an objective gap."""
+learner step they define, the dense separation hyperplane, and the first
+iteration to reach an objective gap."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from qnprox.learner import LossSample, _loss_gradient
+from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
+                            _surrogate_coefficient, delta_schedule,
+                            next_op_norm_bound, q_schedule)
 from qnprox.oracles import OracleCounters, matvec, symmetrize
+from qnprox.separation import separation_oracle
 from qnprox.trace import RunRecord
 
 
@@ -37,6 +43,70 @@ class QuadraticObjective:
         return self.Q.copy()
 
 
+def loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float
+                  ) -> np.ndarray:
+    """-(s r^T + r s^T) / ||s||^2, the loss gradient for r = w - B s."""
+    return -(np.outer(s, residual) + np.outer(residual, s)) / s2
+
+
+def rescale_from_unit_ball(B_hat: np.ndarray, L1: float) -> np.ndarray:
+    """B = (L1 / 2) B_hat + (L1 / 2) I, the inverse of
+    ``qnprox.learner.rescale_to_unit_ball``."""
+    B = (L1 / 2.0) * B_hat
+    B.flat[::B.shape[0] + 1] += L1 / 2.0
+    return B
+
+
+def project_frobenius_ball(M: np.ndarray, radius: float
+                           ) -> tuple[np.ndarray, float]:
+    """The projection of M onto the Frobenius ball, and ||M||_F."""
+    norm = float(np.linalg.norm(M))
+    if norm <= radius:
+        return M, norm
+    return (radius / norm) * M, norm
+
+
+def dense_learner_step(state: LearnerState, sample: LossSample, seed,
+                       counters: Optional[OracleCounters] = None
+                       ) -> tuple[LearnerState, LearnerStepReport]:
+    """``qnprox.learner.learner_step`` written with dense temporaries: the
+    surrogate gradient G as one matrix, W - rho G, its projection, and B
+    rescaled from B_hat.  The library builds the same floats in place."""
+    d = state.W.shape[0]
+    L1 = state.L1
+    Bs = matvec(state.B, sample.s, counters)
+    residual = sample.w - Bs
+    s2 = float(sample.s @ sample.s)
+    r2 = float(residual @ residual)
+    G = (2.0 / L1) * loss_gradient(sample.s, residual, s2)
+    G_op = ((2.0 / L1) * (abs(float(sample.s @ residual)) + math.sqrt(s2 * r2))
+            / s2)
+    cert = state.certificate
+    if cert is not None:
+        coefficient = _surrogate_coefficient(sample.s, Bs, residual, s2, L1)
+        G += (coefficient * cert.weight) * np.outer(cert.u, cert.u)
+        G_op += abs(coefficient * cert.weight)
+
+    radius = math.sqrt(d)
+    W_next, norm = project_frobenius_ball(state.W - state.rho * G, radius)
+    bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
+    t_next = state.t + 1
+    if bound <= 1.0:
+        np.random.default_rng(seed).standard_normal(d)
+        op_bound, certificate, sep_matvecs = bound, None, 0
+    else:
+        sep = separation_oracle(W_next, delta_schedule(t_next),
+                                q_schedule(t_next, state.failure_budget),
+                                seed, counters)
+        op_bound, sep_matvecs = sep.gamma, sep.matvecs
+        certificate = sep if sep.separated else None
+    B_hat = W_next if certificate is None else W_next / op_bound
+    new_state = replace(state, W=W_next, B=rescale_from_unit_ball(B_hat, L1),
+                        certificate=certificate, op_bound=op_bound, t=t_next)
+    return new_state, LearnerStepReport(loss_value=r2 / s2,
+                                        matvecs=1 + sep_matvecs)
+
+
 def matrix_loss(B: np.ndarray, sample: LossSample,
                 counters: Optional[OracleCounters] = None) -> float:
     """||w - B s||^2 / ||s||^2 (one counted matvec)."""
@@ -54,7 +124,7 @@ def matrix_loss_gradient(B: np.ndarray, sample: LossSample,
     """
     residual = sample.w - matvec(B, sample.s, counters)
     s2 = float(sample.s @ sample.s)
-    return _loss_gradient(sample.s, residual, s2)
+    return loss_gradient(sample.s, residual, s2)
 
 
 def hyperplane(result) -> np.ndarray:

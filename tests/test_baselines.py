@@ -257,3 +257,12 @@ class TestConfig:
             BaselineConfig(c1=0.9, c2=0.1).validate()
         with pytest.raises(ValueError):
             BaselineConfig(beta=1.5).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("tolerance", -1.0), ("tolerance", math.nan),
+        ("eta0", 0.0), ("eta0", math.nan), ("eta0", math.inf),
+        ("max_zoom", 0),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BaselineConfig(**{field: value}).validate()

@@ -46,6 +46,17 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(small_dataset, ["sgd"], tmp_path)
 
+    @pytest.mark.parametrize("setting, field", [
+        ({"max_iters": 0}, "max_iters"), ({"tolerance": -1.0}, "tolerance"),
+        ({"tolerance": float("nan")}, "tolerance"), ({"seed": -1}, "seed"),
+    ])
+    def test_rejected_setting_runs_no_method(self, small_dataset, tmp_path,
+                                             setting, field):
+        with pytest.raises(ValueError, match=field):
+            run_benchmark(small_dataset, ["aqnpe", "nag", "bfgs"],
+                          tmp_path / "out", **setting)
+        assert not (tmp_path / "out").exists()
+
     def test_method_failure_recorded_without_aborting(self, small_dataset,
                                                       tmp_path, monkeypatch):
         import qnprox.bench as bench_module

@@ -63,6 +63,19 @@ class TestRun:
                         "--out-dir", str(tmp_path / "r")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--max-iters", "0"], "max_iters"), (["--tol", "-1"], "tolerance"),
+        (["--tol", "nan"], "tolerance"), (["--seed", "-1"], "seed"),
+    ])
+    def test_rejected_setting_is_usage_error(self, data_csv, tmp_path, capsys,
+                                             flags, field):
+        out_dir = tmp_path / "r"
+        code = run_cli(["run", "--data", str(data_csv), "--out-dir",
+                        str(out_dir)] + flags)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         code = run_cli(["run", "--data", str(tmp_path / "missing.csv"),
                         "--out-dir", str(tmp_path / "r")])

@@ -7,14 +7,15 @@ import qnprox.learner
 import qnprox.solver
 from qnprox import OracleCounters, SolverConfig, solve
 from qnprox.learner import (LossSample, _surrogate_coefficient, band_violation,
-                            delta_schedule, project_frobenius_ball,
-                            init_learner, learner_step, q_schedule,
-                            rescale_from_unit_ball, rescale_to_unit_ball)
+                            delta_schedule, init_learner, learner_step,
+                            q_schedule, rescale_to_unit_ball)
 from qnprox.oracles import symmetrize
 from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
-from helpers import hyperplane, matrix_loss, matrix_loss_gradient
+from helpers import (dense_learner_step, hyperplane, matrix_loss,
+                     matrix_loss_gradient, project_frobenius_ball,
+                     rescale_from_unit_ball)
 
 
 def fd_symmetric_gradient(B, sample, h=1e-6):
@@ -366,6 +367,55 @@ class TestLearnerStep:
                 state, _ = learner_step(state, sample, seed=rng)
             results.append(state.B.copy())
         assert np.array_equal(results[0], results[1])
+
+
+def learner_walk(d, steps=60, L1=2.0, rho=0.09):
+    """(state, sample, seed) for each step of a ``learner_step`` walk from
+    the center of Z.  Its losses, w = a s + noise with a drawn from [-3, 6],
+    give skipped, inside and separated steps at each d the tests use."""
+    rng = np.random.default_rng(d)
+    state = init_learner((L1 / 2.0) * np.eye(d), L1, rho=rho)
+    for k in range(steps):
+        s = rng.standard_normal(d)
+        w = float(rng.uniform(-3.0, 6.0)) * s + 0.3 * rng.standard_normal(d)
+        sample = LossSample(w=w, s=s)
+        yield state, sample, 1000 + k
+        state, _ = learner_step(state, sample, seed=1000 + k)
+
+
+@pytest.mark.parametrize("d", [5, 12, 40, 64])
+def test_in_place_step_is_bitwise_the_dense_expression(d):
+    branches = set()
+    for state, sample, seed in learner_walk(d):
+        new, report = learner_step(state, sample, seed)
+        ref, ref_report = dense_learner_step(state, sample, seed)
+        assert np.array_equal(new.W, ref.W)
+        assert np.array_equal(new.B, ref.B)
+        assert (new.op_bound, new.t, report) == (ref.op_bound, ref.t,
+                                                 ref_report)
+        assert (new.certificate is None) == (ref.certificate is None)
+        if new.certificate is not None:
+            assert np.array_equal(new.certificate.u, ref.certificate.u)
+            assert new.certificate.weight == ref.certificate.weight
+        branches.add("skip" if report.matvecs == 1 else
+                     "inside" if new.certificate is None else "separated")
+    assert branches == {"skip", "inside", "separated"}
+
+
+@pytest.mark.parametrize("d", [5, 40])
+def test_step_writes_into_no_input_array(d):
+    certificates = 0
+    for state, sample, seed in learner_walk(d):
+        inputs = [state.W, state.B, sample.s, sample.w]
+        if state.certificate is not None:
+            inputs.append(state.certificate.u)
+            certificates += 1
+        before = [a.copy() for a in inputs]
+        new, _ = learner_step(state, sample, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        assert not any(np.shares_memory(new.W, a) or np.shares_memory(new.B, a)
+                       for a in inputs)
+    assert certificates > 0
 
 
 @pytest.mark.parametrize("rho", [1.0 / 128.0, 1.0 / 16.0])

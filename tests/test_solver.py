@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -9,8 +10,10 @@ from qnprox import CountingOracle, SolverConfig, solve
 from qnprox.solver import damped_iterate, momentum_weights
 from qnprox.errors import NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
-                             gradient_query_violation, momentum_violation,
-                             potential_violation, weight_growth_violation)
+                             gradient_query_violation, make_logistic,
+                             momentum_violation, potential_violation,
+                             weight_growth_violation)
+from qnprox.separation import separation_oracle
 from conftest import reference_minimizer
 from helpers import QuadraticObjective
 
@@ -240,7 +243,7 @@ class TestConfigValidation:
         ("L1", -1.0), ("L1", 0.0), ("L1", math.nan), ("L1", math.inf),
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
         ("tolerance", -1.0), ("tolerance", math.nan),
-        ("max_cr_iters", 0),
+        ("max_cr_iters", 0), ("max_iters", 0), ("seed", -1),
         ("sigma0", math.nan), ("sigma0", math.inf), ("sigma0", 0.0),
     ])
     def test_rejects_out_of_range_field(self, field, value):
@@ -373,6 +376,61 @@ class TestCustomInitialMatrix:
         # the model error vanishes, so every trial is accepted outright
         assert all(rep.case == "I" for rep in reports)
         assert record.rows[-1].f_value < 1e-10
+
+
+class TestMemory:
+    @pytest.mark.parametrize("given_B0", [False, True])
+    def test_peak_stays_under_five_dense_matrices(self, monkeypatch,
+                                                  given_B0):
+        # a learner step holds W and B, the array it builds and one scratch
+        # array; this d = 200 run calls the separation oracle and one call
+        # separates, so both ways of forming B run.  A B0 given as a list is
+        # converted to a new array, which must not live through the run
+        separated = []
+
+        def recorded(*args):
+            result = separation_oracle(*args)
+            separated.append(result.separated)
+            return result
+
+        monkeypatch.setattr(qnprox.learner, "separation_oracle", recorded)
+        d = 200
+        objective = make_logistic(1000, d, seed=0, sigma=3.0)
+        config = SolverConfig(max_iters=150, rho=1.0 / 16.0, seed=3)
+        B0 = ((objective.smoothness / 2.0) * np.eye(d)).tolist()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve(objective, np.zeros(d), config=config,
+                  B0=B0 if given_B0 else None)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert True in separated and False in separated
+        assert peak <= 5 * d * d * 8
+
+    def test_kept_reports_keep_their_matrices(self, small_logistic):
+        # solve holds no report across a step, but one the observer keeps is
+        # never written into: each B_used is the previous report's B
+        reports, copies = [], []
+
+        def keep(report):
+            reports.append(report)
+            copies.append((report.B_used.copy(), report.B.copy()))
+
+        x0 = np.zeros(small_logistic.dimension)
+        solve(small_logistic, x0, config=SolverConfig(max_iters=60, seed=0),
+              observer=keep)
+        assert any(report.B is not report.B_used for report in reports)
+        for previous, report in zip(reports, reports[1:]):
+            assert report.B_used is previous.B
+        for report, (B_used, B) in zip(reports, copies):
+            assert np.array_equal(report.B_used, B_used)
+            assert np.array_equal(report.B, B)
 
 
 class TestDeterminism:
