@@ -9,6 +9,7 @@ carries the partial trace as ``trace``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, SolverError
-from .oracles import CountingOracle, checked_input, matvec, symmetrize
+from .oracles import CountingOracle, checked_input, symmetrize
 from .trace import RunRecord, TraceRow, format_float
 
 
@@ -33,6 +34,10 @@ class BaselineConfig:
     max_zoom: int = 50
 
     def validate(self) -> None:
+        for name in ("max_iters", "max_zoom"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tolerance >= 0.0:
@@ -203,7 +208,8 @@ def bfgs_solve(oracle, x0: np.ndarray,
         for k in range(config.max_iters):
             if float(np.linalg.norm(g)) <= config.tolerance:
                 break
-            p = -matvec(H, g, counters)
+            p = -(H @ g)
+            counters.count_matvec()
             if float(g @ p) >= 0.0:
                 H = identity.copy()
                 p = -g
@@ -241,5 +247,4 @@ def bfgs_solve(oracle, x0: np.ndarray,
     except Exception as exc:
         exc.trace = record.finish(start, x)
         raise
-    record.extras["inverse_hessian"] = H
     return record.finish(start, x)

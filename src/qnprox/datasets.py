@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -47,7 +46,6 @@ class SyntheticLogisticSpec:
 class LogisticDataset:
     features: np.ndarray  # (n, d), last column all ones
     labels: np.ndarray    # (n,), entries +-1
-    true_parameter: Optional[np.ndarray] = None  # ground truth, not serialized
 
     @property
     def n(self) -> int:
@@ -67,8 +65,7 @@ def generate_logistic(spec: SyntheticLogisticSpec) -> LogisticDataset:
     noise = rng.standard_normal((spec.n, spec.d - 1)) * spec.sigma
     labels = np.where(a_star @ x_star >= 0.0, 1.0, -1.0)
     features = np.hstack([a_star + noise + 1.0, np.ones((spec.n, 1))])
-    return LogisticDataset(features=features, labels=labels,
-                           true_parameter=x_star)
+    return LogisticDataset(features=features, labels=labels)
 
 
 class LogisticObjective:

@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracles import OracleCounters, matvec, symmetrize
+from .oracles import symmetrize
 from .separation import SeparationResult, separation_oracle
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
@@ -176,8 +176,7 @@ def init_learner(B0: np.ndarray, L1: float,
                         L1=L1, failure_budget=failure_budget)
 
 
-def learner_step(state: LearnerState, sample: LossSample, seed,
-                 counters: Optional[OracleCounters] = None
+def learner_step(state: LearnerState, sample: LossSample, seed
                  ) -> tuple[LearnerState, LearnerStepReport]:
     """Feed one loss and produce the matrix for the next backtracked round.
 
@@ -187,12 +186,13 @@ def learner_step(state: LearnerState, sample: LossSample, seed,
     separation oracle then forms the next action from the updated iterate,
     unless the norm bound (module docstring) already certifies it inside.
     The first fed loss uses B0 directly with no surrogate correction, as
-    does every loss after a call that certified containment.
+    does every loss after a call that certified containment.  The report's
+    ``matvecs`` is the loss's product B s plus the oracle's, if it ran.
     """
     d = state.W.shape[0]
     L1 = state.L1
     s = sample.s
-    Bs = matvec(state.B, s, counters)
+    Bs = state.B @ s
     residual = sample.w - Bs
     s2 = float(s @ s)
     r2 = float(residual @ residual)
@@ -229,7 +229,7 @@ def learner_step(state: LearnerState, sample: LossSample, seed,
     else:
         sep = separation_oracle(M, delta_schedule(t_next),
                                 q_schedule(t_next, state.failure_budget),
-                                seed, counters)
+                                seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
     if certificate is None:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linear_solver import conjugate_residual
-from .oracles import matvec
 
 UNDERFLOW_RATIO = 1e-16
 
@@ -57,9 +56,8 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
 
     ``g`` must be the gradient at ``y`` (already computed by the caller, never
     re-queried here).  Each trial costs one conjugate-residual solve and one
-    gradient query.
+    gradient query; ``matvecs`` totals the products B v of every solve.
     """
-    counters = getattr(oracle, "counters", None)
     sigma = alpha1 + alpha2
     eta_hat = float(eta_init)
     x_tilde = None
@@ -75,7 +73,7 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
                 "smoothness constant is likely inconsistent with the oracle")
 
         def apply_A(v, eta=eta_hat):
-            return v + eta * matvec(B, v, counters)
+            return v + eta * (B @ v)
 
         solve = conjugate_residual(apply_A, -eta_hat * g, alpha1,
                                    max_iters=max_cr_iters)

@@ -1,10 +1,10 @@
 """Objective oracles, dense symmetric-matrix helpers, and query accounting.
 
 All vectors are 1-d ``numpy.float64`` arrays and all curvature matrices are
-dense symmetric ``d x d`` arrays.  Every d x d matrix-vector product in the
-stack goes through :func:`matvec` with a shared :class:`OracleCounters`
-instance, so oracle-complexity claims (gradient queries, matvecs) can be
-audited exactly.
+dense symmetric ``d x d`` arrays.  :class:`CountingOracle` counts gradient
+queries.  Each stage returns the matrix-vector products it took as
+``matvecs``, and ``solve`` or ``bfgs_solve`` books them on
+:class:`OracleCounters` once per iteration.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .errors import NumericsError
 
 @dataclass
 class OracleCounters:
-    """Mutable accounting channel for one solver run.
+    """Query totals of one run, as its trace reports them.
 
-    Counters only ever increase.  A single instance is threaded through the
-    linear solver, the separation oracle, the learner and the line search so
-    that the total equals the sum of per-module reports.
+    Counters only ever increase.  :class:`CountingOracle` counts each
+    gradient query; the driver books the matvecs its stages report, once per
+    iteration, so the total is the sum of those reports.
     """
 
     gradient_queries: int = 0
@@ -80,20 +80,6 @@ def checked_input(name: str, value, shape: tuple) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} has a non-finite entry")
     return array
-
-
-def matvec(matrix: np.ndarray, vector: np.ndarray,
-           counters: Optional[OracleCounters] = None) -> np.ndarray:
-    """Dense d x d matrix-vector product, counted on the accounting channel."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if vector.ndim != 1 or vector.shape[0] != matrix.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: matrix {matrix.shape} vs vector {vector.shape}"
-        )
-    if counters is not None:
-        counters.count_matvec()
-    return matrix @ vector
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:

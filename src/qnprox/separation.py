@@ -28,8 +28,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .oracles import OracleCounters
-
 LANCZOS_BREAKDOWN = 1e-14
 
 
@@ -88,18 +86,18 @@ class LanczosRun:
     only when the next step is taken, so a run extended in two calls performs
     exactly the arithmetic of one run of the combined length.  On Krylov
     breakdown (beta below 1e-14) the run stops for good: the basis then spans
-    an invariant subspace.  Every product with W is counted on ``counters``.
+    an invariant subspace.  The run keeps no count: ``advance`` returns the
+    steps it took (one product with W each), ``extremes`` takes two more,
+    and :func:`lanczos_extreme` reports their sum as ``matvecs``.
     """
 
-    def __init__(self, W: np.ndarray, capacity: int, seed,
-                 counters: Optional[OracleCounters] = None):
+    def __init__(self, W: np.ndarray, capacity: int, seed):
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {W.shape}")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         d = W.shape[0]
         self.W = W
-        self.counters = counters
         self.capacity = min(capacity, d)
         self.basis = np.empty((self.capacity, d))
         self.alphas = np.empty(self.capacity)
@@ -135,13 +133,11 @@ class LanczosRun:
             alphas[j] = Q[j] @ self._Wq
             j += 1
         self.steps = j
-        if self.counters is not None:
-            self.counters.count_matvec(j - start)
         return j - start
 
     def extremes(self) -> tuple[np.ndarray, float, np.ndarray, float]:
         """Top and bottom Ritz vectors with their Rayleigh quotients
-        <W u, u> (two counted matvecs)."""
+        <W u, u> (two matvecs)."""
         k = self.steps
         Q = self.basis[:k]
         if k == 1:
@@ -155,8 +151,6 @@ class LanczosRun:
             u_min /= np.linalg.norm(u_min)
         lam_max = float(u_max @ (self.W @ u_max))
         lam_min = float(u_min @ (self.W @ u_min))
-        if self.counters is not None:
-            self.counters.count_matvec(2)
         return u_max, lam_max, u_min, lam_min
 
 
@@ -185,8 +179,7 @@ def _dominant(extremes: LanczosExtremes) -> tuple[float, np.ndarray, float]:
     return -extremes.lam_min, extremes.u_min, -1.0
 
 
-def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
-                      counters: Optional[OracleCounters] = None
+def separation_oracle(W: np.ndarray, delta: float, q: float, seed
                       ) -> SeparationResult:
     """Randomized separation oracle for {B symmetric : ||B||_op <= 1}.
 
@@ -224,7 +217,7 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed,
     log_term = _lanczos_rounds(d, q)
     n1 = min(math.ceil(log_term + 0.5), d)
     n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
-    run = LanczosRun(W, max(n1, n2), seed, counters)
+    run = LanczosRun(W, max(n1, n2), seed)
 
     coarse = lanczos_extreme(run, n1)
     lam_hat, u, sign = _dominant(coarse)

@@ -10,6 +10,7 @@ round of the online curvature learner.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -57,6 +58,10 @@ class SolverConfig:
     max_cr_iters: Optional[int] = None
 
     def validate(self) -> None:
+        for name in ("max_iters", "max_cr_iters", "seed"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.alpha1 < 1.0 or not 0.0 < self.alpha2 < 1.0:
             raise ValueError("alpha1 and alpha2 must lie in (0, 1)")
         if self.alpha1 + self.alpha2 >= 1.0:
@@ -139,7 +144,8 @@ def damped_iterate(x: np.ndarray, x_hat: np.ndarray, A: float, a: float,
 
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
          rng: np.random.Generator) -> tuple[SolverState, IterationReport]:
-    """Advance one iteration; feeds the learner only when backtracked."""
+    """Advance one iteration; feeds the learner only when backtracked and
+    books the iteration's reported matvecs on ``oracle.counters``."""
     a, y = momentum_weights(state.A, state.eta, state.x, state.z)
     grad_y = oracle.gradient(y)
     try:
@@ -174,11 +180,11 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         eta_next = outcome.eta_hat
         sample = LossSample(w=outcome.grad_at_x_tilde - grad_y,
                             s=outcome.x_tilde - y)
-        learner, learner_report = learner_step(
-            state.learner, sample, rng, oracle.counters)
+        learner, learner_report = learner_step(state.learner, sample, rng)
         case = CASE_DAMPED
         loss_fed = learner_report.loss_value
         learner_matvecs = learner_report.matvecs
+    oracle.counters.count_matvec(outcome.matvecs + learner_matvecs)
 
     next_state = SolverState(x=x_next, z=z_next, A=A_next, eta=eta_next,
                              learner=learner, k=state.k + 1)

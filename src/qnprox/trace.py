@@ -40,9 +40,6 @@ class RunRecord:
     rows: list = field(default_factory=list)
     wall_time: Optional[float] = field(default=None, compare=False)
     final_x: Optional[object] = field(default=None, compare=False, repr=False)
-    # method-specific diagnostics (e.g. the BFGS inverse-Hessian); in-memory
-    # only, never serialized
-    extras: dict = field(default_factory=dict, compare=False, repr=False)
 
     def append(self, row: TraceRow) -> None:
         if self.rows and row.iteration <= self.rows[-1].iteration:

@@ -1,7 +1,7 @@
 """Reference code the tests share and the library does not need: a quadratic
-objective, the learner's loss and its gradient as dense formulas, the dense
-learner step they define, the dense separation hyperplane, and the first
-iteration to reach an objective gap."""
+objective, a matrix that counts its products, the learner's loss and its
+gradient as dense formulas, the dense learner step they define, the dense
+separation hyperplane, and the first iteration to reach an objective gap."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             _surrogate_coefficient, delta_schedule,
                             next_op_norm_bound, q_schedule)
-from qnprox.oracles import OracleCounters, matvec, symmetrize
+from qnprox.oracles import symmetrize
 from qnprox.separation import separation_oracle
 from qnprox.trace import RunRecord
 
@@ -43,6 +43,25 @@ class QuadraticObjective:
         return self.Q.copy()
 
 
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the products taken with it.
+
+    ``M.view(CountingMatrix)`` shares M's data; every ``np.matmul`` with the
+    view as an operand adds one to ``products`` and runs on plain arrays, so
+    the results are those of M.
+    """
+
+    def __array_finalize__(self, obj):
+        self.products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        plain = [np.asarray(x) if isinstance(x, CountingMatrix) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 def loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float
                   ) -> np.ndarray:
     """-(s r^T + r s^T) / ||s||^2, the loss gradient for r = w - B s."""
@@ -66,15 +85,14 @@ def project_frobenius_ball(M: np.ndarray, radius: float
     return (radius / norm) * M, norm
 
 
-def dense_learner_step(state: LearnerState, sample: LossSample, seed,
-                       counters: Optional[OracleCounters] = None
+def dense_learner_step(state: LearnerState, sample: LossSample, seed
                        ) -> tuple[LearnerState, LearnerStepReport]:
     """``qnprox.learner.learner_step`` written with dense temporaries: the
     surrogate gradient G as one matrix, W - rho G, its projection, and B
     rescaled from B_hat.  The library builds the same floats in place."""
     d = state.W.shape[0]
     L1 = state.L1
-    Bs = matvec(state.B, sample.s, counters)
+    Bs = state.B @ sample.s
     residual = sample.w - Bs
     s2 = float(sample.s @ sample.s)
     r2 = float(residual @ residual)
@@ -97,7 +115,7 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed,
     else:
         sep = separation_oracle(W_next, delta_schedule(t_next),
                                 q_schedule(t_next, state.failure_budget),
-                                seed, counters)
+                                seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
     B_hat = W_next if certificate is None else W_next / op_bound
@@ -107,22 +125,19 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed,
                                         matvecs=1 + sep_matvecs)
 
 
-def matrix_loss(B: np.ndarray, sample: LossSample,
-                counters: Optional[OracleCounters] = None) -> float:
-    """||w - B s||^2 / ||s||^2 (one counted matvec)."""
-    residual = sample.w - matvec(B, sample.s, counters)
+def matrix_loss(B: np.ndarray, sample: LossSample) -> float:
+    """||w - B s||^2 / ||s||^2 (one matvec)."""
+    residual = sample.w - B @ sample.s
     return float(residual @ residual) / float(sample.s @ sample.s)
 
 
-def matrix_loss_gradient(B: np.ndarray, sample: LossSample,
-                         counters: Optional[OracleCounters] = None
-                         ) -> np.ndarray:
+def matrix_loss_gradient(B: np.ndarray, sample: LossSample) -> np.ndarray:
     """Gradient of :func:`matrix_loss` over the space of symmetric matrices.
 
     Equals -(s r^T + r s^T) / ||s||^2 with r = w - B s; rank at most two and
     exactly symmetric.
     """
-    residual = sample.w - matvec(B, sample.s, counters)
+    residual = sample.w - B @ sample.s
     s2 = float(sample.s @ sample.s)
     return loss_gradient(sample.s, residual, s2)
 

@@ -5,9 +5,17 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qnprox
+import qnprox.learner
+import qnprox.line_search
+import qnprox.separation
+import qnprox.solver
+from qnprox.learner import LossSample, init_learner
+from qnprox.separation import LanczosRun
+from helpers import CountingMatrix, QuadraticObjective
 
 SUPPORTED = [
     "solve", "SolverConfig",
@@ -51,3 +59,37 @@ def test_benchmark_imports_resolve():
 @pytest.mark.parametrize("module, name", PATCHED)
 def test_patched_stage_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_patched_stages_return_what_the_benchmark_reads():
+    # perfbench/tracing.py annotates each stage's span from these result
+    # fields, and keeps the separation input W from the first positional
+    # argument; each stage is called positionally, as the library calls it
+    d = 4
+    linear = qnprox.line_search.conjugate_residual(lambda v: 2.0 * v,
+                                                   np.ones(d), 0.1)
+    assert (linear.iterations, linear.matvecs) == (1, 2)
+
+    oracle = qnprox.CountingOracle(QuadraticObjective(np.eye(d)))
+    y = np.ones(d)
+    g = oracle.gradient(y)
+    outcome = qnprox.solver.backtracking_search(
+        y, g, np.zeros((d, d)), 64.0, 0.1, 0.85, 0.5, oracle)
+    # perfbench counts backtracks + 1 trials, one gradient query each
+    assert outcome.backtracks >= 1
+    assert oracle.counters.gradient_queries == 1 + outcome.backtracks + 1
+
+    state = init_learner(np.eye(d) / 2.0, 1.0)
+    sample = LossSample(w=3.0 * np.ones(d), s=np.ones(d))
+    report = qnprox.solver.learner_step(state, sample, 0)[1]
+    assert report.matvecs >= 1
+
+    W = (5.0 * np.eye(d)).view(CountingMatrix)
+    result = qnprox.learner.separation_oracle(W, 0.1, 0.05, 0)
+    assert result.separated is True
+    # the Krylov space of a multiple of I breaks down after one step
+    assert result.matvecs == W.products == 1 + 2
+
+    run = LanczosRun(np.diag([1.0, -2.0, 3.0, 0.5]), 3, 0)
+    extremes = qnprox.separation.lanczos_extreme(run, 3)
+    assert extremes.matvecs == run.steps + 2 == 3 + 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qnprox.baselines
 from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
                     bfgs_solve, nag_solve, write_trace_csv)
 from qnprox.errors import ConvergenceError, NumericsError
@@ -132,8 +133,23 @@ class TestNag:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+@pytest.fixture
+def bfgs_inverses(monkeypatch):
+    """Each inverse-Hessian approximation ``bfgs_solve`` forms, in order:
+    every BFGS update ends in ``symmetrize``."""
+    formed = []
+    original = qnprox.baselines.symmetrize
+
+    def recording(matrix):
+        formed.append(original(matrix))
+        return formed[-1]
+
+    monkeypatch.setattr(qnprox.baselines, "symmetrize", recording)
+    return formed
+
+
 class TestBfgs:
-    def test_quadratic_termination_recovers_inverse(self):
+    def test_quadratic_termination_recovers_inverse(self, bfgs_inverses):
         # near-exact line search (tiny c2) on a quadratic: after d updates
         # the inverse approximation satisfies H Q = I
         rng = np.random.default_rng(0)
@@ -144,8 +160,9 @@ class TestBfgs:
         x0 = rng.standard_normal(d)
         config = BaselineConfig(max_iters=d, tolerance=0.0, c1=1e-12,
                                 c2=1e-10)
-        record = bfgs_solve(objective, x0, config)
-        H = record.extras["inverse_hessian"]
+        bfgs_solve(objective, x0, config)
+        assert len(bfgs_inverses) == d
+        H = bfgs_inverses[-1]
         assert np.max(np.abs(H @ Q - np.eye(d))) <= 1e-6
 
     def test_immediate_termination_at_optimum(self):
@@ -156,13 +173,13 @@ class TestBfgs:
         assert len(record.rows) == 0
         assert oracle.counters.gradient_queries == 1
 
-    def test_inverse_approximation_stays_spd(self):
+    def test_inverse_approximation_stays_spd(self, bfgs_inverses):
         rng = np.random.default_rng(1)
         for d in (5, 12, 20):
             objective = make_logistic(200, d, seed=int(rng.integers(100)))
-            record = bfgs_solve(objective, np.zeros(d),
-                                BaselineConfig(max_iters=30))
-            H = record.extras["inverse_hessian"]
+            bfgs_inverses.clear()
+            bfgs_solve(objective, np.zeros(d), BaselineConfig(max_iters=30))
+            H = bfgs_inverses[-1]
             assert np.linalg.eigvalsh(H)[0] > 0.0
 
     def test_faster_than_nag_on_logistic(self):
@@ -261,7 +278,8 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 0), ("tolerance", -1.0), ("tolerance", math.nan),
         ("eta0", 0.0), ("eta0", math.nan), ("eta0", math.inf),
-        ("max_zoom", 0),
+        ("max_zoom", 0), ("max_iters", 2.5), ("max_zoom", 1.5),
+        ("max_iters", "10"),
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):

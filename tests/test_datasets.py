@@ -17,9 +17,10 @@ class TestGeneration:
         spec = SyntheticLogisticSpec(n=50, d=8, sigma=0.0, seed=3)
         dataset = generate_logistic(spec)
         # with sigma = 0 undoing the constant shift recovers the true
-        # feature vectors exactly
+        # feature vectors exactly; x* is the generator's first draw
+        x_star = np.random.default_rng(spec.seed).standard_normal(spec.d - 1)
         recovered = dataset.features[:, :-1] - 1.0
-        predicted = np.where(recovered @ dataset.true_parameter >= 0.0,
+        predicted = np.where(recovered @ x_star >= 0.0,
                              1.0, -1.0)
         assert np.array_equal(predicted, dataset.labels)
 

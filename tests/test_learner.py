@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qnprox.learner
 import qnprox.solver
-from qnprox import OracleCounters, SolverConfig, solve
+from qnprox import SolverConfig, solve
 from qnprox.learner import (LossSample, _surrogate_coefficient, band_violation,
                             delta_schedule, init_learner, learner_step,
                             q_schedule, rescale_to_unit_ball)
@@ -13,9 +14,9 @@ from qnprox.oracles import symmetrize
 from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
-from helpers import (dense_learner_step, hyperplane, matrix_loss,
-                     matrix_loss_gradient, project_frobenius_ball,
-                     rescale_from_unit_ball)
+from helpers import (CountingMatrix, dense_learner_step, hyperplane,
+                     matrix_loss, matrix_loss_gradient,
+                     project_frobenius_ball, rescale_from_unit_ball)
 
 
 def fd_symmetric_gradient(B, sample, h=1e-6):
@@ -66,13 +67,12 @@ class TestLoss:
             LossSample(w=np.ones(3), s=np.zeros(3))
 
     def test_matvec_accounting(self):
-        counters = OracleCounters()
         rng = np.random.default_rng(2)
-        B = random_psd(rng, 4)
+        B = random_psd(rng, 4).view(CountingMatrix)
         s = rng.standard_normal(4)
-        matrix_loss(B, LossSample(w=s, s=s), counters)
-        matrix_loss_gradient(B, LossSample(w=s, s=s), counters)
-        assert counters.matvecs == 2
+        matrix_loss(B, LossSample(w=s, s=s))
+        matrix_loss_gradient(B, LossSample(w=s, s=s))
+        assert B.products == 2
 
 
 class TestLossGradient:
@@ -277,32 +277,39 @@ class TestLearnerStep:
         assert [a.ndim for a in arrays] == [2, 2, 1]
 
     def test_report_counts_loss_and_separation_matvecs(self, monkeypatch):
-        # one matvec for the loss; the oracle's on the steps that call it,
-        # none on the steps whose norm bound certifies W_next inside
-        called = []
+        # the report equals the products taken: one with B for the loss,
+        # plus the oracle's with W_next on the steps that call it, none on
+        # the steps whose norm bound certifies W_next inside
+        calls = []
 
-        def oracle(*args):
-            called.append(True)
-            return separation_oracle(*args)
+        def oracle(W, *args):
+            W = W.view(CountingMatrix)
+            result = separation_oracle(W, *args)
+            calls.append((result.separated, W.products))
+            return result
 
         monkeypatch.setattr(qnprox.learner, "separation_oracle", oracle)
         rng = np.random.default_rng(17)
         d, L1 = 5, 1.0
         state = init_learner((L1 / 2.0) * np.eye(d), L1)
         kinds = set()
-        for _ in range(40):
-            counters = OracleCounters()
+        for k in range(60):
+            # curvature 3 L1 gives skips and inside calls, 10 L1 separations
             s = rng.standard_normal(d)
-            called.clear()
-            state, report = learner_step(state, LossSample(w=3.0 * s, s=s),
-                                         seed=rng, counters=counters)
-            assert report.matvecs == counters.matvecs
-            if called:
+            sample = LossSample(w=(3.0 if k < 40 else 10.0) * s, s=s)
+            B = state.B.view(CountingMatrix)
+            calls.clear()
+            state, report = learner_step(replace(state, B=B), sample,
+                                         seed=rng)
+            assert B.products == 1
+            assert len(calls) <= 1
+            assert report.matvecs == 1 + sum(taken for _, taken in calls)
+            if calls:
                 assert report.matvecs > 1
+                kinds.add("separated" if calls[0][0] else "inside")
             else:
-                assert report.matvecs == 1
-            kinds.add(bool(called))
-        assert kinds == {False, True}
+                kinds.add("skipped")
+        assert kinds == {"skipped", "inside", "separated"}
 
     def test_skipped_step_draws_the_lanczos_start_vector(self, monkeypatch):
         # a skip advances the generator by the d normals the oracle's
@@ -426,8 +433,8 @@ def test_chained_bound_holds_after_every_step(logistic_instance, monkeypatch,
     # steps (loss matvec only) and oracle calls occur
     problems, matvecs = [], []
 
-    def checked_step(state, sample, seed, counters=None):
-        state, report = learner_step(state, sample, seed, counters)
+    def checked_step(state, sample, seed):
+        state, report = learner_step(state, sample, seed)
         problems.append(learner_bound_violation(state))
         matvecs.append(report.matvecs)
         return state, report

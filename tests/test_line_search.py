@@ -8,7 +8,7 @@ from qnprox.errors import ConfigurationError
 from qnprox.line_search import backtracking_search
 from qnprox.selftest import displacement_violation, step_size_bound_violation
 from conftest import make_logistic, random_psd
-from helpers import QuadraticObjective
+from helpers import CountingMatrix, QuadraticObjective
 
 ALPHA1, ALPHA2, BETA = 0.1, 0.85, 0.5
 
@@ -90,6 +90,24 @@ class TestInvariants:
     def test_gradient_accounting_one_per_trial(self, backtracked):
         for _, _, _, outcome, spent, _ in backtracked:
             assert spent == outcome.backtracks + 1
+
+    def test_matvecs_are_the_products_taken(self):
+        # every trial's CR solve multiplies by B; the outcome reports them all
+        objective = make_logistic(150, 20, seed=3)
+        oracle = CountingOracle(objective)
+        rng = np.random.default_rng(2)
+        backtracks = 0
+        for _ in range(10):
+            y = rng.standard_normal(20)
+            g = oracle.gradient(y)
+            B = random_psd(rng, 20, top=objective.smoothness)
+            B = B.view(CountingMatrix)
+            outcome = backtracking_search(
+                y, g, B, 256.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
+                oracle)
+            assert outcome.matvecs == B.products > 0
+            backtracks += outcome.backtracks
+        assert backtracks > 0
 
     def test_step_size_lower_bound(self, backtracked):
         assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)

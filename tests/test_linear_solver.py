@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from qnprox import OracleCounters
 from qnprox.errors import ConvergenceError, NumericsError
 from qnprox.linear_solver import conjugate_residual
-from qnprox.oracles import matvec
 from qnprox.selftest import conjugate_residual_violation
 from conftest import random_psd
-
-
-def counted_operator(A, counters):
-    return lambda v: matvec(A, v, counters)
+from helpers import CountingMatrix
 
 
 def allocating_conjugate_residual(apply_A, b, alpha):
@@ -50,12 +45,11 @@ class TestContract:
         assert result.residual_history[-1] == 0.0
 
     def test_zero_rhs_returns_immediately(self):
-        counters = OracleCounters()
-        result = conjugate_residual(counted_operator(np.eye(5), counters),
-                                    np.zeros(5), alpha=0.3)
+        A = np.eye(5).view(CountingMatrix)
+        result = conjugate_residual(lambda v: A @ v, np.zeros(5), alpha=0.3)
         assert result.iterations == 0
         assert np.array_equal(result.s, np.zeros(5))
-        assert counters.matvecs == 0
+        assert result.matvecs == A.products == 0
 
     def test_random_shifted_operator_matches_dense_solve(self):
         rng = np.random.default_rng(42)
@@ -133,14 +127,12 @@ class TestAccountingAndErrors:
         rng = np.random.default_rng(7)
         for _ in range(10):
             d = 15
-            A = np.eye(d) + 3.0 * random_psd(rng, d)
+            A = (np.eye(d) + 3.0 * random_psd(rng, d)).view(CountingMatrix)
             b = rng.standard_normal(d)
-            counters = OracleCounters()
-            result = conjugate_residual(counted_operator(A, counters), b,
-                                        alpha=0.05)
+            result = conjugate_residual(lambda v: A @ v, b, alpha=0.05)
             assert result.iterations >= 1
-            assert counters.matvecs == result.iterations + 1
-            assert counters.matvecs == result.matvecs
+            assert A.products == result.iterations + 1
+            assert A.products == result.matvecs
 
     def test_max_iters_exceeded_carries_best_iterate(self):
         rng = np.random.default_rng(9)

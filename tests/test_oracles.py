@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
-from qnprox import CountingOracle, NumericsError, OracleCounters
-from qnprox.oracles import estimate_smoothness, matvec, symmetrize
+from qnprox import CountingOracle, NumericsError
+from qnprox.oracles import estimate_smoothness, symmetrize
 from conftest import make_logistic
-from helpers import QuadraticObjective
+from helpers import CountingMatrix, QuadraticObjective
 
 
 class TestMatvec:
+    """The counted product that audits each stage's reported matvecs: a
+    ``CountingMatrix`` view multiplies exactly like the plain matrix, keeps
+    numpy's shape errors, and counts every product."""
+
     def test_identity(self):
-        counters = OracleCounters()
+        M = np.eye(3).view(CountingMatrix)
         v = np.array([1.0, 2.0, 3.0])
-        out = matvec(np.eye(3), v, counters)
+        out = M @ v
         assert np.array_equal(out, v)
-        assert counters.matvecs == 1
+        assert type(out) is np.ndarray
+        assert M.products == 1
 
     def test_zero_matrix(self):
-        out = matvec(np.zeros((4, 4)), np.array([1.0, -2.0, 3.0, 4.0]))
+        out = np.zeros((4, 4)).view(CountingMatrix) @ np.array(
+            [1.0, -2.0, 3.0, 4.0])
         assert np.array_equal(out, np.zeros(4))
 
     def test_matches_naive_double_loop_exactly(self):
@@ -32,7 +38,7 @@ class TestMatvec:
             for j in range(5):
                 acc += M[i, j] * v[j]
             expected[i] = acc
-        assert np.array_equal(matvec(M, v), expected)
+        assert np.array_equal(M.view(CountingMatrix) @ v, expected)
 
     def test_float_case_close(self):
         rng = np.random.default_rng(6)
@@ -40,13 +46,15 @@ class TestMatvec:
         v = rng.standard_normal(5)
         naive = np.array([sum(M[i, j] * v[j] for j in range(5))
                           for i in range(5)])
-        assert np.allclose(matvec(M, v), naive, rtol=1e-14, atol=1e-15)
+        counted = M.view(CountingMatrix) @ v
+        assert np.array_equal(counted, M @ v)
+        assert np.allclose(counted, naive, rtol=1e-14, atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            matvec(np.eye(3), np.ones(4))
+            np.eye(3).view(CountingMatrix) @ np.ones(4)
         with pytest.raises(ValueError):
-            matvec(np.ones((3, 4)), np.ones(4))
+            np.ones((3, 4)).view(CountingMatrix) @ np.ones(3)
 
 
 class TestSymmetrize:

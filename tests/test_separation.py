@@ -7,25 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import qnprox.separation
-from qnprox import OracleCounters
 from qnprox.selftest import separation_violation
 from qnprox.separation import LanczosRun, lanczos_extreme, separation_oracle
 from conftest import random_unit_opnorm
-from helpers import hyperplane
-
-
-class CountingMatrix(np.ndarray):
-    """A matrix that counts the products taken with it."""
-
-    def __array_finalize__(self, obj):
-        self.products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.products += 1
-        plain = [np.asarray(x) if isinstance(x, CountingMatrix) else x
-                 for x in inputs]
-        return getattr(ufunc, method)(*plain, **kwargs)
+from helpers import CountingMatrix, hyperplane
 
 
 def stage_lengths(d, delta, q):
@@ -40,9 +25,9 @@ def random_symmetric(rng, d):
     return (W + W.T) / 2.0
 
 
-def fresh_lanczos(W, iterations, seed, counters=None):
+def fresh_lanczos(W, iterations, seed):
     """Extreme Ritz pairs of a new ``iterations``-step run from ``seed``."""
-    run = LanczosRun(W, iterations, seed, counters)
+    run = LanczosRun(W, iterations, seed)
     return lanczos_extreme(run, iterations)
 
 
@@ -88,12 +73,11 @@ class TestLanczos:
         assert vals[0] - 1e-10 <= result.lam_min <= result.lam_max <= vals[-1] + 1e-10
 
     def test_matvec_accounting(self):
-        counters = OracleCounters()
         rng = np.random.default_rng(3)
         W = rng.standard_normal((10, 10))
-        W = (W + W.T) / 2.0
-        result = fresh_lanczos(W, iterations=6, seed=0, counters=counters)
-        assert counters.matvecs == result.matvecs == 6 + 2
+        W = ((W + W.T) / 2.0).view(CountingMatrix)
+        result = fresh_lanczos(W, iterations=6, seed=0)
+        assert result.matvecs == W.products == 6 + 2
 
     def test_iterations_validation(self):
         with pytest.raises(ValueError):
@@ -182,12 +166,10 @@ class TestContinuedRun:
                  (1.0, "fine", [n1 + 2, max(n1, n2) - n1 + 2])]
         for scale, branch, per_call in cases:
             calls.clear()
-            W = random_unit_opnorm(rng, d) * scale
-            counters = OracleCounters()
-            result = separation_oracle(W, delta, q, seed=3,
-                                       counters=counters)
+            W = (random_unit_opnorm(rng, d) * scale).view(CountingMatrix)
+            result = separation_oracle(W, delta, q, seed=3)
             assert calls == per_call, branch
-            assert counters.matvecs == result.matvecs == sum(per_call)
+            assert result.matvecs == W.products == sum(per_call)
         assert sum(per_call) == max(n1, n2) + 4
 
     def test_fine_stage_draws_no_second_start(self):
@@ -213,9 +195,8 @@ class TestContinuedRun:
         if kind == "zero":
             W = np.zeros((d, d))
         W = W.view(CountingMatrix)
-        counters = OracleCounters()
-        result = separation_oracle(W, delta, q, seed=0, counters=counters)
-        assert counters.matvecs == result.matvecs == W.products == matvecs
+        result = separation_oracle(W, delta, q, seed=0)
+        assert result.matvecs == W.products == matvecs
         assert not result.separated
         if kind == "rank one":
             assert abs(result.gamma - (0.8 + delta)) <= 1e-12

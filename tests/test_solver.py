@@ -244,6 +244,8 @@ class TestConfigValidation:
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
         ("tolerance", -1.0), ("tolerance", math.nan),
         ("max_cr_iters", 0), ("max_iters", 0), ("seed", -1),
+        ("max_cr_iters", 3.0), ("max_iters", 2.5), ("seed", 1.5),
+        ("seed", "1"),
         ("sigma0", math.nan), ("sigma0", math.inf), ("sigma0", 0.0),
     ])
     def test_rejects_out_of_range_field(self, field, value):
