@@ -1,8 +1,8 @@
 """Online-learning update of the curvature matrix fed by line-search losses.
 
-The solver keeps a symmetric matrix B in the band Z = {0 <= B <= L1 I} and
-uses it as model curvature in the proximal subproblem.  Every backtracked
-iteration produces the loss
+The solver uses a symmetric matrix B in the band Z = {0 <= B <= L1 I} as
+model curvature in the proximal subproblem.  Every backtracked iteration
+produces the loss
 
     loss(B) = ||w - B s||^2 / ||s||^2,
 
@@ -12,13 +12,16 @@ rescaled variable B_hat = (2 / L1) (B - (L1 / 2) I), which lives in the unit
 operator-norm ball: the auxiliary iterate W is projected onto the Frobenius
 ball of radius sqrt(d) (cheap), while feasibility in the operator-norm ball is
 maintained through the randomized separation oracle instead of a dense
-eigendecomposition.
+eigendecomposition.  B_hat is W, or W / gamma after a call that separated, so
+B = (L1 / 2) I + kappa W with kappa = L1 / 2 or (L1 / 2) / gamma: the state
+keeps W and derives B as the operator :class:`Curvature`, whose product
+B v = (L1 / 2) v + kappa (W v) costs one product with W.
 
 After a separating call the next step descends the surrogate gradient
 G + max(0, -<G, B_hat>) S, with S = weight * u u^T the oracle's rank-one
 certificate.  G has rank two, so <G, B_hat> follows from the vectors s, B s
-and r = w - B s that the loss already holds: the state keeps W, B and the
-pair (u, weight), and neither B_hat nor S is ever stored.
+and r = w - B s that the loss already holds: the state keeps W and the pair
+(u, weight), and neither B, B_hat nor S is ever stored.
 
 Before each oracle call the learner bounds ||W_next||_op from norms it
 already holds.  W_next = c (W_t - rho G), with c = min(1, sqrt(d) /
@@ -37,19 +40,18 @@ vector, so every later oracle call sees the random stream it would have seen.
 An inside result sets B_hat = W_next whatever its gamma, so B and the solver's
 iterates do not depend on whether the oracle ran.
 
-A step holds at most two d x d arrays besides the W and B of the state it
-is given, and writes into no array of that state, its certificate or the
-sample.  M = W_t - rho G is built in one new array, with one scratch array
-for r s^T and then for u u^T, by the elementwise operations of the dense
-expression W_t - rho ((2 / L1) (-(s r^T + r s^T) / ||s||^2)
-+ (coefficient * weight) u u^T) in the same order: M = s r^T, M += r s^T,
-M /= -||s||^2 (negation is exact), M *= 2 / L1, M += (coefficient * weight)
-u u^T, M *= rho, M = W_t - M.  The projection scale multiplies M in place,
-so M becomes W_next.  The scratch array is released before B is formed in
-one new array: W_next / gamma when the call separated, then * L1 / 2, then
-L1 / 2 added to the diagonal.  Every entry therefore takes the same rounding
-as the dense expression, and the iterates and traces do not depend on where
-the arrays live.
+A step holds one new d x d array, W_next, besides the W of the state it is
+given, plus a tile of at most ROW_TILE rows, and writes into no array of that
+state, its certificate or the sample.  M = W_t - rho G is built ROW_TILE rows
+at a time, by the elementwise operations of the dense expression
+W_t - rho ((2 / L1) (-(s r^T + r s^T) / ||s||^2) + (coefficient * weight)
+u u^T) in the same order: M = s r^T, tile = r s^T, M += tile,
+M /= -||s||^2 (negation is exact), M *= 2 / L1, tile = u u^T,
+tile *= coefficient * weight, M += tile, M *= rho, M = W_t - M.  The
+projection scale multiplies M in place, so M becomes W_next.  Every entry
+therefore takes the same rounding as the dense expression, and the iterates
+do not depend on the tiling.  So a solve holds at most two d x d arrays,
+W_t and W_next, plus the tile.
 
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.
@@ -66,7 +68,6 @@ from typing import Optional
 
 import numpy as np
 
-from .oracles import symmetrize
 from .separation import SeparationResult, separation_oracle
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
@@ -74,6 +75,8 @@ DEFAULT_FAILURE_BUDGET = 0.01
 # relative inflation of the skip bound, so rounding cannot certify a W that
 # lies just outside the unit operator-norm ball
 BOUND_SLACK = 1.0 + 1e-12
+# rows of W_next built per pass through the step's one scratch tile
+ROW_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -88,26 +91,57 @@ class LossSample:
             raise ValueError("loss sample requires a nonzero displacement s")
 
 
+@dataclass(frozen=True, eq=False)
+class Curvature:
+    """The model curvature B = (L1 / 2) I + kappa W, held as W and scalars.
+
+    ``B @ v`` is (L1 / 2) v + kappa (W v), one product with W.  ``dense()``
+    builds the d x d matrix kappa W + (L1 / 2) I, for checks against dense
+    eigenvalues; a solve never calls it.
+    """
+
+    W: np.ndarray
+    kappa: float
+    half_L1: float
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.half_L1 * v + self.kappa * (self.W @ v)
+
+    def dense(self) -> np.ndarray:
+        B = self.kappa * self.W
+        B.flat[::B.shape[0] + 1] += self.half_L1
+        return B
+
+
 @dataclass(frozen=True)
 class LearnerState:
     """State of the online learner between backtracked iterations.
 
-    ``W`` is the Frobenius-ball iterate and ``B`` the matrix in play (inside
-    Z up to the separation oracle's failure probability), the only d x d
-    arrays.  ``certificate`` is the separation result that produced ``B``
-    when that call separated, and None when it certified containment (as
-    for the initial matrix).  ``op_bound`` is an upper bound on ||W||_op:
-    ||W_0||_F at the start, then the oracle's gamma or the skip bound.
+    ``W`` is the Frobenius-ball iterate and the only d x d array.
+    ``certificate`` is the separation result that produced the matrix in
+    play when that call separated, and None when it certified containment
+    (as for the initial matrix).  ``op_bound`` is an upper bound on
+    ||W||_op: ||W_0||_F at the start, then the oracle's gamma or the skip
+    bound.
     """
 
     W: np.ndarray
-    B: np.ndarray
     certificate: Optional[SeparationResult]
     op_bound: float
     t: int
     rho: float
     L1: float
     failure_budget: float
+
+    @property
+    def B(self) -> Curvature:
+        """The matrix in play (inside Z up to the separation oracle's failure
+        probability): kappa = (L1 / 2) / gamma after a call that separated,
+        with gamma = ``op_bound``, else L1 / 2."""
+        half_L1 = self.L1 / 2.0
+        if self.certificate is None:
+            return Curvature(self.W, half_L1, half_L1)
+        return Curvature(self.W, half_L1 / self.op_bound, half_L1)
 
 
 @dataclass(frozen=True)
@@ -165,13 +199,14 @@ def next_op_norm_bound(op_bound: float, step_op_norm: float, norm: float,
     return BOUND_SLACK * scale * min(norm, op_bound + step_op_norm)
 
 
-def init_learner(B0: np.ndarray, L1: float,
+def init_learner(d: int, L1: float, B0: Optional[np.ndarray] = None,
                  rho: float = DEFAULT_STEP_SIZE,
-                 failure_budget: float = DEFAULT_FAILURE_BUDGET) -> LearnerState:
-    """Start the learner at a user-supplied B0 in Z (default: (L1/2) I)."""
-    B0 = symmetrize(np.asarray(B0, dtype=float))
-    W0 = rescale_to_unit_ball(B0, L1)
-    return LearnerState(W=W0, B=B0, certificate=None,
+                 failure_budget: float = DEFAULT_FAILURE_BUDGET
+                 ) -> LearnerState:
+    """Start the learner at B0, an exactly symmetric d x d matrix in Z, or
+    by default at the center (L1 / 2) I of Z, where W_0 = 0."""
+    W0 = np.zeros((d, d)) if B0 is None else rescale_to_unit_ball(B0, L1)
+    return LearnerState(W=W0, certificate=None,
                         op_bound=float(np.linalg.norm(W0)), t=0, rho=rho,
                         L1=L1, failure_budget=failure_budget)
 
@@ -199,22 +234,30 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     loss_value = r2 / s2
     G_op = ((2.0 / L1) * (abs(float(s @ residual)) + math.sqrt(s2 * r2))
             / s2)
-    # M = W - rho G in one new array and one scratch array (module docstring)
-    M = np.einsum("i,j->ij", s, residual)
-    scratch = np.einsum("i,j->ij", residual, s)
-    M += scratch
-    M /= -s2
-    M *= 2.0 / L1
     cert = state.certificate
     if cert is not None:
         coefficient = _surrogate_coefficient(s, Bs, residual, s2, L1)
-        np.einsum("i,j->ij", cert.u, cert.u, out=scratch)
-        scratch *= coefficient * cert.weight
-        M += scratch
         G_op += abs(coefficient * cert.weight)
-    del scratch
-    M *= state.rho
-    np.subtract(state.W, M, out=M)
+    # M = W - rho G, ROW_TILE rows at a time (module docstring)
+    M = np.empty((d, d))
+    tile = np.empty((min(ROW_TILE, d), d))
+    for start in range(0, d, ROW_TILE):
+        rows = slice(start, start + ROW_TILE)
+        block = M[rows]
+        scratch = tile[:block.shape[0]]
+        np.einsum("i,j->ij", s[rows], residual, out=block)
+        np.einsum("i,j->ij", residual[rows], s, out=scratch)
+        block += scratch
+        block /= -s2
+        block *= 2.0 / L1
+        if cert is not None:
+            np.einsum("i,j->ij", cert.u[rows], cert.u, out=scratch)
+            scratch *= coefficient * cert.weight
+            block += scratch
+        block *= state.rho
+        np.subtract(state.W[rows], block, out=block)
+    # the tile is not held through the oracle call
+    del tile, scratch
 
     radius = math.sqrt(d)
     norm = float(np.linalg.norm(M))
@@ -232,13 +275,7 @@ def learner_step(state: LearnerState, sample: LossSample, seed
                                 seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
-    if certificate is None:
-        B = np.multiply(M, L1 / 2.0)
-    else:
-        B = np.divide(M, op_bound)
-        B *= L1 / 2.0
-    B.flat[::d + 1] += L1 / 2.0
-    new_state = replace(state, W=M, B=B, certificate=certificate,
+    new_state = replace(state, W=M, certificate=certificate,
                         op_bound=op_bound, t=t_next)
     report = LearnerStepReport(loss_value=loss_value,
                                matvecs=1 + sep_matvecs)

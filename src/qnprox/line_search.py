@@ -47,7 +47,7 @@ class LineSearchOutcome:
     matvecs: int
 
 
-def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
+def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                         eta_init: float, alpha1: float, alpha2: float,
                         beta: float, oracle,
                         max_cr_iters: Optional[int] = None
@@ -55,8 +55,11 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B: np.ndarray,
     """Find (eta_hat, x_hat) satisfying the solve and proximal conditions.
 
     ``g`` must be the gradient at ``y`` (already computed by the caller, never
-    re-queried here).  Each trial costs one conjugate-residual solve and one
-    gradient query; ``matvecs`` totals the products B v of every solve.
+    re-queried here).  ``B`` is the model curvature, a symmetric positive
+    semidefinite matrix or any operator with ``B @ v`` (the learner's
+    :class:`~qnprox.learner.Curvature`).  Each trial costs one
+    conjugate-residual solve and one gradient query; ``matvecs`` totals the
+    products B v of every solve.
     """
     sigma = alpha1 + alpha2
     eta_hat = float(eta_init)

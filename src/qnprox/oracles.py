@@ -1,10 +1,10 @@
 """Objective oracles, dense symmetric-matrix helpers, and query accounting.
 
-All vectors are 1-d ``numpy.float64`` arrays and all curvature matrices are
-dense symmetric ``d x d`` arrays.  :class:`CountingOracle` counts gradient
-queries.  Each stage returns the matrix-vector products it took as
-``matvecs``, and ``solve`` or ``bfgs_solve`` books them on
-:class:`OracleCounters` once per iteration.
+All vectors are 1-d ``numpy.float64`` arrays and all matrices are dense
+``d x d`` arrays.  :class:`CountingOracle` counts gradient queries.  Each
+stage returns the matrix-vector products it took as ``matvecs``, and
+``solve`` or ``bfgs_solve`` books them on :class:`OracleCounters` once per
+iteration.
 """
 
 from __future__ import annotations
@@ -86,9 +86,12 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Exactly symmetric part (M + M^T) / 2.
 
     IEEE addition is commutative, so entries (i, j) and (j, i) of the result
-    are bit-identical.
+    are bit-identical.  The halving is in place, so only the result is
+    allocated.
     """
-    return (matrix + matrix.T) / 2.0
+    result = matrix + matrix.T
+    result /= 2.0
+    return result
 
 
 def power_iteration_extreme(apply_h, dimension: int, rng,

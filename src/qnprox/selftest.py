@@ -250,7 +250,7 @@ def check_separation_oracle():
 def check_learner():
     rng = np.random.default_rng(3)
     d, L1 = 8, 1.0
-    state = init_learner((L1 / 2.0) * np.eye(d), L1)
+    state = init_learner(d, L1)
     losses = []
     for t in range(25):
         s = rng.standard_normal(d)
@@ -259,7 +259,7 @@ def check_learner():
         losses.append(report.loss_value)
         if np.linalg.norm(state.W) > math.sqrt(d) + 1e-12:
             return "Frobenius-ball constraint violated"
-        if problem := (band_violation(state.B, L1)
+        if problem := (band_violation(state.B.dense(), L1)
                        or learner_bound_violation(state)):
             return f"round {t}: {problem}"
     return fed_loss_violation(losses, L1)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .learner import (DEFAULT_FAILURE_BUDGET, DEFAULT_STEP_SIZE,
+from .learner import (DEFAULT_FAILURE_BUDGET, DEFAULT_STEP_SIZE, Curvature,
                       LearnerState, LossSample, band_violation, init_learner,
                       learner_step)
 from .line_search import backtracking_search
@@ -118,8 +118,8 @@ class IterationReport:
     grad_at_y: np.ndarray
     grad_at_x_tilde: Optional[np.ndarray]
     loss_fed: Optional[float]
-    B_used: np.ndarray
-    B: np.ndarray
+    B_used: Curvature
+    B: Curvature
     gamma: Optional[float]
     line_search_matvecs: int
     learner_matvecs: int
@@ -238,16 +238,17 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
         L1 = estimate_smoothness(oracle.inner, seed=config.seed)
     sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1
 
-    if B0 is None:
-        # the center of Z minimizes the worst-case distance to any Hessian
-        B0 = (L1 / 2.0) * np.eye(d)
-    elif problem := band_violation(symmetrize(B0), L1):
-        raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
-                         f"(L1 = {L1:.6g}): {problem}")
+    if B0 is not None:
+        # one symmetric copy serves the band check and the learner's start,
+        # and is released before the first step
+        B0 = symmetrize(B0)
+        if problem := band_violation(B0, L1):
+            raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
+                             f"(L1 = {L1:.6g}): {problem}")
+    # the default start, the center (L1 / 2) I of Z, minimizes the worst-case
+    # distance to any Hessian
     state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0, learner=init_learner(
-        B0, L1, rho=config.rho, failure_budget=config.failure_budget))
-    # neither B0 (the default, or a converted copy of the caller's) nor the
-    # initial learner state may outlive the first learner step
+        d, L1, B0, rho=config.rho, failure_budget=config.failure_budget))
     del B0
     rng = np.random.default_rng(config.seed)
 

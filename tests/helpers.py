@@ -68,14 +68,6 @@ def loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float
     return -(np.outer(s, residual) + np.outer(residual, s)) / s2
 
 
-def rescale_from_unit_ball(B_hat: np.ndarray, L1: float) -> np.ndarray:
-    """B = (L1 / 2) B_hat + (L1 / 2) I, the inverse of
-    ``qnprox.learner.rescale_to_unit_ball``."""
-    B = (L1 / 2.0) * B_hat
-    B.flat[::B.shape[0] + 1] += L1 / 2.0
-    return B
-
-
 def project_frobenius_ball(M: np.ndarray, radius: float
                            ) -> tuple[np.ndarray, float]:
     """The projection of M onto the Frobenius ball, and ||M||_F."""
@@ -86,10 +78,13 @@ def project_frobenius_ball(M: np.ndarray, radius: float
 
 
 def dense_learner_step(state: LearnerState, sample: LossSample, seed
-                       ) -> tuple[LearnerState, LearnerStepReport]:
+                       ) -> tuple[LearnerState, LearnerStepReport, np.ndarray]:
     """``qnprox.learner.learner_step`` written with dense temporaries: the
-    surrogate gradient G as one matrix, W - rho G, its projection, and B
-    rescaled from B_hat.  The library builds the same floats in place."""
+    surrogate gradient G as one matrix, W - rho G and its projection, and
+    the next curvature matrix B = kappa W_next + (L1 / 2) I as a third
+    return value.  The library builds the same W_next floats by row tiles
+    and never forms B.  B s is the state's operator product, as in the
+    library, so both steps start from the same floats."""
     d = state.W.shape[0]
     L1 = state.L1
     Bs = state.B @ sample.s
@@ -118,11 +113,12 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
                                 seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
-    B_hat = W_next if certificate is None else W_next / op_bound
-    new_state = replace(state, W=W_next, B=rescale_from_unit_ball(B_hat, L1),
-                        certificate=certificate, op_bound=op_bound, t=t_next)
+    kappa = L1 / 2.0 if certificate is None else (L1 / 2.0) / op_bound
+    B = kappa * W_next + (L1 / 2.0) * np.eye(d)
+    new_state = replace(state, W=W_next, certificate=certificate,
+                        op_bound=op_bound, t=t_next)
     return new_state, LearnerStepReport(loss_value=r2 / s2,
-                                        matvecs=1 + sep_matvecs)
+                                        matvecs=1 + sep_matvecs), B
 
 
 def matrix_loss(B: np.ndarray, sample: LossSample) -> float:

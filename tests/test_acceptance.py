@@ -184,7 +184,7 @@ def test_c11_learner_feasibility(criterion_run, logistic_instance):
         if rep.loss_fed is None:
             continue
         checked += 1
-        assert band_violation(rep.B, L1) is None
+        assert band_violation(rep.B.dense(), L1) is None
     assert checked > 0
 
 

@@ -79,7 +79,7 @@ def test_patched_stages_return_what_the_benchmark_reads():
     assert outcome.backtracks >= 1
     assert oracle.counters.gradient_queries == 1 + outcome.backtracks + 1
 
-    state = init_learner(np.eye(d) / 2.0, 1.0)
+    state = init_learner(d, 1.0)
     sample = LossSample(w=3.0 * np.ones(d), s=np.ones(d))
     report = qnprox.solver.learner_step(state, sample, 0)[1]
     assert report.matvecs >= 1

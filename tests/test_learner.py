@@ -7,16 +7,16 @@ import pytest
 import qnprox.learner
 import qnprox.solver
 from qnprox import SolverConfig, solve
-from qnprox.learner import (LossSample, _surrogate_coefficient, band_violation,
-                            delta_schedule, init_learner, learner_step,
-                            q_schedule, rescale_to_unit_ball)
+from qnprox.learner import (Curvature, LossSample, _surrogate_coefficient,
+                            band_violation, delta_schedule, init_learner,
+                            learner_step, q_schedule, rescale_to_unit_ball)
 from qnprox.oracles import symmetrize
 from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
 from helpers import (CountingMatrix, dense_learner_step, hyperplane,
                      matrix_loss, matrix_loss_gradient,
-                     project_frobenius_ball, rescale_from_unit_ball)
+                     project_frobenius_ball)
 
 
 def fd_symmetric_gradient(B, sample, h=1e-6):
@@ -138,7 +138,7 @@ class TestSchedules:
 class TestRescale:
     def test_matches_the_dense_identity_formula(self):
         # the in-place diagonal shift gives the same floats as adding a dense
-        # (L1 / 2) I, so the learner's matrices (and the traces) are unchanged
+        # (L1 / 2) I, both into B_hat and into the curvature's dense form
         rng = np.random.default_rng(21)
         for d in (1, 2, 7, 40):
             for _ in range(5):
@@ -148,25 +148,28 @@ class TestRescale:
                 eye = np.eye(d)
                 assert np.array_equal(rescale_to_unit_ball(M, L1),
                                       (2.0 / L1) * (M - (L1 / 2.0) * eye))
-                assert np.array_equal(rescale_from_unit_ball(M, L1),
-                                      (L1 / 2.0) * M + (L1 / 2.0) * eye)
+                kappa = float(rng.uniform(0.1, 10.0))
+                assert np.array_equal(Curvature(M, kappa, L1 / 2.0).dense(),
+                                      kappa * M + (L1 / 2.0) * eye)
 
     def test_leaves_its_input_alone(self):
         rng = np.random.default_rng(22)
         M = rng.standard_normal((6, 6))
         before = M.copy()
         rescale_to_unit_ball(M, 2.0)
-        rescale_from_unit_ball(M, 2.0)
+        Curvature(M, 0.5, 1.0).dense()
         assert np.array_equal(M, before)
 
 
 class TestLearnerStep:
     def test_centered_start_maps_to_zero(self):
+        # the default start and a given center (L1 / 2) I both give W = 0,
+        # and B = (L1 / 2) I
         d, L1 = 5, 3.0
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
-        assert np.array_equal(state.W, np.zeros((d, d)))
-        assert np.array_equal(rescale_to_unit_ball(state.B, L1),
-                              np.zeros((d, d)))
+        for state in (init_learner(d, L1),
+                      init_learner(d, L1, (L1 / 2.0) * np.eye(d))):
+            assert np.array_equal(state.W, np.zeros((d, d)))
+            assert np.array_equal(state.B.dense(), (L1 / 2.0) * np.eye(d))
 
     def test_projection_identity_inside_ball(self):
         rng = np.random.default_rng(7)
@@ -178,7 +181,7 @@ class TestLearnerStep:
     def test_clock_counts_fed_losses(self):
         rng = np.random.default_rng(8)
         d, L1 = 4, 1.0
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        state = init_learner(d, L1)
         for expected in range(1, 6):
             s = rng.standard_normal(d)
             state, _ = learner_step(state, LossSample(w=s, s=s), seed=rng)
@@ -187,14 +190,15 @@ class TestLearnerStep:
     def test_iterates_stay_in_frobenius_ball_and_feasible(self):
         rng = np.random.default_rng(9)
         d, L1 = 8, 2.0
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        state = init_learner(d, L1)
         for _ in range(40):
             s = rng.standard_normal(d)
             H = random_psd(rng, d, top=L1)
             state, _ = learner_step(state, LossSample(w=H @ s, s=s), seed=rng)
             assert np.linalg.norm(state.W) <= math.sqrt(d) + 1e-12
-            assert band_violation(state.B, L1) is None
-            assert np.max(np.abs(state.B - state.B.T)) == 0.0
+            B = state.B.dense()
+            assert band_violation(B, L1) is None
+            assert np.max(np.abs(B - B.T)) == 0.0
 
     def test_surrogate_gradient_norm_bound(self):
         # repeated strongly-aligned losses push the auxiliary iterate out of
@@ -203,14 +207,14 @@ class TestLearnerStep:
         # ||G_tilde||_F <= 4 ||G||_*
         rng = np.random.default_rng(10)
         d, L1 = 6, 1.0
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        state = init_learner(d, L1)
         s = rng.standard_normal(d)
         checked = 0
         for _ in range(60):
             sample = LossSample(w=10.0 * s, s=s)
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
             if state.certificate is not None:
-                B_hat = rescale_to_unit_ball(state.B, L1)
+                B_hat = rescale_to_unit_ball(state.B.dense(), L1)
                 coeff = max(0.0, -float(np.sum(G * B_hat)))
                 G_tilde = G + coeff * hyperplane(state.certificate)
                 assert (np.linalg.norm(G_tilde)
@@ -223,7 +227,7 @@ class TestLearnerStep:
     def separated_state(rng, d, L1):
         """Feed one aligned loss (w = 10 s) until a separation call leaves
         a certificate in the state."""
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        state = init_learner(d, L1)
         sample = LossSample(w=10.0 * np.ones(d), s=np.ones(d))
         while state.certificate is None:
             state, _ = learner_step(state, sample, seed=rng)
@@ -253,7 +257,7 @@ class TestLearnerStep:
         d, L1 = 6, 1.0
         state = self.separated_state(rng, d, L1)
         assert state.certificate.weight in (-3.0, -1.0, 1.0, 3.0)
-        B_hat = rescale_to_unit_ball(state.B, L1)
+        B_hat = rescale_to_unit_ball(state.B.dense(), L1)
         coeff = 0.0
         while coeff == 0.0:
             sample = LossSample(w=rng.standard_normal(d),
@@ -266,20 +270,22 @@ class TestLearnerStep:
         state, _ = learner_step(state, sample, seed=rng)
         assert np.allclose(state.W, expected, rtol=0.0, atol=1e-14)
 
-    def test_state_holds_two_dense_matrices_after_separation(self):
+    def test_state_holds_one_dense_matrix_after_separation(self):
+        # W is the only d x d array; B is derived from it
         rng = np.random.default_rng(16)
         d, L1 = 6, 1.0
         state = self.separated_state(rng, d, L1)
         arrays = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
         arrays += [v for v in vars(state.certificate).values()
                    if isinstance(v, np.ndarray)]
-        assert sum(a.size for a in arrays) == 2 * d * d + d
-        assert [a.ndim for a in arrays] == [2, 2, 1]
+        assert sum(a.size for a in arrays) == d * d + d
+        assert [a.ndim for a in arrays] == [2, 1]
+        assert state.B.W is state.W
 
     def test_report_counts_loss_and_separation_matvecs(self, monkeypatch):
-        # the report equals the products taken: one with B for the loss,
-        # plus the oracle's with W_next on the steps that call it, none on
-        # the steps whose norm bound certifies W_next inside
+        # the report equals the products taken: one with W for the loss's
+        # B s, plus the oracle's with W_next on the steps that call it, none
+        # on the steps whose norm bound certifies W_next inside
         calls = []
 
         def oracle(W, *args):
@@ -291,17 +297,17 @@ class TestLearnerStep:
         monkeypatch.setattr(qnprox.learner, "separation_oracle", oracle)
         rng = np.random.default_rng(17)
         d, L1 = 5, 1.0
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        state = init_learner(d, L1)
         kinds = set()
         for k in range(60):
             # curvature 3 L1 gives skips and inside calls, 10 L1 separations
             s = rng.standard_normal(d)
             sample = LossSample(w=(3.0 if k < 40 else 10.0) * s, s=s)
-            B = state.B.view(CountingMatrix)
+            W = state.W.view(CountingMatrix)
             calls.clear()
-            state, report = learner_step(replace(state, B=B), sample,
+            state, report = learner_step(replace(state, W=W), sample,
                                          seed=rng)
-            assert B.products == 1
+            assert W.products == 1
             assert len(calls) <= 1
             assert report.matvecs == 1 + sum(taken for _, taken in calls)
             if calls:
@@ -319,7 +325,7 @@ class TestLearnerStep:
 
         monkeypatch.setattr(qnprox.learner, "separation_oracle", no_oracle)
         d, L1 = 7, 1.0
-        state = init_learner((L1 / 2.0) * np.eye(d), L1)
+        state = init_learner(d, L1)
         s = np.random.default_rng(18).standard_normal(d)
         generator = np.random.default_rng(5)
         reference = np.random.default_rng(5)
@@ -334,9 +340,9 @@ class TestLearnerStep:
     def test_initial_bound_is_the_frobenius_norm(self):
         rng = np.random.default_rng(19)
         d, L1 = 6, 2.0
-        assert init_learner((L1 / 2.0) * np.eye(d), L1).op_bound == 0.0
+        assert init_learner(d, L1).op_bound == 0.0
         B0 = random_psd(rng, d, top=L1)
-        state = init_learner(B0, L1)
+        state = init_learner(d, L1, B0)
         assert state.op_bound == float(np.linalg.norm(state.W))
 
     def test_static_comparator_regret_bound(self):
@@ -347,7 +353,7 @@ class TestLearnerStep:
         d, L1, T = 6, 1.0, 20
         H = random_psd(rng, d, top=0.8 * L1)
         B0 = (L1 / 2.0) * np.eye(d)
-        state = init_learner(B0, L1)
+        state = init_learner(d, L1, B0)
         total_alg = total_cmp = 0.0
         for _ in range(T):
             s = rng.standard_normal(d)
@@ -368,11 +374,11 @@ class TestLearnerStep:
                    for _ in range(6)]
         results = []
         for _ in range(2):
-            state = init_learner((L1 / 2.0) * np.eye(d), L1)
+            state = init_learner(d, L1)
             rng = np.random.default_rng(77)
             for sample in samples:
                 state, _ = learner_step(state, sample, seed=rng)
-            results.append(state.B.copy())
+            results.append(state.B.dense())
         assert np.array_equal(results[0], results[1])
 
 
@@ -381,7 +387,7 @@ def learner_walk(d, steps=60, L1=2.0, rho=0.09):
     the center of Z.  Its losses, w = a s + noise with a drawn from [-3, 6],
     give skipped, inside and separated steps at each d the tests use."""
     rng = np.random.default_rng(d)
-    state = init_learner((L1 / 2.0) * np.eye(d), L1, rho=rho)
+    state = init_learner(d, L1, rho=rho)
     for k in range(steps):
         s = rng.standard_normal(d)
         w = float(rng.uniform(-3.0, 6.0)) * s + 0.3 * rng.standard_normal(d)
@@ -395,9 +401,9 @@ def test_in_place_step_is_bitwise_the_dense_expression(d):
     branches = set()
     for state, sample, seed in learner_walk(d):
         new, report = learner_step(state, sample, seed)
-        ref, ref_report = dense_learner_step(state, sample, seed)
+        ref, ref_report, ref_B = dense_learner_step(state, sample, seed)
         assert np.array_equal(new.W, ref.W)
-        assert np.array_equal(new.B, ref.B)
+        assert np.array_equal(new.B.dense(), ref_B)
         assert (new.op_bound, new.t, report) == (ref.op_bound, ref.t,
                                                  ref_report)
         assert (new.certificate is None) == (ref.certificate is None)
@@ -410,18 +416,34 @@ def test_in_place_step_is_bitwise_the_dense_expression(d):
 
 
 @pytest.mark.parametrize("d", [5, 40])
+def test_operator_product_matches_its_dense_form(d):
+    # B v = (L1 / 2) v + kappa (W v) rounds differently from the dense
+    # product, by a few ulps, whichever branch formed the state
+    rng = np.random.default_rng(23)
+    branches = set()
+    for state, sample, seed in learner_walk(d):
+        new, report = learner_step(state, sample, seed)
+        branches.add("skip" if report.matvecs == 1 else
+                     "inside" if new.certificate is None else "separated")
+        v = rng.standard_normal(d)
+        dense = new.B.dense() @ v
+        assert (np.linalg.norm(new.B @ v - dense)
+                <= 1e-13 * np.linalg.norm(dense))
+    assert branches == {"skip", "inside", "separated"}
+
+
+@pytest.mark.parametrize("d", [5, 40])
 def test_step_writes_into_no_input_array(d):
     certificates = 0
     for state, sample, seed in learner_walk(d):
-        inputs = [state.W, state.B, sample.s, sample.w]
+        inputs = [state.W, sample.s, sample.w]
         if state.certificate is not None:
             inputs.append(state.certificate.u)
             certificates += 1
         before = [a.copy() for a in inputs]
         new, _ = learner_step(state, sample, seed)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-        assert not any(np.shares_memory(new.W, a) or np.shares_memory(new.B, a)
-                       for a in inputs)
+        assert not any(np.shares_memory(new.W, a) for a in inputs)
     assert certificates > 0
 
 

@@ -135,7 +135,7 @@ def separation_inside(run):
 def learner_bound(run):
     # the initial bound ||W_0||_F holds; one below ||W_0||_op does not
     rng = np.random.default_rng(0)
-    state = init_learner(random_psd(rng, 6, top=2.0), 2.0)
+    state = init_learner(6, 2.0, random_psd(rng, 6, top=2.0))
     op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
     return (learner_bound_violation, state,
             replace(state, op_bound=0.9 * op))

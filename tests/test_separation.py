@@ -185,7 +185,7 @@ class TestContinuedRun:
     # the Krylov space is invariant after one step (zero matrix, decided by
     # the coarse stage) or two (rank one with eigenvalue 0.8, fine stage)
     @pytest.mark.parametrize("kind, matvecs", [("zero", 1 + 2),
-                                               ("rank one", 2 + 4)])
+                                               ("rank-one", 2 + 4)])
     def test_counted_matvecs_are_performed_under_breakdown(self, kind,
                                                             matvecs):
         d, delta, q = 30, 0.05, 0.05
@@ -198,7 +198,7 @@ class TestContinuedRun:
         result = separation_oracle(W, delta, q, seed=0)
         assert result.matvecs == W.products == matvecs
         assert not result.separated
-        if kind == "rank one":
+        if kind == "rank-one":
             assert abs(result.gamma - (0.8 + delta)) <= 1e-12
 
 

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 import qnprox.learner
+import qnprox.solver
 from qnprox import CountingOracle, SolverConfig, solve
+from qnprox.learner import init_learner, learner_step
 from qnprox.solver import damped_iterate, momentum_weights
 from qnprox.errors import NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
@@ -15,7 +17,7 @@ from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              weight_growth_violation)
 from qnprox.separation import separation_oracle
 from conftest import reference_minimizer
-from helpers import QuadraticObjective
+from helpers import CountingMatrix, QuadraticObjective
 
 
 class TestMomentumWeights:
@@ -93,7 +95,8 @@ class TestStepUpdates:
         for rep in accepted:
             assert rep.loss_fed is None
             # curvature matrix untouched outside backtracked iterations
-            assert rep.B is rep.B_used
+            assert rep.B.W is rep.B_used.W
+            assert rep.B.kappa == rep.B_used.kappa
 
 
 class TestSolveOnQuadratic:
@@ -208,11 +211,42 @@ class TestSolveInvariants:
         record, _, _, _ = observed_run
         assert gradient_query_violation(record) is None
 
-    def test_matvec_conservation(self, observed_run):
-        record, reports, _, _ = observed_run
-        total_reported = sum(rep.line_search_matvecs + rep.learner_matvecs
-                             for rep in reports)
-        assert record.rows[-1].matvecs == total_reported
+    def test_matvec_conservation(self, small_logistic, monkeypatch):
+        # the trace's count equals the products the run takes with W, on
+        # CountingMatrix views: every curvature product B v (line search and
+        # loss) goes to the state's W, every Lanczos product to the
+        # oracle's input.  rho = 1/16 makes oracle calls, some separating
+        views = []
+
+        def counted(W):
+            views.append(W.view(CountingMatrix))
+            return views[-1]
+
+        def start(*args, **kwargs):
+            state = init_learner(*args, **kwargs)
+            return replace(state, W=counted(state.W))
+
+        def step(state, sample, seed):
+            state, report = learner_step(state, sample, seed)
+            return replace(state, W=counted(state.W)), report
+
+        oracle_calls, results = [], []
+
+        def oracle(W, *args):
+            oracle_calls.append(counted(W))
+            results.append(separation_oracle(oracle_calls[-1], *args))
+            return results[-1]
+
+        monkeypatch.setattr(qnprox.solver, "init_learner", start)
+        monkeypatch.setattr(qnprox.solver, "learner_step", step)
+        monkeypatch.setattr(qnprox.learner, "separation_oracle", oracle)
+        x0 = np.zeros(small_logistic.dimension)
+        record = solve(small_logistic, x0,
+                       config=SolverConfig(max_iters=200, rho=1.0 / 16.0,
+                                           seed=0))
+        assert oracle_calls and all(W.products > 0 for W in oracle_calls)
+        assert any(result.separated for result in results)
+        assert record.rows[-1].matvecs == sum(W.products for W in views)
 
     def test_weights_non_decreasing(self, observed_run):
         record, reports, _, _ = observed_run
@@ -382,12 +416,13 @@ class TestCustomInitialMatrix:
 
 class TestMemory:
     @pytest.mark.parametrize("given_B0", [False, True])
-    def test_peak_stays_under_five_dense_matrices(self, monkeypatch,
-                                                  given_B0):
-        # a learner step holds W and B, the array it builds and one scratch
-        # array; this d = 200 run calls the separation oracle and one call
-        # separates, so both ways of forming B run.  A B0 given as a list is
-        # converted to a new array, which must not live through the run
+    def test_peak_stays_under_three_dense_matrices(self, monkeypatch,
+                                                   given_B0):
+        # a learner step holds W, the W_next it builds and a tile of at most
+        # 64 rows; this d = 200 run calls the separation oracle and one call
+        # separates, so both curvature scales occur.  A B0 given as a list is
+        # converted to a new array, and its one symmetric copy must not live
+        # through the run
         separated = []
 
         def recorded(*args):
@@ -413,7 +448,7 @@ class TestMemory:
             if started:
                 tracemalloc.stop()
         assert True in separated and False in separated
-        assert peak <= 5 * d * d * 8
+        assert peak <= 3 * d * d * 8
 
     def test_kept_reports_keep_their_matrices(self, small_logistic):
         # solve holds no report across a step, but one the observer keeps is
@@ -422,17 +457,18 @@ class TestMemory:
 
         def keep(report):
             reports.append(report)
-            copies.append((report.B_used.copy(), report.B.copy()))
+            copies.append((report.B_used.dense(), report.B.dense()))
 
         x0 = np.zeros(small_logistic.dimension)
         solve(small_logistic, x0, config=SolverConfig(max_iters=60, seed=0),
               observer=keep)
-        assert any(report.B is not report.B_used for report in reports)
+        assert any(report.B.W is not report.B_used.W for report in reports)
         for previous, report in zip(reports, reports[1:]):
-            assert report.B_used is previous.B
+            assert report.B_used.W is previous.B.W
+            assert report.B_used.kappa == previous.B.kappa
         for report, (B_used, B) in zip(reports, copies):
-            assert np.array_equal(report.B_used, B_used)
-            assert np.array_equal(report.B, B)
+            assert np.array_equal(report.B_used.dense(), B_used)
+            assert np.array_equal(report.B.dense(), B)
 
 
 class TestDeterminism:
