@@ -21,36 +21,34 @@ from .oracles import CountingOracle, checked_input, symmetrize
 from .trace import RunRecord, TraceRow, format_float
 
 
+# NAG's first step size and its backtracking factor
+NAG_ETA0 = 1.0
+NAG_BETA = 0.5
+# zoom steps a BFGS strong Wolfe search may take
+MAX_ZOOM = 50
+
+
 @dataclass(frozen=True)
 class BaselineConfig:
+    """Settings of both baselines, checked when constructed: a field out of
+    range raises :class:`ValueError` naming it."""
+
     max_iters: int = 1000
     tolerance: float = 0.0
-    # NAG backtracking
-    eta0: float = 1.0
-    beta: float = 0.5
     # Wolfe constants for BFGS (0 < c1 < c2 < 1)
     c1: float = 1e-4
     c2: float = 0.9
-    max_zoom: int = 50
 
-    def validate(self) -> None:
-        for name in ("max_iters", "max_zoom"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+    def __post_init__(self) -> None:
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(
+                f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
-        if not 0.0 < self.eta0 < math.inf:
-            raise ValueError(
-                f"eta0 must be finite and positive, got {self.eta0}")
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.max_zoom < 1:
-            raise ValueError("max_zoom must be >= 1")
 
 
 def nag_solve(oracle, x0: np.ndarray,
@@ -64,19 +62,18 @@ def nag_solve(oracle, x0: np.ndarray,
     query per iteration; the backtracking loop touches function values only.
     """
     config = config if config is not None else BaselineConfig()
-    config.validate()
     if not isinstance(oracle, CountingOracle):
         oracle = CountingOracle(oracle)
     counters = oracle.counters
 
     x = checked_input("x0", x0, (oracle.dimension,)).copy()
     y = x.copy()
-    eta = config.eta0
+    eta = NAG_ETA0
     t_momentum = 1.0
 
     record = RunRecord(method="nag", metadata={
-        "eta0": format_float(config.eta0),
-        "beta": format_float(config.beta),
+        "eta0": format_float(NAG_ETA0),
+        "beta": format_float(NAG_BETA),
         "max_iters": str(config.max_iters),
         "tolerance": format_float(config.tolerance),
     })
@@ -96,7 +93,7 @@ def nag_solve(oracle, x0: np.ndarray,
                 fu = float(oracle.value(u))
                 if fu <= fy - 0.5 * eta * g_sq:
                     break
-                eta *= config.beta
+                eta *= NAG_BETA
                 backtracks += 1
                 if eta < 1e-300:
                     raise SolverError("NAG step size underflowed")
@@ -121,7 +118,7 @@ def nag_solve(oracle, x0: np.ndarray,
     return record.finish(start, x)
 
 
-def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2, max_zoom):
+def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
     """Strong Wolfe line search (bracket + zoom with secant steps).
 
     Returns (t, f(x + t p), grad f(x + t p), evaluations).  Each trial costs
@@ -135,7 +132,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2, max_zoom):
         return float(oracle.value(point)), oracle.gradient(point), point
 
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, evals):
-        for _ in range(max_zoom):
+        for _ in range(MAX_ZOOM):
             width = hi - lo
             denom = dphi_hi - dphi_lo
             t = lo - dphi_lo * width / denom if denom != 0.0 else math.nan
@@ -155,7 +152,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2, max_zoom):
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
                 lo, phi_lo, dphi_lo = t, phi_t, dphi_t
         raise ConvergenceError(
-            f"strong Wolfe zoom failed after {max_zoom} steps")
+            f"strong Wolfe zoom failed after {MAX_ZOOM} steps")
 
     t_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     t = 1.0
@@ -186,7 +183,6 @@ def bfgs_solve(oracle, x0: np.ndarray,
     which keeps the inverse approximation symmetric positive definite.
     """
     config = config if config is not None else BaselineConfig()
-    config.validate()
     if not isinstance(oracle, CountingOracle):
         oracle = CountingOracle(oracle)
     counters = oracle.counters
@@ -216,8 +212,7 @@ def bfgs_solve(oracle, x0: np.ndarray,
             descent = float(g @ p)
             try:
                 t, f_new, g_new, evals = _strong_wolfe(
-                    oracle, x, p, f, descent, config.c1, config.c2,
-                    config.max_zoom)
+                    oracle, x, p, f, descent, config.c1, config.c2)
             except ConvergenceError as exc:
                 if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
                     # the predicted decrease is below the float resolution of

@@ -17,7 +17,8 @@ from .errors import ConvergenceError
 from .solver import SolverConfig, solve
 from .trace import RunRecord, format_float, write_trace_csv
 
-KNOWN_METHODS = ("aqnpe", "nag", "bfgs")
+# each method's solver, called as SOLVERS[name](objective, x0, config=config)
+SOLVERS = {"aqnpe": solve, "nag": nag_solve, "bfgs": bfgs_solve}
 GAP_MARGIN = 1e-15
 
 
@@ -32,32 +33,25 @@ class MethodRun:
         return self.error is None
 
 
-def method_configs(max_iters: int, tolerance: float, seed: int) -> dict:
-    """Each method's config for these settings, validated, so that a bad
-    setting raises :class:`ValueError` before any method runs."""
+def method_configs(methods: Sequence[str], max_iters: int, tolerance: float,
+                   seed: int) -> dict:
+    """The config of each of ``methods`` for these settings.
+
+    An unknown method, or a setting that a method's config rejects, raises
+    :class:`ValueError` here, before any method runs.
+    """
+    for name in methods:
+        if name not in SOLVERS:
+            raise ValueError(f"unknown method {name!r}; choose from "
+                             f"{','.join(SOLVERS)}")
+    aqnpe = SolverConfig(max_iters=max_iters, tolerance=tolerance, seed=seed)
     baseline = BaselineConfig(max_iters=max_iters, tolerance=tolerance)
-    configs = {"aqnpe": SolverConfig(max_iters=max_iters, tolerance=tolerance,
-                                     seed=seed),
-               "nag": baseline, "bfgs": baseline}
-    for config in configs.values():
-        config.validate()
-    return configs
+    return {name: aqnpe if name == "aqnpe" else baseline for name in methods}
 
 
-def _run_method(name: str, objective, x0, config) -> RunRecord:
-    if name == "aqnpe":
-        return solve(objective, x0, x0.copy(), config)
-    if name == "nag":
-        return nag_solve(objective, x0, config)
-    if name == "bfgs":
-        return bfgs_solve(objective, x0, config)
-    raise ValueError(f"unknown method {name!r}; expected one of {KNOWN_METHODS}")
-
-
-def reference_value(objective, runs: Sequence[MethodRun],
-                    polish_iters: int = 2000) -> float:
+def reference_value(objective, runs: Sequence[MethodRun]) -> float:
     """Best objective value seen anywhere, after a high-accuracy BFGS polish
-    of each method's final iterate."""
+    (up to 2000 iterations) of each method's final iterate."""
     best = math.inf
     for run in runs:
         if run.record is None or not run.record.rows:
@@ -66,7 +60,7 @@ def reference_value(objective, runs: Sequence[MethodRun],
         try:
             polish = bfgs_solve(
                 objective, run.record.final_x,
-                BaselineConfig(max_iters=polish_iters, tolerance=1e-13))
+                BaselineConfig(max_iters=2000, tolerance=1e-13))
         except ConvergenceError as exc:  # polish is best effort
             best = min(best, float(objective.value(exc.best)))
             continue
@@ -86,11 +80,7 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
     unknown method or a setting a method's config rejects raises
     :class:`ValueError` before ``out_dir`` is created.
     """
-    for name in methods:
-        if name not in KNOWN_METHODS:
-            raise ValueError(
-                f"unknown method {name!r}; expected one of {KNOWN_METHODS}")
-    configs = method_configs(max_iters, tolerance, seed)
+    configs = method_configs(methods, max_iters, tolerance, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -99,7 +89,7 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
         objective = LogisticObjective(dataset)
         x0 = np.zeros(objective.dimension)
         try:
-            record = _run_method(name, objective, x0, configs[name])
+            record = SOLVERS[name](objective, x0, config=configs[name])
             runs.append(MethodRun(name=name, record=record, error=None))
         except Exception as exc:
             partial = getattr(exc, "trace", None)

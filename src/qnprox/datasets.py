@@ -28,12 +28,15 @@ DATA_HEADER_PREFIX = "y,a_0"
 
 @dataclass(frozen=True)
 class SyntheticLogisticSpec:
+    """Size, noise and seed of a synthetic instance, checked when
+    constructed: a field out of range raises :class:`ValueError`."""
+
     n: int
     d: int
     sigma: float
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.d < 2:
@@ -58,7 +61,6 @@ class LogisticDataset:
 
 def generate_logistic(spec: SyntheticLogisticSpec) -> LogisticDataset:
     """Draw a dataset; a fixed seed gives a bit-identical result."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     x_star = rng.standard_normal(spec.d - 1)
     a_star = rng.standard_normal((spec.n, spec.d - 1))
@@ -79,7 +81,7 @@ class LogisticObjective:
     at once.
     """
 
-    def __init__(self, dataset: LogisticDataset, smoothness_seed: int = 0):
+    def __init__(self, dataset: LogisticDataset):
         self.features = dataset.features
         self.labels = dataset.labels
         self.dimension = dataset.d
@@ -88,16 +90,11 @@ class LogisticObjective:
         self._margins = np.empty(n)
         self._work = np.empty(n)
         self._margins_x = np.full(self.dimension, np.nan)  # NaN: none cached
-        self.smoothness = self._compute_smoothness(smoothness_seed)
-
-    def _compute_smoothness(self, seed: int) -> float:
         A = self.features
-        n = A.shape[0]
         scale = 1.0 / (4.0 * n)
-        apply_h = lambda v: scale * (A.T @ (A @ v))
-        rng = np.random.default_rng(seed)
-        return power_iteration_extreme(apply_h, A.shape[1], rng,
-                                       iterations=300)
+        self.smoothness = power_iteration_extreme(
+            lambda v: scale * (A.T @ (A @ v)), self.dimension,
+            np.random.default_rng(0), iterations=300)
 
     def _margins_at(self, x: np.ndarray) -> np.ndarray:
         """S x, recomputed only when x differs from the last point; the

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,9 +44,9 @@ class CountingOracle:
     instead of surfacing later as a linear-solver or step-size failure.
     """
 
-    def __init__(self, inner, counters: Optional[OracleCounters] = None):
+    def __init__(self, inner):
         self.inner = inner
-        self.counters = counters if counters is not None else OracleCounters()
+        self.counters = OracleCounters()
 
     @property
     def dimension(self) -> int:
@@ -114,8 +113,7 @@ def power_iteration_extreme(apply_h, dimension: int, rng,
     return abs(rayleigh)
 
 
-def estimate_smoothness(oracle, probes: int = 5, seed: int = 0,
-                        iterations: int = 100) -> float:
+def estimate_smoothness(oracle, probes: int = 5, seed: int = 0) -> float:
     """Estimate sup ||hessian(x)||_op by power iteration at random points.
 
     Draws ``probes`` standard-normal points (all up front, so tests can
@@ -140,7 +138,7 @@ def estimate_smoothness(oracle, probes: int = 5, seed: int = 0,
                 oracle.gradient(x + h * v) - oracle.gradient(x - h * v)
             ) / (2.0 * h)
         best = max(best, power_iteration_extreme(apply_h, oracle.dimension,
-                                                 rng, iterations))
+                                                 rng))
     estimate = 1.1 * best
     if not np.isfinite(estimate):
         raise NumericsError("curvature estimate is not finite")

@@ -315,7 +315,7 @@ CHECKS = (
 )
 
 
-def run_selftest(out=print) -> bool:
+def run_selftest() -> bool:
     all_ok = True
     for name, check in CHECKS:
         try:
@@ -323,5 +323,5 @@ def run_selftest(out=print) -> bool:
         except Exception as exc:
             problem = f"raised {type(exc).__name__}: {exc}"
         all_ok = all_ok and problem is None
-        out(f"[PASS] {name}" if problem is None else f"[FAIL] {name}: {problem}")
+        print(f"[PASS] {name}" if problem is None else f"[FAIL] {name}: {problem}")
     return all_ok

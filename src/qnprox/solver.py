@@ -36,7 +36,8 @@ class _PrecisionFloor(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the accelerated solver.
+    """Knobs of the accelerated solver, checked when constructed: a field
+    out of range raises :class:`ValueError` naming it.
 
     alpha1 controls the linear-solve accuracy, alpha2 the proximal slack
     (alpha1 + alpha2 < 1), beta the backtracking factor.  sigma0 defaults to
@@ -57,7 +58,7 @@ class SolverConfig:
     seed: int = 0
     max_cr_iters: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("max_iters", "max_cr_iters", "seed"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):
@@ -121,8 +122,6 @@ class IterationReport:
     B_used: Curvature
     B: Curvature
     gamma: Optional[float]
-    line_search_matvecs: int
-    learner_matvecs: int
 
 
 def momentum_weights(A: float, eta: float, x: np.ndarray, z: np.ndarray
@@ -195,9 +194,7 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         grad_norm_at_x_hat=float(np.linalg.norm(outcome.grad_at_x_hat)),
         x_tilde=outcome.x_tilde, grad_at_y=grad_y,
         grad_at_x_tilde=outcome.grad_at_x_tilde, loss_fed=loss_fed,
-        B_used=state.learner.B, B=learner.B, gamma=gamma,
-        line_search_matvecs=outcome.matvecs,
-        learner_matvecs=learner_matvecs)
+        B_used=state.learner.B, B=learner.B, gamma=gamma)
     return next_state, report
 
 
@@ -215,13 +212,13 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     receives the full :class:`IterationReport` each iteration.
 
     Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
-    match ``oracle.dimension`` and be finite, and the symmetric part of
-    ``B0`` must lie in the band 0 <= B0 <= L1 I, else :class:`ValueError`.  On
-    failure during the run the partial trace is attached to the raised
-    :class:`SolverError`.
+    match ``oracle.dimension`` and be finite, the symmetric part of ``B0``
+    must lie in the band 0 <= B0 <= L1 I, and an L1 read from
+    ``oracle.smoothness`` or estimated must be finite and positive, else
+    :class:`ValueError`.  On failure during the run the partial trace is
+    attached to the raised :class:`SolverError`.
     """
     config = config if config is not None else SolverConfig()
-    config.validate()
     if not isinstance(oracle, CountingOracle):
         oracle = CountingOracle(oracle)
     counters = oracle.counters
@@ -233,9 +230,14 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
 
     L1 = config.L1
     if L1 is None:
-        L1 = oracle.smoothness
-    if L1 is None:
-        L1 = estimate_smoothness(oracle.inner, seed=config.seed)
+        # config.L1 is checked when the config is made; these sources are not
+        L1, source = oracle.smoothness, "the oracle's smoothness"
+        if L1 is None:
+            L1 = estimate_smoothness(oracle.inner, seed=config.seed)
+            source = "the curvature estimate"
+        if not 0.0 < L1 < math.inf:
+            raise ValueError(f"L1 from {source} must be finite and positive, "
+                             f"got {L1}")
     sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1
 
     if B0 is not None:

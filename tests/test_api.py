@@ -3,6 +3,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +45,41 @@ def test_all_is_the_supported_surface():
         assert hasattr(qnprox, name), name
 
 
+MEASURE = ast.parse((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "measure.py").read_text())
+MEASURE_IMPORTS = [(node.module, alias.name)
+                   for node in ast.walk(MEASURE)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module in ("qnprox", "qnprox.datasets")
+                   for alias in node.names]
+
+
 def test_benchmark_imports_resolve():
-    measure = Path(__file__).resolve().parents[1] / "perfbench" / "measure.py"
-    imported = [(node.module, alias.name)
-                for node in ast.walk(ast.parse(measure.read_text()))
-                if isinstance(node, ast.ImportFrom)
-                and node.module in ("qnprox", "qnprox.datasets")
-                for alias in node.names]
-    assert imported
-    for module, name in imported:
+    assert MEASURE_IMPORTS
+    for module, name in MEASURE_IMPORTS:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_benchmark_calls_bind():
+    # each call perfbench/measure.py makes to a library name must fit that
+    # name's signature: its positional count and its keyword names
+    library = {name: getattr(importlib.import_module(module), name)
+               for module, name in MEASURE_IMPORTS}
+    calls = [node for node in ast.walk(MEASURE)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in library]
+    assert {call.func.id for call in calls} >= {
+        "CountingOracle", "LogisticObjective", "BaselineConfig",
+        "SolverConfig", "solve"}
+    for call in calls:
+        where = f"{call.func.id} at measure.py line {call.lineno}"
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+        assert all(kw.arg is not None for kw in call.keywords), where
+        try:
+            inspect.signature(library[call.func.id]).bind(
+                *call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{where}: {exc}")
 
 
 @pytest.mark.parametrize("module, name", PATCHED)

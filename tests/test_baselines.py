@@ -6,6 +6,7 @@ import pytest
 import qnprox.baselines
 from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
                     bfgs_solve, nag_solve, write_trace_csv)
+from qnprox.baselines import NAG_BETA, NAG_ETA0
 from qnprox.errors import ConvergenceError, NumericsError
 from conftest import make_logistic, random_psd
 from helpers import QuadraticObjective
@@ -32,11 +33,11 @@ def nag_reference(objective, x0, config):
     x = np.asarray(x0, dtype=float).copy()
     y = x.copy()
     fx = float(oracle.value(x))
-    eta = config.eta0
+    eta = NAG_ETA0
     t_momentum = 1.0
     record = RunRecord(method="nag", metadata={
-        "eta0": format(config.eta0, ".17g"),
-        "beta": format(config.beta, ".17g"),
+        "eta0": format(NAG_ETA0, ".17g"),
+        "beta": format(NAG_BETA, ".17g"),
         "max_iters": str(config.max_iters),
         "tolerance": format(config.tolerance, ".17g"),
     })
@@ -52,7 +53,7 @@ def nag_reference(objective, x0, config):
             u = y - eta * g
             if float(oracle.value(u)) <= fy - 0.5 * eta * g_sq:
                 break
-            eta *= config.beta
+            eta *= NAG_BETA
             backtracks += 1
         fu = float(oracle.value(u))
         if fu <= fx:
@@ -271,16 +272,12 @@ class TestBothBaselines:
 class TestConfig:
     def test_wolfe_constant_ordering(self):
         with pytest.raises(ValueError):
-            BaselineConfig(c1=0.9, c2=0.1).validate()
-        with pytest.raises(ValueError):
-            BaselineConfig(beta=1.5).validate()
+            BaselineConfig(c1=0.9, c2=0.1)
 
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 0), ("tolerance", -1.0), ("tolerance", math.nan),
-        ("eta0", 0.0), ("eta0", math.nan), ("eta0", math.inf),
-        ("max_zoom", 0), ("max_iters", 2.5), ("max_zoom", 1.5),
-        ("max_iters", "10"),
+        ("max_iters", 2.5), ("max_iters", "10"),
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):
-            BaselineConfig(**{field: value}).validate()
+            BaselineConfig(**{field: value})

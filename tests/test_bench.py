@@ -61,14 +61,10 @@ class TestRunBenchmark:
                                                       tmp_path, monkeypatch):
         import qnprox.bench as bench_module
 
-        real = bench_module._run_method
+        def failing(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
 
-        def flaky(name, *args, **kwargs):
-            if name == "nag":
-                raise RuntimeError("synthetic failure")
-            return real(name, *args, **kwargs)
-
-        monkeypatch.setattr(bench_module, "_run_method", flaky)
+        monkeypatch.setitem(bench_module.SOLVERS, "nag", failing)
         runs = run_benchmark(small_dataset, ["nag", "bfgs"], tmp_path,
                              max_iters=5)
         assert [run.ok for run in runs] == [False, True]

@@ -58,10 +58,12 @@ class TestRun:
         assert code == 0
         assert (out_dir / "summary.csv").exists()
 
-    def test_unknown_method_is_usage_error(self, data_csv, tmp_path):
+    def test_unknown_method_is_usage_error(self, data_csv, tmp_path, capsys):
         code = run_cli(["run", "--data", str(data_csv), "--methods", "sgd",
                         "--out-dir", str(tmp_path / "r")])
         assert code == 2
+        assert "unknown method 'sgd'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flags, field", [
         (["--max-iters", "0"], "max_iters"), (["--tol", "-1"], "tolerance"),
@@ -92,10 +94,10 @@ class TestRun:
     def test_method_failure_exits_one(self, data_csv, tmp_path, monkeypatch):
         import qnprox.bench as bench_module
 
-        def always_fails(name, *args, **kwargs):
+        def always_fails(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(bench_module, "_run_method", always_fails)
+        monkeypatch.setitem(bench_module.SOLVERS, "nag", always_fails)
         code = run_cli(["run", "--data", str(data_csv), "--methods", "nag",
                         "--out-dir", str(tmp_path / "r")])
         assert code == 1

@@ -10,7 +10,6 @@ from qnprox import SolverConfig, solve
 from qnprox.learner import (Curvature, LossSample, _surrogate_coefficient,
                             band_violation, delta_schedule, init_learner,
                             learner_step, q_schedule, rescale_to_unit_ball)
-from qnprox.oracles import symmetrize
 from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
@@ -469,42 +468,3 @@ def test_chained_bound_holds_after_every_step(logistic_instance, monkeypatch,
     assert not any(problems)
     skipped = matvecs.count(1)
     assert 0 < skipped < len(matvecs)
-
-
-def project_to_curvature_band_dense(M: np.ndarray, L1: float) -> np.ndarray:
-    """Nearest (Frobenius) matrix with eigenvalues in [0, L1].
-
-    Closed form via a dense eigendecomposition with clamped eigenvalues.
-    Reference implementation for tests only: the whole point of the
-    separation-oracle route is to keep this O(d^3) step off the solve path.
-    """
-    M = symmetrize(np.asarray(M, dtype=float))
-    vals, vecs = np.linalg.eigh(M)
-    clamped = np.clip(vals, 0.0, L1)
-    return symmetrize((vecs * clamped) @ vecs.T)
-
-
-class TestDenseProjectionReference:
-    def test_identity_on_members(self):
-        rng = np.random.default_rng(12)
-        L1 = 2.0
-        M = random_psd(rng, 6, top=L1)
-        assert np.allclose(project_to_curvature_band_dense(M, L1), M,
-                           atol=1e-12)
-
-    def test_eigenvalue_clamp(self):
-        L1 = 1.5
-        M = np.diag([2.0 * L1, -L1])
-        out = project_to_curvature_band_dense(M, L1)
-        assert np.allclose(out, np.diag([L1, 0.0]), atol=1e-14)
-
-    def test_beats_random_members_of_the_band(self):
-        rng = np.random.default_rng(13)
-        d, L1 = 12, 1.0
-        M = rng.standard_normal((d, d)) * 2.0
-        M = (M + M.T) / 2.0
-        projected = project_to_curvature_band_dense(M, L1)
-        dist = np.linalg.norm(projected - M)
-        for _ in range(10 ** 4):
-            candidate = random_psd(rng, d, top=L1 * float(rng.uniform(0, 1)))
-            assert dist <= np.linalg.norm(candidate - M) + 1e-12

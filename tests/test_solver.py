@@ -257,11 +257,11 @@ class TestSolveInvariants:
 class TestConfigValidation:
     def test_alpha_sum_must_be_contractive(self):
         with pytest.raises(ValueError):
-            SolverConfig(alpha1=0.5, alpha2=0.5).validate()
+            SolverConfig(alpha1=0.5, alpha2=0.5)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
-            SolverConfig(beta=1.0).validate()
+            SolverConfig(beta=1.0)
 
     def test_partial_trace_attached_on_failure(self, small_logistic):
         # an absurdly tight linear-solver cap forces a convergence error
@@ -284,7 +284,39 @@ class TestConfigValidation:
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SolverConfig(**{field: value}).validate()
+            SolverConfig(**{field: value})
+
+    def test_replace_cannot_make_an_invalid_config(self):
+        with pytest.raises(ValueError, match="rho"):
+            replace(SolverConfig(), rho=-1.0)
+
+
+class TestResolvedL1:
+    """An L1 that solve() reads from the oracle or estimates is checked
+    before iteration 0, as a given one is when the config is made."""
+
+    @pytest.mark.parametrize("smoothness", [0.0, math.nan, -1.0, math.inf])
+    def test_bad_oracle_smoothness(self, smoothness):
+        objective = QuadraticObjective(np.eye(3))
+        objective.smoothness = smoothness
+        oracle = CountingOracle(objective)
+        with pytest.raises(ValueError,
+                           match="L1 from the oracle's smoothness"):
+            solve(oracle, np.ones(3), config=SolverConfig(max_iters=5))
+        assert oracle.counters.gradient_queries == 0
+
+    def test_linear_objective_estimates_zero(self):
+        class Linear:
+            dimension = 3
+
+            def value(self, x):
+                return float(x.sum())
+
+            def gradient(self, x):
+                return np.ones(3)
+
+        with pytest.raises(ValueError, match="L1 from the curvature estimate"):
+            solve(Linear(), np.ones(3), config=SolverConfig(max_iters=5))
 
 
 class TestInputValidation:
