@@ -9,14 +9,13 @@ carries the partial trace as ``trace``.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, SolverError
+from .errors import ConvergenceError, SolverError, check_integer
 from .oracles import CountingOracle, checked_input, symmetrize
 from .trace import RunRecord, TraceRow, format_float
 
@@ -40,11 +39,7 @@ class BaselineConfig:
     c2: float = 0.9
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(
-                f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_integer("max_iters", self.max_iters, 1)
         if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if not 0.0 < self.c1 < self.c2 < 1.0:

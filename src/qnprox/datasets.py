@@ -14,12 +14,14 @@ with constant lambda_max(A^T A) / (4 n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
+from .errors import check_integer
 from .oracles import power_iteration_extreme
 from .trace import format_float
 
@@ -29,7 +31,8 @@ DATA_HEADER_PREFIX = "y,a_0"
 @dataclass(frozen=True)
 class SyntheticLogisticSpec:
     """Size, noise and seed of a synthetic instance, checked when
-    constructed: a field out of range raises :class:`ValueError`."""
+    constructed: a field out of range raises :class:`ValueError` naming it.
+    d counts the intercept column, so d >= 2."""
 
     n: int
     d: int
@@ -37,12 +40,13 @@ class SyntheticLogisticSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.d < 2:
-            raise ValueError("d must be >= 2 (one feature plus intercept)")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be non-negative")
+        check_integer("n", self.n, 1)
+        check_integer("d", self.d, 2)
+        check_integer("seed", self.seed, 0)
+        if not (isinstance(self.sigma, numbers.Real)
+                and 0.0 <= self.sigma < math.inf):
+            raise ValueError(
+                f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)

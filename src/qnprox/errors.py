@@ -1,4 +1,7 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and the two rules that
+settings are checked against."""
+
+import numbers
 
 
 class NumericsError(RuntimeError):
@@ -25,3 +28,19 @@ class SolverError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """``value`` must be an integer, numpy integers included, of at least
+    ``minimum``, else :class:`ValueError` naming ``name`` and the value."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+
+
+def check_interval(name: str, value, low: float, high: float) -> None:
+    """``value`` must be a real with low < value < high, so NaN fails, else
+    :class:`ValueError` naming ``name`` and the value."""
+    if not (isinstance(value, numbers.Real) and low < value < high):
+        raise ValueError(f"{name} must lie in ({low:g}, {high:g}), "
+                         f"got {value!r}")

@@ -68,6 +68,7 @@ from typing import Optional
 
 import numpy as np
 
+from .oracles import symmetrize
 from .separation import SeparationResult, separation_oracle
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
@@ -170,14 +171,6 @@ def q_schedule(t: int, failure_budget: float) -> float:
     return failure_budget / (2.5 * (t + 1.0) * math.log(t + 1.0) ** 2)
 
 
-def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
-    """B_hat = (2 / L1) (B - (L1 / 2) I); maps Z onto the unit op-norm ball."""
-    B_hat = np.array(B, dtype=float)
-    B_hat.flat[::B_hat.shape[0] + 1] -= L1 / 2.0
-    B_hat *= 2.0 / L1
-    return B_hat
-
-
 def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
                    ) -> Optional[str]:
     """None when 0 <= B <= L1 I, up to rtol * L1 on either side, else the
@@ -203,9 +196,19 @@ def init_learner(d: int, L1: float, B0: Optional[np.ndarray] = None,
                  rho: float = DEFAULT_STEP_SIZE,
                  failure_budget: float = DEFAULT_FAILURE_BUDGET
                  ) -> LearnerState:
-    """Start the learner at B0, an exactly symmetric d x d matrix in Z, or
-    by default at the center (L1 / 2) I of Z, where W_0 = 0."""
-    W0 = np.zeros((d, d)) if B0 is None else rescale_to_unit_ball(B0, L1)
+    """Start the learner at B0, a finite d x d matrix whose symmetric part
+    lies in Z (else :class:`ValueError` naming B0), or by default at the
+    center (L1 / 2) I of Z, where W_0 = 0.  W_0 is one new array: sym(B0)
+    mapped in place onto the unit ball, (2 / L1) (sym(B0) - (L1 / 2) I)."""
+    if B0 is None:
+        W0 = np.zeros((d, d))
+    else:
+        W0 = symmetrize(B0)
+        if problem := band_violation(W0, L1):
+            raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
+                             f"(L1 = {L1:.6g}): {problem}")
+        W0.flat[::d + 1] -= L1 / 2.0
+        W0 *= 2.0 / L1
     return LearnerState(W=W0, certificate=None,
                         op_bound=float(np.linalg.norm(W0)), t=0, rho=rho,
                         L1=L1, failure_budget=failure_budget)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericsError
+from .errors import ConvergenceError, NumericsError, check_interval
 
 BREAKDOWN_FLOOR = 1e-300
 
@@ -44,8 +44,7 @@ def conjugate_residual(apply_A: Callable[[np.ndarray], np.ndarray],
     ``max_iters`` (default 4 d), and :class:`NumericsError` on a <Ap, Ap>
     breakdown that occurs before the termination test passes.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_interval("alpha", alpha, 0.0, 1.0)
     d = b.shape[0]
     if max_iters is None:
         max_iters = 4 * d

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import NumericsError, check_integer
 
 
 @dataclass
@@ -122,8 +122,7 @@ def estimate_smoothness(oracle, probes: int = 5, seed: int = 0) -> float:
     Falls back to central-difference Hessian-vector products when the oracle
     exposes no ``hessian``.
     """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
+    check_integer("probes", probes, 1)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((probes, oracle.dimension))
     has_hessian = hasattr(oracle, "hessian")

@@ -28,6 +28,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .errors import check_integer, check_interval
+
 LANCZOS_BREAKDOWN = 1e-14
 
 
@@ -94,8 +96,7 @@ class LanczosRun:
     def __init__(self, W: np.ndarray, capacity: int, seed):
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {W.shape}")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        check_integer("capacity", capacity, 1)
         d = W.shape[0]
         self.W = W
         self.capacity = min(capacity, d)
@@ -162,8 +163,7 @@ def lanczos_extreme(run: LanczosRun, iterations: int) -> LanczosExtremes:
     quotients: the reported values are recomputed as <W u, u>, so they are
     valid even after a breakdown.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    check_integer("iterations", iterations, 1)
     steps = run.advance(iterations)
     return LanczosExtremes(*run.extremes(), matvecs=steps + 2)
 
@@ -209,10 +209,8 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
     rather than restarting keeps each stage's guarantee, because the fine
     stage is itself a max(n1, n2)-step run from a uniform random start.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie in (0, 1)")
+    check_interval("delta", delta, 0.0, math.inf)
+    check_interval("q", q, 0.0, 1.0)
     d = W.shape[0]
     log_term = _lanczos_rounds(d, q)
     n1 = min(math.ceil(log_term + 0.5), d)

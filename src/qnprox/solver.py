@@ -10,28 +10,22 @@ round of the online curvature learner.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError
+from .errors import (ConfigurationError, SolverError, check_integer,
+                     check_interval)
 from .learner import (DEFAULT_FAILURE_BUDGET, DEFAULT_STEP_SIZE, Curvature,
-                      LearnerState, LossSample, band_violation, init_learner,
-                      learner_step)
+                      LearnerState, LossSample, init_learner, learner_step)
 from .line_search import backtracking_search
-from .oracles import (CountingOracle, checked_input, estimate_smoothness,
-                      symmetrize)
+from .oracles import CountingOracle, checked_input, estimate_smoothness
 from .trace import RunRecord, TraceRow, format_float
 
 CASE_ACCEPTED = "I"
 CASE_DAMPED = "II"
-
-
-class _PrecisionFloor(Exception):
-    """Internal signal: the iterate is at float resolution of the optimum."""
 
 
 @dataclass(frozen=True)
@@ -59,34 +53,22 @@ class SolverConfig:
     max_cr_iters: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_iters", "max_cr_iters", "seed"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 < self.alpha1 < 1.0 or not 0.0 < self.alpha2 < 1.0:
-            raise ValueError("alpha1 and alpha2 must lie in (0, 1)")
+        check_interval("alpha1", self.alpha1, 0.0, 1.0)
+        check_interval("alpha2", self.alpha2, 0.0, 1.0)
         if self.alpha1 + self.alpha2 >= 1.0:
             raise ValueError("alpha1 + alpha2 must be < 1")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.sigma0 is not None and not 0.0 < self.sigma0 < math.inf:
-            raise ValueError(
-                f"sigma0 must be finite and positive, got {self.sigma0}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.failure_budget < 1.0:
-            raise ValueError("failure_budget must lie in (0, 1)")
-        if self.L1 is not None and not 0.0 < self.L1 < math.inf:
-            raise ValueError(f"L1 must be finite and positive, got {self.L1}")
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(
-                f"rho must be finite and positive, got {self.rho}")
+        check_interval("beta", self.beta, 0.0, 1.0)
+        for name in ("sigma0", "L1"):
+            if getattr(self, name) is not None:
+                check_interval(name, getattr(self, name), 0.0, math.inf)
+        check_integer("max_iters", self.max_iters, 1)
         if not self.tolerance >= 0.0:
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
-        if self.max_cr_iters is not None and self.max_cr_iters < 1:
-            raise ValueError("max_cr_iters must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_interval("failure_budget", self.failure_budget, 0.0, 1.0)
+        check_interval("rho", self.rho, 0.0, math.inf)
+        check_integer("seed", self.seed, 0)
+        if self.max_cr_iters is not None:
+            check_integer("max_cr_iters", self.max_cr_iters, 1)
 
 
 @dataclass
@@ -142,9 +124,11 @@ def damped_iterate(x: np.ndarray, x_hat: np.ndarray, A: float, a: float,
 
 
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
-         rng: np.random.Generator) -> tuple[SolverState, IterationReport]:
+         rng: np.random.Generator
+         ) -> Optional[tuple[SolverState, IterationReport]]:
     """Advance one iteration; feeds the learner only when backtracked and
-    books the iteration's reported matvecs on ``oracle.counters``."""
+    books the iteration's reported matvecs on ``oracle.counters``.  Returns
+    None when the gradient at the anchor is at the precision floor."""
     a, y = momentum_weights(state.A, state.eta, state.x, state.z)
     grad_y = oracle.gradient(y)
     try:
@@ -158,7 +142,7 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         floor = (4096.0 * np.finfo(float).eps * state.learner.L1
                  * (1.0 + float(np.linalg.norm(y))))
         if float(np.linalg.norm(grad_y)) <= floor:
-            raise _PrecisionFloor from None
+            return None
         raise
 
     learner_matvecs = 0
@@ -212,11 +196,11 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     receives the full :class:`IterationReport` each iteration.
 
     Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
-    match ``oracle.dimension`` and be finite, the symmetric part of ``B0``
-    must lie in the band 0 <= B0 <= L1 I, and an L1 read from
-    ``oracle.smoothness`` or estimated must be finite and positive, else
-    :class:`ValueError`.  On failure during the run the partial trace is
-    attached to the raised :class:`SolverError`.
+    match ``oracle.dimension`` and be finite, an L1 read from
+    ``oracle.smoothness`` or estimated must be finite and positive, and the
+    learner checks that B0 lies in the band, else :class:`ValueError`.  On
+    failure during the run the partial trace is attached to the raised
+    :class:`SolverError`.
     """
     config = config if config is not None else SolverConfig()
     if not isinstance(oracle, CountingOracle):
@@ -235,22 +219,14 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
         if L1 is None:
             L1 = estimate_smoothness(oracle.inner, seed=config.seed)
             source = "the curvature estimate"
-        if not 0.0 < L1 < math.inf:
-            raise ValueError(f"L1 from {source} must be finite and positive, "
-                             f"got {L1}")
+        check_interval(f"L1 from {source}", L1, 0.0, math.inf)
     sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1
 
-    if B0 is not None:
-        # one symmetric copy serves the band check and the learner's start,
-        # and is released before the first step
-        B0 = symmetrize(B0)
-        if problem := band_violation(B0, L1):
-            raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
-                             f"(L1 = {L1:.6g}): {problem}")
     # the default start, the center (L1 / 2) I of Z, minimizes the worst-case
     # distance to any Hessian
     state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0, learner=init_learner(
         d, L1, B0, rho=config.rho, failure_budget=config.failure_budget))
+    # the learner holds its own copy: release the checked B0 before the run
     del B0
     rng = np.random.default_rng(config.seed)
 
@@ -267,11 +243,11 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     start = time.perf_counter()
     try:
         for _ in range(config.max_iters):
-            try:
-                state, report = step(state, oracle, config, rng)
-            except _PrecisionFloor:
+            advanced = step(state, oracle, config, rng)
+            if advanced is None:
                 record.metadata["stopped"] = "precision_floor"
                 break
+            state, report = advanced
             record.append(TraceRow(
                 iteration=state.k,
                 f_value=float(oracle.value(state.x)),
@@ -285,9 +261,10 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
                 observer(report)
             if report.grad_norm_at_x_hat <= config.tolerance:
                 break
-            # the report's B_used is dead unless the observer kept it; do not
-            # hold it through the next step
-            del report
+            # the report's B_used is dead unless the observer kept it; hold
+            # neither the report nor the tuple that carried it through the
+            # next step
+            del report, advanced
     except Exception as exc:
         raise SolverError(f"solver aborted at iteration {state.k}: {exc}",
                           trace=record.finish(start, state.x)) from exc

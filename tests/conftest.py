@@ -1,15 +1,23 @@
 """Shared fixtures: the desk-scale logistic instance, its high-accuracy
 reference optimum, and one fully-observed 500-iteration solver run that the
-acceptance criteria share."""
+acceptance criteria share.  Hypothesis draws the same examples on every run:
+each property test's examples follow from its own source, not from a random
+seed or a saved example database, so two runs of the suite test the same
+inputs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qnprox import SolverConfig, solve
 from qnprox.selftest import (make_logistic, random_psd,  # noqa: F401
                              reference_minimizer)
+
+settings.register_profile("derandomized", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("derandomized")
 
 
 def random_unit_opnorm(rng, d):

@@ -1,7 +1,8 @@
 """Reference code the tests share and the library does not need: a quadratic
-objective, a matrix that counts its products, the learner's loss and its
-gradient as dense formulas, the dense learner step they define, the dense
-separation hyperplane, and the first iteration to reach an objective gap."""
+objective, a matrix that counts its products, the map of the band onto the
+unit ball, the learner's loss and its gradient as dense formulas, the dense
+learner step they define, the dense separation hyperplane, and the first
+iteration to reach an objective gap."""
 
 from __future__ import annotations
 
@@ -60,6 +61,14 @@ class CountingMatrix(np.ndarray):
         plain = [np.asarray(x) if isinstance(x, CountingMatrix) else x
                  for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
+    """B_hat = (2 / L1) (B - (L1 / 2) I); maps Z onto the unit op-norm ball."""
+    B_hat = np.array(B, dtype=float)
+    B_hat.flat[::B_hat.shape[0] + 1] -= L1 / 2.0
+    B_hat *= 2.0 / L1
+    return B_hat
 
 
 def loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float

@@ -32,6 +32,18 @@ class TestGen:
                         str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--sigma", "nan"], "sigma"), (["--seed", "-1"], "seed"),
+    ])
+    def test_rejected_field_is_usage_error(self, tmp_path, capsys, flags,
+                                           field):
+        out = tmp_path / "x.csv"
+        code = run_cli(["gen", "--n", "5", "--d", "3", "--out", str(out)]
+                       + flags)
+        assert code == 2
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.fixture()

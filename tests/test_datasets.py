@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -53,6 +54,18 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_logistic(SyntheticLogisticSpec(n=5, d=5, sigma=-0.1,
                                                     seed=0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("d", 3.0), ("seed", 1.5), ("seed", -1),
+        ("sigma", math.nan), ("sigma", math.inf), ("sigma", "0.8"),
+    ])
+    def test_spec_rejects_what_numpy_would_misread(self, field, value):
+        # each once passed the spec and then failed inside numpy, or wrote
+        # NaN features, with no word of the field
+        kwargs = dict(n=5, d=3, sigma=0.8, seed=0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must .* got {value!r}"):
+            SyntheticLogisticSpec(**kwargs)
 
 
 class TestCsvRoundTrip:

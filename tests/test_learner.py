@@ -9,13 +9,13 @@ import qnprox.solver
 from qnprox import SolverConfig, solve
 from qnprox.learner import (Curvature, LossSample, _surrogate_coefficient,
                             band_violation, delta_schedule, init_learner,
-                            learner_step, q_schedule, rescale_to_unit_ball)
+                            learner_step, q_schedule)
 from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
 from helpers import (CountingMatrix, dense_learner_step, hyperplane,
                      matrix_loss, matrix_loss_gradient,
-                     project_frobenius_ball)
+                     project_frobenius_ball, rescale_to_unit_ball)
 
 
 def fd_symmetric_gradient(B, sample, h=1e-6):
@@ -137,27 +137,38 @@ class TestSchedules:
 class TestRescale:
     def test_matches_the_dense_identity_formula(self):
         # the in-place diagonal shift gives the same floats as adding a dense
-        # (L1 / 2) I, both into B_hat and into the curvature's dense form
+        # (L1 / 2) I, both into the learner's start W_0 from the symmetric
+        # part of a B0 in the band and into the curvature's dense form
         rng = np.random.default_rng(21)
         for d in (1, 2, 7, 40):
             for _ in range(5):
                 L1 = float(rng.uniform(0.1, 10.0))
+                skew = rng.standard_normal((d, d))
+                B0 = (random_psd(rng, d, top=L1 * float(rng.uniform(0.1, 1.0)))
+                      + 1e-3 * (skew - skew.T))
+                eye = np.eye(d)
+                expected = (2.0 / L1) * ((B0 + B0.T) / 2.0 - (L1 / 2.0) * eye)
+                assert np.array_equal(init_learner(d, L1, B0).W, expected)
                 M = rng.standard_normal((d, d))
                 M = (M + M.T) / 2.0
-                eye = np.eye(d)
-                assert np.array_equal(rescale_to_unit_ball(M, L1),
-                                      (2.0 / L1) * (M - (L1 / 2.0) * eye))
                 kappa = float(rng.uniform(0.1, 10.0))
                 assert np.array_equal(Curvature(M, kappa, L1 / 2.0).dense(),
                                       kappa * M + (L1 / 2.0) * eye)
 
     def test_leaves_its_input_alone(self):
         rng = np.random.default_rng(22)
+        B0 = random_psd(rng, 6, top=2.0)
         M = rng.standard_normal((6, 6))
-        before = M.copy()
-        rescale_to_unit_ball(M, 2.0)
+        before = B0.copy(), M.copy()
+        init_learner(6, 2.0, B0)
         Curvature(M, 0.5, 1.0).dense()
-        assert np.array_equal(M, before)
+        assert np.array_equal(B0, before[0])
+        assert np.array_equal(M, before[1])
+
+    @pytest.mark.parametrize("scale", [-0.5, 1.5])
+    def test_start_outside_the_band_names_B0(self, scale):
+        with pytest.raises(ValueError, match="B0 must lie in the band"):
+            init_learner(4, 2.0, scale * 2.0 * np.eye(4))
 
 
 class TestLearnerStep:
