@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, SolverError, check_integer
+from .errors import (ConvergenceError, SolverError, check_at_least,
+                     check_integer, check_interval)
 from .oracles import CountingOracle, checked_input, symmetrize
 from .trace import RunRecord, TraceRow, format_float
 
@@ -40,10 +41,12 @@ class BaselineConfig:
 
     def __post_init__(self) -> None:
         check_integer("max_iters", self.max_iters, 1)
-        if not self.tolerance >= 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
+        check_at_least("tolerance", self.tolerance, 0.0)
+        check_interval("c1", self.c1, 0.0, 1.0)
+        check_interval("c2", self.c2, 0.0, 1.0)
+        if not self.c1 < self.c2:
+            raise ValueError(f"Wolfe constants must satisfy c1 < c2, got "
+                             f"c1 = {self.c1!r}, c2 = {self.c2!r}")
 
 
 def nag_solve(oracle, x0: np.ndarray,

@@ -1,4 +1,4 @@
-"""Exception types shared across the solver stack, and the two rules that
+"""Exception types shared across the solver stack, and the three rules that
 settings are checked against."""
 
 import numbers
@@ -43,4 +43,12 @@ def check_interval(name: str, value, low: float, high: float) -> None:
     :class:`ValueError` naming ``name`` and the value."""
     if not (isinstance(value, numbers.Real) and low < value < high):
         raise ValueError(f"{name} must lie in ({low:g}, {high:g}), "
+                         f"got {value!r}")
+
+
+def check_at_least(name: str, value, minimum: float) -> None:
+    """``value`` must be a real of at least ``minimum``, so NaN fails, else
+    :class:`ValueError` naming ``name`` and the value."""
+    if not (isinstance(value, numbers.Real) and value >= minimum):
+        raise ValueError(f"{name} must be a real >= {minimum:g}, "
                          f"got {value!r}")

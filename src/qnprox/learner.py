@@ -40,18 +40,27 @@ vector, so every later oracle call sees the random stream it would have seen.
 An inside result sets B_hat = W_next whatever its gamma, so B and the solver's
 iterates do not depend on whether the oracle ran.
 
-A step holds one new d x d array, W_next, besides the W of the state it is
-given, plus a tile of at most ROW_TILE rows, and writes into no array of that
-state, its certificate or the sample.  M = W_t - rho G is built ROW_TILE rows
-at a time, by the elementwise operations of the dense expression
-W_t - rho ((2 / L1) (-(s r^T + r s^T) / ||s||^2) + (coefficient * weight)
-u u^T) in the same order: M = s r^T, tile = r s^T, M += tile,
-M /= -||s||^2 (negation is exact), M *= 2 / L1, tile = u u^T,
-tile *= coefficient * weight, M += tile, M *= rho, M = W_t - M.  The
-projection scale multiplies M in place, so M becomes W_next.  Every entry
-therefore takes the same rounding as the dense expression, and the iterates
-do not depend on the tiling.  So a solve holds at most two d x d arrays,
-W_t and W_next, plus the tile.
+W is stored once, as the lower triangle (row >= column) of a C-ordered
+float64 d x d array; the strict upper triangle is stale and never read.
+BLAS and LAPACK see the Fortran-ordered W.T, whose upper triangle that is,
+and every routine below reads or writes that triangle only.  Every product
+W v, in B v, in the Lanczos steps and in their Rayleigh quotients, is one
+``dsymv`` (:func:`~qnprox.separation.symv`).  The step
+W - rho G = W + rho (2 / L1) (s r^T + r s^T) / ||s||^2
+- rho coefficient weight u u^T is one ``dsyr2`` with (s, r), plus one
+``dsyr`` with u when a certificate is held, both written into W in place.
+||W - rho G||_F is sqrt(2 ||L||_F^2 - ||diagonal||^2), with L the triangle
+and ||L||_F from LAPACK ``dlantr``, and the projection scale multiplies the
+triangle in place through ``dsyrk`` with alpha = 0, which is C := beta C on
+one triangle.  So a step allocates no d x d array and writes only into W's
+lower triangle, and a solve holds one d x d array.
+:func:`symmetric_completion` builds the full matrix for dense checks.
+
+A step consumes its state: ``state.W`` becomes the new state's W, and the
+old state and every :class:`Curvature` made from it see the new matrix.  A
+caller that keeps the old matrix steps on a copy, as ``solve`` does when an
+observer may keep its reports.  The step writes into no other array of the
+state, the certificate or the sample.
 
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.
@@ -67,17 +76,17 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dsyr, dsyr2, dsyrk
+from scipy.linalg.lapack import dlantr
 
 from .oracles import symmetrize
-from .separation import SeparationResult, separation_oracle
+from .separation import SeparationResult, separation_oracle, symv
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
 DEFAULT_FAILURE_BUDGET = 0.01
 # relative inflation of the skip bound, so rounding cannot certify a W that
 # lies just outside the unit operator-norm ball
 BOUND_SLACK = 1.0 + 1e-12
-# rows of W_next built per pass through the step's one scratch tile
-ROW_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -92,13 +101,37 @@ class LossSample:
             raise ValueError("loss sample requires a nonzero displacement s")
 
 
+def symmetric_completion(W: np.ndarray) -> np.ndarray:
+    """The symmetric matrix held in W's lower triangle, as a new array."""
+    full = np.tril(W)
+    full += np.tril(W, -1).T
+    return full
+
+
+def frobenius_norm(W: np.ndarray) -> float:
+    """||W||_F of the symmetric matrix held in W's lower triangle L:
+    sqrt(2 ||L||_F^2 - ||diagonal||^2), with ||L||_F from ``dlantr``."""
+    lower = dlantr("F", W.T, uplo="U")
+    diagonal = W.diagonal()
+    return math.sqrt(2.0 * lower * lower - float(diagonal @ diagonal))
+
+
+def _written_in_place(result: np.ndarray, view: np.ndarray) -> None:
+    """f2py hands BLAS a copy of an output array it cannot pass as it is,
+    and the update is then lost: raise unless BLAS wrote into ``view``."""
+    if result is not view:
+        raise ValueError("the learner's W must be a C-contiguous float64 "
+                         "array: BLAS updated a copy of it")
+
+
 @dataclass(frozen=True, eq=False)
 class Curvature:
-    """The model curvature B = (L1 / 2) I + kappa W, held as W and scalars.
+    """The model curvature B = (L1 / 2) I + kappa W, held as W (its lower
+    triangle) and scalars.
 
-    ``B @ v`` is (L1 / 2) v + kappa (W v), one product with W.  ``dense()``
-    builds the d x d matrix kappa W + (L1 / 2) I, for checks against dense
-    eigenvalues; a solve never calls it.
+    ``B @ v`` is kappa W v + (L1 / 2) v, one ``dsymv`` with W.  ``dense()``
+    builds the d x d matrix kappa W + (L1 / 2) I from the triangle, for
+    checks against dense eigenvalues; a solve never calls it.
     """
 
     W: np.ndarray
@@ -106,10 +139,11 @@ class Curvature:
     half_L1: float
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.half_L1 * v + self.kappa * (self.W @ v)
+        return symv(self.W, v, self.kappa, self.half_L1, v)
 
     def dense(self) -> np.ndarray:
-        B = self.kappa * self.W
+        B = symmetric_completion(self.W)
+        B *= self.kappa
         B.flat[::B.shape[0] + 1] += self.half_L1
         return B
 
@@ -118,7 +152,8 @@ class Curvature:
 class LearnerState:
     """State of the online learner between backtracked iterations.
 
-    ``W`` is the Frobenius-ball iterate and the only d x d array.
+    ``W`` is the Frobenius-ball iterate and the only d x d array; only its
+    lower triangle is meaningful (module docstring).
     ``certificate`` is the separation result that produced the matrix in
     play when that call separated, and None when it certified containment
     (as for the initial matrix).  ``op_bound`` is an upper bound on
@@ -226,8 +261,11 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     The first fed loss uses B0 directly with no surrogate correction, as
     does every loss after a call that certified containment.  The report's
     ``matvecs`` is the loss's product B s plus the oracle's, if it ran.
+    The step consumes ``state``: its W is updated in place and becomes the
+    new state's W.
     """
-    d = state.W.shape[0]
+    W = state.W
+    d = W.shape[0]
     L1 = state.L1
     s = sample.s
     Bs = state.B @ s
@@ -237,49 +275,37 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     loss_value = r2 / s2
     G_op = ((2.0 / L1) * (abs(float(s @ residual)) + math.sqrt(s2 * r2))
             / s2)
+    # W - rho G on W's lower triangle, the upper triangle of the view that
+    # BLAS writes into (module docstring)
+    view = W.T
+    _written_in_place(dsyr2(state.rho * (2.0 / L1) / s2, s, residual,
+                            a=view, overwrite_a=1), view)
     cert = state.certificate
     if cert is not None:
         coefficient = _surrogate_coefficient(s, Bs, residual, s2, L1)
         G_op += abs(coefficient * cert.weight)
-    # M = W - rho G, ROW_TILE rows at a time (module docstring)
-    M = np.empty((d, d))
-    tile = np.empty((min(ROW_TILE, d), d))
-    for start in range(0, d, ROW_TILE):
-        rows = slice(start, start + ROW_TILE)
-        block = M[rows]
-        scratch = tile[:block.shape[0]]
-        np.einsum("i,j->ij", s[rows], residual, out=block)
-        np.einsum("i,j->ij", residual[rows], s, out=scratch)
-        block += scratch
-        block /= -s2
-        block *= 2.0 / L1
-        if cert is not None:
-            np.einsum("i,j->ij", cert.u[rows], cert.u, out=scratch)
-            scratch *= coefficient * cert.weight
-            block += scratch
-        block *= state.rho
-        np.subtract(state.W[rows], block, out=block)
-    # the tile is not held through the oracle call
-    del tile, scratch
+        _written_in_place(dsyr(-state.rho * coefficient * cert.weight,
+                               cert.u, a=view, overwrite_a=1), view)
 
     radius = math.sqrt(d)
-    norm = float(np.linalg.norm(M))
+    norm = frobenius_norm(W)
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     if norm > radius:
-        M *= radius / norm
+        _written_in_place(dsyrk(0.0, np.empty((d, 0)), beta=radius / norm,
+                                c=view, overwrite_c=1), view)
     t_next = state.t + 1
     if bound <= 1.0:
         # the draw the oracle's Lanczos start vector would have taken
         np.random.default_rng(seed).standard_normal(d)
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
-        sep = separation_oracle(M, delta_schedule(t_next),
+        sep = separation_oracle(W, delta_schedule(t_next),
                                 q_schedule(t_next, state.failure_budget),
                                 seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
-    new_state = replace(state, W=M, certificate=certificate,
-                        op_bound=op_bound, t=t_next)
+    new_state = replace(state, certificate=certificate, op_bound=op_bound,
+                        t=t_next)
     report = LearnerStepReport(loss_value=loss_value,
                                matvecs=1 + sep_matvecs)
     return new_state, report

@@ -15,7 +15,8 @@ import numpy as np
 from .datasets import LogisticObjective, SyntheticLogisticSpec, generate_logistic
 from .baselines import BaselineConfig, bfgs_solve
 from .errors import ConvergenceError
-from .learner import LossSample, band_violation, init_learner, learner_step
+from .learner import (LossSample, band_violation, frobenius_norm,
+                      init_learner, learner_step)
 from .line_search import backtracking_search
 from .linear_solver import conjugate_residual
 from .oracles import CountingOracle, symmetrize
@@ -192,7 +193,8 @@ def separation_violation(result, W, rtol=1e-8):
 
 def learner_bound_violation(state, rtol=1e-8):
     """The learner's chained bound ||W||_op <= op_bound, against dense
-    eigenvalues."""
+    eigenvalues (``eigvalsh`` reads the lower triangle, where the learner
+    keeps W)."""
     op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
     if not op <= state.op_bound * (1.0 + rtol):
         return (f"||W||_op = {op:.6g} above the learner's bound "
@@ -257,7 +259,7 @@ def check_learner():
         H = random_psd(rng, d, top=L1)
         state, report = learner_step(state, LossSample(w=H @ s, s=s), seed=rng)
         losses.append(report.loss_value)
-        if np.linalg.norm(state.W) > math.sqrt(d) + 1e-12:
+        if frobenius_norm(state.W) > math.sqrt(d) + 1e-12:
             return "Frobenius-ball constraint violated"
         if problem := (band_violation(state.B.dense(), L1)
                        or learner_bound_violation(state)):

@@ -27,10 +27,21 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dsymv
 
 from .errors import check_integer, check_interval
 
 LANCZOS_BREAKDOWN = 1e-14
+
+
+def symv(W: np.ndarray, v: np.ndarray, alpha: float = 1.0,
+         beta: float = 0.0, y: Optional[np.ndarray] = None) -> np.ndarray:
+    """alpha W v + beta y as a new array, for the symmetric matrix held in
+    the lower triangle (row >= column) of the C-ordered W; the strict upper
+    triangle is never read, so it may be stale.  BLAS ``dsymv`` sees the
+    Fortran-ordered W.T, whose upper triangle that is.  Every product with
+    W, the learner's and the oracle's, goes through here."""
+    return dsymv(alpha, W.T, v, beta, y, lower=0)
 
 
 class LanczosExtremes(NamedTuple):
@@ -79,7 +90,8 @@ def _tridiagonal_eigenvector(a: np.ndarray, b: np.ndarray,
 
 
 class LanczosRun:
-    """One Lanczos sequence on symmetric W that can be extended step by step.
+    """One Lanczos sequence on symmetric W, held in its lower triangle, that
+    can be extended step by step.
 
     The start vector is standard Gaussian normalized to the unit sphere, drawn
     once from ``seed``.  The orthonormal basis is stored row-major in a buffer
@@ -130,7 +142,7 @@ class LanczosRun:
                     break
                 betas[j - 1] = beta
                 np.divide(r, beta, out=Q[j])
-            self._Wq = self.W @ Q[j]
+            self._Wq = symv(self.W, Q[j])
             alphas[j] = Q[j] @ self._Wq
             j += 1
         self.steps = j
@@ -150,8 +162,8 @@ class LanczosRun:
             u_max /= np.linalg.norm(u_max)
             u_min = _tridiagonal_eigenvector(a, b, 0) @ Q
             u_min /= np.linalg.norm(u_min)
-        lam_max = float(u_max @ (self.W @ u_max))
-        lam_min = float(u_min @ (self.W @ u_min))
+        lam_max = float(u_max @ symv(self.W, u_max))
+        lam_min = float(u_min @ symv(self.W, u_min))
         return u_max, lam_max, u_min, lam_min
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConfigurationError, SolverError, check_integer,
-                     check_interval)
+from .errors import (ConfigurationError, SolverError, check_at_least,
+                     check_integer, check_interval)
 from .learner import (DEFAULT_FAILURE_BUDGET, DEFAULT_STEP_SIZE, Curvature,
                       LearnerState, LossSample, init_learner, learner_step)
 from .line_search import backtracking_search
@@ -56,14 +56,14 @@ class SolverConfig:
         check_interval("alpha1", self.alpha1, 0.0, 1.0)
         check_interval("alpha2", self.alpha2, 0.0, 1.0)
         if self.alpha1 + self.alpha2 >= 1.0:
-            raise ValueError("alpha1 + alpha2 must be < 1")
+            raise ValueError(f"alpha1 + alpha2 must be < 1, got "
+                             f"{self.alpha1!r} + {self.alpha2!r}")
         check_interval("beta", self.beta, 0.0, 1.0)
         for name in ("sigma0", "L1"):
             if getattr(self, name) is not None:
                 check_interval(name, getattr(self, name), 0.0, math.inf)
         check_integer("max_iters", self.max_iters, 1)
-        if not self.tolerance >= 0.0:
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        check_at_least("tolerance", self.tolerance, 0.0)
         check_interval("failure_budget", self.failure_budget, 0.0, 1.0)
         check_interval("rho", self.rho, 0.0, math.inf)
         check_integer("seed", self.seed, 0)
@@ -124,11 +124,15 @@ def damped_iterate(x: np.ndarray, x_hat: np.ndarray, A: float, a: float,
 
 
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
-         rng: np.random.Generator
+         rng: np.random.Generator, observed: bool = False
          ) -> Optional[tuple[SolverState, IterationReport]]:
     """Advance one iteration; feeds the learner only when backtracked and
     books the iteration's reported matvecs on ``oracle.counters``.  Returns
-    None when the gradient at the anchor is at the precision floor."""
+    None when the gradient at the anchor is at the precision floor.
+
+    The learner step consumes ``state.learner``'s W.  When ``observed``, it
+    steps on a copy instead, so the report's ``B_used`` is never written
+    after it is reported."""
     a, y = momentum_weights(state.A, state.eta, state.x, state.z)
     grad_y = oracle.gradient(y)
     try:
@@ -163,7 +167,10 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         eta_next = outcome.eta_hat
         sample = LossSample(w=outcome.grad_at_x_tilde - grad_y,
                             s=outcome.x_tilde - y)
-        learner, learner_report = learner_step(state.learner, sample, rng)
+        learner = state.learner
+        if observed:
+            learner = replace(learner, W=learner.W.copy())
+        learner, learner_report = learner_step(learner, sample, rng)
         case = CASE_DAMPED
         loss_fed = learner_report.loss_value
         learner_matvecs = learner_report.matvecs
@@ -243,7 +250,8 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     start = time.perf_counter()
     try:
         for _ in range(config.max_iters):
-            advanced = step(state, oracle, config, rng)
+            advanced = step(state, oracle, config, rng,
+                            observed=observer is not None)
             if advanced is None:
                 record.metadata["stopped"] = "precision_floor"
                 break
@@ -261,10 +269,6 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
                 observer(report)
             if report.grad_norm_at_x_hat <= config.tolerance:
                 break
-            # the report's B_used is dead unless the observer kept it; hold
-            # neither the report nor the tuple that carried it through the
-            # next step
-            del report, advanced
     except Exception as exc:
         raise SolverError(f"solver aborted at iteration {state.k}: {exc}",
                           trace=record.finish(start, state.x)) from exc

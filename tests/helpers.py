@@ -1,8 +1,9 @@
 """Reference code the tests share and the library does not need: a quadratic
-objective, a matrix that counts its products, the map of the band onto the
-unit ball, the learner's loss and its gradient as dense formulas, the dense
-learner step they define, the dense separation hyperplane, and the first
-iteration to reach an objective gap."""
+objective, a matrix that counts its products, a counter of the library's
+products with W, the map of the band onto the unit ball, the learner's loss
+and its gradient as dense formulas, the dense learner step they define, the
+dense separation hyperplane, and the first iteration to reach an objective
+gap."""
 
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ from typing import Optional
 
 import numpy as np
 
+import qnprox.learner
+import qnprox.separation
 from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             _surrogate_coefficient, delta_schedule,
-                            next_op_norm_bound, q_schedule)
+                            next_op_norm_bound, q_schedule,
+                            symmetric_completion)
 from qnprox.oracles import symmetrize
 from qnprox.separation import separation_oracle
 from qnprox.trace import RunRecord
@@ -63,6 +67,25 @@ class CountingMatrix(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+class ProductCounter:
+    """Counts the products with W that the library takes, all of them
+    through ``qnprox.separation.symv``: installed with ``monkeypatch`` into
+    each module that calls it, it adds one to ``products`` per call and
+    returns the library's result."""
+
+    def __init__(self, monkeypatch):
+        self.products = 0
+        original = qnprox.separation.symv
+
+        def counted(*args, **kwargs):
+            self.products += 1
+            return original(*args, **kwargs)
+
+        for module in (qnprox.separation, qnprox.learner):
+            assert module.symv is original
+            monkeypatch.setattr(module, "symv", counted)
+
+
 def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
     """B_hat = (2 / L1) (B - (L1 / 2) I); maps Z onto the unit op-norm ball."""
     B_hat = np.array(B, dtype=float)
@@ -89,9 +112,11 @@ def project_frobenius_ball(M: np.ndarray, radius: float
 def dense_learner_step(state: LearnerState, sample: LossSample, seed
                        ) -> tuple[LearnerState, LearnerStepReport, np.ndarray]:
     """``qnprox.learner.learner_step`` written with dense temporaries: the
-    surrogate gradient G as one matrix, W - rho G and its projection, and
-    the next curvature matrix B = kappa W_next + (L1 / 2) I as a third
-    return value.  The library builds the same W_next floats by row tiles
+    surrogate gradient G as one matrix, W - rho G from the full symmetric W
+    and its projection, and the next curvature matrix
+    B = kappa W_next + (L1 / 2) I as a third return value.  The state is
+    not consumed, and the returned W is full.  The library updates W's
+    lower triangle in place by BLAS rank updates, which round differently,
     and never forms B.  B s is the state's operator product, as in the
     library, so both steps start from the same floats."""
     d = state.W.shape[0]
@@ -110,7 +135,8 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
         G_op += abs(coefficient * cert.weight)
 
     radius = math.sqrt(d)
-    W_next, norm = project_frobenius_ball(state.W - state.rho * G, radius)
+    W_next, norm = project_frobenius_ball(
+        symmetric_completion(state.W) - state.rho * G, radius)
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     t_next = state.t + 1
     if bound <= 1.0:

@@ -16,7 +16,7 @@ import qnprox.separation
 import qnprox.solver
 from qnprox.learner import LossSample, init_learner
 from qnprox.separation import LanczosRun
-from helpers import CountingMatrix, QuadraticObjective
+from helpers import ProductCounter, QuadraticObjective
 
 SUPPORTED = [
     "solve", "SolverConfig",
@@ -87,7 +87,7 @@ def test_patched_stage_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name))
 
 
-def test_patched_stages_return_what_the_benchmark_reads():
+def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     # perfbench/tracing.py annotates each stage's span from these result
     # fields, and keeps the separation input W from the first positional
     # argument; each stage is called positionally, as the library calls it
@@ -110,11 +110,11 @@ def test_patched_stages_return_what_the_benchmark_reads():
     report = qnprox.solver.learner_step(state, sample, 0)[1]
     assert report.matvecs >= 1
 
-    W = (5.0 * np.eye(d)).view(CountingMatrix)
-    result = qnprox.learner.separation_oracle(W, 0.1, 0.05, 0)
+    counter = ProductCounter(monkeypatch)
+    result = qnprox.learner.separation_oracle(5.0 * np.eye(d), 0.1, 0.05, 0)
     assert result.separated is True
     # the Krylov space of a multiple of I breaks down after one step
-    assert result.matvecs == W.products == 1 + 2
+    assert result.matvecs == counter.products == 1 + 2
 
     run = LanczosRun(np.diag([1.0, -2.0, 3.0, 0.5]), 3, 0)
     extremes = qnprox.separation.lanczos_extreme(run, 3)

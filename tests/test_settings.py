@@ -1,6 +1,7 @@
-"""The two setting rules and the places that apply them: an integer of at
-least a minimum, and a real strictly between two bounds (so NaN fails).
-Each rejection is a ValueError that names the setting."""
+"""The three setting rules and the places that apply them: an integer of at
+least a minimum, a real strictly between two bounds, and a real of at least
+a minimum (so NaN fails both).  Each rejection is a ValueError that names
+the setting."""
 
 import math
 from dataclasses import fields
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qnprox import BaselineConfig, SolverConfig, SyntheticLogisticSpec
-from qnprox.errors import check_integer, check_interval
+from qnprox.errors import check_at_least, check_integer, check_interval
 from qnprox.linear_solver import conjugate_residual
 from qnprox.oracles import estimate_smoothness
 from qnprox.separation import LanczosRun, lanczos_extreme, separation_oracle
@@ -40,6 +41,32 @@ def bad_settings():
         for name, value in cases:
             yield pytest.param(cls, base, name, value,
                                id=f"{cls.__name__}-{name}-{value!r}")
+
+
+# a value of the wrong type must be rejected by name, not by a TypeError
+# from a comparison
+WRONG_TYPES = [(SolverConfig, "tolerance", "1e-6"),
+               (SolverConfig, "alpha1", "0.1"),
+               (BaselineConfig, "c1", "0.1"),
+               (BaselineConfig, "c2", None),
+               (BaselineConfig, "tolerance", "x")]
+
+
+@pytest.mark.parametrize("cls, name, value", WRONG_TYPES,
+                         ids=[f"{c.__name__}-{n}" for c, n, _ in WRONG_TYPES])
+def test_config_rejects_wrong_type_by_name(cls, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must .*{value!r}"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("make, values", [
+    (lambda: SolverConfig(alpha1=0.25, alpha2=0.75), ("0.25", "0.75")),
+    (lambda: BaselineConfig(c1=0.9, c2=0.1), ("0.9", "0.1")),
+], ids=["alpha-sum", "wolfe-order"])
+def test_joint_rule_prints_the_offending_values(make, values):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert all(value in str(info.value) for value in values)
 
 
 def test_every_settable_value_is_listed():
@@ -74,6 +101,19 @@ class TestRules:
         (2, math.inf), (1e300, math.inf)], ids=repr)
     def test_interval_accepts_inside(self, value, high):
         check_interval("q", value, 0.0, high)
+
+    @pytest.mark.parametrize("value", [0.0, 2, np.float32(0.5), math.inf],
+                             ids=repr)
+    def test_at_least_accepts_the_minimum_and_above(self, value):
+        check_at_least("tolerance", value, 0.0)
+
+    @pytest.mark.parametrize("value", [-1e-300, math.nan, -math.inf, "1e-6",
+                                       None], ids=repr)
+    def test_at_least_names_setting_and_value(self, value):
+        with pytest.raises(ValueError) as info:
+            check_at_least("tolerance", value, 0.0)
+        assert str(info.value).startswith("tolerance must be a real >= 0")
+        assert repr(value) in str(info.value)
 
     @pytest.mark.parametrize("value", [0.0, 1.0, -1.0, math.nan, math.inf,
                                        -math.inf, "0.5", None], ids=repr)

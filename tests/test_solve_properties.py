@@ -6,7 +6,8 @@ iteration of the solve must keep each shared check of ``qnprox.selftest``:
 the momentum identity, the certificate, the potential, weight growth,
 gradient-query accounting, the fed-loss bound, the backtrack relations, and
 the learner's chained bound ||W||_op <= op_bound, read from each learner
-state the solve produces.
+state the solve produces.  Solved with and without an observer, a drawn
+instance must write the same trace bytes.
 
 These are exact-arithmetic statements.  Near the solver's precision floor,
 an anchor gradient of about 4096 eps L1 (1 + ||y||) (``solver.step``), the
@@ -18,13 +19,16 @@ regression case: run to the floor, it may break a backtrack relation only
 within twice the floor.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qnprox.solver
-from qnprox import SolverConfig, solve
+from qnprox import SolverConfig, solve, write_trace_csv
 from qnprox.learner import learner_step
 from qnprox.selftest import (backtrack_violation, certificate_violation,
                              fed_loss_violation, gradient_query_violation,
@@ -99,12 +103,20 @@ def violations(objective, x_star, f_star, config, record, reports, states,
     yield from map(learner_bound_violation, states)
 
 
-def check_solve(kind, d, data_seed, solver_seed, rho, beta):
+def drawn_problem(kind, d, data_seed, solver_seed, rho, beta):
+    """The drawn objective, its minimizer and minimum, and a config that
+    stops FLOOR_MARGIN times above the precision floor."""
     objective, x_star, f_star = {"quadratic": quadratic,
                                  "logistic": logistic}[kind](d, data_seed)
     tolerance = FLOOR_MARGIN * precision_floor(objective.smoothness, x_star)
     config = SolverConfig(max_iters=MAX_ITERS, rho=rho, beta=beta,
                           seed=solver_seed, tolerance=tolerance)
+    return objective, x_star, f_star, config
+
+
+def check_solve(kind, d, data_seed, solver_seed, rho, beta):
+    objective, x_star, f_star, config = drawn_problem(
+        kind, d, data_seed, solver_seed, rho, beta)
     record, reports, states, losses = solve_recording_learner(objective,
                                                               config)
     assert len(reports) == len(record.rows) > 0
@@ -129,6 +141,32 @@ def check_solve(kind, d, data_seed, solver_seed, rho, beta):
 def test_every_iteration_keeps_every_check(kind, d, data_seed, solver_seed,
                                            rho, beta):
     check_solve(kind, d, data_seed, solver_seed, rho, beta)
+
+
+@settings(max_examples=8)
+@given(kind=st.sampled_from(["quadratic", "logistic"]),
+       d=st.integers(2, 30),
+       data_seed=st.integers(0, 2 ** 32 - 1),
+       solver_seed=st.integers(0, 2 ** 32 - 1),
+       rho=st.floats(1.0 / 512.0, 0.5),
+       beta=st.floats(0.1, 0.9))
+def test_observed_and_unobserved_solves_are_one_run(kind, d, data_seed,
+                                                    solver_seed, rho, beta):
+    # an observed solve steps the learner on a copy of W, so the reports it
+    # hands out are never written; the copy must not change the run
+    objective, _, _, config = drawn_problem(kind, d, data_seed, solver_seed,
+                                            rho, beta)
+    x0 = np.zeros(d)
+    reports = []
+    traces = []
+    with tempfile.TemporaryDirectory() as directory:
+        for observer in (None, reports.append):
+            path = Path(directory) / f"{len(traces)}.csv"
+            write_trace_csv(solve(objective, x0, config=config,
+                                  observer=observer), path)
+            traces.append(path.read_bytes())
+    assert any(rep.loss_fed is not None for rep in reports)
+    assert traces[0] == traces[1]
 
 
 def test_backtrack_relations_fail_only_at_the_precision_floor():
