@@ -124,7 +124,7 @@ def damped_iterate(x: np.ndarray, x_hat: np.ndarray, A: float, a: float,
 
 
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
-         rng: np.random.Generator, observed: bool = False
+         rng: np.random.Generator, *, observed: bool
          ) -> Optional[tuple[SolverState, IterationReport]]:
     """Advance one iteration; feeds the learner only when backtracked and
     books the iteration's reported matvecs on ``oracle.counters``.  Returns
@@ -132,7 +132,9 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
 
     The learner step consumes ``state.learner``'s W.  When ``observed``, it
     steps on a copy instead, so the report's ``B_used`` is never written
-    after it is reported."""
+    after it is reported.  Without it, the report's ``B_used`` shares its W
+    with the returned state, so once ``step`` returns ``B_used`` no longer
+    is the matrix the line search used, and no check may read it."""
     a, y = momentum_weights(state.A, state.eta, state.x, state.z)
     grad_y = oracle.gradient(y)
     try:

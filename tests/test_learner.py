@@ -206,7 +206,8 @@ class TestLearnerStep:
             s = rng.standard_normal(d)
             H = random_psd(rng, d, top=L1)
             state, _ = learner_step(state, LossSample(w=H @ s, s=s), seed=rng)
-            assert np.linalg.norm(state.W) <= math.sqrt(d) + 1e-12
+            # W holds its matrix in the lower triangle only
+            assert frobenius_norm(state.W) <= math.sqrt(d) + 1e-12
             B = state.B.dense()
             assert band_violation(B, L1) is None
             assert np.max(np.abs(B - B.T)) == 0.0
@@ -460,22 +461,33 @@ def test_operator_product_matches_its_dense_form(d):
 @pytest.mark.parametrize("d", [5, 40])
 def test_step_writes_only_into_the_lower_triangle_of_W(d):
     # the step consumes state.W: it becomes the new state's W, with its
-    # strict upper triangle untouched; every other input is left alone
+    # strict upper triangle untouched; every other input is left alone.
+    # The walk never leaves the Frobenius ball, so one more step from the
+    # center takes a loss large enough to run the projection scale.  A
+    # nonzero marker fills the stale triangle, so that scaling it shows
+    # (the walk's upper triangle is 0); TestTriangleStorage checks that
+    # nothing reads it
+    steps = list(learner_walk(d))
+    s = np.ones(d)
+    steps.append((init_learner(d, 2.0, rho=0.09),
+                  LossSample(w=1000.0 * s, s=s), 7))
     certificates = 0
     upper = np.triu_indices(d, 1)
-    for state, sample, seed in learner_walk(d):
+    for state, sample, seed in steps:
         others = [sample.s, sample.w]
         if state.certificate is not None:
             others.append(state.certificate.u)
             certificates += 1
         before = [a.copy() for a in others]
-        stale = state.W[upper].copy()
+        state.W[upper] = math.pi
         new, _ = learner_step(state, sample, seed)
         assert new.W is state.W
-        assert np.array_equal(new.W[upper], stale)
+        assert np.all(new.W[upper] == math.pi)
         assert all(np.array_equal(a, b) for a, b in zip(others, before))
         assert not any(np.shares_memory(new.W, a) for a in others)
     assert certificates > 0
+    assert frobenius_norm(new.W) <= math.sqrt(d) * (1.0 + 1e-12)
+    assert frobenius_norm(new.W) >= math.sqrt(d) * (1.0 - 1e-12)
 
 
 def test_triangle_norm_and_completion():
