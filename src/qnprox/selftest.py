@@ -191,6 +191,16 @@ def separation_violation(result, W, rtol=1e-8):
     return None
 
 
+def smoothness_violation(objective, x, rtol=1e-12):
+    """The paper's smoothness assumption at x: the Hessian's largest
+    eigenvalue is at most the objective's L1."""
+    top = float(np.linalg.eigvalsh(objective.hessian(x))[-1])
+    if not top <= objective.smoothness * (1.0 + rtol):
+        return (f"lambda_max(hessian) = {top!r} above "
+                f"L1 = {objective.smoothness!r}")
+    return None
+
+
 def learner_bound_violation(state, rtol=1e-8):
     """The learner's chained bound ||W||_op <= op_bound, against dense
     eigenvalues (``eigvalsh`` reads the lower triangle, where the learner
@@ -267,6 +277,16 @@ def check_learner():
     return fed_loss_violation(losses, L1)
 
 
+def check_smoothness():
+    # at x = 0 the logistic Hessian is A^T A / (4 n), so L1 is tight there
+    objective = make_logistic(120, 12, seed=7)
+    rng = np.random.default_rng(5)
+    points = [np.zeros(objective.dimension),
+              *rng.standard_normal((4, objective.dimension))]
+    return next(filter(None, (smoothness_violation(objective, x)
+                              for x in points)), None)
+
+
 def check_line_search():
     objective = make_logistic(120, 12, seed=7)
     oracle = CountingOracle(objective)
@@ -314,6 +334,7 @@ CHECKS = (
     ("learner", check_learner),
     ("line-search", check_line_search),
     ("solver-certificate", check_solver_certificate),
+    ("smoothness", check_smoothness),
 )
 
 

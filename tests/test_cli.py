@@ -135,7 +135,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == 1
         assert "[FAIL] separation-oracle: planted violation" in out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 6
 
     def test_runs_from_a_checkout_without_install(self):
         # PYTHONPATH=src python3 -m qnprox.cli selftest, from the repo root
@@ -146,7 +146,7 @@ class TestSelftest:
             text=True, timeout=600)
         assert done.returncode == 0, done.stdout + done.stderr
         lines = done.stdout.splitlines()
-        assert [line.split()[0] for line in lines] == ["[PASS]"] * 6
+        assert [line.split()[0] for line in lines] == ["[PASS]"] * 7
         assert [line.split()[1] for line in lines] == [
             "momentum-identity", "linear-solver", "separation-oracle",
-            "learner", "line-search", "solver-certificate"]
+            "learner", "line-search", "solver-certificate", "smoothness"]

@@ -116,6 +116,17 @@ class TestEstimateSmoothness:
                                        probes=3, seed=0)
         assert 4.0 <= estimate <= 4.4 + 1e-12
 
+    def test_near_degenerate_top_pair_is_exact(self):
+        # eigenvalues 1 and 0.995 on top: 100 power steps from a random
+        # start stop well below 1, a dense eigensolve does not
+        rng = np.random.default_rng(4)
+        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        Q = (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
+        objective = QuadraticObjective(Q)
+        estimate = estimate_smoothness(objective, probes=3, seed=0)
+        want = 1.1 * objective.smoothness
+        assert abs(estimate - want) <= 1e-12 * want
+
     def test_logistic_matches_dense_eig_at_probe_points(self):
         objective = make_logistic(200, 20, seed=11)
         probes, seed = 4, 123

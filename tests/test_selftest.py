@@ -18,7 +18,7 @@ from qnprox.selftest import (backtrack_violation, certificate_violation,
                              gradient_query_violation,
                              learner_bound_violation, momentum_violation,
                              potential_violation, separation_violation,
-                             weight_growth_violation)
+                             smoothness_violation, weight_growth_violation)
 from conftest import random_psd, reference_minimizer
 
 
@@ -141,6 +141,15 @@ def learner_bound(run):
             replace(state, op_bound=0.9 * op))
 
 
+def smoothness(run):
+    # at x = 0 the logistic Hessian reaches L1, so an L1 just below fails
+    low = SimpleNamespace(hessian=run.objective.hessian,
+                          smoothness=(1.0 - 1e-9) * run.objective.smoothness)
+    x = np.zeros(run.objective.dimension)
+    return (lambda objective: smoothness_violation(objective, x),
+            run.objective, low)
+
+
 def band(run):
     L1 = 2.0
     return (lambda B: band_violation(B, L1), 0.5 * L1 * np.eye(4),
@@ -150,7 +159,7 @@ def band(run):
 @pytest.mark.parametrize("case", [
     momentum, certificate, potential, weight_growth, gradient_queries,
     fed_loss, backtrack_step, backtrack_displacement, conjugate_residual_cap,
-    separation, separation_inside, learner_bound, band,
+    separation, separation_inside, learner_bound, smoothness, band,
 ], ids=lambda case: case.__name__)
 def test_planted_violation_is_reported(case, run):
     check, holds, planted = case(run)
