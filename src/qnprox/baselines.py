@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, SolverError, check_at_least,
                      check_integer, check_interval)
-from .oracles import CountingOracle, checked_input, symmetrize
+from .oracles import CountingOracle, checked_input
 from .trace import RunRecord, TraceRow, format_float
 
 
@@ -127,7 +127,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
 
     def phi(t):
         point = x + t * p
-        return float(oracle.value(point)), oracle.gradient(point), point
+        return float(oracle.value(point)), oracle.gradient(point)
 
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, evals):
         for _ in range(MAX_ZOOM):
@@ -138,7 +138,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
             margin = 1e-3 * (high - low)
             if not math.isfinite(t) or t <= low + margin or t >= high - margin:
                 t = 0.5 * (lo + hi)
-            phi_t, g_t, _ = phi(t)
+            phi_t, g_t = phi(t)
             evals += 1
             dphi_t = float(g_t @ p)
             if phi_t > phi0 + c1 * t * dphi0 or phi_t >= phi_lo:
@@ -156,7 +156,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
     t = 1.0
     evals = 0
     for i in range(25):
-        phi_t, g_t, _ = phi(t)
+        phi_t, g_t = phi(t)
         evals += 1
         dphi_t = float(g_t @ p)
         if phi_t > phi0 + c1 * t * dphi0 or (i > 0 and phi_t >= phi_prev):
@@ -173,12 +173,28 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
 CURVATURE_SKIP = 1e-12
 
 
+def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """The BFGS update of the inverse Hessian approximation, in place:
+
+        H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,  rho = 1 / <s, y>,
+
+    expanded (Nocedal & Wright, eq. 6.17) so that it costs one product H y
+    and two rank updates.  Each added term is exactly symmetric, because
+    IEEE products and sums commute, so a symmetric H stays bit-symmetric.
+    """
+    sy = float(s @ y)
+    Hy = H @ y
+    H += ((sy + float(y @ Hy)) / (sy * sy)) * np.outer(s, s)
+    H -= (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+
+
 def bfgs_solve(oracle, x0: np.ndarray,
                config: Optional[BaselineConfig] = None) -> RunRecord:
     """Inverse-Hessian BFGS with a strong Wolfe line search.
 
     The curvature pair (s, y) is skipped whenever <s, y> <= 1e-12 ||s|| ||y||,
-    which keeps the inverse approximation symmetric positive definite.
+    which keeps the inverse approximation symmetric positive definite.  Each
+    iteration books the product H g as one matvec, and each update its H y.
     """
     config = config if config is not None else BaselineConfig()
     if not isinstance(oracle, CountingOracle):
@@ -186,8 +202,7 @@ def bfgs_solve(oracle, x0: np.ndarray,
     counters = oracle.counters
 
     x = checked_input("x0", x0, (oracle.dimension,)).copy()
-    identity = np.eye(x.shape[0])
-    H = identity.copy()
+    H = np.eye(x.shape[0])
 
     record = RunRecord(method="bfgs", metadata={
         "c1": format_float(config.c1),
@@ -205,7 +220,7 @@ def bfgs_solve(oracle, x0: np.ndarray,
             p = -(H @ g)
             counters.count_matvec()
             if float(g @ p) >= 0.0:
-                H = identity.copy()
+                H = np.eye(x.shape[0])
                 p = -g
             descent = float(g @ p)
             try:
@@ -227,10 +242,8 @@ def bfgs_solve(oracle, x0: np.ndarray,
             x = x + s
             sy = float(s @ y_vec)
             if sy > CURVATURE_SKIP * float(np.linalg.norm(s)) * float(np.linalg.norm(y_vec)):
-                rho = 1.0 / sy
-                V = identity - rho * np.outer(s, y_vec)
-                H = V @ H @ V.T + rho * np.outer(s, s)
-                H = symmetrize(H)
+                bfgs_inverse_update(H, s, y_vec)
+                counters.count_matvec()
             f, g = f_new, g_new
 
             record.append(TraceRow(

@@ -80,12 +80,13 @@ def generate_logistic(spec: SyntheticLogisticSpec) -> LogisticDataset:
 class LogisticObjective:
     """Averaged logistic loss over a fixed dataset.
 
-    The margins S x (S the label-signed features) of the last point
-    evaluated are kept, so ``value``, ``gradient`` and ``hessian`` at one
-    point share a single n x d product; a copy of that point decides the
-    reuse, so an ``x`` mutated in place is recomputed.  The instance holds
-    2 n + d floats of scratch space and must not be called from two threads
-    at once.
+    The margins m = y * (A x) (A the features, y the labels) of the last
+    point evaluated are kept, so ``value``, ``gradient`` and ``hessian`` at
+    one point share a single n x d product; a copy of that point decides the
+    reuse, so an ``x`` mutated in place is recomputed.  The gradient is
+    -A^T (y * expit(-m)) / n.  The instance reads the dataset's arrays and
+    keeps no copy of them: it holds 2 n + d floats of scratch space and must
+    not be called from two threads at once.
 
     ``smoothness`` is L1 = lambda_max(A^T A) / (4 n), the largest eigenvalue
     of the Hessian at 0, computed exactly rather than estimated: the Gram
@@ -99,8 +100,7 @@ class LogisticObjective:
         self.features = dataset.features
         self.labels = dataset.labels
         self.dimension = dataset.d
-        self._signed = self.features * self.labels[:, None]
-        n = self._signed.shape[0]
+        n = dataset.n
         self._margins = np.empty(n)
         self._work = np.empty(n)
         self._margins_x = np.full(self.dimension, np.nan)  # NaN: none cached
@@ -109,10 +109,13 @@ class LogisticObjective:
         self.smoothness = float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * n)
 
     def _margins_at(self, x: np.ndarray) -> np.ndarray:
-        """S x, recomputed only when x differs from the last point; the
-        returned buffer is overwritten by the next call at a new point."""
+        """y * (A x), recomputed only when x differs from the last point;
+        the returned buffer is overwritten by the next call at a new point.
+        Multiplying by a label of +-1 is exact, so this equals the product
+        of x with the label-signed features bit for bit."""
         if not np.array_equal(x, self._margins_x):
-            np.matmul(self._signed, x, out=self._margins)
+            np.matmul(self.features, x, out=self._margins)
+            self._margins *= self.labels
             np.copyto(self._margins_x, x)
         return self._margins
 
@@ -124,7 +127,8 @@ class LogisticObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         weights = np.negative(self._margins_at(x), out=self._work)
         expit(weights, out=weights)
-        return -(self._signed.T @ weights) / self._signed.shape[0]
+        weights *= self.labels
+        return -(self.features.T @ weights) / self.features.shape[0]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         margins = self._margins_at(x)

@@ -113,12 +113,17 @@ def power_iteration_extreme(apply_h, dimension: int, rng,
     return abs(rayleigh)
 
 
-def estimate_smoothness(oracle, probes: int = 5, seed: int = 0) -> float:
-    """Estimate sup ||hessian(x)||_op from the Hessian at random points.
+def estimate_smoothness(oracle, x0: np.ndarray, probes: int = 5,
+                        seed: int = 0) -> float:
+    """Estimate sup ||hessian(x)||_op from the Hessian at the start point
+    and at random points.
 
     Draws ``probes`` standard-normal points (all up front, so tests can
     reproduce them from the seed), takes the largest-magnitude eigenvalue of
-    the Hessian at each, and inflates the largest by a 1.1 safety factor.
+    the Hessian at each of them and at ``x0``, and inflates the largest by a
+    1.1 safety factor.  Probing ``x0`` matters: a logistic Hessian is largest
+    where the margins are small, near the usual start x0 = 0, and random
+    points can miss that curvature by a factor of ten or more.
     With a ``hessian`` that eigenvalue is exact, from one ``eigvalsh``;
     without one it is the Rayleigh quotient of power iteration on
     central-difference Hessian-vector products, which can fall below it.
@@ -128,7 +133,7 @@ def estimate_smoothness(oracle, probes: int = 5, seed: int = 0) -> float:
     points = rng.standard_normal((probes, oracle.dimension))
     has_hessian = hasattr(oracle, "hessian")
     best = 0.0
-    for x in points:
+    for x in (*points, x0):
         if has_hessian:
             eigenvalues = np.linalg.eigvalsh(oracle.hessian(x))
             extreme = float(np.abs(eigenvalues).max())

@@ -123,6 +123,14 @@ def damped_iterate(x: np.ndarray, x_hat: np.ndarray, A: float, a: float,
     return ((1.0 - gamma) * A * x + gamma * (A + a) * x_hat) / (A + gamma * a)
 
 
+def precision_floor(L1: float, y: np.ndarray) -> float:
+    """4096 eps L1 (1 + ||y||): an anchor gradient at or below it is at
+    float-noise scale, where displacements round away and no step size can
+    satisfy the proximal test."""
+    return (4096.0 * np.finfo(float).eps * L1
+            * (1.0 + float(np.linalg.norm(y))))
+
+
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
          rng: np.random.Generator, *, observed: bool
          ) -> Optional[tuple[SolverState, IterationReport]]:
@@ -143,10 +151,8 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
             config.alpha2, config.beta, oracle,
             max_cr_iters=config.max_cr_iters)
     except ConfigurationError:
-        # a gradient at float-noise scale means displacements round away and
-        # no step size can satisfy the proximal test: converged to the floor
-        floor = (4096.0 * np.finfo(float).eps * state.learner.L1
-                 * (1.0 + float(np.linalg.norm(y))))
+        # a failed search with a gradient at the floor: converged
+        floor = precision_floor(state.learner.L1, y)
         if float(np.linalg.norm(grad_y)) <= floor:
             return None
         raise
@@ -226,7 +232,7 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
         # config.L1 is checked when the config is made; these sources are not
         L1, source = oracle.smoothness, "the oracle's smoothness"
         if L1 is None:
-            L1 = estimate_smoothness(oracle.inner, seed=config.seed)
+            L1 = estimate_smoothness(oracle.inner, x, seed=config.seed)
             source = "the curvature estimate"
         check_interval(f"L1 from {source}", L1, 0.0, math.inf)
     sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1

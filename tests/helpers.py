@@ -2,8 +2,8 @@
 objective, a matrix that counts its products, a counter of the library's
 products with W, the map of the band onto the unit ball, the learner's loss
 and its gradient as dense formulas, the dense learner step they define, the
-dense separation hyperplane, and the first iteration to reach an objective
-gap."""
+dense separation hyperplane, the BFGS inverse update in product form, and
+the first iteration to reach an objective gap."""
 
 from __future__ import annotations
 
@@ -177,6 +177,16 @@ def hyperplane(result) -> np.ndarray:
     """The dense d x d certificate S = weight * u u^T of a separation
     result (zero when it certified containment)."""
     return result.weight * np.outer(result.u, result.u)
+
+
+def bfgs_inverse_product_form(H: np.ndarray, s: np.ndarray, y: np.ndarray
+                              ) -> np.ndarray:
+    """V H V^T + rho s s^T with V = I - rho s y^T and rho = 1 / <s, y>: the
+    BFGS inverse update as Nocedal & Wright write it, two d^3 products and
+    a new matrix."""
+    rho = 1.0 / float(s @ y)
+    V = np.eye(H.shape[0]) - rho * np.outer(s, y)
+    return V @ H @ V.T + rho * np.outer(s, s)
 
 
 def iterations_to_gap(record: RunRecord, f_star: float, gap: float

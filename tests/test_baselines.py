@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qnprox.baselines
 from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
                     bfgs_solve, nag_solve, write_trace_csv)
-from qnprox.baselines import NAG_BETA, NAG_ETA0
+from qnprox.baselines import NAG_BETA, NAG_ETA0, bfgs_inverse_update
 from qnprox.errors import ConvergenceError, NumericsError
 from conftest import make_logistic, random_psd
-from helpers import QuadraticObjective
+from helpers import QuadraticObjective, bfgs_inverse_product_form
 
 
 class CountingValues:
@@ -136,16 +139,18 @@ class TestNag:
 
 @pytest.fixture
 def bfgs_inverses(monkeypatch):
-    """Each inverse-Hessian approximation ``bfgs_solve`` forms, in order:
-    every BFGS update ends in ``symmetrize``."""
+    """A copy of each inverse-Hessian approximation ``bfgs_solve`` forms, in
+    order: every BFGS update is one ``bfgs_inverse_update``, and each must
+    leave H bit-symmetric."""
     formed = []
-    original = qnprox.baselines.symmetrize
+    original = qnprox.baselines.bfgs_inverse_update
 
-    def recording(matrix):
-        formed.append(original(matrix))
-        return formed[-1]
+    def recording(H, s, y):
+        original(H, s, y)
+        assert np.array_equal(H, H.T)
+        formed.append(H.copy())
 
-    monkeypatch.setattr(qnprox.baselines, "symmetrize", recording)
+    monkeypatch.setattr(qnprox.baselines, "bfgs_inverse_update", recording)
     return formed
 
 
@@ -182,6 +187,51 @@ class TestBfgs:
             bfgs_solve(objective, np.zeros(d), BaselineConfig(max_iters=30))
             H = bfgs_inverses[-1]
             assert np.linalg.eigvalsh(H)[0] > 0.0
+
+    def test_matvecs_count_each_product_with_H(self, bfgs_inverses):
+        # one H g per iteration and one H y per update
+        objective = make_logistic(200, 12, seed=3)
+        record = bfgs_solve(objective, np.zeros(12),
+                            BaselineConfig(max_iters=30))
+        assert len(record.rows) == 30 and bfgs_inverses
+        assert record.rows[-1].matvecs == len(record.rows) + len(bfgs_inverses)
+
+    def test_peak_stays_under_four_dense_matrices(self):
+        # H is updated in place: H plus the rank-update temporaries (3.47
+        # d^2 measured)
+        d = 200
+        objective = make_logistic(1000, d, seed=0, sigma=3.0)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bfgs_solve(objective, np.zeros(d), BaselineConfig(max_iters=30))
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 4.0 * d * d * 8
+
+    @settings(max_examples=200)
+    @given(d=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_inverse_update_matches_product_form(self, d, seed, data):
+        # H = U diag(e^u) U^T with u in [-4, 4], and a pair with <s, y> > 0
+        u = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d,
+                                        max_size=d), label="u"))
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        H = (U * np.exp(u)) @ U.T
+        H = (H + H.T) / 2.0
+        s, y = rng.standard_normal((2, d))
+        if s @ y < 0.0:
+            y = -y
+        want = bfgs_inverse_product_form(H, s, y)
+        bfgs_inverse_update(H, s, y)
+        assert np.array_equal(H, H.T)
+        assert np.linalg.norm(H - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_faster_than_nag_on_logistic(self):
         objective = make_logistic(500, 50, seed=0)

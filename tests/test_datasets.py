@@ -273,6 +273,25 @@ class TestMarginCache:
             write_trace_csv(run(plain), plain_csv)
             assert cached_csv.read_bytes() == plain_csv.read_bytes(), name
 
+    def test_holds_no_copy_of_the_dataset(self):
+        # the margins, one scratch n-vector and the cached point: 2 n + d
+        # floats, plus a little for the object itself
+        n, d = 2000, 20
+        dataset = generate_logistic(
+            SyntheticLogisticSpec(n=n, d=d, sigma=0.8, seed=1))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            objective = LogisticObjective(dataset)
+            held = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert objective.features is dataset.features
+        assert held <= (2 * n + d) * 8 + 4096
+
     @pytest.mark.parametrize("method", ["value", "gradient"])
     def test_call_allocates_no_n_vector(self, method):
         n = 4000

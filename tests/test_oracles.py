@@ -107,13 +107,13 @@ class TestCountingOracle:
 
 class TestEstimateSmoothness:
     def test_isotropic_quadratic(self):
-        estimate = estimate_smoothness(QuadraticObjective(np.eye(6)), probes=3,
-                                       seed=0)
+        estimate = estimate_smoothness(QuadraticObjective(np.eye(6)),
+                                       np.zeros(6), probes=3, seed=0)
         assert 1.0 <= estimate <= 1.1 + 1e-12
 
     def test_diagonal_quadratic(self):
         estimate = estimate_smoothness(QuadraticObjective(np.diag([1.0, 4.0])),
-                                       probes=3, seed=0)
+                                       np.zeros(2), probes=3, seed=0)
         assert 4.0 <= estimate <= 4.4 + 1e-12
 
     def test_near_degenerate_top_pair_is_exact(self):
@@ -123,25 +123,29 @@ class TestEstimateSmoothness:
         V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         Q = (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
         objective = QuadraticObjective(Q)
-        estimate = estimate_smoothness(objective, probes=3, seed=0)
+        estimate = estimate_smoothness(objective, np.zeros(8), probes=3,
+                                       seed=0)
         want = 1.1 * objective.smoothness
         assert abs(estimate - want) <= 1e-12 * want
 
     def test_logistic_matches_dense_eig_at_probe_points(self):
         objective = make_logistic(200, 20, seed=11)
         probes, seed = 4, 123
-        estimate = estimate_smoothness(objective, probes=probes, seed=seed)
+        x0 = np.zeros(objective.dimension)
+        estimate = estimate_smoothness(objective, x0, probes=probes,
+                                       seed=seed)
         # dense-eigendecomposition oracle at the same probe points (the
-        # estimator draws them up front from the seed)
+        # estimator draws them up front from the seed) and at x0
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((probes, objective.dimension))
         dense = max(float(np.linalg.eigvalsh(objective.hessian(x))[-1])
-                    for x in points)
+                    for x in (*points, x0))
         assert abs(estimate - dense) <= 0.1 * dense * (1.0 + 1e-9)
 
     def test_probe_validation(self):
         with pytest.raises(ValueError):
-            estimate_smoothness(QuadraticObjective(np.eye(2)), probes=0)
+            estimate_smoothness(QuadraticObjective(np.eye(2)), np.zeros(2),
+                                probes=0)
 
     def test_gradient_only_fallback(self):
         class GradientOnly:
@@ -153,5 +157,6 @@ class TestEstimateSmoothness:
             def gradient(self, x):
                 return np.diag([1.0, 2.0, 5.0]) @ x
 
-        estimate = estimate_smoothness(GradientOnly(), probes=3, seed=1)
+        estimate = estimate_smoothness(GradientOnly(), np.zeros(3), probes=3,
+                                       seed=1)
         assert 4.9 <= estimate <= 5.5 + 1e-9

@@ -144,8 +144,10 @@ ROUTINE_CALLS = {
     "iterations-1.5": lambda: lanczos_extreme(LanczosRun(np.eye(3), 2, 0),
                                               1.5),
     "iterations-0": lambda: lanczos_extreme(LanczosRun(np.eye(3), 2, 0), 0),
-    "probes-2.0": lambda: estimate_smoothness(_quadratic(), probes=2.0),
-    "probes-0": lambda: estimate_smoothness(_quadratic(), probes=0),
+    "probes-2.0": lambda: estimate_smoothness(_quadratic(), np.zeros(3),
+                                              probes=2.0),
+    "probes-0": lambda: estimate_smoothness(_quadratic(), np.zeros(3),
+                                            probes=0),
 }
 
 

@@ -10,11 +10,11 @@ state the solve produces.  Solved with and without an observer, a drawn
 instance must write the same trace bytes.
 
 These are exact-arithmetic statements.  Near the solver's precision floor,
-an anchor gradient of about 4096 eps L1 (1 + ||y||) (``solver.step``), the
-displacements and gradient differences are at rounding scale and the
-backtrack relations hold only to rounding.  So each drawn solve stops, by
-its gradient tolerance, FLOOR_MARGIN times above that floor at the
-minimizer.  The first drawn instance that ran to the floor is kept as a
+an anchor gradient of about 4096 eps L1 (1 + ||y||)
+(``solver.precision_floor``), the displacements and gradient differences
+are at rounding scale and the backtrack relations hold only to rounding.
+So each drawn solve stops, by its gradient tolerance, FLOOR_MARGIN times
+above that floor at the minimizer.  The first drawn instance that ran to the floor is kept as a
 regression case: run to the floor, it may break a backtrack relation only
 within twice the floor.
 """
@@ -35,16 +35,11 @@ from qnprox.selftest import (backtrack_violation, certificate_violation,
                              learner_bound_violation, make_logistic,
                              momentum_violation, potential_violation,
                              reference_minimizer, weight_growth_violation)
+from qnprox.solver import precision_floor
 from helpers import QuadraticObjective
 
 MAX_ITERS = 40
 FLOOR_MARGIN = 16.0
-
-
-def precision_floor(L1, point):
-    """The anchor gradient norm below which ``solver.step`` reads a failed
-    line search as convergence to float resolution."""
-    return 4096.0 * np.finfo(float).eps * L1 * (1.0 + np.linalg.norm(point))
 
 
 def quadratic(d, seed):

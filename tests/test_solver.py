@@ -417,6 +417,30 @@ class TestSmoothnessFallback:
         assert 3.0 <= L1 <= 3.3 + 1e-9
         assert record.rows[-1].f_value < 1e-8
 
+    def test_estimate_covers_the_curvature_at_x0(self):
+        # a logistic Hessian is largest at x = 0, where every margin is 0;
+        # random probes alone put L1 at 0.60 of lambda_max(hessian(0)) here
+        class HiddenSmoothness:
+            def __init__(self, inner):
+                self.inner = inner
+                self.dimension = inner.dimension
+
+            def value(self, x):
+                return self.inner.value(x)
+
+            def gradient(self, x):
+                return self.inner.gradient(x)
+
+            def hessian(self, x):
+                return self.inner.hessian(x)
+
+        objective = make_logistic(120, 12, seed=0)
+        x0 = np.zeros(objective.dimension)
+        record = solve(HiddenSmoothness(objective), x0,
+                       config=SolverConfig(max_iters=1))
+        top = float(np.linalg.eigvalsh(objective.hessian(x0))[-1])
+        assert float(record.metadata["L1"]) >= top
+
 
 class TestCustomInitialMatrix:
     def test_exact_curvature_start_never_backtracks(self):
