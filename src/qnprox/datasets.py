@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import check_integer
 from .trace import format_float
@@ -83,10 +82,18 @@ class LogisticObjective:
     The margins m = y * (A x) (A the features, y the labels) of the last
     point evaluated are kept, so ``value``, ``gradient`` and ``hessian`` at
     one point share a single n x d product; a copy of that point decides the
-    reuse, so an ``x`` mutated in place is recomputed.  The gradient is
-    -A^T (y * expit(-m)) / n.  The instance reads the dataset's arrays and
-    keeps no copy of them: it holds 2 n + d floats of scratch space and must
-    not be called from two threads at once.
+    reuse, so an ``x`` mutated in place is recomputed.  The loss, its
+    gradient weights and its curvature come from the three kernels below,
+    on numpy's vectorized ``exp`` and ``log1p`` (no ``scipy.special``):
+
+        value     (sum max(-m, 0) + sum log1p(exp(-|m|))) / n
+        gradient  -A^T (y * sigma(-m)) / n,   sigma(-m) = 1 / (1 + exp(m))
+        hessian   A^T diag(e / (1 + e)^2) A / n,   e = exp(-|m|)
+
+    The instance reads the dataset's arrays and keeps no copy of them: it
+    holds 2 n + d floats of scratch space, ``value`` and ``gradient``
+    allocate no length-n array, and it must not be called from two threads
+    at once.
 
     ``smoothness`` is L1 = lambda_max(A^T A) / (4 n), the largest eigenvalue
     of the Hessian at 0, computed exactly rather than estimated: the Gram
@@ -120,20 +127,51 @@ class LogisticObjective:
         return self._margins
 
     def value(self, x: np.ndarray) -> float:
-        losses = np.negative(self._margins_at(x), out=self._work)
-        np.logaddexp(0.0, losses, out=losses)
-        return float(np.mean(losses))
+        return mean_logistic_loss(self._margins_at(x), self._work)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        weights = np.negative(self._margins_at(x), out=self._work)
-        expit(weights, out=weights)
+        weights = logistic_weights(self._margins_at(x), self._work)
         weights *= self.labels
         return -(self.features.T @ weights) / self.features.shape[0]
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         margins = self._margins_at(x)
-        weights = expit(margins) * expit(-margins)
+        weights = logistic_curvature(margins, np.empty_like(margins))
         return (self.features.T * weights) @ self.features / self.features.shape[0]
+
+
+def mean_logistic_loss(margins: np.ndarray, out: np.ndarray) -> float:
+    """(1/n) sum log(1 + exp(-m_i)), overwriting ``out`` (length n).
+
+    Split as log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)): each of the
+    two sums adds terms of one sign, so nothing cancels, and exp never
+    overflows.  -|m| = 2 min(m, 0) - m is formed exactly in ``out``."""
+    np.minimum(margins, 0.0, out=out)
+    hinge = -float(np.sum(out))
+    out *= 2.0
+    out -= margins
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return (hinge + float(np.sum(out))) / margins.shape[0]
+
+
+def logistic_weights(margins: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma(-m) = 1 / (1 + exp(m)) into ``out``; exp(m) overflowing to inf
+    gives the weight 0 without a warning."""
+    with np.errstate(over="ignore"):
+        np.exp(margins, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def logistic_curvature(margins: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma(m) sigma(-m) = e / (1 + e)^2 into ``out``, e = exp(-|m|) <= 1,
+    so nothing overflows and the weight at m = 0 is exactly 1/4."""
+    np.abs(margins, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out /= np.square(1.0 + out)
+    return out
 
 
 def write_dataset_csv(dataset: LogisticDataset, path) -> None:

@@ -1,9 +1,12 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from qnprox import (BaselineConfig, CountingOracle, LogisticObjective,
@@ -11,7 +14,8 @@ from qnprox import (BaselineConfig, CountingOracle, LogisticObjective,
                     bfgs_solve, generate_logistic, nag_solve,
                     read_dataset_csv, solve, write_dataset_csv,
                     write_trace_csv)
-from qnprox.datasets import LogisticDataset
+from qnprox.datasets import (LogisticDataset, logistic_curvature,
+                             logistic_weights, mean_logistic_loss)
 from qnprox.selftest import smoothness_violation
 
 
@@ -183,8 +187,51 @@ class TestLogisticObjective:
         assert smoothness_violation(objective, np.zeros(d)) is None
 
 
+# margins where a naive kernel overflows, underflows, cancels or loses the
+# sign of zero: exp(745) overflows, exp(-745) is the last subnormal
+EDGE_MARGINS = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+                1000.0, -1000.0]
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+def close_in_ulps(got, want, ulps):
+    """|got - want| <= ulps eps |want|, or below the smallest normal, where
+    a subnormal result has no relative precision to bound."""
+    error = np.abs(np.asarray(got) - want)
+    return bool(np.all((error <= ulps * EPS * np.abs(want)) | (error < TINY)))
+
+
+class TestLossKernels:
+    """The three kernels agree with the textbook ufuncs to a few ulps on
+    every margin, and raise no floating-point warning doing it."""
+
+    @settings(max_examples=300)
+    @given(margins=st.lists(
+        st.one_of(st.sampled_from(EDGE_MARGINS),
+                  st.floats(-1000.0, 1000.0)), min_size=1, max_size=64))
+    def test_kernels_match_the_reference_ufuncs(self, margins):
+        m = np.array(margins)
+        out = np.empty_like(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = mean_logistic_loss(m, out)
+            weights = logistic_weights(m, out).copy()
+            curvature = logistic_curvature(m, out).copy()
+            want_loss = np.mean(np.logaddexp(0.0, -m))
+            want_weights = expit(-m)
+            want_curvature = expit(m) * expit(-m)
+        assert close_in_ulps(loss, want_loss, 4), (loss, want_loss)
+        assert close_in_ulps(weights, want_weights, 4)
+        assert close_in_ulps(curvature, want_curvature, 4)
+
+    def test_curvature_at_zero_margin_is_exactly_a_quarter(self):
+        m = np.array([0.0, -0.0])
+        assert np.array_equal(logistic_curvature(m, np.empty(2)), [0.25, 0.25])
+
+
 class UncachedLogistic:
-    """The loss formulas without the margin cache: a fresh S x and fresh
+    """The loss kernels without the margin cache: a fresh S x and fresh
     n-vectors on every call."""
 
     def __init__(self, objective):
@@ -195,16 +242,16 @@ class UncachedLogistic:
 
     def value(self, x):
         margins = self.signed @ x
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        return mean_logistic_loss(margins, np.empty_like(margins))
 
     def gradient(self, x):
         margins = self.signed @ x
-        weights = expit(-margins)
+        weights = logistic_weights(margins, np.empty_like(margins))
         return -(self.signed.T @ weights) / self.signed.shape[0]
 
     def hessian(self, x):
         margins = self.signed @ x
-        weights = expit(margins) * expit(-margins)
+        weights = logistic_curvature(margins, np.empty_like(margins))
         return (self.features.T * weights) @ self.features / self.features.shape[0]
 
 
@@ -294,17 +341,19 @@ class TestMarginCache:
 
     @pytest.mark.parametrize("method", ["value", "gradient"])
     def test_call_allocates_no_n_vector(self, method):
-        n = 4000
+        # on a cache miss (a new point: the product runs again) and on a hit
+        n = 20000
         objective = LogisticObjective(generate_logistic(
             SyntheticLogisticSpec(n=n, d=10, sigma=0.8, seed=1)))
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((2, objective.dimension))
         call = getattr(objective, method)
         call(x)                      # warm-up
-        tracemalloc.start()
-        try:
-            call(y)                  # a new point: the product runs again
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * 8
+        for point in (y, y):         # miss, then hit
+            tracemalloc.start()
+            try:
+                call(point)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * 8
