@@ -2,12 +2,12 @@
 
 Run from the repository root:
 
-    python3 tools/bench_snapshot.py                      # BENCH_<short HEAD>.json
-    python3 tools/bench_snapshot.py --root ../old --out BENCH_old.json
+    python3 tools/bench_snapshot.py                  # BENCH_<short HEAD>.json
+    python3 tools/bench_snapshot.py --root ../parent # BENCH_<its short HEAD>.json
     python3 tools/bench_snapshot.py --compare BENCH_a.json BENCH_b.json
 
 A snapshot runs ``perfbench/run.py --seed 1 --seconds 20 --trace {0,1}`` on
-the paper, tall and wide workloads inside ``--root`` (the checkout whose
+the paper, tall and wide workloads inside ``--root`` (the git checkout whose
 ``src`` is measured), one run at a time, and merges the six
 ``.perfbench/<workload>-seed1-trace{0,1}.json`` results (metrics, environment,
 notes, problems) into one file.  It also keeps the aqnpe trace CSV that the
@@ -29,6 +29,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("paper", "tall", "wide")
+SEED = 1
+SECONDS = 20
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics", "environment",
                "notes", "problems")
 
@@ -63,12 +65,11 @@ def trace_summary(csv_path: Path) -> dict:
     }
 
 
-def run_one(root: Path, workload: str, seed: int, seconds: float,
-            trace: int) -> dict:
+def run_one(root: Path, workload: str, trace: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds),
+               "--seed", str(SEED), "--seconds", str(SECONDS),
                "--trace", str(trace)]
-    result_path = root / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json"
+    result_path = root / ".perfbench" / f"{workload}-seed{SEED}-trace{trace}.json"
     result_path.unlink(missing_ok=True)   # never merge a stale result
     print("+ " + " ".join(command[1:]), file=sys.stderr, flush=True)
     code = subprocess.run(command, cwd=root, stdout=subprocess.DEVNULL).returncode
@@ -84,14 +85,13 @@ def run_one(root: Path, workload: str, seed: int, seconds: float,
     return entry
 
 
-def snapshot(root: Path, tag: str, seed: int, seconds: float) -> dict:
-    runs = {workload: {f"trace{trace}": run_one(root, workload, seed,
-                                                seconds, trace)
+def snapshot(root: Path, tag: str) -> dict:
+    runs = {workload: {f"trace{trace}": run_one(root, workload, trace)
                        for trace in (0, 1)}
             for workload in WORKLOADS}
-    return {"tag": tag, "seed": seed, "seconds": seconds,
+    return {"tag": tag, "seed": SEED, "seconds": SECONDS,
             "command": "python3 perfbench/run.py --workload W "
-                       f"--seed {seed} --seconds {seconds} --trace T",
+                       f"--seed {SEED} --seconds {SECONDS} --trace T",
             "runs": runs}
 
 
@@ -123,13 +123,11 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path.cwd(),
                         help="checkout to measure (default: the current "
                              "directory)")
-    parser.add_argument("--tag", help="snapshot name (default: the root's "
-                                      "short HEAD, with -dirty when src/ or "
-                                      "perfbench/ has uncommitted changes)")
     parser.add_argument("--out", type=Path,
-                        help="output file (default: ./BENCH_<tag>.json)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+                        help="output file (default: ./BENCH_<tag>.json, the "
+                             "tag being the root's short HEAD, with -dirty "
+                             "when its src/ or perfbench/ has uncommitted "
+                             "changes)")
     parser.add_argument("--compare", nargs=2, type=Path,
                         metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
@@ -138,11 +136,9 @@ def main(argv=None) -> int:
         compare(before, after)
         return 0
     root = args.root.resolve()
-    tag = args.tag
-    if tag is None:
-        tag = git_short_head(root) + ("-dirty" if git_dirty(root) else "")
+    tag = git_short_head(root) + ("-dirty" if git_dirty(root) else "")
     out = args.out or Path(f"BENCH_{tag}.json")
-    data = snapshot(root, tag, args.seed, args.seconds)
+    data = snapshot(root, tag)
     out.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     failed = [f"{w}/{t}" for w, runs in data["runs"].items()
