@@ -14,6 +14,10 @@ notes, problems) into one file.  It also keeps the aqnpe trace CSV that the
 trace-1 run writes: a SHA-256 per column and the ``f`` column itself, so two
 snapshots show which columns of the trace moved and by how much.
 
+The snapshot is written to ``BENCH_<tag>.json`` in the current directory,
+the tag being the root's short HEAD, with ``-dirty`` when its ``src`` or
+``perfbench`` has uncommitted changes.
+
 ``--compare`` prints, per workload, each end-to-end metric before and after
 with its ratio, the trace columns whose digests differ, and the largest
 relative change of ``f``.  It runs nothing.
@@ -70,18 +74,21 @@ def run_one(root: Path, workload: str, trace: int) -> dict:
                "--seed", str(SEED), "--seconds", str(SECONDS),
                "--trace", str(trace)]
     result_path = root / ".perfbench" / f"{workload}-seed{SEED}-trace{trace}.json"
-    result_path.unlink(missing_ok=True)   # never merge a stale result
+    trace_path = root / ".perfbench" / f"{workload}-aqnpe-untraced.csv"
+    outputs = [result_path, trace_path] if trace else [result_path]
+    for path in outputs:
+        path.unlink(missing_ok=True)   # never merge a stale result
     print("+ " + " ".join(command[1:]), file=sys.stderr, flush=True)
     code = subprocess.run(command, cwd=root, stdout=subprocess.DEVNULL).returncode
-    if not result_path.exists():
-        raise RuntimeError(f"{' '.join(command[1:])} exited {code} and "
-                           f"wrote no {result_path.name}")
+    for path in outputs:
+        if not path.exists():
+            raise RuntimeError(f"{' '.join(command[1:])} exited {code} and "
+                               f"wrote no {path.name}")
     result = json.loads(result_path.read_text())
     entry = {key: result[key] for key in RESULT_KEYS}
     entry["exit_code"] = code
     if trace:
-        entry["aqnpe_trace"] = trace_summary(
-            root / ".perfbench" / f"{workload}-aqnpe-untraced.csv")
+        entry["aqnpe_trace"] = trace_summary(trace_path)
     return entry
 
 
@@ -123,11 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=Path.cwd(),
                         help="checkout to measure (default: the current "
                              "directory)")
-    parser.add_argument("--out", type=Path,
-                        help="output file (default: ./BENCH_<tag>.json, the "
-                             "tag being the root's short HEAD, with -dirty "
-                             "when its src/ or perfbench/ has uncommitted "
-                             "changes)")
     parser.add_argument("--compare", nargs=2, type=Path,
                         metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
@@ -137,7 +139,7 @@ def main(argv=None) -> int:
         return 0
     root = args.root.resolve()
     tag = git_short_head(root) + ("-dirty" if git_dirty(root) else "")
-    out = args.out or Path(f"BENCH_{tag}.json")
+    out = Path(f"BENCH_{tag}.json")
     data = snapshot(root, tag)
     out.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
