@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dsyr2
 
 from .errors import (ConvergenceError, SolverError, check_at_least,
                      check_integer, check_interval)
 from .oracles import CountingOracle, checked_input
+from .separation import symv, written_in_place
 from .trace import RunRecord, TraceRow, format_float
 
 
@@ -171,6 +173,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
 
 
 CURVATURE_SKIP = 1e-12
+H_NAME = "the BFGS inverse Hessian H"
 
 
 def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
@@ -178,14 +181,24 @@ def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
 
         H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,  rho = 1 / <s, y>,
 
-    expanded (Nocedal & Wright, eq. 6.17) so that it costs one product H y
-    and two rank updates.  Each added term is exactly symmetric, because
-    IEEE products and sums commute, so a symmetric H stays bit-symmetric.
+    expanded (Nocedal & Wright, eq. 6.17) into
+
+        H + c s s^T - (H y s^T + s (H y)^T) / <s, y>,
+        c = (<s, y> + y^T H y) / <s, y>^2,
+
+    which is the one symmetric rank-two update s v^T + v s^T with
+    v = (c / 2) s - H y / <s, y>.  H is held as its lower triangle
+    (row >= column) of a C-ordered float64 array, as the learner holds W:
+    H y is one ``dsymv`` (:func:`~qnprox.separation.symv`) and the update one
+    ``dsyr2`` on the Fortran-ordered view H.T.  Only that triangle is read or
+    written, and the update allocates no d x d array.
     """
     sy = float(s @ y)
-    Hy = H @ y
-    H += ((sy + float(y @ Hy)) / (sy * sy)) * np.outer(s, s)
-    H -= (np.outer(Hy, s) + np.outer(s, Hy)) / sy
+    Hy = symv(H, y)
+    v = ((sy + float(y @ Hy)) / (2.0 * sy * sy)) * s
+    v -= Hy / sy
+    view = H.T
+    written_in_place(dsyr2(1.0, s, v, a=view, overwrite_a=1), view, H_NAME)
 
 
 def bfgs_solve(oracle, x0: np.ndarray,
@@ -193,8 +206,12 @@ def bfgs_solve(oracle, x0: np.ndarray,
     """Inverse-Hessian BFGS with a strong Wolfe line search.
 
     The curvature pair (s, y) is skipped whenever <s, y> <= 1e-12 ||s|| ||y||,
-    which keeps the inverse approximation symmetric positive definite.  Each
-    iteration books the product H g as one matvec, and each update its H y.
+    which keeps the inverse approximation symmetric positive definite.  H is
+    the solve's one d x d array and holds the matrix in its lower triangle
+    (:func:`bfgs_inverse_update`); the strict upper triangle stays 0.  The
+    product H g is one ``dsymv``, and a reset after a non-descent direction
+    writes the identity into H in place.  Each iteration books the product
+    H g as one matvec, and each update its H y.
     """
     config = config if config is not None else BaselineConfig()
     if not isinstance(oracle, CountingOracle):
@@ -202,7 +219,8 @@ def bfgs_solve(oracle, x0: np.ndarray,
     counters = oracle.counters
 
     x = checked_input("x0", x0, (oracle.dimension,)).copy()
-    H = np.eye(x.shape[0])
+    d = x.shape[0]
+    H = np.eye(d)
 
     record = RunRecord(method="bfgs", metadata={
         "c1": format_float(config.c1),
@@ -217,10 +235,11 @@ def bfgs_solve(oracle, x0: np.ndarray,
         for k in range(config.max_iters):
             if float(np.linalg.norm(g)) <= config.tolerance:
                 break
-            p = -(H @ g)
+            p = symv(H, g, -1.0)
             counters.count_matvec()
             if float(g @ p) >= 0.0:
-                H = np.eye(x.shape[0])
+                H.fill(0.0)
+                H.flat[::d + 1] = 1.0
                 p = -g
             descent = float(g @ p)
             try:

@@ -80,13 +80,15 @@ from scipy.linalg.blas import dsyr, dsyr2, dsyrk
 from scipy.linalg.lapack import dlantr
 
 from .oracles import symmetrize
-from .separation import SeparationResult, separation_oracle, symv
+from .separation import (SeparationResult, separation_oracle, symv,
+                         written_in_place)
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
 DEFAULT_FAILURE_BUDGET = 0.01
 # relative inflation of the skip bound, so rounding cannot certify a W that
 # lies just outside the unit operator-norm ball
 BOUND_SLACK = 1.0 + 1e-12
+W_NAME = "the learner's W"
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,6 @@ def frobenius_norm(W: np.ndarray) -> float:
     lower = dlantr("F", W.T, uplo="U")
     diagonal = W.diagonal()
     return math.sqrt(2.0 * lower * lower - float(diagonal @ diagonal))
-
-
-def _written_in_place(result: np.ndarray, view: np.ndarray) -> None:
-    """f2py hands BLAS a copy of an output array it cannot pass as it is,
-    and the update is then lost: raise unless BLAS wrote into ``view``."""
-    if result is not view:
-        raise ValueError("the learner's W must be a C-contiguous float64 "
-                         "array: BLAS updated a copy of it")
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,21 +272,21 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     # W - rho G on W's lower triangle, the upper triangle of the view that
     # BLAS writes into (module docstring)
     view = W.T
-    _written_in_place(dsyr2(state.rho * (2.0 / L1) / s2, s, residual,
-                            a=view, overwrite_a=1), view)
+    written_in_place(dsyr2(state.rho * (2.0 / L1) / s2, s, residual,
+                           a=view, overwrite_a=1), view, W_NAME)
     cert = state.certificate
     if cert is not None:
         coefficient = _surrogate_coefficient(s, Bs, residual, s2, L1)
         G_op += abs(coefficient * cert.weight)
-        _written_in_place(dsyr(-state.rho * coefficient * cert.weight,
-                               cert.u, a=view, overwrite_a=1), view)
+        written_in_place(dsyr(-state.rho * coefficient * cert.weight,
+                              cert.u, a=view, overwrite_a=1), view, W_NAME)
 
     radius = math.sqrt(d)
     norm = frobenius_norm(W)
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     if norm > radius:
-        _written_in_place(dsyrk(0.0, np.empty((d, 0)), beta=radius / norm,
-                                c=view, overwrite_c=1), view)
+        written_in_place(dsyrk(0.0, np.empty((d, 0)), beta=radius / norm,
+                               c=view, overwrite_c=1), view, W_NAME)
     t_next = state.t + 1
     if bound <= 1.0:
         # the draw the oracle's Lanczos start vector would have taken

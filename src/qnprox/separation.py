@@ -44,6 +44,16 @@ def symv(W: np.ndarray, v: np.ndarray, alpha: float = 1.0,
     return dsymv(alpha, W.T, v, beta, y, lower=0)
 
 
+def written_in_place(result: np.ndarray, view: np.ndarray, name: str
+                     ) -> None:
+    """f2py hands BLAS a copy of an output array it cannot pass as it is,
+    and the update is then lost: raise unless BLAS wrote into ``view``, the
+    transposed view of the triangle-held matrix ``name``."""
+    if result is not view:
+        raise ValueError(f"{name} must be a C-contiguous float64 array: "
+                         f"BLAS updated a copy of it")
+
+
 class LanczosExtremes(NamedTuple):
     u_max: np.ndarray
     lam_max: float

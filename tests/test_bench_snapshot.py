@@ -1,8 +1,10 @@
-"""tools/bench_snapshot.py reads the trace CSVs the library writes, and
-never merges an output left by an earlier run."""
+"""tools/bench_snapshot.py reads the trace CSVs the library writes, never
+merges an output left by an earlier run, and computes its counts ladder as a
+direct solve counts."""
 
 import importlib.util
 import json
+import math
 import subprocess
 from pathlib import Path
 
@@ -12,7 +14,8 @@ import pytest
 from qnprox import SolverConfig, solve, write_trace_csv
 from qnprox.selftest import make_logistic
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_snapshot.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "bench_snapshot.py"
 spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
 bench_snapshot = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_snapshot)
@@ -51,3 +54,49 @@ def test_run_one_refuses_a_stale_trace_csv(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="tall-aqnpe-untraced.csv"):
         bench_snapshot.run_one(tmp_path, "tall", 1)
     assert not stale.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_ladder():
+    return bench_snapshot.ladder(ROOT, tiny=True)
+
+
+def test_ladder_counts_grow_as_the_gap_shrinks(tiny_ladder):
+    assert list(tiny_ladder["workloads"]) == list(bench_snapshot.WORKLOADS)
+    for entry in tiny_ladder["workloads"].values():
+        assert entry["d_ln_d"] == entry["d"] * math.log(entry["d"])
+        for method in ("aqnpe", "nag"):
+            counts = [entry[method][gap] for gap in tiny_ladder["gaps"]]
+            assert None not in counts
+            for key in ("iters", "grad_queries"):
+                column = [c[key] for c in counts]
+                assert column == sorted(column)
+        # NAG: one gradient query per iteration
+        assert all(c["grad_queries"] == c["iters"]
+                   for c in entry["nag"].values())
+        assert list(entry["aqnpe_rho"]) == list(bench_snapshot.RHOS)
+        # the pinned rho's row is the 1e-8 rung of the gap ladder, from a
+        # solve with another iteration cap
+        assert (entry["aqnpe_rho"][entry["rho"]]
+                == entry["aqnpe"][tiny_ladder["rho_gap"]])
+
+
+def test_ladder_rung_is_the_first_iteration_at_the_gap(tiny_ladder):
+    # a max_iters = K solve on the tiny tall instance ends at the gap, and
+    # its row K - 1 is above it
+    import measure
+    import workloads
+
+    workload = workloads.tiny(workloads.WORKLOADS["tall"])
+    plan = workloads.seed_plan(workload, bench_snapshot.SEED)
+    objective, _, _ = measure.setup(workload, plan)
+    entry = tiny_ladder["workloads"]["tall"]
+    rung = entry["aqnpe"]["1e-06"]
+    x0 = np.zeros(workload.d)
+    rows = solve(objective, x0, x0.copy(), SolverConfig(
+        max_iters=rung["iters"], rho=workload.rho,
+        seed=plan.solver_seed)).rows
+    assert rows[-1].f_value - entry["f_star"] <= 1e-6
+    assert rows[-2].f_value - entry["f_star"] > 1e-6
+    assert (rows[-1].grad_queries, rows[-1].matvecs) == (
+        rung["grad_queries"], rung["matvecs"])

@@ -14,13 +14,29 @@ notes, problems) into one file.  It also keeps the aqnpe trace CSV that the
 trace-1 run writes: a SHA-256 per column and the ``f`` column itself, so two
 snapshots show which columns of the trace moved and by how much.
 
+It then adds a counts ladder, computed in this process through the
+library's public API on the same instances (perfbench's ``workloads`` and
+``measure.setup``, imported from ``--root`` and not edited), seed 1:
+
+* for aqnpe at the workload's pinned rho and for NAG, iterations and
+  gradient queries to objective gaps 1e-4, 1e-6, 1e-8 and 1e-10, next to
+  d ln d;
+* for aqnpe at rho = 1e-12, 1/128, 1/16, 1/4 and 1, iterations, gradient
+  queries and matvecs to gap 1e-8.
+
+Counts are deterministic, so the ladder repeats nothing.  Each count comes
+from the first trace row at or below the gap, with f* from perfbench's
+reference optimum; a solve that does not reach a gap within 20000 iterations
+records null.
+
 The snapshot is written to ``BENCH_<tag>.json`` in the current directory,
 the tag being the root's short HEAD, with ``-dirty`` when its ``src`` or
 ``perfbench`` has uncommitted changes.
 
 ``--compare`` prints, per workload, each end-to-end metric before and after
-with its ratio, the trace columns whose digests differ, and the largest
-relative change of ``f``.  It runs nothing.
+with its ratio, the trace columns whose digests differ, the largest
+relative change of ``f``, and the ladder's counts (before -> after where
+both files have a ladder).  It runs nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +44,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +55,14 @@ SEED = 1
 SECONDS = 20
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics", "environment",
                "notes", "problems")
+LADDER_GAPS = (1e-4, 1e-6, 1e-8, 1e-10)
+RHO_GAP = 1e-8
+RHOS = {"1e-12": 1e-12, "1/128": 1.0 / 128.0, "1/16": 1.0 / 16.0,
+        "1/4": 1.0 / 4.0, "1": 1.0}
+LADDER_MAX_ITERS = 20000
+# perfbench/run.py pins the same: one BLAS thread, set before numpy loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 
 
 def git_short_head(root: Path) -> str:
@@ -102,6 +128,98 @@ def snapshot(root: Path, tag: str) -> dict:
             "runs": runs}
 
 
+def counts_to_gaps(run, first_cap: int, f_star: float, gaps) -> dict:
+    """Counts at the first trace row whose gap is at most each of ``gaps``,
+    from ``run(max_iters)``; the cap starts at ``first_cap`` and doubles
+    until the smallest gap is reached, the solve stops early, or the cap
+    reaches LADDER_MAX_ITERS.  A gap never reached maps to None."""
+    cap = first_cap
+    while True:
+        rows = run(cap).rows
+        if (rows and rows[-1].f_value - f_star <= min(gaps)
+                or len(rows) < cap or cap >= LADDER_MAX_ITERS):
+            break
+        cap = min(2 * cap, LADDER_MAX_ITERS)
+    counts = {}
+    for gap in gaps:
+        row = next((row for row in rows if row.f_value - f_star <= gap),
+                   None)
+        counts[f"{gap:g}"] = row and {"iters": row.iteration,
+                                      "grad_queries": row.grad_queries,
+                                      "matvecs": row.matvecs}
+    return counts
+
+
+def ladder(root: Path, tiny: bool = False) -> dict:
+    """The counts ladder (module docstring) on the perfbench workloads of
+    ``root``, at perfbench's ``--tiny`` sizes when ``tiny``."""
+    for path in ("perfbench", "src"):
+        sys.path.insert(0, str(root / path))
+    import numpy as np
+    from qnprox import BaselineConfig, SolverConfig, nag_solve, solve
+    import measure
+    import workloads
+
+    out = {"seed": SEED, "gaps": [f"{gap:g}" for gap in LADDER_GAPS],
+           "rho_gap": f"{RHO_GAP:g}", "workloads": {}}
+    for name in WORKLOADS:
+        workload = workloads.WORKLOADS[name]
+        if tiny:
+            workload = workloads.tiny(workload)
+        plan = workloads.seed_plan(workload, SEED)
+        objective, _, _ = measure.setup(workload, plan)
+        f_star = measure.reference_optimum(objective)
+        x0 = np.zeros(workload.d)
+
+        def aqnpe(rho):
+            return lambda cap: solve(objective, x0, x0.copy(), SolverConfig(
+                max_iters=cap, rho=rho, seed=plan.solver_seed))
+
+        def nag(cap):
+            return nag_solve(objective, x0, BaselineConfig(max_iters=cap))
+
+        caps = workload.caps
+        print(f"+ ladder {name}", file=sys.stderr, flush=True)
+        out["workloads"][name] = {
+            "n": workload.n, "d": workload.d,
+            "d_ln_d": workload.d * math.log(workload.d),
+            "rho": next(label for label, rho in RHOS.items()
+                        if rho == workload.rho),
+            "f_star": f_star,
+            "aqnpe": counts_to_gaps(aqnpe(workload.rho), caps["aqnpe"],
+                                    f_star, LADDER_GAPS),
+            "nag": counts_to_gaps(nag, caps["nag"], f_star, LADDER_GAPS),
+            "aqnpe_rho": {
+                label: counts_to_gaps(aqnpe(rho), caps["aqnpe"], f_star,
+                                      (RHO_GAP,))[f"{RHO_GAP:g}"]
+                for label, rho in RHOS.items()},
+        }
+    return out
+
+
+def print_ladder(before, after: dict) -> None:
+    """The ladder's counts as iterations/gradient queries per gap (with
+    /matvecs in the rho row), ``before -> after`` where they differ."""
+    def cell(entry, keys):
+        return "-" if entry is None else "/".join(str(entry[k]) for k in keys)
+
+    print("\nladder: iterations/gradient queries to each gap; rho row to "
+          f"{after['rho_gap']}, with matvecs")
+    for name, new in after["workloads"].items():
+        old = before["workloads"][name] if before else new
+        print(f"  {name} (d ln d = {new['d_ln_d']:.0f}, pinned rho "
+              f"{new['rho']})")
+        for label, key, columns in (
+                ("aqnpe", "aqnpe", ("iters", "grad_queries")),
+                ("nag", "nag", ("iters", "grad_queries")),
+                ("rho", "aqnpe_rho", ("iters", "grad_queries", "matvecs"))):
+            cells = []
+            for point, entry in new[key].items():
+                a, b = cell(old[key].get(point), columns), cell(entry, columns)
+                cells.append(f"{point} {b if a == b else f'{a} -> {b}'}")
+            print(f"    {label:6s} " + ", ".join(cells))
+
+
 def compare(before: dict, after: dict) -> None:
     print(f"{before['tag']} -> {after['tag']}")
     for workload in WORKLOADS:
@@ -123,6 +241,8 @@ def compare(before: dict, after: dict) -> None:
             print(f"  largest relative change of f: {change:.3g}")
         else:
             print(f"  trace rows: {old_trace['rows']} -> {new_trace['rows']}")
+    if "ladder" in after:
+        print_ladder(before.get("ladder"), after["ladder"])
 
 
 def main(argv=None) -> int:
@@ -141,6 +261,9 @@ def main(argv=None) -> int:
     tag = git_short_head(root) + ("-dirty" if git_dirty(root) else "")
     out = Path(f"BENCH_{tag}.json")
     data = snapshot(root, tag)
+    for variable in BLAS_THREAD_VARIABLES:
+        os.environ[variable] = "1"
+    data["ladder"] = ladder(root)
     out.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     failed = [f"{w}/{t}" for w, runs in data["runs"].items()
