@@ -1,6 +1,6 @@
 """tools/bench_snapshot.py reads the trace CSVs the library writes, never
-merges an output left by an earlier run, and computes its counts ladder as a
-direct solve counts."""
+merges an output left by an earlier run, and records in its counts ladder
+what a direct solve counts."""
 
 import importlib.util
 import json
