@@ -5,10 +5,19 @@ size eta produces a candidate
 
     x = y + s,    s ~ solution of (I + eta B) s = -eta g
 
-through the conjugate-residual solver at relative accuracy alpha1, and the
+through the minimum-residual solver at relative accuracy alpha1, and the
 trial is accepted once
 
     ||x - y + eta grad_f(x)|| <= (alpha1 + alpha2) ||x - y||.
+
+All trials of one search share B and g, so they share the Krylov space
+K(B, g): the search builds one Lanczos basis of B from g and each trial's
+solve reads its iterate off that basis, with eta entering only the
+tridiagonal (``qnprox.linear_solver``).  The basis grows by one product B v
+only when a trial needs a dimension no earlier trial reached, so a search
+costs as many products as its largest Krylov dimension, not the sum over its
+trials.  The iterates are the conjugate-residual iterates in exact
+arithmetic, so each trial stops at the same dimension as a fresh solve.
 
 Step sizes shrink geometrically by beta until acceptance; the last rejected
 candidate (and its gradient, already paid for) is returned so the caller can
@@ -25,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .linear_solver import conjugate_residual
+from .linear_solver import KrylovBasis, ShiftedOperator, conjugate_residual
 
 UNDERFLOW_RATIO = 1e-16
 
@@ -57,9 +66,10 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
     ``g`` must be the gradient at ``y`` (already computed by the caller, never
     re-queried here).  ``B`` is the model curvature, a symmetric positive
     semidefinite matrix or any operator with ``B @ v`` (the learner's
-    :class:`~qnprox.learner.Curvature`).  Each trial costs one
-    conjugate-residual solve and one gradient query; ``matvecs`` totals the
-    products B v of every solve.
+    :class:`~qnprox.learner.Curvature`).  Each trial costs one solve on
+    the shared basis and one gradient query; ``matvecs`` totals the products
+    B v the solves added to the basis, the largest Krylov dimension any
+    trial used.
     """
     sigma = alpha1 + alpha2
     eta_hat = float(eta_init)
@@ -67,6 +77,7 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
     grad_tilde = None
     backtracks = 0
     matvecs = 0
+    basis = KrylovBasis(lambda v: B @ v, g)
 
     while True:
         if eta_hat < UNDERFLOW_RATIO * eta_init:
@@ -75,10 +86,8 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                 f"[{eta_hat:.3e}, {eta_init:.3e}] was accepted; the supplied "
                 "smoothness constant is likely inconsistent with the oracle")
 
-        def apply_A(v, eta=eta_hat):
-            return v + eta * (B @ v)
-
-        solve = conjugate_residual(apply_A, -eta_hat * g, alpha1,
+        solve = conjugate_residual(ShiftedOperator(basis, eta_hat),
+                                   -eta_hat * g, alpha1,
                                    max_iters=max_cr_iters)
         matvecs += solve.matvecs
         x_hat = y + solve.s

@@ -94,7 +94,7 @@ def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     d = 4
     linear = qnprox.line_search.conjugate_residual(lambda v: 2.0 * v,
                                                    np.ones(d), 0.1)
-    assert (linear.iterations, linear.matvecs) == (1, 2)
+    assert (linear.iterations, linear.matvecs) == (1, 1)
 
     oracle = qnprox.CountingOracle(QuadraticObjective(np.eye(d)))
     y = np.ones(d)

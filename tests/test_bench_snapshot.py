@@ -100,3 +100,46 @@ def test_ladder_rung_is_the_first_iteration_at_the_gap(tiny_ladder):
     assert rows[-2].f_value - entry["f_star"] > 1e-6
     assert (rows[-1].grad_queries, rows[-1].matvecs) == (
         rung["grad_queries"], rung["matvecs"])
+
+
+def fake_snapshot(tag, linear_matvecs, layer_keys):
+    """A snapshot with one end-to-end metric per workload, the trace-1
+    per-layer metrics named in ``layer_keys``, and a one-row aqnpe trace."""
+    def metrics(names, value):
+        return {name: {"value": value, "unit": "count"} for name in names}
+
+    run = {
+        "trace0": {"metrics": metrics(["aqnpe.matvecs"], 6465)},
+        "trace1": {
+            "metrics": {**metrics(layer_keys, 7),
+                        **metrics(["linear_solver.matvecs"], linear_matvecs)},
+            "aqnpe_trace": {"rows": 1, "column_sha256": {"f": "0"},
+                            "f": [1.0]}},
+    }
+    return {"tag": tag,
+            "runs": {workload: run for workload in bench_snapshot.WORKLOADS}}
+
+
+def test_compare_prints_the_per_layer_metrics(capsys):
+    layers = [name for name in bench_snapshot.LAYER_METRICS
+              if name != "separation.matvecs"]
+    before = fake_snapshot("parent", 4610, layers)
+    after = fake_snapshot("change", 2224, bench_snapshot.LAYER_METRICS)
+    bench_snapshot.compare(before, after)
+    out = capsys.readouterr().out.splitlines()
+    assert {"linear_solver.calls", "linear_solver.iterations",
+            "linear_solver.matvecs", "linear_solver.self_s",
+            "line_search.self_s",
+            "separation.matvecs"} <= set(bench_snapshot.LAYER_METRICS)
+    for workload in bench_snapshot.WORKLOADS:
+        block = out[out.index(workload):]
+        block = block[:block.index("  aqnpe trace columns that differ: "
+                                   "none")]
+        layer = block[block.index("  per layer (trace 1):") + 1:]
+        assert [line.split()[0] for line in layer] == list(
+            bench_snapshot.LAYER_METRICS)
+        assert layer[bench_snapshot.LAYER_METRICS.index(
+            "linear_solver.matvecs")].split() == [
+                "linear_solver.matvecs", "4610", "->", "2224", "x0.482"]
+        # a metric the older snapshot lacks reads "-"
+        assert layer[-1].split() == ["separation.matvecs", "-", "->", "7"]

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qnprox.line_search
 from qnprox import CountingOracle
 from qnprox.errors import ConfigurationError
 from qnprox.line_search import backtracking_search
@@ -109,6 +111,36 @@ class TestInvariants:
             backtracks += outcome.backtracks
         assert backtracks > 0
 
+    def test_matvecs_are_the_largest_krylov_dimension(self, monkeypatch):
+        # the trials share one basis, so a search pays for its largest
+        # Krylov dimension once, not for every trial's solve
+        original = qnprox.line_search.conjugate_residual
+        dimensions = []
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            dimensions.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(qnprox.line_search, "conjugate_residual",
+                            recording)
+        objective = make_logistic(150, 20, seed=3)
+        oracle = CountingOracle(objective)
+        rng = np.random.default_rng(2)
+        reused = 0
+        for _ in range(10):
+            y = rng.standard_normal(20)
+            g = oracle.gradient(y)
+            B = random_psd(rng, 20, top=objective.smoothness)
+            dimensions.clear()
+            outcome = backtracking_search(
+                y, g, B, 256.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
+                oracle)
+            assert len(dimensions) == outcome.backtracks + 1
+            assert outcome.matvecs == max(dimensions)
+            reused += outcome.matvecs < sum(dimensions)
+        assert reused > 0
+
     def test_step_size_lower_bound(self, backtracked):
         assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
         for y, g, B, outcome, _, _ in backtracked:
@@ -141,6 +173,26 @@ class TestInvariants:
             if outcome.x_tilde is not None:
                 assert np.array_equal(outcome.grad_at_x_tilde,
                                       objective.gradient(outcome.x_tilde))
+
+
+def test_search_allocates_no_d_by_d_array():
+    d = 300
+    objective = make_logistic(600, d, seed=5)
+    oracle = CountingOracle(objective)
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal(d)
+    g = oracle.gradient(y)
+    B = random_psd(rng, d, top=objective.smoothness)
+    tracemalloc.start()
+    try:
+        outcome = backtracking_search(
+            y, g, B, 64.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
+            oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.backtracks >= 1 and outcome.matvecs > 1
+    assert peak < d * d * np.dtype(float).itemsize
 
 
 class FlippingOracle:

@@ -34,9 +34,10 @@ the tag being the root's short HEAD, with ``-dirty`` when its ``src`` or
 ``perfbench`` has uncommitted changes.
 
 ``--compare`` prints, per workload, each end-to-end metric before and after
-with its ratio, the trace columns whose digests differ, the largest
-relative change of ``f``, and the ladder's counts (before -> after where
-both files have a ladder).  It runs nothing.
+with its ratio, the per-layer metrics of LAYER_METRICS from the trace-1
+run, the trace columns whose digests differ, the largest relative change
+of ``f``, and the ladder's counts (before -> after where both files have a
+ladder).  It runs nothing.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ RHO_GAP = 1e-8
 RHOS = {"1e-12": 1e-12, "1/128": 1.0 / 128.0, "1/16": 1.0 / 16.0,
         "1/4": 1.0 / 4.0, "1": 1.0}
 LADDER_MAX_ITERS = 20000
+# trace-1 metrics that --compare prints: where the solves' products and the
+# line search's time go
+LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
+                 "linear_solver.matvecs", "linear_solver.self_s",
+                 "line_search.self_s", "learner.matvecs",
+                 "separation.matvecs")
 # perfbench/run.py pins the same: one BLAS thread, set before numpy loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
@@ -220,16 +227,30 @@ def print_ladder(before, after: dict) -> None:
             print(f"    {label:6s} " + ", ".join(cells))
 
 
+def metric_line(name: str, before: dict, after: dict) -> str:
+    """``name before -> after xratio`` for two runs' metrics; a metric one
+    run lacks reads ``-``."""
+    a, b = (metrics[name]["value"] if name in metrics else None
+            for metrics in (before, after))
+    if a is None or b is None:
+        return (f"  {name:24s} {'-' if a is None else f'{a:.6g}':>14s} -> "
+                f"{'-' if b is None else f'{b:.6g}'}")
+    ratio = b / a if a else float("nan")
+    return f"  {name:24s} {a:>14.6g} -> {b:<14.6g} x{ratio:.3f}"
+
+
 def compare(before: dict, after: dict) -> None:
     print(f"{before['tag']} -> {after['tag']}")
     for workload in WORKLOADS:
         old, new = before["runs"][workload], after["runs"][workload]
         print(f"\n{workload}")
-        for name, metric in old["trace0"]["metrics"].items():
-            a = metric["value"]
-            b = new["trace0"]["metrics"][name]["value"]
-            ratio = b / a if a else float("nan")
-            print(f"  {name:24s} {a:>14.6g} -> {b:<14.6g} x{ratio:.3f}")
+        for name in old["trace0"]["metrics"]:
+            print(metric_line(name, old["trace0"]["metrics"],
+                              new["trace0"]["metrics"]))
+        print("  per layer (trace 1):")
+        for name in LAYER_METRICS:
+            print(metric_line(name, old["trace1"]["metrics"],
+                              new["trace1"]["metrics"]))
         old_trace = old["trace1"]["aqnpe_trace"]
         new_trace = new["trace1"]["aqnpe_trace"]
         moved = [name for name, digest in old_trace["column_sha256"].items()
