@@ -27,6 +27,11 @@ reorthogonalization, per dimension past the largest an earlier trial built,
 plus O(k) scalar work for the QR, one banded triangular solve per dimension
 and one k x d product for s_k.  A plain ``apply_A`` callable gets a fresh
 basis of A from b: k products for k iterations.
+
+:class:`KrylovBasis` is the package's one Lanczos recurrence: the separation
+oracle (:mod:`qnprox.separation`) grows one on W from a random start and
+reads its extreme Ritz pairs from the same ``alphas``, ``betas`` and
+``vectors``.
 """
 
 from __future__ import annotations
@@ -38,9 +43,10 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-from .errors import ConvergenceError, NumericsError, check_interval
-from .separation import LANCZOS_BREAKDOWN
+from .errors import (ConvergenceError, NumericsError, check_integer,
+                     check_interval)
 
+LANCZOS_BREAKDOWN = 1e-14
 INITIAL_ROWS = 8
 # a right-hand side off the basis's start direction by more than this
 # relative amount is refused
@@ -57,7 +63,8 @@ class LinearSolveResult:
 
 class KrylovBasis:
     """Lanczos basis of the symmetric operator ``apply`` from ``start``,
-    grown one product at a time.
+    grown one product at a time: the line search's basis of B from g, and
+    the separation oracle's basis of W from a random start.
 
     After ``size`` products the rows 0..size of ``vectors`` hold q_0 ..
     q_size (q_size is absent once the basis is invariant), and ``alphas``
@@ -66,18 +73,22 @@ class KrylovBasis:
     is fully reorthogonalized against the basis.  The basis is invariant,
     and stops for good, once a beta is at most LANCZOS_BREAKDOWN times
     ``scale``, the largest |alpha| or beta seen (a lower bound on ||M||), or
-    once it spans the whole space; that beta is stored as 0.  The buffer
-    starts at INITIAL_ROWS rows and doubles as needed up to d, so it has at
-    most max(INITIAL_ROWS, 2 size) rows and never d rows before it needs
-    them.
+    once it spans the whole space; that beta is stored as 0.  The test is
+    relative, so a basis of c M takes the steps of the basis of M for any
+    scale c.  The buffer starts at ``min(capacity, d)`` rows and doubles as
+    needed up to d.  The line search keeps the default INITIAL_ROWS, so its
+    buffer has at most max(INITIAL_ROWS, 2 size) rows and never d rows
+    before it needs them; the separation oracle knows its last dimension
+    and passes the rows it needs, so its buffer never grows.
     """
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
-                 start: np.ndarray):
+                 start: np.ndarray, capacity: int = INITIAL_ROWS):
+        check_integer("capacity", capacity, 1)
         d = start.shape[0]
         self.apply = apply
         self.start_norm = math.sqrt(start @ start)
-        self.vectors = np.empty((min(INITIAL_ROWS, d), d))
+        self.vectors = np.empty((min(capacity, d), d))
         self.alphas: list[float] = []
         self.betas: list[float] = []
         self.scale = 0.0

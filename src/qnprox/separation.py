@@ -8,11 +8,14 @@ guarantee holding with probability at least 1 - q.  On either branch gamma
 bounds ||W||_op on that same event.
 Extreme eigenpairs are estimated by the Lanczos method from a random start on
 the unit sphere, with full reorthogonalization (d stays small here, and it
-keeps the Ritz values trustworthy).
+keeps the Ritz values trustworthy).  The recurrence is the linear solver's
+:class:`~qnprox.linear_solver.KrylovBasis`, grown on v -> W v; its
+breakdown test is relative to the largest entry of the tridiagonal, so the
+oracle's answer on c W is c times its answer on W at any scale c.
 
-Each oracle call runs a single Lanczos sequence: the coarse decision reads its
+Each oracle call grows a single Krylov basis: the coarse decision reads its
 Ritz values after n1 steps, and when a finer estimate is needed the same
-Krylov run continues to max(n1, n2) steps instead of restarting.  Every stage
+basis continues to max(n1, n2) steps instead of restarting.  Every stage
 is therefore still a Lanczos run of its length from a uniform random start,
 which is all the random-start bound of Kuczynski and Wozniakowski (SIAM J.
 Matrix Anal. Appl. 13(4), 1992) asks for, so each stage keeps its failure
@@ -30,8 +33,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dsymv
 
 from .errors import check_integer, check_interval
-
-LANCZOS_BREAKDOWN = 1e-14
+from .linear_solver import KrylovBasis
 
 
 def symv(W: np.ndarray, v: np.ndarray, alpha: float = 1.0,
@@ -99,95 +101,35 @@ def _tridiagonal_eigenvector(a: np.ndarray, b: np.ndarray,
     return v[:, 0]
 
 
-class LanczosRun:
-    """One Lanczos sequence on symmetric W, held in its lower triangle, that
-    can be extended step by step.
+def lanczos_extreme(basis: KrylovBasis, iterations: int) -> LanczosExtremes:
+    """Extreme Ritz pairs after growing ``basis`` to ``iterations`` steps.
 
-    The start vector is standard Gaussian normalized to the unit sphere, drawn
-    once from ``seed``.  The orthonormal basis is stored row-major in a buffer
-    of ``min(capacity, d)`` rows, and each new vector is fully
-    reorthogonalized against it.  The residual of the last step is formed
-    only when the next step is taken, so a run extended in two calls performs
-    exactly the arithmetic of one run of the combined length.  On Krylov
-    breakdown (beta below 1e-14) the run stops for good: the basis then spans
-    an invariant subspace.  The run keeps no count: ``advance`` returns the
-    steps it took (one product with W each), ``extremes`` takes two more,
-    and :func:`lanczos_extreme` reports their sum as ``matvecs``.
-    """
-
-    def __init__(self, W: np.ndarray, capacity: int, seed):
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {W.shape}")
-        check_integer("capacity", capacity, 1)
-        d = W.shape[0]
-        self.W = W
-        self.capacity = min(capacity, d)
-        self.basis = np.empty((self.capacity, d))
-        self.alphas = np.empty(self.capacity)
-        self.betas = np.empty(self.capacity)
-        self.steps = 0
-        self.broken_down = False
-        q = np.random.default_rng(seed).standard_normal(d)
-        np.divide(q, np.linalg.norm(q), out=self.basis[0])
-        # W q_{steps-1}; the next step turns it into its residual in place
-        self._Wq: Optional[np.ndarray] = None
-
-    def advance(self, iterations: int) -> int:
-        """Take steps until ``iterations`` in total (capped at the capacity)
-        or breakdown; returns the number of steps taken by this call."""
-        target = min(iterations, self.capacity)
-        Q, alphas, betas = self.basis, self.alphas, self.betas
-        start = self.steps
-        j = start
-        while j < target and not self.broken_down:
-            if j > 0:
-                r = self._Wq
-                r -= alphas[j - 1] * Q[j - 1]
-                if j > 1:
-                    r -= betas[j - 2] * Q[j - 2]
-                r -= (Q[:j] @ r) @ Q[:j]
-                beta = math.sqrt(r @ r)
-                if beta < LANCZOS_BREAKDOWN:
-                    self.broken_down = True
-                    break
-                betas[j - 1] = beta
-                np.divide(r, beta, out=Q[j])
-            self._Wq = symv(self.W, Q[j])
-            alphas[j] = Q[j] @ self._Wq
-            j += 1
-        self.steps = j
-        return j - start
-
-    def extremes(self) -> tuple[np.ndarray, float, np.ndarray, float]:
-        """Top and bottom Ritz vectors with their Rayleigh quotients
-        <W u, u> (two matvecs)."""
-        k = self.steps
-        Q = self.basis[:k]
-        if k == 1:
-            u_max = Q[0].copy()
-            u_min = Q[0].copy()
-        else:
-            a, b = self.alphas[:k], self.betas[:k - 1]
-            u_max = _tridiagonal_eigenvector(a, b, k - 1) @ Q
-            u_max /= np.linalg.norm(u_max)
-            u_min = _tridiagonal_eigenvector(a, b, 0) @ Q
-            u_min /= np.linalg.norm(u_min)
-        lam_max = float(u_max @ symv(self.W, u_max))
-        lam_min = float(u_min @ symv(self.W, u_min))
-        return u_max, lam_max, u_min, lam_min
-
-
-def lanczos_extreme(run: LanczosRun, iterations: int) -> LanczosExtremes:
-    """Extreme Ritz pairs after continuing ``run`` to ``iterations`` steps.
-
-    The steps stop at the run's capacity or at Krylov breakdown, and
-    ``matvecs`` counts the steps this call took plus the two Rayleigh
-    quotients: the reported values are recomputed as <W u, u>, so they are
-    valid even after a breakdown.
+    The steps stop early once the basis is invariant.  ``u_max`` and
+    ``u_min`` are the top and bottom Ritz vectors, read from the basis's
+    tridiagonal and vectors, and ``lam_max`` and ``lam_min`` their Rayleigh
+    quotients <M u, u>, recomputed with two more products so they are valid
+    after a breakdown too.  ``matvecs`` counts the steps this call took plus
+    those two.
     """
     check_integer("iterations", iterations, 1)
-    steps = run.advance(iterations)
-    return LanczosExtremes(*run.extremes(), matvecs=steps + 2)
+    start = basis.size
+    while basis.size < iterations and not basis.invariant:
+        basis.extend()
+    k = basis.size
+    Q = basis.vectors[:k]
+    if k == 1:
+        u_max = Q[0].copy()
+        u_min = Q[0].copy()
+    else:
+        a, b = np.array(basis.alphas), np.array(basis.betas[:k - 1])
+        u_max = _tridiagonal_eigenvector(a, b, k - 1) @ Q
+        u_max /= np.linalg.norm(u_max)
+        u_min = _tridiagonal_eigenvector(a, b, 0) @ Q
+        u_min /= np.linalg.norm(u_min)
+    lam_max = float(u_max @ basis.apply(u_max))
+    lam_min = float(u_min @ basis.apply(u_min))
+    return LanczosExtremes(u_max, lam_max, u_min, lam_min,
+                           matvecs=k - start + 2)
 
 
 def _lanczos_rounds(d: int, q: float) -> float:
@@ -205,12 +147,12 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
                       ) -> SeparationResult:
     """Randomized separation oracle for {B symmetric : ||B||_op <= 1}.
 
-    One Lanczos sequence from a random start serves both stages.  After
+    One Krylov basis of W from a random start serves both stages.  After
     n1 = min(ceil(log(11 d / q^2) + 1/2), d) steps the coarse estimate
     lam_hat = max(lam_1, -lam_d) decides: if lam_hat <= 1/2 the input is
     certified inside (gamma = 2 lam_hat, weight 0); if lam_hat >= 2 it is
     separated with the scaled certificate gamma = 2 lam_hat and
-    S = +/- 3 u u^T.  Otherwise the same run continues to max(n1, n2) steps,
+    S = +/- 3 u u^T.  Otherwise the same basis grows to max(n1, n2) steps,
     n2 = min(ceil(log(11 d / q^2) / (4 sqrt(2 delta)) + 1/2), d), and the
     finer estimate lam_tilde decides: gamma = lam_tilde + delta with weight 0
     when lam_tilde <= 1 - delta, else S = +/- u u^T.  On every branch u is
@@ -237,9 +179,11 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
     log_term = _lanczos_rounds(d, q)
     n1 = min(math.ceil(log_term + 0.5), d)
     n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
-    run = LanczosRun(W, max(n1, n2), seed)
+    start = np.random.default_rng(seed).standard_normal(d)
+    # rows q_0 .. q_max(n1, n2): the buffer is allocated once
+    basis = KrylovBasis(lambda v: symv(W, v), start, min(max(n1, n2) + 1, d))
 
-    coarse = lanczos_extreme(run, n1)
+    coarse = lanczos_extreme(basis, n1)
     lam_hat, u, sign = _dominant(coarse)
     matvecs = coarse.matvecs
     if lam_hat <= 0.5:
@@ -249,7 +193,7 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
         return SeparationResult(gamma=2.0 * lam_hat, u=u, weight=3.0 * sign,
                                 matvecs=matvecs)
 
-    fine = lanczos_extreme(run, max(n1, n2))
+    fine = lanczos_extreme(basis, max(n1, n2))
     lam_tilde, u, sign = _dominant(fine)
     matvecs += fine.matvecs
     weight = 0.0 if lam_tilde <= 1.0 - delta else sign

@@ -1,9 +1,10 @@
 """Reference code the tests share and the library does not need: a quadratic
 objective, a matrix that counts its products, a counter of the library's
-products with W, the map of the band onto the unit ball, the learner's loss
-and its gradient as dense formulas, the dense learner step they define, the
-dense separation hyperplane, the BFGS inverse update in product form, and
-the first iteration to reach an objective gap."""
+products with W, the separation oracle's Krylov basis of W, the map of the
+band onto the unit ball, the learner's loss and its gradient as dense
+formulas, the dense learner step they define, the dense separation
+hyperplane, the BFGS inverse update in product form, and the first
+iteration to reach an objective gap."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             _surrogate_coefficient, delta_schedule,
                             next_op_norm_bound, q_schedule,
                             symmetric_completion)
+from qnprox.linear_solver import INITIAL_ROWS, KrylovBasis
 from qnprox.oracles import symmetrize
 from qnprox.separation import separation_oracle
 from qnprox.trace import RunRecord
@@ -84,6 +86,17 @@ class ProductCounter:
         for module in (qnprox.separation, qnprox.learner):
             assert module.symv is original
             monkeypatch.setattr(module, "symv", counted)
+
+
+def lanczos_basis(W: np.ndarray, seed, capacity: int = INITIAL_ROWS
+                  ) -> KrylovBasis:
+    """The Krylov basis ``separation_oracle`` grows: products with the lower
+    triangle of W through ``qnprox.separation.symv`` (looked up per call, so
+    :class:`ProductCounter` sees them), from a standard normal start drawn
+    from ``seed``."""
+    start = np.random.default_rng(seed).standard_normal(W.shape[0])
+    return KrylovBasis(lambda v: qnprox.separation.symv(W, v), start,
+                       capacity)
 
 
 def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:

@@ -15,8 +15,7 @@ import qnprox.line_search
 import qnprox.separation
 import qnprox.solver
 from qnprox.learner import LossSample, init_learner
-from qnprox.separation import LanczosRun
-from helpers import ProductCounter, QuadraticObjective
+from helpers import ProductCounter, QuadraticObjective, lanczos_basis
 
 SUPPORTED = [
     "solve", "SolverConfig",
@@ -116,6 +115,6 @@ def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     # the Krylov space of a multiple of I breaks down after one step
     assert result.matvecs == counter.products == 1 + 2
 
-    run = LanczosRun(np.diag([1.0, -2.0, 3.0, 0.5]), 3, 0)
-    extremes = qnprox.separation.lanczos_extreme(run, 3)
-    assert extremes.matvecs == run.steps + 2 == 3 + 2
+    basis = lanczos_basis(np.diag([1.0, -2.0, 3.0, 0.5]), 0)
+    extremes = qnprox.separation.lanczos_extreme(basis, 3)
+    assert extremes.matvecs == basis.size + 2 == 3 + 2

@@ -8,10 +8,9 @@ from scipy.linalg import eigh_tridiagonal
 
 import qnprox.separation
 from qnprox.selftest import separation_violation
-from qnprox.separation import (LanczosRun, lanczos_extreme, separation_oracle,
-                               symv)
+from qnprox.separation import lanczos_extreme, separation_oracle, symv
 from conftest import random_unit_opnorm
-from helpers import ProductCounter, hyperplane
+from helpers import ProductCounter, hyperplane, lanczos_basis
 
 
 def stage_lengths(d, delta, q):
@@ -27,9 +26,8 @@ def random_symmetric(rng, d):
 
 
 def fresh_lanczos(W, iterations, seed):
-    """Extreme Ritz pairs of a new ``iterations``-step run from ``seed``."""
-    run = LanczosRun(W, iterations, seed)
-    return lanczos_extreme(run, iterations)
+    """Extreme Ritz pairs of a new ``iterations``-step basis from ``seed``."""
+    return lanczos_extreme(lanczos_basis(W, seed), iterations)
 
 
 class TestLanczos:
@@ -81,14 +79,14 @@ class TestLanczos:
 
     def test_iterations_validation(self):
         with pytest.raises(ValueError):
-            lanczos_extreme(LanczosRun(np.eye(3), 3, seed=0), iterations=0)
+            lanczos_extreme(lanczos_basis(np.eye(3), seed=0), iterations=0)
 
     def test_continued_run_repeats_one_shot_run(self):
         rng = np.random.default_rng(6)
         W = random_symmetric(rng, 25)
-        run = LanczosRun(W, 17, seed=4)
-        lanczos_extreme(run, 9)
-        continued = lanczos_extreme(run, 17)
+        basis = lanczos_basis(W, seed=4)
+        lanczos_extreme(basis, 9)
+        continued = lanczos_extreme(basis, 17)
         one_shot = fresh_lanczos(W, 17, seed=4)
         assert continued.matvecs == 17 - 9 + 2
         assert continued.lam_max == one_shot.lam_max
@@ -100,11 +98,10 @@ class TestLanczos:
         # and the Rayleigh quotient is the one product routine's
         W = random_symmetric(np.random.default_rng(8), 80)
         for k in range(2, 81):
-            run = LanczosRun(W, k, seed=k)
-            run.advance(k)
-            a, b = run.alphas[:k], run.betas[:k - 1]
-            Q = run.basis[:k]
-            u_max, lam_max, u_min, lam_min = run.extremes()
+            basis = lanczos_basis(W, seed=k)
+            u_max, lam_max, u_min, lam_min, _ = lanczos_extreme(basis, k)
+            a, b = basis.alphas[:k], basis.betas[:k - 1]
+            Q = basis.vectors[:k]
             for u, lam, index in ((u_max, lam_max, k - 1),
                                   (u_min, lam_min, 0)):
                 _, y = eigh_tridiagonal(a, b, select="i",
@@ -113,6 +110,24 @@ class TestLanczos:
                 want /= np.linalg.norm(want)
                 assert np.array_equal(u, want), (k, index)
                 assert lam == float(want @ symv(W, want)), (k, index)
+
+    # the breakdown test is relative, so at any scale c = 2^e, which every
+    # product and norm carries exactly, the steps are those of W: an
+    # absolute test stopped the basis of 2^-50 W after one step with
+    # lam_max 0.46 c against the true 8.08 c, and the oracle's gamma fell
+    # below ||W||_op
+    @pytest.mark.parametrize("e", [-30, -50, -80])
+    def test_scaled_matrix_scales_the_ritz_values(self, e):
+        W = random_symmetric(np.random.default_rng(3), 40)
+        c = 2.0 ** e
+        plain = fresh_lanczos(W, iterations=20, seed=5)
+        scaled = fresh_lanczos(c * W, iterations=20, seed=5)
+        assert scaled.matvecs == plain.matvecs == 20 + 2
+        for got, want in ((scaled.lam_max, plain.lam_max),
+                          (scaled.lam_min, plain.lam_min)):
+            assert abs(got - c * want) <= 1e-12 * abs(c * want)
+        result = separation_oracle(c * W, delta=0.05, q=0.05, seed=5)
+        assert separation_violation(result, c * W) is None
 
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
@@ -123,9 +138,9 @@ class TestLanczos:
         n2 = data.draw(st.integers(n1, d), label="n2")
         W = random_symmetric(np.random.default_rng(seed), d)
         vals = np.linalg.eigvalsh(W)
-        run = LanczosRun(W, n2, seed=start)
-        coarse = lanczos_extreme(run, n1)
-        fine = lanczos_extreme(run, n2)
+        basis = lanczos_basis(W, seed=start)
+        coarse = lanczos_extreme(basis, n1)
+        fine = lanczos_extreme(basis, n2)
         assert fine.lam_max >= coarse.lam_max - 1e-10
         assert fine.lam_min <= coarse.lam_min + 1e-10
         for result in (coarse, fine):
@@ -138,8 +153,8 @@ class TestLanczos:
 
 
 class TestContinuedRun:
-    """One Lanczos sequence per oracle call: the fine stage continues the
-    coarse run instead of restarting it."""
+    """One Krylov basis per oracle call: the fine stage continues the
+    coarse stage's basis instead of restarting it."""
 
     D, Q = 60, 0.05
 
@@ -174,6 +189,26 @@ class TestContinuedRun:
             assert calls == per_call, branch
             assert result.matvecs == counter.products == sum(per_call)
         assert sum(per_call) == max(n1, n2) + 4
+
+    # the oracle knows its last dimension, so the basis's buffer is
+    # allocated once with the rows q_0 .. q_max(n1, n2) and never doubles
+    @pytest.mark.parametrize("d, delta", [(60, 0.05), (60, 0.01), (12, 0.05)])
+    def test_basis_buffer_is_sized_once(self, d, delta, monkeypatch):
+        n1, n2 = stage_lengths(d, delta, self.Q)
+        buffers = []
+        original = qnprox.separation.lanczos_extreme
+
+        def recording(basis, iterations):
+            result = original(basis, iterations)
+            buffers.append(basis.vectors)
+            return result
+
+        monkeypatch.setattr(qnprox.separation, "lanczos_extreme", recording)
+        W = random_unit_opnorm(np.random.default_rng(31), d)
+        separation_oracle(W, delta, self.Q, seed=3)
+        assert len(buffers) == 2
+        assert buffers[0] is buffers[1]
+        assert buffers[1].shape == (min(max(n1, n2) + 1, d), d)
 
     def test_fine_stage_draws_no_second_start(self):
         n1, n2 = stage_lengths(30, 0.05, 0.05)

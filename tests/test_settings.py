@@ -11,9 +11,9 @@ import pytest
 
 from qnprox import BaselineConfig, SolverConfig, SyntheticLogisticSpec
 from qnprox.errors import check_at_least, check_integer, check_interval
-from qnprox.linear_solver import conjugate_residual
+from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.oracles import estimate_smoothness
-from qnprox.separation import LanczosRun, lanczos_extreme, separation_oracle
+from qnprox.separation import lanczos_extreme, separation_oracle
 from helpers import QuadraticObjective
 
 # per config class: the fields a caller must pass, each integer field with
@@ -139,11 +139,12 @@ ROUTINE_CALLS = {
     "delta-inf": lambda: separation_oracle(np.eye(3), math.inf, 0.1, 0),
     "q-nan": lambda: separation_oracle(np.eye(3), 0.1, math.nan, 0),
     "q-1.0": lambda: separation_oracle(np.eye(3), 0.1, 1.0, 0),
-    "capacity-2.0": lambda: LanczosRun(np.eye(3), 2.0, 0),
-    "capacity-0": lambda: LanczosRun(np.eye(3), 0, 0),
-    "iterations-1.5": lambda: lanczos_extreme(LanczosRun(np.eye(3), 2, 0),
-                                              1.5),
-    "iterations-0": lambda: lanczos_extreme(LanczosRun(np.eye(3), 2, 0), 0),
+    "capacity-2.0": lambda: KrylovBasis(_identity, np.ones(3), 2.0),
+    "capacity-0": lambda: KrylovBasis(_identity, np.ones(3), 0),
+    "iterations-1.5": lambda: lanczos_extreme(
+        KrylovBasis(_identity, np.ones(3), 2), 1.5),
+    "iterations-0": lambda: lanczos_extreme(
+        KrylovBasis(_identity, np.ones(3), 2), 0),
     "probes-2.0": lambda: estimate_smoothness(_quadratic(), np.zeros(3),
                                               probes=2.0),
     "probes-0": lambda: estimate_smoothness(_quadratic(), np.zeros(3),

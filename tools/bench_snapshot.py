@@ -62,10 +62,15 @@ RHOS = {"1e-12": 1e-12, "1/128": 1.0 / 128.0, "1/16": 1.0 / 16.0,
         "1/4": 1.0 / 4.0, "1": 1.0}
 LADDER_MAX_ITERS = 20000
 # trace-1 metrics that --compare prints: where the solves' products and the
-# line search's time go
+# line search's time go, and what the separation oracle did
 LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
                  "linear_solver.matvecs", "linear_solver.self_s",
                  "line_search.self_s", "learner.matvecs",
+                 "separation.calls", "separation.branch.coarse_inside",
+                 "separation.branch.coarse_separated",
+                 "separation.branch.fine_inside",
+                 "separation.branch.fine_separated",
+                 "separation.lanczos.steps", "separation.lanczos.self_s",
                  "separation.matvecs")
 # perfbench/run.py pins the same: one BLAS thread, set before numpy loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
