@@ -20,7 +20,7 @@ from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             _surrogate_coefficient, delta_schedule,
                             next_op_norm_bound, q_schedule,
                             symmetric_completion)
-from qnprox.linear_solver import INITIAL_ROWS, KrylovBasis
+from qnprox.linear_solver import KrylovBasis
 from qnprox.oracles import symmetrize
 from qnprox.separation import separation_oracle
 from qnprox.trace import RunRecord
@@ -88,15 +88,13 @@ class ProductCounter:
             monkeypatch.setattr(module, "symv", counted)
 
 
-def lanczos_basis(W: np.ndarray, seed, capacity: int = INITIAL_ROWS
-                  ) -> KrylovBasis:
+def lanczos_basis(W: np.ndarray, seed) -> KrylovBasis:
     """The Krylov basis ``separation_oracle`` grows: products with the lower
     triangle of W through ``qnprox.separation.symv`` (looked up per call, so
     :class:`ProductCounter` sees them), from a standard normal start drawn
     from ``seed``."""
     start = np.random.default_rng(seed).standard_normal(W.shape[0])
-    return KrylovBasis(lambda v: qnprox.separation.symv(W, v), start,
-                       capacity)
+    return KrylovBasis(lambda v: qnprox.separation.symv(W, v), start)
 
 
 def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:

@@ -112,10 +112,9 @@ class TestLanczos:
                 assert lam == float(want @ symv(W, want)), (k, index)
 
     # the breakdown test is relative, so at any scale c = 2^e, which every
-    # product and norm carries exactly, the steps are those of W: an
-    # absolute test stopped the basis of 2^-50 W after one step with
-    # lam_max 0.46 c against the true 8.08 c, and the oracle's gamma fell
-    # below ||W||_op
+    # product and norm carries exactly, the basis takes W's steps; a test
+    # absolute in beta would stop it after one step once ||c W|| is below
+    # about 1e-14, and gamma would fall below ||c W||_op
     @pytest.mark.parametrize("e", [-30, -50, -80])
     def test_scaled_matrix_scales_the_ritz_values(self, e):
         W = random_symmetric(np.random.default_rng(3), 40)
