@@ -7,11 +7,14 @@ produces the loss
     loss(B) = ||w - B s||^2 / ||s||^2,
 
 with w the gradient difference and s the displacement of the rejected trial
-iterate.  B is updated by projection-free online gradient descent on the
-rescaled variable B_hat = (2 / L1) (B - (L1 / 2) I), which lives in the unit
-operator-norm ball: the auxiliary iterate W is projected onto the Frobenius
-ball of radius sqrt(d) (cheap), while feasibility in the operator-norm ball is
-maintained through the randomized separation oracle instead of a dense
+iterate.  The sample carries B s as well: the line search reads it off its
+Krylov basis of B (``qnprox.line_search``), so a step takes no product with
+B, and its only products are the separation oracle's.  B is updated by
+projection-free online gradient descent on the rescaled variable
+B_hat = (2 / L1) (B - (L1 / 2) I), which lives in the unit operator-norm
+ball: the auxiliary iterate W is projected onto the Frobenius ball of radius
+sqrt(d) (cheap), while feasibility in the operator-norm ball is maintained
+through the randomized separation oracle instead of a dense
 eigendecomposition.  B_hat is W, or W / gamma after a call that separated, so
 B = (L1 / 2) I + kappa W with kappa = L1 / 2 or (L1 / 2) / gamma: the state
 keeps W and derives B as the operator :class:`Curvature`, whose product
@@ -93,12 +96,22 @@ W_NAME = "the learner's W"
 
 @dataclass(frozen=True)
 class LossSample:
-    """One curvature observation: w = grad difference, s = displacement."""
+    """One curvature observation: w = grad difference, s = displacement and
+    Bs = B s for the matrix B in play when it was made.  Fields of different
+    shapes, a Bs that is not finite or s = 0 raise :class:`ValueError`."""
 
     w: np.ndarray
     s: np.ndarray
+    Bs: np.ndarray
 
     def __post_init__(self):
+        for name in ("w", "Bs"):
+            shape = np.shape(getattr(self, name))
+            if shape != np.shape(self.s):
+                raise ValueError(f"loss sample field {name} has shape "
+                                 f"{shape}, but s has {np.shape(self.s)}")
+        if not np.all(np.isfinite(self.Bs)):
+            raise ValueError("loss sample field Bs is not finite")
         if float(np.linalg.norm(self.s)) == 0.0:
             raise ValueError("loss sample requires a nonzero displacement s")
 
@@ -253,16 +266,17 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     separation oracle then forms the next action from the updated iterate,
     unless the norm bound (module docstring) already certifies it inside.
     The first fed loss uses B0 directly with no surrogate correction, as
-    does every loss after a call that certified containment.  The report's
-    ``matvecs`` is the loss's product B s plus the oracle's, if it ran.
+    does every loss after a call that certified containment.  The loss
+    reads B s from ``sample.Bs``, which must be the product with
+    ``state.B``; the step takes no product with B.  The report's
+    ``matvecs`` is the oracle's products, 0 when the bound skipped it.
     The step consumes ``state``: its W is updated in place and becomes the
     new state's W.
     """
     W = state.W
     d = W.shape[0]
     L1 = state.L1
-    s = sample.s
-    Bs = state.B @ s
+    s, Bs = sample.s, sample.Bs
     residual = sample.w - Bs
     s2 = float(s @ s)
     r2 = float(residual @ residual)
@@ -301,5 +315,5 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     new_state = replace(state, certificate=certificate, op_bound=op_bound,
                         t=t_next)
     report = LearnerStepReport(loss_value=loss_value,
-                               matvecs=1 + sep_matvecs)
+                               matvecs=sep_matvecs)
     return new_state, report

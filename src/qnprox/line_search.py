@@ -21,7 +21,10 @@ arithmetic, so each trial stops at the same dimension as a fresh solve.
 
 Step sizes shrink geometrically by beta until acceptance; the last rejected
 candidate (and its gradient, already paid for) is returned so the caller can
-build a curvature loss sample without extra gradient queries.  Acceptance is
+build a curvature loss sample without extra gradient queries.  Its
+displacement s is returned as solved, with B s read off the shared basis by
+the Lanczos relation (``KrylovBasis.image``): the loss sample costs no
+gradient query and no product with B.  Acceptance is
 guaranteed once eta < alpha2 / (L1 + ||B||_op), so with consistent inputs the
 loop is finite.
 """
@@ -43,8 +46,10 @@ UNDERFLOW_RATIO = 1e-16
 class LineSearchOutcome:
     """Accepted pair plus the cached rejected trial, if any.
 
-    ``x_tilde``/``grad_at_x_tilde`` are present iff the search backtracked,
-    and come from the trial at step size eta_hat / beta.
+    ``x_tilde``, ``grad_at_x_tilde``, ``s_tilde`` and ``Bs_tilde`` are
+    present iff the search backtracked, and come from the trial at step size
+    eta_hat / beta: ``s_tilde`` is its solved displacement (x_tilde is
+    y + s_tilde) and ``Bs_tilde`` its product with B, read off the basis.
     """
 
     eta_hat: float
@@ -53,6 +58,8 @@ class LineSearchOutcome:
     backtracks: int
     x_tilde: Optional[np.ndarray]
     grad_at_x_tilde: Optional[np.ndarray]
+    s_tilde: Optional[np.ndarray]
+    Bs_tilde: Optional[np.ndarray]
     matvecs: int
 
 
@@ -69,12 +76,13 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
     :class:`~qnprox.learner.Curvature`).  Each trial costs one solve on
     the shared basis and one gradient query; ``matvecs`` totals the products
     B v the solves added to the basis, the largest Krylov dimension any
-    trial used.
+    trial used.  The rejected trial's B s takes none.
     """
     sigma = alpha1 + alpha2
     eta_hat = float(eta_init)
     x_tilde = None
     grad_tilde = None
+    rejected = None
     backtracks = 0
     matvecs = 0
     basis = KrylovBasis(lambda v: B @ v, g)
@@ -97,11 +105,17 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
         proximal_residual = float(np.linalg.norm(
             x_hat - y + eta_hat * grad_hat))
         if proximal_residual <= sigma * displacement:
+            s_tilde = Bs_tilde = None
+            if rejected is not None:
+                s_tilde = rejected.s
+                Bs_tilde = basis.image(rejected.coefficients)
             return LineSearchOutcome(
                 eta_hat=eta_hat, x_hat=x_hat, grad_at_x_hat=grad_hat,
                 backtracks=backtracks, x_tilde=x_tilde,
-                grad_at_x_tilde=grad_tilde, matvecs=matvecs)
+                grad_at_x_tilde=grad_tilde, s_tilde=s_tilde,
+                Bs_tilde=Bs_tilde, matvecs=matvecs)
         x_tilde = x_hat
         grad_tilde = grad_hat
+        rejected = solve
         eta_hat *= beta
         backtracks += 1

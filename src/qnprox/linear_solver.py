@@ -26,7 +26,10 @@ stops at dimension k costs one product M v, with its full
 reorthogonalization, per dimension past the largest an earlier trial built,
 plus O(k) scalar work for the QR, one banded triangular solve per dimension
 and one k x d product for s_k.  A plain ``apply_A`` callable gets a fresh
-basis of A from b: k products for k iterations.
+basis of A from b: k products for k iterations.  The result keeps y_k, and
+the same relation gives M s_k = (T_k y_k) @ Q_{k+1} with no product
+(:meth:`KrylovBasis.image`): the line search reads its rejected trial's
+B s that way for the learner's loss.
 
 :class:`KrylovBasis` is the package's one Lanczos recurrence: the separation
 oracle (:mod:`qnprox.separation`) grows one on W from a random start and
@@ -55,10 +58,14 @@ START_ALIGNMENT = 1e-12
 
 @dataclass(frozen=True)
 class LinearSolveResult:
+    """``s`` is ``coefficients @ Q_k`` on the basis the solve ran on, with k
+    = ``iterations``."""
+
     s: np.ndarray
     iterations: int
     matvecs: int
     residual_history: tuple
+    coefficients: np.ndarray
 
 
 class KrylovBasis:
@@ -139,6 +146,27 @@ class KrylovBasis:
             self.vectors = Q = grown
         np.divide(w, beta, out=Q[k + 1])
 
+    def image(self, c: np.ndarray) -> np.ndarray:
+        """M (c @ Q_k) for the coefficients c of a vector on the first
+        k = len(c) <= ``size`` basis vectors, with no product with M: the
+        Lanczos relation M Q_k^T = Q_{k+1}^T T_k makes it (T_k c) @ Q_{k+1},
+        one (k + 1) x d product.  When betas[k-1] is 0 (the basis is
+        invariant at dimension k, and q_k may be unset) the last row of T_k
+        is 0, and rows :k alone are read."""
+        k = c.shape[0]
+        if k == 0:
+            return np.zeros(self.vectors.shape[1])
+        alphas = np.asarray(self.alphas[:k])
+        betas = np.asarray(self.betas[:k])
+        rows = k if betas[-1] == 0.0 else k + 1
+        tc = np.empty(rows)
+        tc[:k] = alphas * c
+        tc[1:k] += betas[:-1] * c[:-1]
+        tc[:k - 1] += betas[:-1] * c[1:]
+        if rows > k:
+            tc[k] = betas[-1] * c[-1]
+        return tc @ self.vectors[:rows]
+
 
 class ShiftedOperator(NamedTuple):
     """The operator I + eta M, solved on a shared basis of M."""
@@ -159,8 +187,10 @@ def conjugate_residual(apply_A: Union[Callable[[np.ndarray], np.ndarray],
     b, or a :class:`ShiftedOperator` (basis, eta) for A = I + eta M, in which
     case b must be a multiple of the basis's start vector and the basis is
     extended only past the dimensions it already has.  ``iterations`` is k,
-    ``matvecs`` the products this call added to the basis, and
-    ``residual_history`` the residual norms at dimensions 0..k.
+    ``matvecs`` the products this call added to the basis,
+    ``residual_history`` the residual norms at dimensions 0..k, and
+    ``coefficients`` the iterate's k coordinates on the basis, from which
+    :meth:`KrylovBasis.image` reads its product with M.
 
     The termination test is evaluated before each iteration, so b = 0
     returns s = 0 immediately with zero iterations and zero matvecs.
@@ -232,7 +262,9 @@ def conjugate_residual(apply_A: Union[Callable[[np.ndarray], np.ndarray],
         y_norm = math.sqrt(y @ y)
         history.append(abs(phi))
 
-    s = np.zeros(d) if y is None else y @ basis.vectors[:k]
-    return LinearSolveResult(s=s, iterations=k,
+    if y is None:
+        y = np.zeros(0)
+    return LinearSolveResult(s=y @ basis.vectors[:k], iterations=k,
                              matvecs=basis.size - start_size,
-                             residual_history=tuple(history))
+                             residual_history=tuple(history),
+                             coefficients=y)

@@ -267,7 +267,8 @@ def check_learner():
     for t in range(25):
         s = rng.standard_normal(d)
         H = random_psd(rng, d, top=L1)
-        state, report = learner_step(state, LossSample(w=H @ s, s=s), seed=rng)
+        sample = LossSample(w=H @ s, s=s, Bs=state.B @ s)
+        state, report = learner_step(state, sample, seed=rng)
         losses.append(report.loss_value)
         if frobenius_norm(state.W) > math.sqrt(d) + 1e-12:
             return "Frobenius-ball constraint violated"

@@ -174,7 +174,7 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         A_next = state.A + gamma * a
         eta_next = outcome.eta_hat
         sample = LossSample(w=outcome.grad_at_x_tilde - grad_y,
-                            s=outcome.x_tilde - y)
+                            s=outcome.s_tilde, Bs=outcome.Bs_tilde)
         learner = state.learner
         if observed:
             learner = replace(learner, W=learner.W.copy())

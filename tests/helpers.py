@@ -1,8 +1,8 @@
 """Reference code the tests share and the library does not need: a quadratic
 objective, a matrix that counts its products, a counter of the library's
 products with W, the separation oracle's Krylov basis of W, the map of the
-band onto the unit ball, the learner's loss and its gradient as dense
-formulas, the dense learner step they define, the dense separation
+band onto the unit ball, a loss sample observed at a given matrix, the
+learner's loss and its gradient as dense formulas, the dense learner step they define, the dense separation
 hyperplane, the BFGS inverse update in product form, and the first
 iteration to reach an objective gap."""
 
@@ -105,6 +105,12 @@ def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
     return B_hat
 
 
+def loss_sample(B, w: np.ndarray, s: np.ndarray) -> LossSample:
+    """The loss sample (w, s) observed at the matrix B in play: its Bs is
+    ``B @ s``, the product the line search reads off its basis."""
+    return LossSample(w=w, s=s, Bs=B @ s)
+
+
 def loss_gradient(s: np.ndarray, residual: np.ndarray, s2: float
                   ) -> np.ndarray:
     """-(s r^T + r s^T) / ||s||^2, the loss gradient for r = w - B s."""
@@ -128,11 +134,11 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
     B = kappa W_next + (L1 / 2) I as a third return value.  The state is
     not consumed, and the returned W is full.  The library updates W's
     lower triangle in place by BLAS rank updates, which round differently,
-    and never forms B.  B s is the state's operator product, as in the
-    library, so both steps start from the same floats."""
+    and never forms B.  B s is the sample's, as in the library, so both
+    steps start from the same floats."""
     d = state.W.shape[0]
     L1 = state.L1
-    Bs = state.B @ sample.s
+    Bs = sample.Bs
     residual = sample.w - Bs
     s2 = float(sample.s @ sample.s)
     r2 = float(residual @ residual)
@@ -164,11 +170,12 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
     new_state = replace(state, W=W_next, certificate=certificate,
                         op_bound=op_bound, t=t_next)
     return new_state, LearnerStepReport(loss_value=r2 / s2,
-                                        matvecs=1 + sep_matvecs), B
+                                        matvecs=sep_matvecs), B
 
 
 def matrix_loss(B: np.ndarray, sample: LossSample) -> float:
-    """||w - B s||^2 / ||s||^2 (one matvec)."""
+    """||w - B s||^2 / ||s||^2 for the sample's w and s and any B (one
+    matvec; the sample's Bs is not read)."""
     residual = sample.w - B @ sample.s
     return float(residual @ residual) / float(sample.s @ sample.s)
 

@@ -14,7 +14,7 @@ import numpy as np
 from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
                     solve, write_trace_csv)
 from qnprox.errors import ConvergenceError
-from qnprox.learner import LossSample, band_violation
+from qnprox.learner import band_violation
 from qnprox.linear_solver import conjugate_residual
 from qnprox.separation import separation_oracle
 from qnprox.selftest import (backtrack_violation, certificate_violation,
@@ -23,7 +23,8 @@ from qnprox.selftest import (backtrack_violation, certificate_violation,
                              separation_violation, weight_growth_violation)
 from conftest import (make_logistic, random_psd, random_unit_opnorm,
                       reference_minimizer)
-from helpers import hyperplane, iterations_to_gap, matrix_loss_gradient
+from helpers import (hyperplane, iterations_to_gap, loss_sample,
+                     matrix_loss_gradient)
 from test_learner import fd_symmetric_gradient
 
 
@@ -167,8 +168,8 @@ def test_c10_loss_gradient_fd():
     d = 8
     for _ in range(50):
         B = random_psd(rng, d, top=float(rng.uniform(0.5, 3.0)))
-        sample = LossSample(w=rng.standard_normal(d),
-                            s=rng.standard_normal(d))
+        sample = loss_sample(B, rng.standard_normal(d),
+                             rng.standard_normal(d))
         grad = matrix_loss_gradient(B, sample)
         fd = fd_symmetric_gradient(B, sample)
         assert (np.linalg.norm(fd - grad)

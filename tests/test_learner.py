@@ -15,8 +15,9 @@ from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
 from helpers import (CountingMatrix, ProductCounter, dense_learner_step,
-                     hyperplane, matrix_loss, matrix_loss_gradient,
-                     project_frobenius_ball, rescale_to_unit_ball)
+                     hyperplane, loss_sample, matrix_loss,
+                     matrix_loss_gradient, project_frobenius_ball,
+                     rescale_to_unit_ball)
 
 
 def fd_symmetric_gradient(B, sample, h=1e-6):
@@ -43,11 +44,12 @@ class TestLoss:
         rng = np.random.default_rng(0)
         B = random_psd(rng, 5)
         s = rng.standard_normal(5)
-        assert matrix_loss(B, LossSample(w=B @ s, s=s)) == 0.0
+        assert matrix_loss(B, loss_sample(B, B @ s, s)) == 0.0
 
     def test_zero_matrix_unit_ratio(self):
         s = np.array([1.0, -2.0, 0.5])
-        assert matrix_loss(np.zeros((3, 3)), LossSample(w=s, s=s)) == 1.0
+        B = np.zeros((3, 3))
+        assert matrix_loss(B, loss_sample(B, s, s)) == 1.0
 
     def test_bounded_by_smoothness_squared(self):
         # w = H s with 0 <= H <= L1 I and any 0 <= B <= L1 I keeps the loss
@@ -59,19 +61,34 @@ class TestLoss:
             H = random_psd(rng, d, top=L1 * float(rng.uniform(0.1, 1.0)))
             B = random_psd(rng, d, top=L1 * float(rng.uniform(0.1, 1.0)))
             s = rng.standard_normal(d)
-            losses.append(matrix_loss(B, LossSample(w=H @ s, s=s)))
+            losses.append(matrix_loss(B, loss_sample(B, H @ s, s)))
         assert fed_loss_violation(losses, L1, rtol=1e-12) is None
 
     def test_zero_displacement_rejected(self):
         with pytest.raises(ValueError):
-            LossSample(w=np.ones(3), s=np.zeros(3))
+            LossSample(w=np.ones(3), s=np.zeros(3), Bs=np.zeros(3))
+
+    @pytest.mark.parametrize("field, w, Bs", [
+        ("w", np.ones(4), np.ones(3)),
+        ("w", np.ones((3, 1)), np.ones(3)),
+        ("Bs", np.ones(3), np.ones(4)),
+        ("Bs", np.ones(3), np.array([1.0, np.nan, 1.0])),
+        ("Bs", np.ones(3), np.array([1.0, 1.0, -np.inf])),
+    ])
+    def test_malformed_sample_names_the_field(self, field, w, Bs):
+        # w, s and Bs must share a shape and Bs must be finite: the step
+        # reads Bs as given and takes no product that would show it wrong
+        with pytest.raises(ValueError, match=rf"loss sample field {field} "):
+            LossSample(w=w, s=np.ones(3), Bs=Bs)
 
     def test_matvec_accounting(self):
         rng = np.random.default_rng(2)
-        B = random_psd(rng, 4).view(CountingMatrix)
+        B = random_psd(rng, 4)
         s = rng.standard_normal(4)
-        matrix_loss(B, LossSample(w=s, s=s))
-        matrix_loss_gradient(B, LossSample(w=s, s=s))
+        sample = loss_sample(B, s, s)
+        B = B.view(CountingMatrix)
+        matrix_loss(B, sample)
+        matrix_loss_gradient(B, sample)
         assert B.products == 2
 
 
@@ -80,7 +97,7 @@ class TestLossGradient:
         rng = np.random.default_rng(3)
         B = random_psd(rng, 6)
         s = rng.standard_normal(6)
-        grad = matrix_loss_gradient(B, LossSample(w=B @ s, s=s))
+        grad = matrix_loss_gradient(B, loss_sample(B, B @ s, s))
         assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -88,8 +105,8 @@ class TestLossGradient:
         d = 8
         for _ in range(5):
             B = random_psd(rng, d)
-            sample = LossSample(w=rng.standard_normal(d),
-                                s=rng.standard_normal(d))
+            sample = loss_sample(B, rng.standard_normal(d),
+                                 rng.standard_normal(d))
             grad = matrix_loss_gradient(B, sample)
             fd = fd_symmetric_gradient(B, sample)
             assert (np.linalg.norm(fd - grad)
@@ -101,8 +118,8 @@ class TestLossGradient:
         for _ in range(100):
             d = int(rng.integers(2, 10))
             B = random_psd(rng, d)
-            sample = LossSample(w=rng.standard_normal(d),
-                                s=rng.standard_normal(d))
+            sample = loss_sample(B, rng.standard_normal(d),
+                                 rng.standard_normal(d))
             grad = matrix_loss_gradient(B, sample)
             loss = matrix_loss(B, sample)
             fro = np.linalg.norm(grad)
@@ -113,7 +130,8 @@ class TestLossGradient:
     def test_exactly_symmetric_rank_two(self):
         rng = np.random.default_rng(6)
         B = random_psd(rng, 9)
-        sample = LossSample(w=rng.standard_normal(9), s=rng.standard_normal(9))
+        sample = loss_sample(B, rng.standard_normal(9),
+                             rng.standard_normal(9))
         grad = matrix_loss_gradient(B, sample)
         assert np.max(np.abs(grad - grad.T)) == 0.0
         assert np.linalg.matrix_rank(grad, tol=1e-10) <= 2
@@ -195,7 +213,8 @@ class TestLearnerStep:
         state = init_learner(d, L1)
         for expected in range(1, 6):
             s = rng.standard_normal(d)
-            state, _ = learner_step(state, LossSample(w=s, s=s), seed=rng)
+            state, _ = learner_step(state, loss_sample(state.B, s, s),
+                                    seed=rng)
             assert state.t == expected
 
     def test_iterates_stay_in_frobenius_ball_and_feasible(self):
@@ -205,7 +224,8 @@ class TestLearnerStep:
         for _ in range(40):
             s = rng.standard_normal(d)
             H = random_psd(rng, d, top=L1)
-            state, _ = learner_step(state, LossSample(w=H @ s, s=s), seed=rng)
+            state, _ = learner_step(state, loss_sample(state.B, H @ s, s),
+                                    seed=rng)
             # W holds its matrix in the lower triangle only
             assert frobenius_norm(state.W) <= math.sqrt(d) + 1e-12
             B = state.B.dense()
@@ -223,7 +243,7 @@ class TestLearnerStep:
         s = rng.standard_normal(d)
         checked = 0
         for _ in range(60):
-            sample = LossSample(w=10.0 * s, s=s)
+            sample = loss_sample(state.B, 10.0 * s, s)
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
             if state.certificate is not None:
                 B_hat = rescale_to_unit_ball(state.B.dense(), L1)
@@ -240,9 +260,10 @@ class TestLearnerStep:
         """Feed one aligned loss (w = 10 s) until a separation call leaves
         a certificate in the state."""
         state = init_learner(d, L1)
-        sample = LossSample(w=10.0 * np.ones(d), s=np.ones(d))
+        s = np.ones(d)
         while state.certificate is None:
-            state, _ = learner_step(state, sample, seed=rng)
+            state, _ = learner_step(state, loss_sample(state.B, 10.0 * s, s),
+                                    seed=rng)
         return state
 
     def test_surrogate_coefficient_matches_dense_inner_product(self):
@@ -253,12 +274,12 @@ class TestLearnerStep:
             d = int(rng.integers(1, 20))
             L1 = float(rng.uniform(0.1, 10.0))
             B = random_psd(rng, d, top=L1 * float(rng.uniform(0.0, 1.0)))
-            sample = LossSample(w=rng.standard_normal(d),
-                                s=rng.standard_normal(d))
+            sample = loss_sample(B, rng.standard_normal(d),
+                                 rng.standard_normal(d))
             G = (2.0 / L1) * matrix_loss_gradient(B, sample)
             dense = max(0.0, -float(np.sum(G * rescale_to_unit_ball(B, L1))))
-            Bs = B @ sample.s
-            vector = _surrogate_coefficient(sample.s, Bs, sample.w - Bs,
+            vector = _surrogate_coefficient(sample.s, sample.Bs,
+                                            sample.w - sample.Bs,
                                             float(sample.s @ sample.s), L1)
             assert abs(vector - dense) <= 1e-12 * dense
             clamped += dense == 0.0
@@ -272,8 +293,8 @@ class TestLearnerStep:
         B_hat = rescale_to_unit_ball(state.B.dense(), L1)
         coeff = 0.0
         while coeff == 0.0:
-            sample = LossSample(w=rng.standard_normal(d),
-                                s=rng.standard_normal(d))
+            sample = loss_sample(state.B, rng.standard_normal(d),
+                                 rng.standard_normal(d))
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
             coeff = max(0.0, -float(np.sum(G * B_hat)))
         expected, _ = project_frobenius_ball(
@@ -296,10 +317,11 @@ class TestLearnerStep:
         assert [a.ndim for a in arrays] == [2, 1]
         assert state.B.W is state.W
 
-    def test_report_counts_loss_and_separation_matvecs(self, monkeypatch):
-        # the report equals the products taken: one with W for the loss's
-        # B s, plus the oracle's with W_next on the steps that call it, none
-        # on the steps whose norm bound certifies W_next inside
+    def test_report_counts_separation_matvecs(self, monkeypatch):
+        # the report equals the products taken: the oracle's with W_next on
+        # the steps that call it, none on the steps whose norm bound
+        # certifies W_next inside.  The loss's B s comes with the sample, so
+        # the step takes no product of its own
         counter = ProductCounter(monkeypatch)
         calls = []
 
@@ -317,16 +339,16 @@ class TestLearnerStep:
         for k in range(60):
             # curvature 3 L1 gives skips and inside calls, 10 L1 separations
             s = rng.standard_normal(d)
-            sample = LossSample(w=(3.0 if k < 40 else 10.0) * s, s=s)
+            sample = loss_sample(state.B, (3.0 if k < 40 else 10.0) * s, s)
             calls.clear()
             before = counter.products
             state, report = learner_step(state, sample, seed=rng)
             assert len(calls) <= 1
             oracle_products = sum(taken for _, taken in calls)
-            assert counter.products - before == 1 + oracle_products
-            assert report.matvecs == 1 + oracle_products
+            assert counter.products - before == oracle_products
+            assert report.matvecs == oracle_products
             if calls:
-                assert report.matvecs > 1
+                assert report.matvecs > 0
                 kinds.add("separated" if calls[0][0] else "inside")
             else:
                 kinds.add("skipped")
@@ -344,9 +366,9 @@ class TestLearnerStep:
         s = np.random.default_rng(18).standard_normal(d)
         generator = np.random.default_rng(5)
         reference = np.random.default_rng(5)
-        state, report = learner_step(state, LossSample(w=s, s=s),
+        state, report = learner_step(state, loss_sample(state.B, s, s),
                                      seed=generator)
-        assert report.matvecs == 1
+        assert report.matvecs == 0
         assert state.op_bound <= 1.0
         reference.standard_normal(d)
         assert np.array_equal(generator.standard_normal(4),
@@ -372,7 +394,8 @@ class TestLearnerStep:
         total_alg = total_cmp = 0.0
         for _ in range(T):
             s = rng.standard_normal(d)
-            sample = LossSample(w=H @ s + 0.05 * rng.standard_normal(d), s=s)
+            sample = loss_sample(state.B,
+                                 H @ s + 0.05 * rng.standard_normal(d), s)
             total_alg += matrix_loss(state.B, sample)
             total_cmp += matrix_loss(H, sample)
             state, _ = learner_step(state, sample, seed=rng)
@@ -384,15 +407,15 @@ class TestLearnerStep:
     def test_deterministic_given_seed(self):
         d, L1 = 5, 1.0
         sample_rng = np.random.default_rng(11)
-        samples = [LossSample(w=sample_rng.standard_normal(d),
-                              s=sample_rng.standard_normal(d))
-                   for _ in range(6)]
+        pairs = [(sample_rng.standard_normal(d), sample_rng.standard_normal(d))
+                 for _ in range(6)]
         results = []
         for _ in range(2):
             state = init_learner(d, L1)
             rng = np.random.default_rng(77)
-            for sample in samples:
-                state, _ = learner_step(state, sample, seed=rng)
+            for w, s in pairs:
+                state, _ = learner_step(state, loss_sample(state.B, w, s),
+                                        seed=rng)
             results.append(state.B.dense())
         assert np.array_equal(results[0], results[1])
 
@@ -408,7 +431,7 @@ def learner_walk(d, steps=60, L1=2.0, rho=0.09):
     for k in range(steps):
         s = rng.standard_normal(d)
         w = float(rng.uniform(-3.0, 6.0)) * s + 0.3 * rng.standard_normal(d)
-        sample = LossSample(w=w, s=s)
+        sample = loss_sample(state.B, w, s)
         yield replace(state, W=state.W.copy()), sample, 1000 + k
         state, _ = learner_step(state, sample, seed=1000 + k)
 
@@ -436,7 +459,7 @@ def test_in_place_step_matches_the_dense_expression(d):
             assert new.certificate.weight == ref.certificate.weight
             u_gap = new.certificate.u - ref.certificate.u
             assert np.linalg.norm(u_gap) <= 1e-12
-        branches.add("skip" if report.matvecs == 1 else
+        branches.add("skip" if report.matvecs == 0 else
                      "inside" if new.certificate is None else "separated")
     assert branches == {"skip", "inside", "separated"}
 
@@ -449,7 +472,7 @@ def test_operator_product_matches_its_dense_form(d):
     branches = set()
     for state, sample, seed in learner_walk(d):
         new, report = learner_step(state, sample, seed)
-        branches.add("skip" if report.matvecs == 1 else
+        branches.add("skip" if report.matvecs == 0 else
                      "inside" if new.certificate is None else "separated")
         v = rng.standard_normal(d)
         dense = new.B.dense() @ v
@@ -469,12 +492,12 @@ def test_step_writes_only_into_the_lower_triangle_of_W(d):
     # nothing reads it
     steps = list(learner_walk(d))
     s = np.ones(d)
-    steps.append((init_learner(d, 2.0, rho=0.09),
-                  LossSample(w=1000.0 * s, s=s), 7))
+    start = init_learner(d, 2.0, rho=0.09)
+    steps.append((start, loss_sample(start.B, 1000.0 * s, s), 7))
     certificates = 0
     upper = np.triu_indices(d, 1)
     for state, sample, seed in steps:
-        others = [sample.s, sample.w]
+        others = [sample.s, sample.w, sample.Bs]
         if state.certificate is not None:
             others.append(state.certificate.u)
             certificates += 1
@@ -508,7 +531,7 @@ def test_step_refuses_a_W_that_BLAS_would_copy():
     # would be lost without a word
     state = init_learner(4, 1.0)
     state = replace(state, W=np.asfortranarray(state.W))
-    sample = LossSample(w=3.0 * np.ones(4), s=np.ones(4))
+    sample = loss_sample(state.B, 3.0 * np.ones(4), np.ones(4))
     with pytest.raises(ValueError, match="C-contiguous float64"):
         learner_step(state, sample, 0)
 
@@ -518,7 +541,7 @@ def test_chained_bound_holds_after_every_step(logistic_instance, monkeypatch,
                                                rho):
     # the acceptance instance, solver seeds 0-2: after every learner step
     # the dense spectrum of W stays under the state's bound, and both skipped
-    # steps (loss matvec only) and oracle calls occur
+    # steps (no matvec) and oracle calls occur
     problems, matvecs = [], []
 
     def checked_step(state, sample, seed):
@@ -533,5 +556,5 @@ def test_chained_bound_holds_after_every_step(logistic_instance, monkeypatch,
         solve(logistic_instance, x0,
               config=SolverConfig(max_iters=500, rho=rho, seed=seed))
     assert not any(problems)
-    skipped = matvecs.count(1)
+    skipped = matvecs.count(0)
     assert 0 < skipped < len(matvecs)

@@ -199,3 +199,77 @@ class TestSharedBasis:
             assert size < basis.vectors.shape[0] <= max(8, 2 * size)
             Q = basis.vectors[:size + 1]
             assert np.allclose(Q @ Q.T, np.eye(size + 1), atol=1e-12)
+
+
+class TestImage:
+    """``KrylovBasis.image(c)`` is M (c @ Q_k), read off the Lanczos relation
+    with no product with M."""
+
+    @staticmethod
+    def counted_basis(M, start):
+        M = M.view(CountingMatrix)
+        return KrylovBasis(lambda v: M @ v, start), M
+
+    @staticmethod
+    def assert_image(basis, M, c):
+        products = M.products
+        image = basis.image(c)
+        assert M.products == products
+        expected = np.asarray(M) @ (c @ basis.vectors[:c.shape[0]])
+        assert (np.linalg.norm(image - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30])
+    def test_matches_the_product_at_every_dimension(self, d):
+        # every dimension 1..d on one basis, the last one k = d, where the
+        # basis is invariant and holds no row d; at d = 30 the buffer grew
+        # past INITIAL_ROWS.  Earlier dimensions are read again once the
+        # basis has grown past them
+        rng = np.random.default_rng(d)
+        basis, M = self.counted_basis(random_psd(rng, d, top=3.0),
+                                      rng.standard_normal(d))
+        for k in range(1, d + 1):
+            basis.extend()
+            assert basis.size == k
+            self.assert_image(basis, M, rng.standard_normal(k))
+            j = int(rng.integers(1, k + 1))
+            self.assert_image(basis, M, rng.standard_normal(j))
+        assert basis.invariant and basis.betas[-1] == 0.0
+        assert basis.vectors.shape[0] == d
+        assert M.products == d
+
+    def test_rank_deficient_operator_reads_only_the_set_rows(self):
+        # a rank-5 M in d = 20: the basis is invariant at a dimension k < d
+        # with betas[k-1] = 0, and its row k is unset, here filled with NaN
+        rng = np.random.default_rng(11)
+        d, rank = 20, 5
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spectrum = np.zeros(d)
+        spectrum[:rank] = rng.uniform(0.5, 2.0, rank)
+        basis, M = self.counted_basis((U * spectrum) @ U.T,
+                                      rng.standard_normal(d))
+        while not basis.invariant:
+            basis.extend()
+        k = basis.size
+        assert k < d and basis.betas[-1] == 0.0
+        basis.vectors[k:] = np.nan
+        for j in range(1, k + 1):
+            self.assert_image(basis, M, rng.standard_normal(j))
+
+    def test_solve_coefficients_give_the_iterate_and_its_product(self):
+        # the line search's read-out: trials on one basis keep their
+        # coordinates, s is their combination of the basis, and the image
+        # is B s
+        rng = np.random.default_rng(12)
+        d = 40
+        basis, B = self.counted_basis(random_psd(rng, d, top=5.0),
+                                      rng.standard_normal(d))
+        g = basis.vectors[0] * basis.start_norm
+        for eta in (4.0, 1.0, 0.25):
+            result = conjugate_residual(ShiftedOperator(basis, eta),
+                                        -eta * g, 0.1)
+            k = result.iterations
+            assert result.coefficients.shape == (k,)
+            assert np.array_equal(result.s,
+                                  result.coefficients @ basis.vectors[:k])
+            self.assert_image(basis, B, result.coefficients)

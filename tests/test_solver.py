@@ -574,3 +574,32 @@ def test_skips_change_only_the_matvec_column(criterion_run, logistic_instance,
         assert row.matvecs <= full.matvecs
         lower += row.matvecs < full.matvecs
     assert lower > 0
+
+
+def test_fed_samples_carry_the_product_with_the_matrix_used(
+        logistic_instance, monkeypatch):
+    # the learner takes B s from the line search's basis, not by a product:
+    # on every fed sample it must be the product with the matrix the line
+    # search used, and s the rejected trial's displacement x_tilde - y.
+    # rho = 1/16 makes separating calls, so some samples meet a scaled W
+    fed = []
+
+    def recording(state, sample, seed):
+        fed.append((sample, state.B @ sample.s, state.certificate))
+        return qnprox.learner.learner_step(state, sample, seed)
+
+    monkeypatch.setattr(qnprox.solver, "learner_step", recording)
+    reports = []
+    x0 = np.zeros(logistic_instance.dimension)
+    solve(logistic_instance, x0, config=SolverConfig(max_iters=300,
+                                                     rho=1.0 / 16.0, seed=0),
+          observer=reports.append)
+    backtracked = [rep for rep in reports if rep.x_tilde is not None]
+    assert len(fed) == len(backtracked) > 0
+    assert any(certificate is not None for _, _, certificate in fed)
+    eps = np.finfo(float).eps
+    for (sample, product, _), rep in zip(fed, backtracked):
+        assert (np.linalg.norm(sample.Bs - product)
+                <= 1e-12 * np.linalg.norm(product))
+        assert (np.linalg.norm(sample.s - (rep.x_tilde - rep.y))
+                <= 4.0 * eps * np.linalg.norm(rep.y))
