@@ -169,10 +169,8 @@ def test_observed_and_unobserved_solves_are_one_run(kind, d, data_seed,
 
 def test_backtrack_relations_fail_only_at_the_precision_floor():
     # run to the floor (tolerance 0), this instance may break the step-size
-    # bound to rounding at its last iterations (three of them when this test
-    # was written, none since the learner reads B s off the line search's
-    # basis); each such anchor gradient must be within twice the floor, and
-    # every other check must hold
+    # bound to rounding at its last iterations; each such anchor gradient
+    # must be within twice the floor, and every other check must hold
     objective, x_star, f_star = quadratic(2, 0)
     config = SolverConfig(max_iters=FLOOR_RUN_ITERS, rho=0.25, beta=0.25,
                           seed=0)

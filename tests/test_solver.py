@@ -213,8 +213,8 @@ class TestSolveInvariants:
 
     def test_matvec_conservation(self, small_logistic, monkeypatch):
         # the trace's count equals the products the run takes with W, all
-        # through the one product routine: every curvature product B v (line
-        # search and loss) and every Lanczos product.  rho = 1/16 makes
+        # through the one product routine: every curvature product B v (all
+        # in the line search) and every Lanczos product.  rho = 1/16 makes
         # oracle calls, some separating
         counter = ProductCounter(monkeypatch)
         oracle_products, results = [], []
