@@ -14,8 +14,9 @@ class ConfigurationError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap; ``best`` holds the best
-    iterate seen so far."""
+    """An iterative routine found no acceptable point (the BFGS baseline's
+    strong Wolfe search, or a reference minimizer's polish); ``best`` holds
+    the best iterate seen so far."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .linear_solver import KrylovBasis, ShiftedOperator, conjugate_residual
+from .linear_solver import KrylovBasis, conjugate_residual
 
 UNDERFLOW_RATIO = 1e-16
 
@@ -65,9 +65,7 @@ class LineSearchOutcome:
 
 def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                         eta_init: float, alpha1: float, alpha2: float,
-                        beta: float, oracle,
-                        max_cr_iters: Optional[int] = None
-                        ) -> LineSearchOutcome:
+                        beta: float, oracle) -> LineSearchOutcome:
     """Find (eta_hat, x_hat) satisfying the solve and proximal conditions.
 
     ``g`` must be the gradient at ``y`` (already computed by the caller, never
@@ -94,9 +92,7 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                 f"[{eta_hat:.3e}, {eta_init:.3e}] was accepted; the supplied "
                 "smoothness constant is likely inconsistent with the oracle")
 
-        solve = conjugate_residual(ShiftedOperator(basis, eta_hat),
-                                   -eta_hat * g, alpha1,
-                                   max_iters=max_cr_iters)
+        solve = conjugate_residual(basis, eta_hat, -eta_hat * g, alpha1)
         matvecs += solve.matvecs
         x_hat = y + solve.s
         grad_hat = oracle.gradient(x_hat)

@@ -1,7 +1,8 @@
 """Minimum-residual solves of shifted systems on one shared Krylov basis.
 
-Solves A s = b for symmetric A with lambda_min(A) >= 1 (in this package A is
-always I + eta * B with B positive semidefinite), stopping as soon as
+Solves A s = b for A = I + eta M, M symmetric (in this package M is the
+learned curvature B, positive semidefinite, so lambda_min(A) >= 1), on a
+Krylov basis of M, stopping as soon as
 
     ||A s - b|| <= alpha * ||s||,
 
@@ -11,9 +12,9 @@ residual (CR) iterate: for symmetric definite A, CR and MINRES (Paige &
 Saunders, SIAM J. Numer. Anal. 12(4), 1975) give the same iterates in exact
 arithmetic, and stop at the same k.  It is computed as MINRES does.  The
 Lanczos basis of M from b, held as Q_k with rows q_0 .. q_{k-1}, satisfies
-M Q_k^T = Q_{k+1}^T T_k with T_k the (k+1) x k tridiagonal, so for
-A = sigma I + eta M, s_k = Q_k^T y_k with y_k the least-squares solution of
-(sigma I + eta T_k) y = ||b|| e_1.  A Givens QR of that tridiagonal, one
+M Q_k^T = Q_{k+1}^T T_k with T_k the (k+1) x k tridiagonal, so
+s_k = Q_k^T y_k with y_k the least-squares solution of
+(I + eta T_k) y = ||b|| e_1.  A Givens QR of that tridiagonal, one
 column per dimension, holds the residual norm as its last right-hand-side
 entry, and ||s_k|| = ||y_k|| on the orthonormal basis, so the stopping test
 takes no product.
@@ -25,9 +26,8 @@ search, which share M = B and g and solve with b = -eta g, share one
 stops at dimension k costs one product M v, with its full
 reorthogonalization, per dimension past the largest an earlier trial built,
 plus O(k) scalar work for the QR, one banded triangular solve per dimension
-and one k x d product for s_k.  A plain ``apply_A`` callable gets a fresh
-basis of A from b: k products for k iterations.  The result keeps y_k, and
-the same relation gives M s_k = (T_k y_k) @ Q_{k+1} with no product
+and one k x d product for s_k.  The result keeps y_k, and the same
+relation gives M s_k = (T_k y_k) @ Q_{k+1} with no product
 (:meth:`KrylovBasis.image`): the line search reads its rejected trial's
 B s that way for the learner's loss.
 
@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-from .errors import (ConvergenceError, NumericsError, check_integer,
-                     check_interval)
+from .errors import NumericsError, check_integer, check_interval
 
 LANCZOS_BREAKDOWN = 1e-14
 INITIAL_ROWS = 8
@@ -168,24 +167,13 @@ class KrylovBasis:
         return tc @ self.vectors[:rows]
 
 
-class ShiftedOperator(NamedTuple):
-    """The operator I + eta M, solved on a shared basis of M."""
+def conjugate_residual(basis: KrylovBasis, eta: float, b: np.ndarray,
+                       alpha: float) -> LinearSolveResult:
+    """The minimum-residual iterate of (I + eta M) s = b at the first Krylov
+    dimension k with ||(I + eta M) s - b|| <= alpha * ||s|| (module
+    docstring), on ``basis``, a :class:`KrylovBasis` of M.
 
-    basis: KrylovBasis
-    eta: float
-
-
-def conjugate_residual(apply_A: Union[Callable[[np.ndarray], np.ndarray],
-                                      ShiftedOperator],
-                       b: np.ndarray,
-                       alpha: float,
-                       max_iters: Optional[int] = None) -> LinearSolveResult:
-    """The minimum-residual iterate of A s = b at the first Krylov dimension
-    k with ||A s - b|| <= alpha * ||s|| (module docstring).
-
-    ``apply_A`` is the product v -> A v, which gets a fresh basis of A from
-    b, or a :class:`ShiftedOperator` (basis, eta) for A = I + eta M, in which
-    case b must be a multiple of the basis's start vector and the basis is
+    b must be a multiple of the basis's start vector, and the basis is
     extended only past the dimensions it already has.  ``iterations`` is k,
     ``matvecs`` the products this call added to the basis,
     ``residual_history`` the residual norms at dimensions 0..k, and
@@ -193,44 +181,31 @@ def conjugate_residual(apply_A: Union[Callable[[np.ndarray], np.ndarray],
     :meth:`KrylovBasis.image` reads its product with M.
 
     The termination test is evaluated before each iteration, so b = 0
-    returns s = 0 immediately with zero iterations and zero matvecs.
+    returns s = 0 immediately with zero iterations and zero matvecs.  The
+    loop ends by dimension d, where the basis is invariant.
 
-    Raises :class:`ConvergenceError` (carrying the best iterate) past
-    ``max_iters`` (default 4 d), and :class:`NumericsError` on a zero pivot
-    of the QR (A singular on the Krylov space) before the test passes.
+    Raises :class:`NumericsError` on a zero pivot of the QR (I + eta M
+    singular on the Krylov space), or when the basis is invariant before
+    the test passes (M not finite).
     """
     check_interval("alpha", alpha, 0.0, 1.0)
-    d = b.shape[0]
-    if max_iters is None:
-        max_iters = 4 * d
-    if isinstance(apply_A, ShiftedOperator):
-        basis, shift, eta = apply_A.basis, 1.0, apply_A.eta
-    else:
-        basis, shift, eta = KrylovBasis(apply_A, b), 0.0, 1.0
     start_size = basis.size
 
     b_norm = math.sqrt(b @ b)
     # phi: the QR's last right-hand-side entry, +/- the residual norm
     phi = basis.coordinate(b, b_norm) if b_norm > 0.0 else 0.0
     history = [abs(phi)]
-    columns = min(max_iters, d)
+    columns = b.shape[0]
     # R by diagonals, as BLAS dtbsv reads an upper band with 2 superdiagonals
     R = np.zeros((3, columns), order="F")
     t = np.empty(columns)
     c_old = c_last = 1.0   # the rotations of columns k - 2 and k - 1
     s_old = s_last = 0.0
-    y = None
+    y = np.zeros(0)
     y_norm = 0.0
     k = 0
 
     while not abs(phi) <= alpha * y_norm:
-        if k >= max_iters:
-            best = np.zeros(d) if y is None else y @ basis.vectors[:k]
-            raise ConvergenceError(
-                f"conjugate residual did not satisfy ||As - b|| <= "
-                f"{alpha} * ||s|| within {max_iters} iterations "
-                f"(residual {abs(phi):.3e})",
-                best=best)
         if k == basis.size:
             if basis.invariant:
                 # its last residual is exactly 0 unless the operator is not
@@ -239,16 +214,16 @@ def conjugate_residual(apply_A: Union[Callable[[np.ndarray], np.ndarray],
                     "conjugate residual: the Krylov space is invariant at "
                     f"dimension {k} but the residual is {abs(phi):.3e}")
             basis.extend()
-        # column k of shift I + eta T: rows k - 1, k and k + 1
+        # column k of I + eta T: rows k - 1, k and k + 1
         above = eta * basis.betas[k - 1] if k > 0 else 0.0
-        diagonal = shift + eta * basis.alphas[k]
+        diagonal = 1.0 + eta * basis.alphas[k]
         below = eta * basis.betas[k]
         far = s_old * above
         near = c_old * above
         near, diagonal = (c_last * near + s_last * diagonal,
                           c_last * diagonal - s_last * near)
         pivot = math.hypot(diagonal, below)
-        if pivot <= LANCZOS_BREAKDOWN * (shift + eta * basis.scale):
+        if pivot <= LANCZOS_BREAKDOWN * (1.0 + eta * basis.scale):
             raise NumericsError(
                 f"conjugate residual breakdown: zero pivot {pivot:.3e} at "
                 f"dimension {k + 1}")
@@ -262,8 +237,6 @@ def conjugate_residual(apply_A: Union[Callable[[np.ndarray], np.ndarray],
         y_norm = math.sqrt(y @ y)
         history.append(abs(phi))
 
-    if y is None:
-        y = np.zeros(0)
     return LinearSolveResult(s=y @ basis.vectors[:k], iterations=k,
                              matvecs=basis.size - start_size,
                              residual_history=tuple(history),

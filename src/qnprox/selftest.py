@@ -18,7 +18,7 @@ from .errors import ConvergenceError
 from .learner import (LossSample, band_violation, frobenius_norm,
                       init_learner, learner_step)
 from .line_search import backtracking_search
-from .linear_solver import conjugate_residual
+from .linear_solver import KrylovBasis, conjugate_residual
 from .oracles import CountingOracle, symmetrize
 from .separation import separation_oracle
 from .solver import IterationReport, SolverConfig, momentum_weights, solve
@@ -228,16 +228,19 @@ def check_linear_solver():
     d, alpha = 15, 0.1
     for trial in range(20):
         B = random_psd(rng, d)
-        A = np.eye(d) + float(rng.uniform(0.1, 10.0)) * B
+        eta = float(rng.uniform(0.1, 10.0))
+        A = np.eye(d) + eta * B
         b = rng.standard_normal(d)
-        result = conjugate_residual(lambda v: A @ v, b, alpha)
+        result = conjugate_residual(KrylovBasis(lambda v: B @ v, b), eta, b,
+                                    alpha)
         if np.linalg.norm(A @ result.s - b) > alpha * np.linalg.norm(result.s):
             return f"contract violated on trial {trial}"
         if problem := conjugate_residual_violation(result, A, b, alpha):
             return problem
     B = random_psd(rng, d)
-    one_step = conjugate_residual(lambda v: v + (alpha / 2.0) * (B @ v),
-                                  rng.standard_normal(d), alpha)
+    b = rng.standard_normal(d)
+    one_step = conjugate_residual(KrylovBasis(lambda v: B @ v, b),
+                                  alpha / 2.0, b, alpha)
     if one_step.iterations > 1:
         return "more than one iteration when eta <= alpha / (2 L1)"
     return None

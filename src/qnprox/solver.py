@@ -50,7 +50,6 @@ class SolverConfig:
     failure_budget: float = DEFAULT_FAILURE_BUDGET
     rho: float = DEFAULT_STEP_SIZE
     seed: int = 0
-    max_cr_iters: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_interval("alpha1", self.alpha1, 0.0, 1.0)
@@ -67,8 +66,6 @@ class SolverConfig:
         check_interval("failure_budget", self.failure_budget, 0.0, 1.0)
         check_interval("rho", self.rho, 0.0, math.inf)
         check_integer("seed", self.seed, 0)
-        if self.max_cr_iters is not None:
-            check_integer("max_cr_iters", self.max_cr_iters, 1)
 
 
 @dataclass
@@ -148,8 +145,7 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     try:
         outcome = backtracking_search(
             y, grad_y, state.learner.B, state.eta, config.alpha1,
-            config.alpha2, config.beta, oracle,
-            max_cr_iters=config.max_cr_iters)
+            config.alpha2, config.beta, oracle)
     except ConfigurationError:
         # a failed search with a gradient at the floor: converged
         floor = precision_floor(state.learner.L1, y)

@@ -15,7 +15,7 @@ from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
                     solve, write_trace_csv)
 from qnprox.errors import ConvergenceError
 from qnprox.learner import band_violation
-from qnprox.linear_solver import conjugate_residual
+from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
 from qnprox.selftest import (backtrack_violation, certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
@@ -115,11 +115,12 @@ def test_c08_conjugate_residual_bounds():
         eta = float(rng.uniform(0.1, 10.0))
         A = np.eye(d) + eta * B
         b = rng.standard_normal(d)
-        result = conjugate_residual(lambda v: A @ v, b, alpha)
+        result = conjugate_residual(KrylovBasis(lambda v: B @ v, b), eta, b,
+                                    alpha)
         assert conjugate_residual_violation(result, A, b, alpha) is None
         # one-step termination once eta <= alpha / (2 L1) with ||B||_op <= 1
-        small = conjugate_residual(
-            lambda v: v + (alpha / 2.0) * (B @ v), b, alpha)
+        small = conjugate_residual(KrylovBasis(lambda v: B @ v, b),
+                                   alpha / 2.0, b, alpha)
         assert small.iterations <= 1
     assert time.perf_counter() - start < 10.0
 

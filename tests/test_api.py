@@ -15,6 +15,7 @@ import qnprox.line_search
 import qnprox.separation
 import qnprox.solver
 from qnprox.learner import init_learner
+from qnprox.linear_solver import KrylovBasis
 from helpers import (ProductCounter, QuadraticObjective, lanczos_basis,
                      loss_sample)
 
@@ -92,8 +93,9 @@ def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     # fields, and keeps the separation input W from the first positional
     # argument; each stage is called positionally, as the library calls it
     d = 4
-    linear = qnprox.line_search.conjugate_residual(lambda v: 2.0 * v,
-                                                   np.ones(d), 0.1)
+    # M = I and eta = 1: the operator 2 I, solved in one step
+    linear = qnprox.line_search.conjugate_residual(
+        KrylovBasis(lambda v: v.copy(), np.ones(d)), 1.0, np.ones(d), 0.1)
     assert (linear.iterations, linear.matvecs) == (1, 1)
 
     oracle = qnprox.CountingOracle(QuadraticObjective(np.eye(d)))

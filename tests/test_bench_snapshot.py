@@ -143,3 +143,61 @@ def test_compare_prints_the_per_layer_metrics(capsys):
                 "linear_solver.matvecs", "4610", "->", "2224", "x0.482"]
         # a metric the older snapshot lacks reads "-"
         assert layer[-1].split() == ["separation.matvecs", "-", "->", "7"]
+
+
+def test_simplicity_counts_read_the_root_checkout(tmp_path):
+    # a stand-in checkout whose package differs from the one imported here
+    package = tmp_path / "src" / "qnprox"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from .extra import BaselineConfig\n"
+        "__all__ = ['SolverConfig', 'BaselineConfig']\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class SolverConfig:\n"
+        "    x: int = 0\n")
+    (package / "extra.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class BaselineConfig:\n"
+        "    a: int = 0\n"
+        "    b: int = 0\n")
+    assert bench_snapshot.simplicity(tmp_path) == {
+        "src_lines": 8 + 7, "public_names": 2, "config_fields": 3}
+
+
+def test_simplicity_counts_of_this_checkout():
+    import dataclasses
+
+    import qnprox
+
+    counts = bench_snapshot.simplicity(ROOT)
+    assert counts["src_lines"] == sum(
+        len(path.read_text().splitlines())
+        for path in (ROOT / "src" / "qnprox").glob("*.py"))
+    assert counts["public_names"] == len(qnprox.__all__)
+    assert counts["config_fields"] == (
+        len(dataclasses.fields(qnprox.SolverConfig))
+        + len(dataclasses.fields(qnprox.BaselineConfig)))
+
+
+def test_compare_prints_the_simplicity_counts(capsys):
+    before = fake_snapshot("parent", 1, [])
+    after = fake_snapshot("change", 1, [])
+    after["simplicity"] = {"src_lines": 2669, "public_names": 21,
+                           "config_fields": 14}
+    bench_snapshot.compare(before, after)
+    out = capsys.readouterr().out.splitlines()
+    block = out[out.index("simplicity:") + 1:][:3]
+    # a snapshot without the counts reads "-"
+    assert [line.split() for line in block] == [
+        ["src_lines", "-", "->", "2669"], ["public_names", "-", "->", "21"],
+        ["config_fields", "-", "->", "14"]]
+    bench_snapshot.compare(after, after)
+    out = capsys.readouterr().out.splitlines()
+    assert out[out.index("simplicity:") + 1].split() == [
+        "src_lines", "2669", "->", "2669"]

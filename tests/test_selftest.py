@@ -10,7 +10,7 @@ import pytest
 
 from qnprox import SolverConfig, solve
 from qnprox.learner import band_violation, init_learner
-from qnprox.linear_solver import conjugate_residual
+from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
 from qnprox.solver import momentum_weights
 from qnprox.selftest import (backtrack_violation, certificate_violation,
@@ -106,9 +106,10 @@ def backtrack_displacement(run):
 
 def conjugate_residual_cap(run):
     rng = np.random.default_rng(0)
-    A = np.eye(10) + 5.0 * random_psd(rng, 10)
+    B = random_psd(rng, 10)
+    A = np.eye(10) + 5.0 * B
     b = rng.standard_normal(10)
-    result = conjugate_residual(lambda v: A @ v, b, 0.1)
+    result = conjugate_residual(KrylovBasis(lambda v: B @ v, b), 5.0, b, 0.1)
     return (lambda res: conjugate_residual_violation(res, A, b, 0.1), result,
             replace(result, iterations=result.iterations + 100))
 

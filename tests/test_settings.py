@@ -19,7 +19,7 @@ from helpers import QuadraticObjective
 # per config class: the fields a caller must pass, each integer field with
 # its minimum, and each real field with its lower bound
 CONFIGS = {
-    SolverConfig: ({}, {"max_iters": 1, "seed": 0, "max_cr_iters": 1},
+    SolverConfig: ({}, {"max_iters": 1, "seed": 0},
                    {"alpha1": 0.0, "alpha2": 0.0, "beta": 0.0, "sigma0": 0.0,
                     "L1": 0.0, "tolerance": 0.0, "failure_budget": 0.0,
                     "rho": 0.0}),
@@ -74,7 +74,7 @@ def test_every_settable_value_is_listed():
     for cls, (_, integers, reals) in CONFIGS.items():
         assert {f.name for f in fields(cls)} == set(integers) | set(reals)
         listed += len(integers) + len(reals)
-    assert listed == 19
+    assert listed == 18
 
 
 @pytest.mark.parametrize("cls, base, name, value", bad_settings())
@@ -133,8 +133,10 @@ def _quadratic():
 
 
 ROUTINE_CALLS = {
-    "alpha-nan": lambda: conjugate_residual(_identity, np.ones(3), math.nan),
-    "alpha-1.0": lambda: conjugate_residual(_identity, np.ones(3), 1.0),
+    "alpha-nan": lambda: conjugate_residual(
+        KrylovBasis(_identity, np.ones(3)), 1.0, np.ones(3), math.nan),
+    "alpha-1.0": lambda: conjugate_residual(
+        KrylovBasis(_identity, np.ones(3)), 1.0, np.ones(3), 1.0),
     "delta-nan": lambda: separation_oracle(np.eye(3), math.nan, 0.1, 0),
     "delta-inf": lambda: separation_oracle(np.eye(3), math.inf, 0.1, 0),
     "q-nan": lambda: separation_oracle(np.eye(3), 0.1, math.nan, 0),

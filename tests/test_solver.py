@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -250,21 +251,47 @@ class TestConfigValidation:
             SolverConfig(beta=1.0)
 
     def test_partial_trace_attached_on_failure(self, small_logistic):
-        # an absurdly tight linear-solver cap forces a convergence error
-        # (at iteration 32 on this instance; a cap of 0 is rejected up front)
-        config = SolverConfig(max_iters=50, seed=0, max_cr_iters=1)
+        # the gradient turns non-finite at a set query, mid-run: the error
+        # names the iteration, and the trace holds the iterations before it
+        failing_query = 40
+
+        class FailsAtQuery:
+            dimension = small_logistic.dimension
+            smoothness = small_logistic.smoothness
+            queries = 0
+
+            def value(self, x):
+                return small_logistic.value(x)
+
+            def gradient(self, x):
+                self.queries += 1
+                if self.queries == failing_query:
+                    return np.full(self.dimension, np.nan)
+                return small_logistic.gradient(x)
+
         with pytest.raises(SolverError) as exc_info:
-            solve(small_logistic, np.zeros(small_logistic.dimension),
-                  config=config)
-        assert exc_info.value.trace is not None
+            solve(FailsAtQuery(), np.zeros(small_logistic.dimension),
+                  config=SolverConfig(max_iters=50, seed=0))
+        exc = exc_info.value
+        match = re.match(r"solver aborted at iteration (\d+): gradient oracle",
+                         str(exc))
+        assert match
+        assert isinstance(exc.__cause__, NumericsError)
+        k = int(match.group(1))
+        assert k >= 1
+        # row j records the state after iteration j, so the k iterations
+        # before the failed one are the whole trace
+        assert [row.iteration for row in exc.trace.rows] == list(
+            range(1, k + 1))
+        assert exc.trace.rows[-1].grad_queries < failing_query
 
 
     @pytest.mark.parametrize("field, value", [
         ("L1", -1.0), ("L1", 0.0), ("L1", math.nan), ("L1", math.inf),
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
         ("tolerance", -1.0), ("tolerance", math.nan),
-        ("max_cr_iters", 0), ("max_iters", 0), ("seed", -1),
-        ("max_cr_iters", 3.0), ("max_iters", 2.5), ("seed", 1.5),
+        ("max_iters", 0), ("seed", -1),
+        ("max_iters", 2.5), ("seed", 1.5),
         ("seed", "1"),
         ("sigma0", math.nan), ("sigma0", math.inf), ("sigma0", 0.0),
     ])

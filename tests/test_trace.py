@@ -1,8 +1,14 @@
 import re
+import string
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnprox import RunRecord, TraceRow, read_trace_csv, write_trace_csv
+from qnprox.trace import format_float
 
 
 def sample_record():
@@ -88,3 +94,49 @@ class TestRecordInvariants:
         write_trace_csv(record, path)
         assert "123.456" not in path.read_text()
         assert read_trace_csv(path) == record
+
+
+# finite floats of every kind, with the signed zeros and the smallest
+# subnormals drawn explicitly
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+COUNTS = st.integers(0, 2 ** 63 - 1)
+# metadata as the writers emit it: keys of letters, digits and underscores
+# other than "method" (such as "L1" or "max_iters"), and values that are
+# floats at 17 digits, integers, or a stop reason
+METADATA = st.dictionaries(
+    st.text(string.ascii_letters + string.digits + "_", min_size=1,
+            max_size=12).filter(lambda key: key != "method"),
+    st.one_of(FLOATS.map(format_float), COUNTS.map(str),
+              st.just("precision_floor")),
+    max_size=10)
+
+
+@st.composite
+def run_records(draw):
+    record = RunRecord(method=draw(st.sampled_from(["aqnpe", "nag", "bfgs"])),
+                       metadata=draw(METADATA))
+    iteration = draw(st.integers(0, 10))
+    for _ in range(draw(st.integers(0, 12))):
+        record.append(TraceRow(
+            iteration=iteration, f_value=draw(FLOATS), eta_hat=draw(FLOATS),
+            case=draw(st.sampled_from(["I", "II", "-"])),
+            backtracks=draw(COUNTS), grad_queries=draw(COUNTS),
+            matvecs=draw(COUNTS)))
+        iteration += draw(st.integers(1, 1000))
+    return record
+
+
+@settings(deadline=None)
+@given(record=run_records())
+def test_any_written_record_reads_back_and_rewrites_to_the_same_bytes(
+        record):
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = Path(directory, "a.csv"), Path(directory, "b.csv")
+        write_trace_csv(record, first)
+        parsed = read_trace_csv(first)
+        assert parsed == record
+        # equality cannot tell -0.0 from 0.0; the bytes can
+        write_trace_csv(parsed, second)
+        assert second.read_bytes() == first.read_bytes()

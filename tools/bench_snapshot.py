@@ -29,15 +29,20 @@ from the first trace row at or below the gap, with f* from perfbench's
 reference optimum; a solve that does not reach a gap within 20000 iterations
 records null.
 
+It also records three simplicity counts of ``--root``: the lines of the
+``.py`` files under ``src/``, the names in ``qnprox.__all__``, and the
+fields of ``SolverConfig`` and ``BaselineConfig`` together.
+
 The snapshot is written to ``BENCH_<tag>.json`` in the current directory,
 the tag being the root's short HEAD, with ``-dirty`` when its ``src`` or
 ``perfbench`` has uncommitted changes.
 
-``--compare`` prints, per workload, each end-to-end metric before and after
-with its ratio, the per-layer metrics of LAYER_METRICS from the trace-1
-run, the trace columns whose digests differ, the largest relative change
-of ``f``, and the ladder's counts (before -> after where both files have a
-ladder).  It runs nothing.
+``--compare`` prints the simplicity counts before -> after (``-`` for a
+snapshot without them), then, per workload, each end-to-end metric before
+and after with its ratio, the per-layer metrics of LAYER_METRICS from the
+trace-1 run, the trace columns whose digests differ, the largest relative
+change of ``f``, and the ladder's counts (before -> after where both files
+have a ladder).  It runs nothing.
 """
 
 from __future__ import annotations
@@ -75,6 +80,14 @@ LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
 # perfbench/run.py pins the same: one BLAS thread, set before numpy loads
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
+SIMPLICITY_COUNTS = ("src_lines", "public_names", "config_fields")
+# run in a fresh interpreter on --root's src, so the counts are that
+# checkout's, whatever this process has imported
+PUBLIC_SURFACE = (
+    "import dataclasses, json, qnprox\n"
+    "print(json.dumps([len(qnprox.__all__),\n"
+    "                  len(dataclasses.fields(qnprox.SolverConfig))\n"
+    "                  + len(dataclasses.fields(qnprox.BaselineConfig))]))\n")
 
 
 def git_short_head(root: Path) -> str:
@@ -130,6 +143,18 @@ def run_one(root: Path, workload: str, trace: int) -> dict:
     return entry
 
 
+def simplicity(root: Path) -> dict:
+    """The simplicity counts of ``root`` (module docstring)."""
+    src_lines = sum(len(path.read_text().splitlines())
+                    for path in (root / "src").rglob("*.py"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    public_names, config_fields = json.loads(subprocess.run(
+        [sys.executable, "-c", PUBLIC_SURFACE], cwd=root, env=env,
+        check=True, capture_output=True, text=True).stdout)
+    return {"src_lines": src_lines, "public_names": public_names,
+            "config_fields": config_fields}
+
+
 def snapshot(root: Path, tag: str) -> dict:
     runs = {workload: {f"trace{trace}": run_one(root, workload, trace)
                        for trace in (0, 1)}
@@ -137,7 +162,7 @@ def snapshot(root: Path, tag: str) -> dict:
     return {"tag": tag, "seed": SEED, "seconds": SECONDS,
             "command": "python3 perfbench/run.py --workload W "
                        f"--seed {SEED} --seconds {SECONDS} --trace T",
-            "runs": runs}
+            "simplicity": simplicity(root), "runs": runs}
 
 
 def counts_to_gaps(run, first_cap: int, f_star: float, gaps) -> dict:
@@ -246,6 +271,10 @@ def metric_line(name: str, before: dict, after: dict) -> str:
 
 def compare(before: dict, after: dict) -> None:
     print(f"{before['tag']} -> {after['tag']}")
+    old, new = before.get("simplicity", {}), after.get("simplicity", {})
+    print("simplicity:")
+    for name in SIMPLICITY_COUNTS:
+        print(f"  {name:24s} {old.get(name, '-'):>14} -> {new.get(name, '-')}")
     for workload in WORKLOADS:
         old, new = before["runs"][workload], after["runs"][workload]
         print(f"\n{workload}")
