@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.blas import dsyr2
 
 from .errors import (ConvergenceError, SolverError, check_at_least,
-                     check_integer, check_interval)
+                     check_integer)
 from .oracles import CountingOracle, checked_input
 from .separation import symv, written_in_place
 from .trace import RunRecord, TraceRow, format_float
@@ -28,6 +28,9 @@ NAG_ETA0 = 1.0
 NAG_BETA = 0.5
 # zoom steps a BFGS strong Wolfe search may take
 MAX_ZOOM = 50
+# the strong Wolfe constants of BFGS's line search (0 < c1 < c2 < 1)
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
 
 
 @dataclass(frozen=True)
@@ -37,18 +40,10 @@ class BaselineConfig:
 
     max_iters: int = 1000
     tolerance: float = 0.0
-    # Wolfe constants for BFGS (0 < c1 < c2 < 1)
-    c1: float = 1e-4
-    c2: float = 0.9
 
     def __post_init__(self) -> None:
         check_integer("max_iters", self.max_iters, 1)
         check_at_least("tolerance", self.tolerance, 0.0)
-        check_interval("c1", self.c1, 0.0, 1.0)
-        check_interval("c2", self.c2, 0.0, 1.0)
-        if not self.c1 < self.c2:
-            raise ValueError(f"Wolfe constants must satisfy c1 < c2, got "
-                             f"c1 = {self.c1!r}, c2 = {self.c2!r}")
 
 
 def nag_solve(oracle, x0: np.ndarray,
@@ -118,8 +113,9 @@ def nag_solve(oracle, x0: np.ndarray,
     return record.finish(start, x)
 
 
-def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
-    """Strong Wolfe line search (bracket + zoom with secant steps).
+def _strong_wolfe(oracle, x, p, phi0, dphi0):
+    """Strong Wolfe line search (bracket + zoom with secant steps), with
+    the constants WOLFE_C1 and WOLFE_C2.
 
     Returns (t, f(x + t p), grad f(x + t p), evaluations).  Each trial costs
     one value and one gradient query.
@@ -143,10 +139,10 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
             phi_t, g_t = phi(t)
             evals += 1
             dphi_t = float(g_t @ p)
-            if phi_t > phi0 + c1 * t * dphi0 or phi_t >= phi_lo:
+            if phi_t > phi0 + WOLFE_C1 * t * dphi0 or phi_t >= phi_lo:
                 hi, phi_hi, dphi_hi = t, phi_t, dphi_t
             else:
-                if abs(dphi_t) <= -c2 * dphi0:
+                if abs(dphi_t) <= -WOLFE_C2 * dphi0:
                     return t, phi_t, g_t, evals
                 if dphi_t * (hi - lo) >= 0.0:
                     hi, phi_hi, dphi_hi = lo, phi_lo, dphi_lo
@@ -161,9 +157,10 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0, c1, c2):
         phi_t, g_t = phi(t)
         evals += 1
         dphi_t = float(g_t @ p)
-        if phi_t > phi0 + c1 * t * dphi0 or (i > 0 and phi_t >= phi_prev):
+        if (phi_t > phi0 + WOLFE_C1 * t * dphi0
+                or (i > 0 and phi_t >= phi_prev)):
             return zoom(t_prev, phi_prev, dphi_prev, t, phi_t, dphi_t, evals)
-        if abs(dphi_t) <= -c2 * dphi0:
+        if abs(dphi_t) <= -WOLFE_C2 * dphi0:
             return t, phi_t, g_t, evals
         if dphi_t >= 0.0:
             return zoom(t, phi_t, dphi_t, t_prev, phi_prev, dphi_prev, evals)
@@ -223,8 +220,8 @@ def bfgs_solve(oracle, x0: np.ndarray,
     H = np.eye(d)
 
     record = RunRecord(method="bfgs", metadata={
-        "c1": format_float(config.c1),
-        "c2": format_float(config.c2),
+        "c1": format_float(WOLFE_C1),
+        "c2": format_float(WOLFE_C2),
         "max_iters": str(config.max_iters),
         "tolerance": format_float(config.tolerance),
     })
@@ -243,8 +240,8 @@ def bfgs_solve(oracle, x0: np.ndarray,
                 p = -g
             descent = float(g @ p)
             try:
-                t, f_new, g_new, evals = _strong_wolfe(
-                    oracle, x, p, f, descent, config.c1, config.c2)
+                t, f_new, g_new, evals = _strong_wolfe(oracle, x, p, f,
+                                                       descent)
             except ConvergenceError as exc:
                 if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
                     # the predicted decrease is below the float resolution of

@@ -67,9 +67,9 @@ state, the certificate or the sample.
 
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.
-Schedules follow rho = 1/128, delta_t = 1 / (sqrt(t + 2) ln(t + 2)) and
-q_t = p / (2.5 (t + 1) ln^2(t + 1)), which keeps the total separation-oracle
-failure probability below the budget p.
+Schedules follow rho = 1/128 by default, delta_t = 1 / (sqrt(t + 2)
+ln(t + 2)) and q_t = p / (2.5 (t + 1) ln^2(t + 1)), which keeps the total
+separation-oracle failure probability below the budget p = FAILURE_BUDGET.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ from .separation import (SeparationResult, separation_oracle, symv,
                          written_in_place)
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
-DEFAULT_FAILURE_BUDGET = 0.01
+# the budget p on the separation oracle's total failure probability
+FAILURE_BUDGET = 0.01
 # relative inflation of the skip bound, so rounding cannot certify a W that
 # lies just outside the unit operator-norm ball
 BOUND_SLACK = 1.0 + 1e-12
@@ -174,7 +175,6 @@ class LearnerState:
     t: int
     rho: float
     L1: float
-    failure_budget: float
 
     @property
     def B(self) -> Curvature:
@@ -207,10 +207,10 @@ def delta_schedule(t: int) -> float:
     return 1.0 / (math.sqrt(t + 2.0) * math.log(t + 2.0))
 
 
-def q_schedule(t: int, failure_budget: float) -> float:
+def q_schedule(t: int) -> float:
     if t < 1:
         raise ValueError("the q schedule starts at t = 1")
-    return failure_budget / (2.5 * (t + 1.0) * math.log(t + 1.0) ** 2)
+    return FAILURE_BUDGET / (2.5 * (t + 1.0) * math.log(t + 1.0) ** 2)
 
 
 def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
@@ -235,9 +235,7 @@ def next_op_norm_bound(op_bound: float, step_op_norm: float, norm: float,
 
 
 def init_learner(d: int, L1: float, B0: Optional[np.ndarray] = None,
-                 rho: float = DEFAULT_STEP_SIZE,
-                 failure_budget: float = DEFAULT_FAILURE_BUDGET
-                 ) -> LearnerState:
+                 rho: float = DEFAULT_STEP_SIZE) -> LearnerState:
     """Start the learner at B0, a finite d x d matrix whose symmetric part
     lies in Z (else :class:`ValueError` naming B0), or by default at the
     center (L1 / 2) I of Z, where W_0 = 0.  W_0 is one new array: sym(B0)
@@ -253,7 +251,7 @@ def init_learner(d: int, L1: float, B0: Optional[np.ndarray] = None,
         W0 *= 2.0 / L1
     return LearnerState(W=W0, certificate=None,
                         op_bound=float(np.linalg.norm(W0)), t=0, rho=rho,
-                        L1=L1, failure_budget=failure_budget)
+                        L1=L1)
 
 
 def learner_step(state: LearnerState, sample: LossSample, seed
@@ -308,8 +306,7 @@ def learner_step(state: LearnerState, sample: LossSample, seed
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
         sep = separation_oracle(W, delta_schedule(t_next),
-                                q_schedule(t_next, state.failure_budget),
-                                seed)
+                                q_schedule(t_next), seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
     new_state = replace(state, certificate=certificate, op_bound=op_bound,

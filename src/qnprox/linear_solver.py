@@ -85,7 +85,8 @@ class KrylovBasis:
     needed up to d.  The line search keeps the default INITIAL_ROWS, so its
     buffer has at most max(INITIAL_ROWS, 2 size) rows and never d rows
     before it needs them; the separation oracle knows its last dimension
-    and passes the rows it needs, so its buffer never grows.
+    and passes the rows it needs, so its buffer never grows.  A product
+    whose alpha or beta is not finite raises :class:`NumericsError`.
     """
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray],
@@ -130,6 +131,10 @@ class KrylovBasis:
             w -= self.betas[k - 1] * Q[k - 1]
         w -= (Q[:k + 1] @ w) @ Q[:k + 1]
         beta = math.sqrt(w @ w)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NumericsError(
+                f"Krylov basis: the product at dimension {k + 1} is not "
+                f"finite (alpha = {alpha!r}, beta = {beta!r})")
         self.scale = max(self.scale, abs(alpha))
         self.alphas.append(alpha)
         self.size = k + 1
@@ -185,8 +190,9 @@ def conjugate_residual(basis: KrylovBasis, eta: float, b: np.ndarray,
     loop ends by dimension d, where the basis is invariant.
 
     Raises :class:`NumericsError` on a zero pivot of the QR (I + eta M
-    singular on the Krylov space), or when the basis is invariant before
-    the test passes (M not finite).
+    singular on the Krylov space), when the basis is invariant before the
+    test passes, or, from the basis, at the first product with a non-finite
+    M.
     """
     check_interval("alpha", alpha, 0.0, 1.0)
     start_size = basis.size
@@ -208,8 +214,8 @@ def conjugate_residual(basis: KrylovBasis, eta: float, b: np.ndarray,
     while not abs(phi) <= alpha * y_norm:
         if k == basis.size:
             if basis.invariant:
-                # its last residual is exactly 0 unless the operator is not
-                # finite
+                # its last residual is 0 in exact arithmetic (a non-finite
+                # operator raised in extend)
                 raise NumericsError(
                     "conjugate residual: the Krylov space is invariant at "
                     f"dimension {k} but the residual is {abs(phi):.3e}")

@@ -21,7 +21,8 @@ from .line_search import backtracking_search
 from .linear_solver import KrylovBasis, conjugate_residual
 from .oracles import CountingOracle, symmetrize
 from .separation import separation_oracle
-from .solver import IterationReport, SolverConfig, momentum_weights, solve
+from .solver import (ALPHA1, ALPHA2, IterationReport, SolverConfig,
+                     momentum_weights, solve)
 
 
 def random_psd(rng, d, top=1.0):
@@ -295,18 +296,18 @@ def check_line_search():
     objective = make_logistic(120, 12, seed=7)
     oracle = CountingOracle(objective)
     rng = np.random.default_rng(4)
-    alpha1, alpha2, beta = 0.1, 0.85, 0.5
+    beta = 0.5
     for trial in range(5):
         y = rng.standard_normal(objective.dimension)
         g = oracle.gradient(y)
         B = random_psd(rng, objective.dimension, top=objective.smoothness)
         before = oracle.counters.gradient_queries
         outcome = backtracking_search(y, g, B, 64.0 / objective.smoothness,
-                                      alpha1, alpha2, beta, oracle)
+                                      ALPHA1, ALPHA2, beta, oracle)
         spent = oracle.counters.gradient_queries - before
         if spent != outcome.backtracks + 1:
             return f"gradient accounting off: {spent} queries"
-        if problem := backtrack_violation(outcome, y, g, B, alpha1, alpha2,
+        if problem := backtrack_violation(outcome, y, g, B, ALPHA1, ALPHA2,
                                           beta):
             return problem
     return None
@@ -327,7 +328,7 @@ def check_solver_certificate():
         weight_growth_violation(reports, c.beta),
         gradient_query_violation(record),
         *(backtrack_violation(rep, rep.y, rep.grad_at_y, rep.B_used,
-                              c.alpha1, c.alpha2, c.beta) for rep in reports),
+                              ALPHA1, ALPHA2, c.beta) for rep in reports),
     ]), None)
 
 

@@ -18,14 +18,17 @@ import numpy as np
 
 from .errors import (ConfigurationError, SolverError, check_at_least,
                      check_integer, check_interval)
-from .learner import (DEFAULT_FAILURE_BUDGET, DEFAULT_STEP_SIZE, Curvature,
-                      LearnerState, LossSample, init_learner, learner_step)
+from .learner import (DEFAULT_STEP_SIZE, Curvature, LearnerState, LossSample,
+                      init_learner, learner_step)
 from .line_search import backtracking_search
 from .oracles import CountingOracle, checked_input, estimate_smoothness
 from .trace import RunRecord, TraceRow, format_float
 
 CASE_ACCEPTED = "I"
 CASE_DAMPED = "II"
+# the linear solve's accuracy and the proximal slack, alpha1 + alpha2 < 1
+ALPHA1 = 0.1
+ALPHA2 = 0.85
 
 
 @dataclass(frozen=True)
@@ -33,37 +36,24 @@ class SolverConfig:
     """Knobs of the accelerated solver, checked when constructed: a field
     out of range raises :class:`ValueError` naming it.
 
-    alpha1 controls the linear-solve accuracy, alpha2 the proximal slack
-    (alpha1 + alpha2 < 1), beta the backtracking factor.  sigma0 defaults to
-    alpha2 / L1, the choice under which the amortized gradient cost is below
-    three queries per iteration.  L1 may be omitted when the oracle carries a
-    ``smoothness`` attribute; otherwise it is estimated by curvature probing.
+    beta is the backtracking factor.  sigma0 defaults to ALPHA2 / L1, the
+    choice under which the amortized gradient cost is below three queries
+    per iteration.
     """
 
-    alpha1: float = 0.1
-    alpha2: float = 0.85
     beta: float = 0.5
     sigma0: Optional[float] = None
-    L1: Optional[float] = None
     max_iters: int = 100
     tolerance: float = 0.0
-    failure_budget: float = DEFAULT_FAILURE_BUDGET
     rho: float = DEFAULT_STEP_SIZE
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_interval("alpha1", self.alpha1, 0.0, 1.0)
-        check_interval("alpha2", self.alpha2, 0.0, 1.0)
-        if self.alpha1 + self.alpha2 >= 1.0:
-            raise ValueError(f"alpha1 + alpha2 must be < 1, got "
-                             f"{self.alpha1!r} + {self.alpha2!r}")
         check_interval("beta", self.beta, 0.0, 1.0)
-        for name in ("sigma0", "L1"):
-            if getattr(self, name) is not None:
-                check_interval(name, getattr(self, name), 0.0, math.inf)
+        if self.sigma0 is not None:
+            check_interval("sigma0", self.sigma0, 0.0, math.inf)
         check_integer("max_iters", self.max_iters, 1)
         check_at_least("tolerance", self.tolerance, 0.0)
-        check_interval("failure_budget", self.failure_budget, 0.0, 1.0)
         check_interval("rho", self.rho, 0.0, math.inf)
         check_integer("seed", self.seed, 0)
 
@@ -144,8 +134,8 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     grad_y = oracle.gradient(y)
     try:
         outcome = backtracking_search(
-            y, grad_y, state.learner.B, state.eta, config.alpha1,
-            config.alpha2, config.beta, oracle)
+            y, grad_y, state.learner.B, state.eta, ALPHA1, ALPHA2,
+            config.beta, oracle)
     except ConfigurationError:
         # a failed search with a gradient at the floor: converged
         floor = precision_floor(state.learner.L1, y)
@@ -206,12 +196,14 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     oracle queries).  Returns the per-iteration trace; an ``observer``
     receives the full :class:`IterationReport` each iteration.
 
+    L1 is the oracle's ``smoothness`` attribute when it has one, else an
+    estimate by curvature probing.
+
     Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
-    match ``oracle.dimension`` and be finite, an L1 read from
-    ``oracle.smoothness`` or estimated must be finite and positive, and the
-    learner checks that B0 lies in the band, else :class:`ValueError`.  On
-    failure during the run the partial trace is attached to the raised
-    :class:`SolverError`.
+    match ``oracle.dimension`` and be finite, the L1 must be finite and
+    positive, and the learner checks that B0 lies in the band, else
+    :class:`ValueError`.  On failure during the run the partial trace is
+    attached to the raised :class:`SolverError`.
     """
     config = config if config is not None else SolverConfig()
     if not isinstance(oracle, CountingOracle):
@@ -223,27 +215,24 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     if B0 is not None:
         B0 = checked_input("B0", B0, (d, d))
 
-    L1 = config.L1
+    L1, source = oracle.smoothness, "the oracle's smoothness"
     if L1 is None:
-        # config.L1 is checked when the config is made; these sources are not
-        L1, source = oracle.smoothness, "the oracle's smoothness"
-        if L1 is None:
-            L1 = estimate_smoothness(oracle.inner, x, seed=config.seed)
-            source = "the curvature estimate"
-        check_interval(f"L1 from {source}", L1, 0.0, math.inf)
-    sigma0 = config.sigma0 if config.sigma0 is not None else config.alpha2 / L1
+        L1 = estimate_smoothness(oracle.inner, x, seed=config.seed)
+        source = "the curvature estimate"
+    check_interval(f"L1 from {source}", L1, 0.0, math.inf)
+    sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
 
     # the default start, the center (L1 / 2) I of Z, minimizes the worst-case
     # distance to any Hessian
-    state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0, learner=init_learner(
-        d, L1, B0, rho=config.rho, failure_budget=config.failure_budget))
+    state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0,
+                        learner=init_learner(d, L1, B0, rho=config.rho))
     # the learner holds its own copy: release the checked B0 before the run
     del B0
     rng = np.random.default_rng(config.seed)
 
     record = RunRecord(method="aqnpe", metadata={
-        "alpha1": format_float(config.alpha1),
-        "alpha2": format_float(config.alpha2),
+        "alpha1": format_float(ALPHA1),
+        "alpha2": format_float(ALPHA2),
         "beta": format_float(config.beta),
         "sigma0": format_float(sigma0),
         "L1": format_float(L1),

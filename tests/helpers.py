@@ -161,8 +161,7 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
         sep = separation_oracle(W_next, delta_schedule(t_next),
-                                q_schedule(t_next, state.failure_budget),
-                                seed)
+                                q_schedule(t_next), seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
     kappa = L1 / 2.0 if certificate is None else (L1 / 2.0) / op_bound

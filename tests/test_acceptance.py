@@ -21,6 +21,7 @@ from qnprox.selftest import (backtrack_violation, certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation, potential_violation,
                              separation_violation, weight_growth_violation)
+from qnprox.solver import ALPHA1, ALPHA2
 from conftest import (make_logistic, random_psd, random_unit_opnorm,
                       reference_minimizer)
 from helpers import (hyperplane, iterations_to_gap, loss_sample,
@@ -101,8 +102,7 @@ def test_c07_backtrack_relations(criterion_run):
     assert backtracked
     for rep in backtracked:
         assert backtrack_violation(rep, rep.y, rep.grad_at_y, rep.B_used,
-                                   config.alpha1, config.alpha2,
-                                   config.beta) is None
+                                   ALPHA1, ALPHA2, config.beta) is None
 
 
 @criterion(8, "conjugate residual bounds on 100 random shifted operators")

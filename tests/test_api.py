@@ -1,7 +1,9 @@
-"""The supported top-level API, and every library name the benchmark in
-``perfbench/`` imports or patches, so a rename cannot break it silently."""
+"""The supported top-level API, every library name the benchmark in
+``perfbench/`` imports or patches, so a rename cannot break it silently, and
+a caller for every config setting."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -81,6 +83,36 @@ def test_benchmark_calls_bind():
                 *call.args, **{kw.arg: kw.value for kw in call.keywords})
         except TypeError as exc:
             pytest.fail(f"{where}: {exc}")
+
+
+# settings that no library or benchmark caller sets, kept because tests
+# reach paths with them that nothing else reaches: a precision-floor stop at
+# sigma0 = 100, the d = 2 precision-floor regression at beta = 0.25, and
+# first iterations of case I and case II chosen by sigma0
+UNSET_SETTINGS = {"sigma0", "beta"}
+
+
+def test_every_setting_has_a_caller():
+    # a field that no caller sets is a constant: the configs' calls in the
+    # library and the benchmark must set every field outside the allowlist
+    root = Path(__file__).resolve().parents[1]
+    sources = [*sorted((root / "src" / "qnprox").glob("*.py")),
+               root / "perfbench" / "measure.py"]
+    configs = {"SolverConfig": qnprox.SolverConfig,
+               "BaselineConfig": qnprox.BaselineConfig}
+    set_by_callers = {name: set() for name in configs}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in configs):
+                set_by_callers[node.func.id].update(
+                    kw.arg for kw in node.keywords)
+    for name, cls in configs.items():
+        fields = {field.name for field in dataclasses.fields(cls)}
+        unset = fields - set_by_callers[name]
+        assert unset <= UNSET_SETTINGS, f"{name}: no caller sets {unset}"
+    assert UNSET_SETTINGS <= {field.name for field in
+                              dataclasses.fields(qnprox.SolverConfig)}
 
 
 @pytest.mark.parametrize("module, name", PATCHED)

@@ -35,6 +35,26 @@ def test_trace_summary_reads_a_library_trace(tmp_path):
         "matvecs"]
 
 
+@pytest.mark.parametrize("settings", [
+    dict(max_iters=150, seed=0),
+    dict(max_iters=150, rho=1.0 / 16.0, seed=2),
+    dict(max_iters=80, beta=0.25, sigma0=3.0, seed=1),
+], ids=["default", "rho-1/16", "beta-sigma0"])
+def test_trace_weights_are_the_solver_weights(tmp_path, settings):
+    # A_k read back from the trace CSV alone equals every iteration's A to
+    # the bit, through both cases
+    objective = make_logistic(200, 12, seed=3)
+    reports = []
+    record = solve(objective, np.zeros(12), config=SolverConfig(**settings),
+                   observer=reports.append)
+    path = tmp_path / "aqnpe.csv"
+    write_trace_csv(record, path)
+    weights = bench_snapshot.trace_weights(*bench_snapshot.read_trace(path))
+    assert {rep.case for rep in reports} == {"I", "II"}
+    assert weights == [rep.A for rep in reports]
+    assert bench_snapshot.trace_summary(path)["A_K"] == reports[-1].A
+
+
 def test_run_one_refuses_a_stale_trace_csv(tmp_path, monkeypatch):
     """A trace-1 run that writes its result but no aqnpe trace CSV fails,
     even when an earlier run's CSV is lying in .perfbench."""

@@ -7,10 +7,10 @@ import pytest
 import qnprox.learner
 import qnprox.solver
 from qnprox import SolverConfig, solve
-from qnprox.learner import (Curvature, LossSample, _surrogate_coefficient,
-                            band_violation, delta_schedule, frobenius_norm,
-                            init_learner, learner_step, q_schedule,
-                            symmetric_completion)
+from qnprox.learner import (FAILURE_BUDGET, Curvature, LossSample,
+                            _surrogate_coefficient, band_violation,
+                            delta_schedule, frobenius_norm, init_learner,
+                            learner_step, q_schedule, symmetric_completion)
 from qnprox.selftest import fed_loss_violation, learner_bound_violation
 from qnprox.separation import separation_oracle
 from conftest import random_psd
@@ -144,13 +144,12 @@ class TestSchedules:
         assert total <= 2.5
 
     def test_q_schedule_total_failure_budget(self):
-        p = 0.01
-        total = sum(q_schedule(t, p) for t in range(1, 10 ** 5))
-        assert total <= p
+        total = sum(q_schedule(t) for t in range(1, 10 ** 5))
+        assert total <= FAILURE_BUDGET
 
     def test_q_schedule_starts_at_one(self):
         with pytest.raises(ValueError):
-            q_schedule(0, 0.01)
+            q_schedule(0)
 
 
 class TestRescale:

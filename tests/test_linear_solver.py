@@ -136,6 +136,18 @@ class TestAccountingAndErrors:
         with pytest.raises(NumericsError, match="nan"):
             shifted_solve(M, 1.0, np.ones(4), alpha=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_stops_at_the_first_product(self, bad):
+        # a non-finite alpha or beta stops the basis at once, not after d
+        # products with their full reorthogonalization
+        d = 200
+        M = np.full((d, d), bad).view(CountingMatrix)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericsError, match=rf"product at dimension 1 is not finite"
+                                     rf" \(alpha = {bad!r}"):
+            shifted_solve(M, 1.0, np.ones(d), alpha=0.1)
+        assert M.products == 1
+
     def test_breakdown_raises_numerics_error(self):
         # M = -I with eta = 1 annihilates everything: the operator never
         # passes the test and gives the QR a zero pivot at once

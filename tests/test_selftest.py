@@ -12,7 +12,7 @@ from qnprox import SolverConfig, solve
 from qnprox.learner import band_violation, init_learner
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
-from qnprox.solver import momentum_weights
+from qnprox.solver import ALPHA1, ALPHA2, momentum_weights
 from qnprox.selftest import (backtrack_violation, certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation,
@@ -90,8 +90,7 @@ def backtracked_report(run):
 def backtrack_check(run):
     c = run.config
     return lambda rep: backtrack_violation(rep, rep.y, rep.grad_at_y,
-                                           rep.B_used, c.alpha1, c.alpha2,
-                                           c.beta)
+                                           rep.B_used, ALPHA1, ALPHA2, c.beta)
 
 
 def backtrack_step(run):

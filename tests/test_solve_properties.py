@@ -35,7 +35,7 @@ from qnprox.selftest import (backtrack_violation, certificate_violation,
                              learner_bound_violation, make_logistic,
                              momentum_violation, potential_violation,
                              reference_minimizer, weight_growth_violation)
-from qnprox.solver import precision_floor
+from qnprox.solver import ALPHA1, ALPHA2, precision_floor
 from helpers import QuadraticObjective
 
 MAX_ITERS = 40
@@ -96,7 +96,7 @@ def violations(objective, x_star, f_star, config, record, reports, states,
     yield gradient_query_violation(record)
     yield fed_loss_violation(losses, float(record.metadata["L1"]))
     yield from (backtrack_violation(rep, rep.y, rep.grad_at_y, rep.B_used,
-                                    config.alpha1, config.alpha2, config.beta)
+                                    ALPHA1, ALPHA2, config.beta)
                 for rep in reports)
     yield from map(learner_bound_violation, states)
 
@@ -178,8 +178,7 @@ def test_backtrack_relations_fail_only_at_the_precision_floor():
                                                               config)
     assert record.metadata["stopped"] == "precision_floor"
     near_floor = [rep for rep in reports if backtrack_violation(
-        rep, rep.y, rep.grad_at_y, rep.B_used, config.alpha1, config.alpha2,
-        config.beta)]
+        rep, rep.y, rep.grad_at_y, rep.B_used, ALPHA1, ALPHA2, config.beta)]
     for rep in near_floor:
         assert (np.linalg.norm(rep.grad_at_y)
                 <= 2.0 * precision_floor(objective.smoothness, rep.y))

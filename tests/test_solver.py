@@ -10,7 +10,7 @@ import qnprox.learner
 import qnprox.solver
 from qnprox import CountingOracle, SolverConfig, solve, write_trace_csv
 from qnprox.learner import init_learner
-from qnprox.solver import damped_iterate, momentum_weights
+from qnprox.solver import ALPHA1, ALPHA2, damped_iterate, momentum_weights
 from qnprox.errors import NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              gradient_query_violation, make_logistic,
@@ -173,7 +173,7 @@ class TestSolveInvariants:
 
     def test_iterate_boundedness(self, observed_run, small_logistic):
         record, reports, config, x_star = observed_run
-        sigma = config.alpha1 + config.alpha2
+        sigma = ALPHA1 + ALPHA2
         dist = float(np.linalg.norm(x_star))
         for rep in reports:
             assert np.linalg.norm(rep.z - x_star) <= dist * (1.0 + 1e-10)
@@ -183,7 +183,7 @@ class TestSolveInvariants:
 
     def test_weighted_displacement_sum(self, observed_run, small_logistic):
         record, reports, config, x_star = observed_run
-        sigma = config.alpha1 + config.alpha2
+        sigma = ALPHA1 + ALPHA2
         total = sum((rep.a / rep.eta) ** 2
                     * float((rep.x_hat - rep.y) @ (rep.x_hat - rep.y))
                     for rep in reports)
@@ -199,8 +199,8 @@ class TestSolveInvariants:
 
     def test_step_size_square_sum_bound(self, observed_run, small_logistic):
         record, reports, config, _ = observed_run
-        beta, alpha2 = config.beta, config.alpha2
-        sigma0 = config.alpha2 / small_logistic.smoothness
+        beta, alpha2 = config.beta, ALPHA2
+        sigma0 = ALPHA2 / small_logistic.smoothness
         lhs = sum(1.0 / rep.eta_hat ** 2 for rep in reports)
         fed = sum(rep.loss_fed for rep in reports if rep.loss_fed is not None)
         rhs = ((2.0 - beta ** 2) / ((1.0 - beta ** 2) * sigma0 ** 2)
@@ -243,8 +243,7 @@ class TestSolveInvariants:
 
 class TestConfigValidation:
     def test_alpha_sum_must_be_contractive(self):
-        with pytest.raises(ValueError):
-            SolverConfig(alpha1=0.5, alpha2=0.5)
+        assert 0.0 < ALPHA1 and 0.0 < ALPHA2 and ALPHA1 + ALPHA2 < 1.0
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
@@ -287,7 +286,6 @@ class TestConfigValidation:
 
 
     @pytest.mark.parametrize("field, value", [
-        ("L1", -1.0), ("L1", 0.0), ("L1", math.nan), ("L1", math.inf),
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
         ("tolerance", -1.0), ("tolerance", math.nan),
         ("max_iters", 0), ("seed", -1),
@@ -305,8 +303,8 @@ class TestConfigValidation:
 
 
 class TestResolvedL1:
-    """An L1 that solve() reads from the oracle or estimates is checked
-    before iteration 0, as a given one is when the config is made."""
+    """The L1 that solve() reads from the oracle or estimates is checked
+    before iteration 0."""
 
     @pytest.mark.parametrize("smoothness", [0.0, math.nan, -1.0, math.inf])
     def test_bad_oracle_smoothness(self, smoothness):

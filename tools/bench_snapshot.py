@@ -12,7 +12,9 @@ the paper, tall and wide workloads inside ``--root`` (the git checkout whose
 ``.perfbench/<workload>-seed1-trace{0,1}.json`` results (metrics, environment,
 notes, problems) into one file.  It also keeps the aqnpe trace CSV that the
 trace-1 run writes: a SHA-256 per column and the ``f`` column itself, so two
-snapshots show which columns of the trace moved and by how much.
+snapshots show which columns of the trace moved and by how much, and the
+last weight A_K, recomputed from the trace, for the paper's certificate
+f(x_K) - f* <= ||z0 - x*||^2 / (2 A_K).
 
 It then adds a counts ladder, computed in this process through the
 library's public API on the same instances (perfbench's ``workloads`` and
@@ -104,19 +106,53 @@ def git_dirty(root: Path) -> bool:
     return bool(status.strip())
 
 
+def read_trace(csv_path: Path) -> tuple[dict, dict]:
+    """The ``# key=value`` metadata of a trace CSV, and its columns by name,
+    as strings."""
+    metadata, lines = {}, []
+    for line in csv_path.read_text().splitlines():
+        if line.startswith("#"):
+            key, _, value = line[2:].partition("=")
+            metadata[key] = value
+        else:
+            lines.append(line.split(","))
+    header, *rows = lines
+    return metadata, dict(zip(header, zip(*rows)))
+
+
+def trace_weights(metadata: dict, columns: dict) -> list:
+    """A_k after each row of an aqnpe trace (:func:`read_trace`), from its
+    ``eta_hat`` and ``case`` columns and its ``sigma0`` and ``beta``
+    metadata, in the solver's arithmetic: from A = 0 and eta = sigma0, the
+    momentum weight a = (eta + sqrt(eta^2 + 4 eta A)) / 2, then A += a and
+    eta = eta_hat / beta on case I, A += (eta_hat / eta) a and
+    eta = eta_hat on case II.  The floats are written with 17 digits, so
+    each A_k is the solver's to the bit."""
+    beta = float(metadata["beta"])
+    A, eta = 0.0, float(metadata["sigma0"])
+    weights = []
+    for eta_hat, case in zip(map(float, columns["eta_hat"]),
+                             columns["case"]):
+        a = (eta + math.sqrt(eta * eta + 4.0 * eta * A)) / 2.0
+        if case == "I":
+            A, eta = A + a, eta_hat / beta
+        else:
+            A, eta = A + (eta_hat / eta) * a, eta_hat
+        weights.append(A)
+    return weights
+
+
 def trace_summary(csv_path: Path) -> dict:
     """Per-column SHA-256 of an aqnpe trace CSV (after its ``#`` metadata
-    lines), and its ``f`` column."""
-    header, *rows = [line for line in csv_path.read_text().splitlines()
-                     if not line.startswith("#")]
-    names = header.split(",")
-    columns = list(zip(*(row.split(",") for row in rows)))
+    lines), its ``f`` column, and its last A_k (:func:`trace_weights`)."""
+    metadata, columns = read_trace(csv_path)
     return {
-        "rows": len(rows),
+        "rows": len(columns["f"]),
         "column_sha256": {
             name: hashlib.sha256("\n".join(column).encode()).hexdigest()
-            for name, column in zip(names, columns)},
-        "f": [float(v) for v in columns[names.index("f")]],
+            for name, column in columns.items()},
+        "f": [float(v) for v in columns["f"]],
+        "A_K": trace_weights(metadata, columns)[-1],
     }
 
 
