@@ -47,8 +47,8 @@ W is stored once, as the lower triangle (row >= column) of a C-ordered
 float64 d x d array; the strict upper triangle is stale and never read.
 BLAS and LAPACK see the Fortran-ordered W.T, whose upper triangle that is,
 and every routine below reads or writes that triangle only.  Every product
-W v, in B v, in the Lanczos steps and in their Rayleigh quotients, is one
-``dsymv`` (:func:`~qnprox.separation.symv`).  The step
+W v, in B v and in the separation oracle's Lanczos steps, is one ``dsymv``
+(:func:`~qnprox.separation.symv`).  The step
 W - rho G = W + rho (2 / L1) (s r^T + r s^T) / ||s||^2
 - rho coefficient weight u u^T is one ``dsyr2`` with (s, r), plus one
 ``dsyr`` with u when a certificate is held, both written into W in place.

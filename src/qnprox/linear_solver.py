@@ -126,12 +126,18 @@ class KrylovBasis:
         if np.may_share_memory(w, Q):
             w = w.copy()
         alpha = float(q @ w)
+        # a non-finite entry of w makes alpha non-finite: stop before the
+        # subtractions below turn inf into nan
+        if not math.isfinite(alpha):
+            raise NumericsError(
+                f"Krylov basis: the product at dimension {k + 1} is not "
+                f"finite (alpha = {alpha!r})")
         w -= alpha * q
         if k > 0:
             w -= self.betas[k - 1] * Q[k - 1]
         w -= (Q[:k + 1] @ w) @ Q[:k + 1]
         beta = math.sqrt(w @ w)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
+        if not math.isfinite(beta):
             raise NumericsError(
                 f"Krylov basis: the product at dimension {k + 1} is not "
                 f"finite (alpha = {alpha!r}, beta = {beta!r})")

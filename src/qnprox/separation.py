@@ -19,7 +19,10 @@ basis continues to max(n1, n2) steps instead of restarting.  Every stage
 is therefore still a Lanczos run of its length from a uniform random start,
 which is all the random-start bound of Kuczynski and Wozniakowski (SIAM J.
 Matrix Anal. Appl. 13(4), 1992) asks for, so each stage keeps its failure
-probability q and the union bound over the calls is unchanged.
+probability q and the union bound over the calls is unchanged.  That
+bound is on the extreme Ritz value, an eigenvalue of the tridiagonal T_k,
+so the oracle reads its values off T_k and takes no product with W beyond
+the Lanczos steps.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ def written_in_place(result: np.ndarray, view: np.ndarray, name: str
 
 
 class LanczosExtremes(NamedTuple):
-    u_max: np.ndarray
+    """The top and bottom eigenvalues of a Lanczos basis's tridiagonal T_k,
+    and the Lanczos steps (products) the read-out added to the basis."""
+
     lam_max: float
-    u_min: np.ndarray
     lam_min: float
     matvecs: int
 
@@ -80,67 +84,82 @@ class SeparationResult:
         return self.weight != 0.0
 
 
-def _tridiagonal_eigenvector(a: np.ndarray, b: np.ndarray,
-                             index: int) -> np.ndarray:
-    """Unit eigenvector ``index`` (0 = lowest) of the symmetric tridiagonal
-    matrix with diagonal ``a`` and off-diagonal ``b``.
+def _bisection(a: np.ndarray, b: np.ndarray, index: int) -> tuple:
+    """LAPACK ``stebz`` bisection for eigenvalue ``index`` (0 = lowest) of
+    the symmetric tridiagonal matrix with diagonal ``a`` and off-diagonal
+    ``b``: the one-entry eigenvalue array, then the block data ``stein``
+    reads.
 
-    These are the LAPACK calls (bisection ``stebz``, then inverse iteration
-    ``stein``) that ``scipy.linalg.eigh_tridiagonal(a, b, select="i")`` makes,
-    with the same arguments, so the result is the same to the bit; calling
-    them directly skips the wrapper's argument checks.
+    These are the arguments of ``scipy.linalg.eigh_tridiagonal(a, b,
+    select="i")``, so its eigenvalue, and with ``stein`` its eigenvector,
+    are the same to the bit; calling LAPACK directly skips the wrapper's
+    argument checks.
     """
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (a, b))
+    stebz = get_lapack_funcs("stebz", (a, b))
     m, w, iblock, isplit, info = stebz(a, b, 2, 0.0, 1.0, index + 1,
                                        index + 1, 0.0, "B")
-    if info == 0:
-        v, info = stein(a, b, w[:m], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(
-            f"tridiagonal eigenvector {index} failed (LAPACK info {info})")
-    return v[:, 0]
+            f"tridiagonal eigenvalue {index} failed (LAPACK info {info})")
+    return w[:m], iblock, isplit
 
 
 def lanczos_extreme(basis: KrylovBasis, iterations: int) -> LanczosExtremes:
-    """Extreme Ritz pairs after growing ``basis`` to ``iterations`` steps.
+    """Extreme Ritz values after growing ``basis`` to ``iterations`` steps.
 
-    The steps stop early once the basis is invariant.  ``u_max`` and
-    ``u_min`` are the top and bottom Ritz vectors, read from the basis's
-    tridiagonal and vectors, and ``lam_max`` and ``lam_min`` their Rayleigh
-    quotients <M u, u>, recomputed with two more products so they are valid
-    after a breakdown too.  ``matvecs`` counts the steps this call took plus
-    those two.
+    The steps stop early once the basis is invariant.  ``lam_max`` and
+    ``lam_min`` are the top and bottom eigenvalues of the basis's k x k
+    tridiagonal T_k, read by bisection (``alphas[0]`` when k = 1), so the
+    read-out takes no product with M; ``matvecs`` counts the steps this
+    call added, 0 when the basis already had them.  After a breakdown, at
+    a beta of at most LANCZOS_BREAKDOWN times the basis's scale, each is
+    within that beta of an eigenvalue of M.
     """
     check_integer("iterations", iterations, 1)
     start = basis.size
     while basis.size < iterations and not basis.invariant:
         basis.extend()
     k = basis.size
-    Q = basis.vectors[:k]
     if k == 1:
-        u_max = Q[0].copy()
-        u_min = Q[0].copy()
+        lam_max = lam_min = basis.alphas[0]
     else:
         a, b = np.array(basis.alphas), np.array(basis.betas[:k - 1])
-        u_max = _tridiagonal_eigenvector(a, b, k - 1) @ Q
-        u_max /= np.linalg.norm(u_max)
-        u_min = _tridiagonal_eigenvector(a, b, 0) @ Q
-        u_min /= np.linalg.norm(u_min)
-    lam_max = float(u_max @ basis.apply(u_max))
-    lam_min = float(u_min @ basis.apply(u_min))
-    return LanczosExtremes(u_max, lam_max, u_min, lam_min,
-                           matvecs=k - start + 2)
+        lam_max = float(_bisection(a, b, k - 1)[0][0])
+        lam_min = float(_bisection(a, b, 0)[0][0])
+    return LanczosExtremes(lam_max, lam_min, matvecs=k - start)
+
+
+def _ritz_vector(basis: KrylovBasis, sign: float) -> np.ndarray:
+    """The unit top (``sign`` +1) or bottom (-1) Ritz vector of ``basis``:
+    LAPACK ``stein`` on a repeat of the bisection that gave its Ritz value,
+    mapped to R^d by one k x d product with the basis vectors, and no
+    product with M."""
+    k = basis.size
+    Q = basis.vectors[:k]
+    if k == 1:
+        return Q[0].copy()
+    a, b = np.array(basis.alphas), np.array(basis.betas[:k - 1])
+    index = k - 1 if sign > 0.0 else 0
+    stein = get_lapack_funcs("stein", (a, b))
+    v, info = stein(a, b, *_bisection(a, b, index))
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal eigenvector {index} failed (LAPACK info {info})")
+    u = v[:, 0] @ Q
+    u /= np.linalg.norm(u)
+    return u
 
 
 def _lanczos_rounds(d: int, q: float) -> float:
     return math.log(11.0 * d / q ** 2)
 
 
-def _dominant(extremes: LanczosExtremes) -> tuple[float, np.ndarray, float]:
-    """max(lam_1, -lam_d) with its Ritz vector and sign; ties go to the top."""
+def _dominant(extremes: LanczosExtremes) -> tuple[float, float]:
+    """max(lam_1, -lam_d) with its sign, +1 for the top Ritz value (ties
+    included) and -1 for the bottom."""
     if extremes.lam_max >= -extremes.lam_min:
-        return extremes.lam_max, extremes.u_max, 1.0
-    return -extremes.lam_min, extremes.u_min, -1.0
+        return extremes.lam_max, 1.0
+    return -extremes.lam_min, -1.0
 
 
 def separation_oracle(W: np.ndarray, delta: float, q: float, seed
@@ -149,14 +168,15 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
 
     One Krylov basis of W from a random start serves both stages.  After
     n1 = min(ceil(log(11 d / q^2) + 1/2), d) steps the coarse estimate
-    lam_hat = max(lam_1, -lam_d) decides: if lam_hat <= 1/2 the input is
-    certified inside (gamma = 2 lam_hat, weight 0); if lam_hat >= 2 it is
-    separated with the scaled certificate gamma = 2 lam_hat and
-    S = +/- 3 u u^T.  Otherwise the same basis grows to max(n1, n2) steps,
-    n2 = min(ceil(log(11 d / q^2) / (4 sqrt(2 delta)) + 1/2), d), and the
-    finer estimate lam_tilde decides: gamma = lam_tilde + delta with weight 0
-    when lam_tilde <= 1 - delta, else S = +/- u u^T.  On every branch u is
-    the Ritz vector of the deciding value, the top one on ties (sign +).
+    lam_hat = max(lam_1, -lam_d) of the extreme Ritz values decides: if
+    lam_hat <= 1/2 the input is certified inside (gamma = 2 lam_hat,
+    weight 0); if lam_hat >= 2 it is separated with the scaled certificate
+    gamma = 2 lam_hat and S = +/- 3 u u^T.  Otherwise the same basis grows
+    to max(n1, n2) steps, n2 = min(ceil(log(11 d / q^2) / (4 sqrt(2 delta))
+    + 1/2), d), and the finer estimate lam_tilde decides: gamma = lam_tilde
+    + delta with weight 0 when lam_tilde <= 1 - delta, else S = +/- u u^T.
+    On every branch u is the Ritz vector of the deciding value, the top one
+    on ties (sign +), formed once the call is decided.
 
     Every claim rests on one bound per stage, ||W||_op <= gamma, which holds
     with probability at least 1 - q on the stage's Lanczos event.  The coarse
@@ -168,10 +188,12 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
     the inside branches too, on the same event and with no further failure
     probability; the learner chains this bound to skip later calls.
 
-    A coarse decision costs n1 + 2 matvecs, a fine one max(n1, n2) + 4: the
-    continued steps plus two Rayleigh quotients per stage.  Continuing
-    rather than restarting keeps each stage's guarantee, because the fine
-    stage is itself a max(n1, n2)-step run from a uniform random start.
+    A coarse decision costs n1 matvecs and a fine one max(n1, n2), the
+    Lanczos steps alone: the Ritz values come off the tridiagonal, and the
+    Ritz vector is a combination of the basis vectors.  When n2 <= n1 the
+    fine stage adds 0 products.  Continuing rather than restarting keeps
+    each stage's guarantee, because the fine stage is itself a
+    max(n1, n2)-step run from a uniform random start.
     """
     check_interval("delta", delta, 0.0, math.inf)
     check_interval("q", q, 0.0, 1.0)
@@ -184,18 +206,16 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
     basis = KrylovBasis(lambda v: symv(W, v), start, min(max(n1, n2) + 1, d))
 
     coarse = lanczos_extreme(basis, n1)
-    lam_hat, u, sign = _dominant(coarse)
-    matvecs = coarse.matvecs
-    if lam_hat <= 0.5:
-        return SeparationResult(gamma=2.0 * lam_hat, u=u, weight=0.0,
-                                matvecs=matvecs)
-    if lam_hat >= 2.0:
-        return SeparationResult(gamma=2.0 * lam_hat, u=u, weight=3.0 * sign,
-                                matvecs=matvecs)
+    lam_hat, sign = _dominant(coarse)
+    if lam_hat <= 0.5 or lam_hat >= 2.0:
+        weight = 0.0 if lam_hat <= 0.5 else 3.0 * sign
+        return SeparationResult(gamma=2.0 * lam_hat,
+                                u=_ritz_vector(basis, sign), weight=weight,
+                                matvecs=coarse.matvecs)
 
     fine = lanczos_extreme(basis, max(n1, n2))
-    lam_tilde, u, sign = _dominant(fine)
-    matvecs += fine.matvecs
+    lam_tilde, sign = _dominant(fine)
     weight = 0.0 if lam_tilde <= 1.0 - delta else sign
-    return SeparationResult(gamma=lam_tilde + delta, u=u, weight=weight,
-                            matvecs=matvecs)
+    return SeparationResult(gamma=lam_tilde + delta,
+                            u=_ritz_vector(basis, sign), weight=weight,
+                            matvecs=coarse.matvecs + fine.matvecs)

@@ -149,8 +149,10 @@ def test_compare_prints_the_per_layer_metrics(capsys):
     out = capsys.readouterr().out.splitlines()
     assert {"linear_solver.calls", "linear_solver.iterations",
             "linear_solver.matvecs", "linear_solver.self_s",
-            "line_search.self_s",
+            "line_search.self_s", "separation.lanczos.calls",
             "separation.matvecs"} <= set(bench_snapshot.LAYER_METRICS)
+    # reads 0 on every workload since the learner takes no product of its own
+    assert "learner.matvecs" not in bench_snapshot.LAYER_METRICS
     for workload in bench_snapshot.WORKLOADS:
         block = out[out.index(workload):]
         block = block[:block.index("  aqnpe trace columns that differ: "
