@@ -71,8 +71,9 @@ LADDER_MAX_ITERS = 20000
 # trace-1 metrics that --compare prints: where the solves' products and the
 # line search's time go, and what the separation oracle did.  perfbench
 # reads a Lanczos call's steps as its matvecs - 2, for two Rayleigh
-# quotients the read-out no longer takes, so lanczos.steps reads 2 per call
-# low: the steps are lanczos.steps + 2 lanczos.calls
+# quotients per read-out that the oracle no longer takes, so in snapshots
+# taken since, lanczos.steps reads 2 per call low: the steps are
+# lanczos.steps + 2 lanczos.calls, which is separation.matvecs
 LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
                  "linear_solver.matvecs", "linear_solver.self_s",
                  "line_search.self_s",
