@@ -6,11 +6,19 @@ iteration.  Floats are written with 17 significant digits so parsing a file
 reproduces the in-memory record bit-exactly, and metadata keys are sorted so
 identical runs emit byte-identical files.  Wall time is kept on the record
 but never written, for the same reason.
+
+In memory a record keeps its rows as seven typed columns: four int64 counts
+and two doubles in ``array`` buffers, and the case as a list of interned
+strings, about 57 bytes a row.  ``RunRecord.rows`` builds a ``TraceRow`` on
+access, so a long run costs its columns, not one object per row.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,17 +41,82 @@ class TraceRow:
     matvecs: int
 
 
+class TraceTable(Sequence):
+    """The rows of a run as typed columns, in ``TraceRow`` field order.
+
+    A read-only sequence of ``TraceRow``: an index (negative too) builds one
+    row, a slice a list of rows, and a table equals a table or a list that
+    holds equal rows.  ``append`` is the one write path; it keeps iterations
+    strictly increasing and writes a row whole or not at all.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, rows=()):
+        self._columns = (array("q"), array("d"), array("d"), [],
+                         array("q"), array("q"), array("q"))
+        for row in rows:
+            self.append(row)
+
+    def append(self, row: TraceRow) -> None:
+        iterations = self._columns[0]
+        if iterations and row.iteration <= iterations[-1]:
+            raise ValueError("trace rows must be strictly ordered by iteration")
+        values = (row.iteration, row.f_value, row.eta_hat, sys.intern(row.case),
+                  row.backtracks, row.grad_queries, row.matvecs)
+        size = len(iterations)
+        try:
+            for column, value in zip(self._columns, values):
+                column.append(value)
+        except (OverflowError, TypeError):
+            # a count outside int64, or a value of the wrong type
+            for column in self._columns:
+                del column[size:]
+            raise
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(TraceRow, *(column[index]
+                                        for column in self._columns)))
+        return TraceRow(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(TraceRow, *self._columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TraceTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"TraceTable({list(self)!r})"
+
+
 @dataclass
 class RunRecord:
+    """A run's method, its metadata and its trace rows.
+
+    ``rows`` is a ``TraceTable``: seven typed columns at about 57 bytes a
+    row, read as ``TraceRow`` objects built on access.  A plain list of rows
+    given to the constructor, or to ``dataclasses.replace``, is appended row
+    by row, so it passes the same ordering check as ``append``.
+    """
+
     method: str
     metadata: dict = field(default_factory=dict)
-    rows: list = field(default_factory=list)
+    rows: Sequence[TraceRow] = field(default_factory=TraceTable)
     wall_time: Optional[float] = field(default=None, compare=False)
     final_x: Optional[object] = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, TraceTable):
+            self.rows = TraceTable(self.rows)
+
     def append(self, row: TraceRow) -> None:
-        if self.rows and row.iteration <= self.rows[-1].iteration:
-            raise ValueError("trace rows must be strictly ordered by iteration")
         self.rows.append(row)
 
     def finish(self, start: float, final_x) -> "RunRecord":
@@ -81,8 +154,9 @@ def write_trace_csv(record: RunRecord, path) -> None:
 
 
 def read_trace_csv(path) -> RunRecord:
-    """Parse a trace file; a bad header, a malformed row or a row out of
-    iteration order raises ValueError naming the file and the line."""
+    """Parse a trace file; a bad header, a malformed row, a count outside
+    int64 or a row out of iteration order raises ValueError naming the file
+    and the line."""
     record = RunRecord(method="")
     saw_header = False
     for number, line in enumerate(Path(path).read_text().splitlines(),
@@ -117,6 +191,9 @@ def read_trace_csv(path) -> RunRecord:
             ))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        except OverflowError:
+            raise ValueError(f"{where}: a count is outside the int64 range"
+                             ) from None
     if not saw_header:
         raise ValueError(f"{path} contains no trace header")
     return record

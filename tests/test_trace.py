@@ -1,6 +1,8 @@
 import re
 import string
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,6 +77,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 5: .*7 fields"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("column", [0, 4, 5, 6],
+                             ids=["iter", "backtracks", "grad_queries",
+                                  "matvecs"])
+    def test_count_outside_int64_names_file_and_line(self, tmp_path, column):
+        fields = "3,1.25e-13,0.0655,II,2,9,23".split(",")
+        fields[column] = str(2 ** 63)
+        path = self.written_with(tmp_path, 7, ",".join(fields))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 7: .*int64"):
+            read_trace_csv(path)
+
 
 class TestRecordInvariants:
     def test_rows_strictly_ordered(self):
@@ -96,6 +108,26 @@ class TestRecordInvariants:
         assert read_trace_csv(path) == record
 
 
+def test_record_keeps_a_row_in_at_most_64_bytes():
+    # counts above 256 and fresh floats, as solve makes them, so no row can
+    # lean on CPython's small-int cache or on a shared float
+    rows = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = RunRecord(method="aqnpe")
+        for k in range(1, rows + 1):
+            f = 1.0 / (k + 0.5)
+            record.append(TraceRow(k, f, 3.0 * f, "II" if k % 3 else "I",
+                                   300 + k, 1000 + 3 * k, 2000 + 5 * k))
+        del f
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(record.rows) == rows
+    assert kept / rows <= 64
+
+
 # finite floats of every kind, with the signed zeros and the smallest
 # subnormals drawn explicitly
 FLOATS = st.one_of(
@@ -114,18 +146,62 @@ METADATA = st.dictionaries(
 
 
 @st.composite
-def run_records(draw):
-    record = RunRecord(method=draw(st.sampled_from(["aqnpe", "nag", "bfgs"])),
-                       metadata=draw(METADATA))
-    iteration = draw(st.integers(0, 10))
+def trace_rows(draw):
+    """Rows in strictly increasing iteration order, up to the int64 top."""
+    rows = []
+    iteration = draw(st.one_of(st.integers(0, 10),
+                               st.just(2 ** 63 - 1 - 12 * 1000)))
     for _ in range(draw(st.integers(0, 12))):
-        record.append(TraceRow(
+        rows.append(TraceRow(
             iteration=iteration, f_value=draw(FLOATS), eta_hat=draw(FLOATS),
             case=draw(st.sampled_from(["I", "II", "-"])),
             backtracks=draw(COUNTS), grad_queries=draw(COUNTS),
             matvecs=draw(COUNTS)))
         iteration += draw(st.integers(1, 1000))
+    return rows
+
+
+@st.composite
+def run_records(draw):
+    record = RunRecord(method=draw(st.sampled_from(["aqnpe", "nag", "bfgs"])),
+                       metadata=draw(METADATA))
+    for row in draw(trace_rows()):
+        record.append(row)
     return record
+
+
+def bits(rows):
+    # repr tells -0.0 from 0.0 and round-trips every finite float, so equal
+    # reprs are equal bits
+    return [repr(row) for row in rows]
+
+
+@settings(deadline=None)
+@given(rows=trace_rows(), data=st.data())
+def test_the_table_reads_back_the_appended_rows_bit_for_bit(rows, data):
+    record = RunRecord(method="aqnpe")
+    for row in rows:
+        record.append(row)
+    table = record.rows
+    assert len(table) == len(rows)
+    assert bits(table) == bits(rows)
+    assert table == rows and rows == table
+    assert table == RunRecord(method="aqnpe", rows=list(rows)).rows
+    assert table != rows + [TraceRow(2 ** 63 - 1, 0.0, 0.0, "I", 0, 0, 0)]
+    window = data.draw(st.slices(len(rows)))
+    assert bits(table[window]) == bits(rows[window])
+    if not rows:
+        return
+    index = data.draw(st.integers(-len(rows), len(rows) - 1))
+    assert bits([table[index], table[-1]]) == bits([rows[index], rows[-1]])
+    with pytest.raises(ValueError, match="ordered"):
+        record.append(replace(rows[-1], iteration=rows[-1].iteration
+                              - data.draw(st.integers(0, 3))))
+    # a count outside int64 is refused whole: no column keeps a part of it
+    last = rows[-1].iteration
+    with pytest.raises(OverflowError):
+        record.append(replace(rows[0], iteration=last + 1, matvecs=2 ** 63))
+    assert bits(record.rows) == bits(rows)
 
 
 @settings(deadline=None)
