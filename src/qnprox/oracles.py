@@ -14,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, check_integer
+from .errors import NumericsError
+from .linear_solver import KrylovBasis
+from .separation import lanczos_extreme
+
+PROBES = 5  # random points the curvature estimate probes besides x0
 
 
 @dataclass
@@ -93,57 +97,34 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
-def power_iteration_extreme(apply_h, dimension: int, rng,
-                            iterations: int = 100) -> float:
-    """Largest-magnitude Rayleigh quotient of a symmetric operator.
-
-    Plain power iteration from a Gaussian start; returns the final Rayleigh
-    quotient, which never exceeds the true extreme eigenvalue in magnitude.
-    """
-    v = rng.standard_normal(dimension)
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    for _ in range(iterations):
-        hv = apply_h(v)
-        norm = np.linalg.norm(hv)
-        if norm == 0.0:
-            return 0.0
-        rayleigh = float(v @ hv)
-        v = hv / norm
-    return abs(rayleigh)
-
-
-def estimate_smoothness(oracle, x0: np.ndarray, probes: int = 5,
-                        seed: int = 0) -> float:
-    """Estimate sup ||hessian(x)||_op from the Hessian at the start point
-    and at random points.
-
-    Draws ``probes`` standard-normal points (all up front, so tests can
-    reproduce them from the seed), takes the largest-magnitude eigenvalue of
-    the Hessian at each of them and at ``x0``, and inflates the largest by a
-    1.1 safety factor.  Probing ``x0`` matters: a logistic Hessian is largest
-    where the margins are small, near the usual start x0 = 0, and random
-    points can miss that curvature by a factor of ten or more.
-    With a ``hessian`` that eigenvalue is exact, from one ``eigvalsh``;
-    without one it is the Rayleigh quotient of power iteration on
-    central-difference Hessian-vector products, which can fall below it.
-    """
-    check_integer("probes", probes, 1)
+def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:
+    """1.1 times the largest |eigenvalue| of the Hessian at PROBES normal
+    points, drawn up front from ``seed``, and at ``x0``, near which a
+    logistic Hessian peaks and random points alone can miss it tenfold.
+    Each is max(lam_max, -lam_min) of :func:`lanczos_extreme` on a d-step
+    :class:`KrylovBasis` of ``hessian(x) @ v``, else of central gradient
+    differences: 2 d gradient calls and d basis rows a point, more than 100
+    power steps once d > 100.  A non-finite product raises
+    :class:`NumericsError` naming the point."""
+    d, g = oracle.dimension, oracle.gradient
     rng = np.random.default_rng(seed)
-    points = rng.standard_normal((probes, oracle.dimension))
-    has_hessian = hasattr(oracle, "hessian")
+    points = rng.standard_normal((PROBES, d))
     best = 0.0
-    for x in (*points, x0):
-        if has_hessian:
-            eigenvalues = np.linalg.eigvalsh(oracle.hessian(x))
-            extreme = float(np.abs(eigenvalues).max())
+    for i, x in enumerate((*points, x0)):
+        if hasattr(oracle, "hessian"):
+            apply_h = lambda v, H=oracle.hessian(x): H @ v
         else:
-            step = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-            apply_h = lambda v, x=x, h=step: (
-                oracle.gradient(x + h * v) - oracle.gradient(x - h * v)
-            ) / (2.0 * h)
-            extreme = power_iteration_extreme(apply_h, oracle.dimension, rng)
-        best = max(best, extreme)
+            h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+            apply_h = lambda v, x=x, h=h: (
+                g(x + h * v) - g(x - h * v)) / (2.0 * h)
+        basis = KrylovBasis(apply_h, rng.standard_normal(d), d)
+        try:
+            extremes = lanczos_extreme(basis, d)
+        except NumericsError as exc:
+            where = "x0" if i == PROBES else f"probe point {i + 1}"
+            raise NumericsError(
+                f"curvature estimate at {where}: {exc}") from exc
+        best = max(best, extremes.lam_max, -extremes.lam_min)
     estimate = 1.1 * best
     if not np.isfinite(estimate):
         raise NumericsError("curvature estimate is not finite")

@@ -196,8 +196,9 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     oracle queries).  Returns the per-iteration trace; an ``observer``
     receives the full :class:`IterationReport` each iteration.
 
-    L1 is the oracle's ``smoothness`` attribute when it has one, else an
-    estimate by curvature probing.
+    L1 is the oracle's ``smoothness`` attribute when it has one, else the
+    Lanczos estimate of :func:`~qnprox.oracles.estimate_smoothness`, which
+    raises :class:`NumericsError` at a non-finite Hessian product.
 
     Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
     match ``oracle.dimension`` and be finite, the L1 must be finite and

@@ -223,3 +223,27 @@ def test_compare_prints_the_simplicity_counts(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[out.index("simplicity:") + 1].split() == [
         "src_lines", "2669", "->", "2669"]
+
+
+def test_compare_ratios_of_zero_and_aligned_columns(capsys):
+    before = fake_snapshot("parent", 0, bench_snapshot.LAYER_METRICS)
+    after = fake_snapshot("change", 0, bench_snapshot.LAYER_METRICS)
+    for snapshot, value in ((before, 0), (after, 5)):
+        snapshot["runs"]["tall"] = json.loads(json.dumps(
+            snapshot["runs"]["tall"]))
+        metrics = snapshot["runs"]["tall"]["trace1"]["metrics"]
+        metrics["separation.calls"]["value"] = 0
+        metrics["separation.matvecs"]["value"] = value
+    bench_snapshot.compare(before, after)
+    out = capsys.readouterr().out.splitlines()
+    block = out[out.index("tall"):]
+    layer = block[block.index("  per layer (trace 1):") + 1:][
+        :len(bench_snapshot.LAYER_METRICS)]
+    rows = {line.split()[0]: line for line in layer}
+    # 0 -> 0 is unchanged, and 0 -> 5 has no ratio
+    assert rows["linear_solver.matvecs"].split()[1:] == [
+        "0", "->", "0", "x1.000"]
+    assert rows["separation.calls"].split()[1:] == ["0", "->", "0", "x1.000"]
+    assert rows["separation.matvecs"].split()[1:] == ["0", "->", "5", "-"]
+    # every name fits its column, so the arrows line up
+    assert len({line.index(" -> ") for line in layer}) == 1

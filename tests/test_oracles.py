@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qnprox import CountingOracle, NumericsError
-from qnprox.oracles import estimate_smoothness, symmetrize
+from qnprox import CountingOracle, NumericsError, SolverConfig, solve
+from qnprox.oracles import PROBES, estimate_smoothness, symmetrize
 from conftest import make_logistic
 from helpers import CountingMatrix, QuadraticObjective
 
@@ -105,47 +105,58 @@ class TestCountingOracle:
         assert counts[0] == counts[1]
 
 
+def near_degenerate_quadratic() -> np.ndarray:
+    """A d = 8 quadratic form whose top eigenvalues are 1 and 0.995."""
+    rng = np.random.default_rng(4)
+    V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    return (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
+
+
+class GradientCounter:
+    """An objective with a ``gradient`` and no ``hessian``, counting its
+    gradient calls."""
+
+    def __init__(self, dimension, gradient):
+        self.dimension = dimension
+        self.inner = gradient
+        self.calls = 0
+
+    def gradient(self, x):
+        self.calls += 1
+        return self.inner(x)
+
+
 class TestEstimateSmoothness:
     def test_isotropic_quadratic(self):
         estimate = estimate_smoothness(QuadraticObjective(np.eye(6)),
-                                       np.zeros(6), probes=3, seed=0)
+                                       np.zeros(6), seed=0)
         assert 1.0 <= estimate <= 1.1 + 1e-12
 
     def test_diagonal_quadratic(self):
         estimate = estimate_smoothness(QuadraticObjective(np.diag([1.0, 4.0])),
-                                       np.zeros(2), probes=3, seed=0)
+                                       np.zeros(2), seed=0)
         assert 4.0 <= estimate <= 4.4 + 1e-12
 
     def test_near_degenerate_top_pair_is_exact(self):
         # eigenvalues 1 and 0.995 on top: 100 power steps from a random
         # start stop well below 1, a dense eigensolve does not
-        rng = np.random.default_rng(4)
-        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        Q = (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
-        objective = QuadraticObjective(Q)
-        estimate = estimate_smoothness(objective, np.zeros(8), probes=3,
-                                       seed=0)
+        objective = QuadraticObjective(near_degenerate_quadratic())
+        estimate = estimate_smoothness(objective, np.zeros(8), seed=0)
         want = 1.1 * objective.smoothness
         assert abs(estimate - want) <= 1e-12 * want
 
     def test_logistic_matches_dense_eig_at_probe_points(self):
         objective = make_logistic(200, 20, seed=11)
-        probes, seed = 4, 123
+        seed = 123
         x0 = np.zeros(objective.dimension)
-        estimate = estimate_smoothness(objective, x0, probes=probes,
-                                       seed=seed)
+        estimate = estimate_smoothness(objective, x0, seed=seed)
         # dense-eigendecomposition oracle at the same probe points (the
         # estimator draws them up front from the seed) and at x0
         rng = np.random.default_rng(seed)
-        points = rng.standard_normal((probes, objective.dimension))
+        points = rng.standard_normal((PROBES, objective.dimension))
         dense = max(float(np.linalg.eigvalsh(objective.hessian(x))[-1])
                     for x in (*points, x0))
         assert abs(estimate - dense) <= 0.1 * dense * (1.0 + 1e-9)
-
-    def test_probe_validation(self):
-        with pytest.raises(ValueError):
-            estimate_smoothness(QuadraticObjective(np.eye(2)), np.zeros(2),
-                                probes=0)
 
     def test_gradient_only_fallback(self):
         class GradientOnly:
@@ -157,6 +168,48 @@ class TestEstimateSmoothness:
             def gradient(self, x):
                 return np.diag([1.0, 2.0, 5.0]) @ x
 
-        estimate = estimate_smoothness(GradientOnly(), np.zeros(3), probes=3,
-                                       seed=1)
+        estimate = estimate_smoothness(GradientOnly(), np.zeros(3), seed=1)
         assert 4.9 <= estimate <= 5.5 + 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_only_probe_is_exact(self, seed):
+        # the top pair 1, 0.995 that stalls power iteration: the Lanczos
+        # read-out on gradient differences is as exact as a Hessian's
+        Q = near_degenerate_quadratic()
+        estimate = estimate_smoothness(GradientCounter(8, lambda x: Q @ x),
+                                       np.zeros(8), seed=seed)
+        want = 1.1 * float(np.linalg.eigvalsh(Q)[-1])
+        assert abs(estimate - want) <= 1e-9 * want
+
+    def test_probe_cost(self):
+        # at most d products of two gradients each per point, and none with
+        # a hessian
+        d = 3
+        quadratic = QuadraticObjective(np.diag([1.0, 2.0, 5.0]))
+        objective = GradientCounter(d, quadratic.gradient)
+        estimate_smoothness(objective, np.zeros(d), seed=0)
+        assert objective.calls <= 2 * d * (PROBES + 1)
+
+        counted = GradientCounter(d, quadratic.gradient)
+        counted.hessian = quadratic.hessian
+        estimate_smoothness(counted, np.zeros(d), seed=0)
+        assert counted.calls == 0
+
+    def test_non_finite_probe_point_raises(self):
+        # gradient 3 x inside the unit ball and NaN outside: the random probe
+        # points lie outside, and must not be dropped in favour of x0's 3.3
+        def gradient(x):
+            if np.linalg.norm(x) > 1.0:
+                return np.full_like(x, np.nan)
+            return 3.0 * x
+
+        with pytest.raises(NumericsError, match="curvature estimate at "
+                                                "probe point 2:"):
+            estimate_smoothness(GradientCounter(4, gradient), np.zeros(4),
+                                seed=0)
+        # so solve() stops before iteration 0 instead of running on L1 = 3.3
+        reports = []
+        with pytest.raises(NumericsError, match="curvature estimate"):
+            solve(GradientCounter(4, gradient), np.zeros(4),
+                  config=SolverConfig(max_iters=5), observer=reports.append)
+        assert reports == []

@@ -12,9 +12,7 @@ import pytest
 from qnprox import BaselineConfig, SolverConfig, SyntheticLogisticSpec
 from qnprox.errors import check_at_least, check_integer, check_interval
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
-from qnprox.oracles import estimate_smoothness
 from qnprox.separation import lanczos_extreme, separation_oracle
-from helpers import QuadraticObjective
 
 # per config class: the fields a caller must pass, each integer field with
 # its minimum, and each real field with its lower bound
@@ -116,10 +114,6 @@ def _identity(v):
     return v.copy()
 
 
-def _quadratic():
-    return QuadraticObjective(np.eye(3))
-
-
 ROUTINE_CALLS = {
     "alpha-nan": lambda: conjugate_residual(
         KrylovBasis(_identity, np.ones(3)), 1.0, np.ones(3), math.nan),
@@ -135,10 +129,6 @@ ROUTINE_CALLS = {
         KrylovBasis(_identity, np.ones(3), 2), 1.5),
     "iterations-0": lambda: lanczos_extreme(
         KrylovBasis(_identity, np.ones(3), 2), 0),
-    "probes-2.0": lambda: estimate_smoothness(_quadratic(), np.zeros(3),
-                                              probes=2.0),
-    "probes-0": lambda: estimate_smoothness(_quadratic(), np.zeros(3),
-                                            probes=0),
 }
 
 

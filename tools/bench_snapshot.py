@@ -297,34 +297,42 @@ def print_ladder(before, after: dict) -> None:
             print(f"    {label:6s} " + ", ".join(cells))
 
 
-def metric_line(name: str, before: dict, after: dict) -> str:
-    """``name before -> after xratio`` for two runs' metrics; a metric one
-    run lacks reads ``-``."""
+def metric_line(name: str, before: dict, after: dict, width: int) -> str:
+    """``name before -> after xratio`` for two runs' metrics, the name
+    padded to ``width``; a metric one run lacks reads ``-``, the ratio of
+    two zeros is x1.000, and a ratio to a zero ``-``."""
     a, b = (metrics[name]["value"] if name in metrics else None
             for metrics in (before, after))
     if a is None or b is None:
-        return (f"  {name:24s} {'-' if a is None else f'{a:.6g}':>14s} -> "
-                f"{'-' if b is None else f'{b:.6g}'}")
-    ratio = b / a if a else float("nan")
-    return f"  {name:24s} {a:>14.6g} -> {b:<14.6g} x{ratio:.3f}"
+        return (f"  {name:{width}s} {'-' if a is None else f'{a:.6g}':>14s} "
+                f"-> {'-' if b is None else f'{b:.6g}'}")
+    if a:
+        ratio = f"x{b / a:.3f}"
+    else:
+        ratio = "x1.000" if b == 0 else "-"
+    return f"  {name:{width}s} {a:>14.6g} -> {b:<14.6g} {ratio}"
 
 
 def compare(before: dict, after: dict) -> None:
     print(f"{before['tag']} -> {after['tag']}")
+    width = max(map(len, (*SIMPLICITY_COUNTS, *LAYER_METRICS, *(
+        name for run in before["runs"].values()
+        for name in run["trace0"]["metrics"]))))
     old, new = before.get("simplicity", {}), after.get("simplicity", {})
     print("simplicity:")
     for name in SIMPLICITY_COUNTS:
-        print(f"  {name:24s} {old.get(name, '-'):>14} -> {new.get(name, '-')}")
+        print(f"  {name:{width}s} {old.get(name, '-'):>14} -> "
+              f"{new.get(name, '-')}")
     for workload in WORKLOADS:
         old, new = before["runs"][workload], after["runs"][workload]
         print(f"\n{workload}")
         for name in old["trace0"]["metrics"]:
             print(metric_line(name, old["trace0"]["metrics"],
-                              new["trace0"]["metrics"]))
+                              new["trace0"]["metrics"], width))
         print("  per layer (trace 1):")
         for name in LAYER_METRICS:
             print(metric_line(name, old["trace1"]["metrics"],
-                              new["trace1"]["metrics"]))
+                              new["trace1"]["metrics"], width))
         old_trace = old["trace1"]["aqnpe_trace"]
         new_trace = new["trace1"]["aqnpe_trace"]
         moved = [name for name, digest in old_trace["column_sha256"].items()
