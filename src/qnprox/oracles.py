@@ -98,14 +98,14 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
 
 
 def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:
-    """1.1 times the largest |eigenvalue| of the Hessian at PROBES normal
-    points, drawn up front from ``seed``, and at ``x0``, near which a
-    logistic Hessian peaks and random points alone can miss it tenfold.
-    Each is max(lam_max, -lam_min) of :func:`lanczos_extreme` on a d-step
-    :class:`KrylovBasis` of ``hessian(x) @ v``, else of central gradient
-    differences: 2 d gradient calls and d basis rows a point, more than 100
-    power steps once d > 100.  A non-finite product raises
-    :class:`NumericsError` naming the point."""
+    """1.1 times the largest |eigenvalue| of the Hessian at ``x0``, near
+    which a logistic Hessian peaks, and at PROBES normal points drawn up
+    front from ``seed``.  Each is max(lam_max, -lam_min) of
+    :func:`lanczos_extreme` on a d-step :class:`KrylovBasis` of
+    ``hessian(x) @ v``, or else of central gradient differences: up to 2 d
+    gradient calls and d basis rows a point, more than 100 power steps once
+    d > 100.  A non-finite product raises :class:`NumericsError` naming the
+    point."""
     d, g = oracle.dimension, oracle.gradient
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((PROBES, d))

@@ -105,13 +105,6 @@ class TestCountingOracle:
         assert counts[0] == counts[1]
 
 
-def near_degenerate_quadratic() -> np.ndarray:
-    """A d = 8 quadratic form whose top eigenvalues are 1 and 0.995."""
-    rng = np.random.default_rng(4)
-    V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    return (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
-
-
 class GradientCounter:
     """An objective with a ``gradient`` and no ``hessian``, counting its
     gradient calls."""
@@ -140,7 +133,10 @@ class TestEstimateSmoothness:
     def test_near_degenerate_top_pair_is_exact(self):
         # eigenvalues 1 and 0.995 on top: 100 power steps from a random
         # start stop well below 1, a dense eigensolve does not
-        objective = QuadraticObjective(near_degenerate_quadratic())
+        rng = np.random.default_rng(4)
+        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        Q = (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
+        objective = QuadraticObjective(Q)
         estimate = estimate_smoothness(objective, np.zeros(8), seed=0)
         want = 1.1 * objective.smoothness
         assert abs(estimate - want) <= 1e-12 * want
@@ -173,9 +169,11 @@ class TestEstimateSmoothness:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_only_probe_is_exact(self, seed):
-        # the top pair 1, 0.995 that stalls power iteration: the Lanczos
-        # read-out on gradient differences is as exact as a Hessian's
-        Q = near_degenerate_quadratic()
+        # the top pair 1, 0.995 that stalls power iteration, as above: the
+        # Lanczos read-out on gradient differences is as exact as a Hessian's
+        rng = np.random.default_rng(4)
+        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        Q = (V * np.array([1.0, 0.995, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0])) @ V.T
         estimate = estimate_smoothness(GradientCounter(8, lambda x: Q @ x),
                                        np.zeros(8), seed=seed)
         want = 1.1 * float(np.linalg.eigvalsh(Q)[-1])
