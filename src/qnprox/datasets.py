@@ -45,8 +45,9 @@ class SyntheticLogisticSpec:
         check_integer("n", self.n, 1)
         check_integer("d", self.d, 2)
         check_integer("seed", self.seed, 0)
-        if not (isinstance(self.sigma, numbers.Real)
-                and 0.0 <= self.sigma < math.inf):
+        if (isinstance(self.sigma, bool)
+                or not (isinstance(self.sigma, numbers.Real)
+                        and 0.0 <= self.sigma < math.inf)):
             raise ValueError(
                 f"sigma must be finite and >= 0, got {self.sigma!r}")
 

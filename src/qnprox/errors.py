@@ -1,5 +1,5 @@
 """Exception types shared across the solver stack, and the three rules that
-settings are checked against."""
+settings are checked against; each rejects a bool (an ``Integral``)."""
 
 import numbers
 
@@ -34,7 +34,8 @@ class SolverError(RuntimeError):
 def check_integer(name: str, value, minimum: int) -> None:
     """``value`` must be an integer, numpy integers included, of at least
     ``minimum``, else :class:`ValueError` naming ``name`` and the value."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, "
                          f"got {value!r}")
 
@@ -42,7 +43,8 @@ def check_integer(name: str, value, minimum: int) -> None:
 def check_interval(name: str, value, low: float, high: float) -> None:
     """``value`` must be a real with low < value < high, so NaN fails, else
     :class:`ValueError` naming ``name`` and the value."""
-    if not (isinstance(value, numbers.Real) and low < value < high):
+    if (isinstance(value, bool)
+            or not (isinstance(value, numbers.Real) and low < value < high)):
         raise ValueError(f"{name} must lie in ({low:g}, {high:g}), "
                          f"got {value!r}")
 
@@ -50,6 +52,7 @@ def check_interval(name: str, value, low: float, high: float) -> None:
 def check_at_least(name: str, value, minimum: float) -> None:
     """``value`` must be a real of at least ``minimum``, so NaN fails, else
     :class:`ValueError` naming ``name`` and the value."""
-    if not (isinstance(value, numbers.Real) and value >= minimum):
+    if (isinstance(value, bool)
+            or not (isinstance(value, numbers.Real) and value >= minimum)):
         raise ValueError(f"{name} must be a real >= {minimum:g}, "
                          f"got {value!r}")

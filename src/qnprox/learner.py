@@ -32,9 +32,9 @@ already holds.  W_next = c (W_t - rho G), with c = min(1, sqrt(d) /
 ||W_next||_F = c ||W_t - rho G||_F and the Weyl bound c (U_t + rho ||G||_op),
 where U_t bounds ||W_t||_op and ||G||_op is bounded in O(d): the loss term
 s r^T + r s^T has eigenvalues s . r +/- ||s|| ||r||, and the surrogate term
-adds |coefficient * weight|.  U_0 = ||W_0||_F; afterwards U_t is the oracle's
-gamma, which bounds ||W||_op on every branch on the event that backs the
-oracle's claims, or the bound itself after a skip.  When the smaller bound,
+adds |coefficient * weight|.  U_0 = 0, as W_0 = 0; afterwards U_t is the
+oracle's gamma, which bounds ||W||_op on every branch on the event that backs
+the oracle's claims, or the bound itself after a skip.  When the smaller bound,
 inflated by a relative 1e-12 against rounding, is at most 1, W_next is
 certified inside with no oracle call and no matvec.  A skip adds no failure
 event (the Frobenius bound is deterministic, the Weyl bound rests on the last
@@ -82,7 +82,6 @@ import numpy as np
 from scipy.linalg.blas import dsyr, dsyr2, dsyrk
 from scipy.linalg.lapack import dlantr
 
-from .oracles import symmetrize
 from .separation import (SeparationResult, separation_oracle, symv,
                          written_in_place)
 
@@ -165,8 +164,7 @@ class LearnerState:
     ``certificate`` is the separation result that produced the matrix in
     play when that call separated, and None when it certified containment
     (as for the initial matrix).  ``op_bound`` is an upper bound on
-    ||W||_op: ||W_0||_F at the start, then the oracle's gamma or the skip
-    bound.
+    ||W||_op: 0 at the start, then the oracle's gamma or the skip bound.
     """
 
     W: np.ndarray
@@ -213,18 +211,6 @@ def q_schedule(t: int) -> float:
     return FAILURE_BUDGET / (2.5 * (t + 1.0) * math.log(t + 1.0) ** 2)
 
 
-def band_violation(B: np.ndarray, L1: float, rtol: float = 1e-8
-                   ) -> Optional[str]:
-    """None when 0 <= B <= L1 I, up to rtol * L1 on either side, else the
-    first eigenvalue bound that fails (dense ``eigvalsh``)."""
-    eigs = np.linalg.eigvalsh(B)
-    if not eigs[0] >= -rtol * L1:
-        return f"smallest eigenvalue {eigs[0]:.6e} is below 0"
-    if not eigs[-1] <= (1.0 + rtol) * L1:
-        return f"largest eigenvalue {eigs[-1]:.6e} is above L1 = {L1:.6e}"
-    return None
-
-
 def next_op_norm_bound(op_bound: float, step_op_norm: float, norm: float,
                        radius: float) -> float:
     """Upper bound on ||c M||_op for M = W - rho G with ||W||_op <= op_bound,
@@ -234,24 +220,12 @@ def next_op_norm_bound(op_bound: float, step_op_norm: float, norm: float,
     return BOUND_SLACK * scale * min(norm, op_bound + step_op_norm)
 
 
-def init_learner(d: int, L1: float, B0: Optional[np.ndarray] = None,
-                 rho: float = DEFAULT_STEP_SIZE) -> LearnerState:
-    """Start the learner at B0, a finite d x d matrix whose symmetric part
-    lies in Z (else :class:`ValueError` naming B0), or by default at the
-    center (L1 / 2) I of Z, where W_0 = 0.  W_0 is one new array: sym(B0)
-    mapped in place onto the unit ball, (2 / L1) (sym(B0) - (L1 / 2) I)."""
-    if B0 is None:
-        W0 = np.zeros((d, d))
-    else:
-        W0 = symmetrize(B0)
-        if problem := band_violation(W0, L1):
-            raise ValueError(f"B0 must lie in the band 0 <= B0 <= L1 I "
-                             f"(L1 = {L1:.6g}): {problem}")
-        W0.flat[::d + 1] -= L1 / 2.0
-        W0 *= 2.0 / L1
-    return LearnerState(W=W0, certificate=None,
-                        op_bound=float(np.linalg.norm(W0)), t=0, rho=rho,
-                        L1=L1)
+def init_learner(d: int, L1: float, rho: float = DEFAULT_STEP_SIZE
+                 ) -> LearnerState:
+    """Start the learner at the center (L1 / 2) I of Z, where W_0 = 0: the
+    start that minimizes the worst-case distance to any Hessian in Z."""
+    return LearnerState(W=np.zeros((d, d)), certificate=None, op_bound=0.0,
+                        t=0, rho=rho, L1=L1)
 
 
 def learner_step(state: LearnerState, sample: LossSample, seed
@@ -263,10 +237,10 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     iterate takes one projected gradient step on the surrogate, and the
     separation oracle then forms the next action from the updated iterate,
     unless the norm bound (module docstring) already certifies it inside.
-    The first fed loss uses B0 directly with no surrogate correction, as
-    does every loss after a call that certified containment.  The loss
-    reads B s from ``sample.Bs``, which must be the product with
-    ``state.B``; the step takes no product with B.  The report's
+    The first fed loss uses the center (L1 / 2) I directly with no
+    surrogate correction, as does every loss after a call that certified
+    containment.  The loss reads B s from ``sample.Bs``, which must be the
+    product with ``state.B``; the step takes no product with B.  The report's
     ``matvecs`` is the oracle's products, 0 when the bound skipped it.
     The step consumes ``state``: its W is updated in place and becomes the
     new state's W.

@@ -1,4 +1,5 @@
-"""Objective oracles, dense symmetric-matrix helpers, and query accounting.
+"""Objective oracles, the input check, the curvature estimate, and query
+accounting.
 
 All vectors are 1-d ``numpy.float64`` arrays and all matrices are dense
 ``d x d`` arrays.  :class:`CountingOracle` counts gradient queries.  Each
@@ -44,7 +45,8 @@ class CountingOracle:
     """Wraps an objective so every gradient call increments the counters.
 
     A non-finite value, or a gradient with a non-finite entry, raises
-    :class:`NumericsError`, so a bad oracle stops the run where it happened
+    :class:`NumericsError`, and a gradient not of shape ``(dimension,)``
+    :class:`ValueError`, so a bad oracle stops the run where it happened
     instead of surfacing later as a linear-solver or step-size failure.
     """
 
@@ -69,6 +71,9 @@ class CountingOracle:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self.counters.count_gradient()
         g = self.inner.gradient(x)
+        if np.shape(g) != (self.dimension,):
+            raise ValueError(f"gradient oracle returned shape {np.shape(g)}, "
+                             f"expected {(self.dimension,)}")
         if not np.isfinite(g).all():
             raise NumericsError("gradient oracle returned a non-finite entry")
         return g
@@ -83,18 +88,6 @@ def checked_input(name: str, value, shape: tuple) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} has a non-finite entry")
     return array
-
-
-def symmetrize(matrix: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part (M + M^T) / 2.
-
-    IEEE addition is commutative, so entries (i, j) and (j, i) of the result
-    are bit-identical.  The halving is in place, so only the result is
-    allocated.
-    """
-    result = matrix + matrix.T
-    result /= 2.0
-    return result
 
 
 def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:

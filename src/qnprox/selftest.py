@@ -15,14 +15,25 @@ import numpy as np
 from .datasets import LogisticObjective, SyntheticLogisticSpec, generate_logistic
 from .baselines import BaselineConfig, bfgs_solve
 from .errors import ConvergenceError
-from .learner import (LossSample, band_violation, frobenius_norm,
-                      init_learner, learner_step)
+from .learner import LossSample, frobenius_norm, init_learner, learner_step
 from .line_search import backtracking_search
 from .linear_solver import KrylovBasis, conjugate_residual
-from .oracles import CountingOracle, symmetrize
+from .oracles import CountingOracle
 from .separation import separation_oracle
 from .solver import (ALPHA1, ALPHA2, IterationReport, SolverConfig,
                      momentum_weights, solve)
+
+
+def symmetrize(matrix):
+    """Exactly symmetric part (M + M^T) / 2.
+
+    IEEE addition is commutative, so entries (i, j) and (j, i) of the result
+    are bit-identical.  The halving is in place, so only the result is
+    allocated.
+    """
+    result = matrix + matrix.T
+    result /= 2.0
+    return result
 
 
 def random_psd(rng, d, top=1.0):
@@ -199,6 +210,17 @@ def smoothness_violation(objective, x, rtol=1e-12):
     if not top <= objective.smoothness * (1.0 + rtol):
         return (f"lambda_max(hessian) = {top!r} above "
                 f"L1 = {objective.smoothness!r}")
+    return None
+
+
+def band_violation(B, L1, rtol=1e-8):
+    """None when 0 <= B <= L1 I, up to rtol * L1 on either side, else the
+    first eigenvalue bound that fails (dense ``eigvalsh``)."""
+    eigs = np.linalg.eigvalsh(B)
+    if not eigs[0] >= -rtol * L1:
+        return f"smallest eigenvalue {eigs[0]:.6e} is below 0"
+    if not eigs[-1] <= (1.0 + rtol) * L1:
+        return f"largest eigenvalue {eigs[-1]:.6e} is above L1 = {L1:.6e}"
     return None
 
 

@@ -185,7 +185,6 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
 
 def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
           config: Optional[SolverConfig] = None,
-          B0: Optional[np.ndarray] = None,
           observer: Optional[Callable[[IterationReport], None]] = None
           ) -> RunRecord:
     """Minimize the oracle's objective from (x0, z0).
@@ -200,11 +199,13 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     Lanczos estimate of :func:`~qnprox.oracles.estimate_smoothness`, which
     raises :class:`NumericsError` at a non-finite Hessian product.
 
-    Inputs are checked before iteration 0: ``x0``, ``z0`` and ``B0`` must
-    match ``oracle.dimension`` and be finite, the L1 must be finite and
-    positive, and the learner checks that B0 lies in the band, else
-    :class:`ValueError`.  On failure during the run the partial trace is
-    attached to the raised :class:`SolverError`.
+    The curvature learner starts at the center (L1 / 2) I of the band
+    0 <= B <= L1 I (:func:`~qnprox.learner.init_learner`).
+
+    Inputs are checked before iteration 0: ``x0`` and ``z0`` must match
+    ``oracle.dimension`` and be finite, and the L1 must be finite and
+    positive, else :class:`ValueError`.  On failure during the run the
+    partial trace is attached to the raised :class:`SolverError`.
     """
     config = config if config is not None else SolverConfig()
     if not isinstance(oracle, CountingOracle):
@@ -213,8 +214,6 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     d = oracle.dimension
     x = checked_input("x0", x0, (d,)).copy()
     z = x.copy() if z0 is None else checked_input("z0", z0, (d,)).copy()
-    if B0 is not None:
-        B0 = checked_input("B0", B0, (d, d))
 
     L1, source = oracle.smoothness, "the oracle's smoothness"
     if L1 is None:
@@ -223,12 +222,8 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     check_interval(f"L1 from {source}", L1, 0.0, math.inf)
     sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
 
-    # the default start, the center (L1 / 2) I of Z, minimizes the worst-case
-    # distance to any Hessian
     state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0,
-                        learner=init_learner(d, L1, B0, rho=config.rho))
-    # the learner holds its own copy: release the checked B0 before the run
-    del B0
+                        learner=init_learner(d, L1, rho=config.rho))
     rng = np.random.default_rng(config.seed)
 
     record = RunRecord(method="aqnpe", metadata={

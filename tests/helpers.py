@@ -1,10 +1,11 @@
 """Reference code the tests share and the library does not need: a quadratic
-objective, a matrix that counts its products, a counter of the library's
-products with W, the separation oracle's Krylov basis of W, the map of the
-band onto the unit ball, a loss sample observed at a given matrix, the
-learner's loss and its gradient as dense formulas, the dense learner step they define, the dense separation
-hyperplane, the BFGS inverse update in product form, and the first
-iteration to reach an objective gap."""
+objective, an objective whose gradients turn bad after a count, a matrix that
+counts its products, a counter of the library's products with W, the
+separation oracle's Krylov basis of W, the map of the band onto the unit
+ball, a loss sample observed at a given matrix, the learner's loss and its
+gradient as dense formulas, the dense learner step they define, the dense
+separation hyperplane, the BFGS inverse update in product form, and the
+first iteration to reach an objective gap."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             next_op_norm_bound, q_schedule,
                             symmetric_completion)
 from qnprox.linear_solver import KrylovBasis
-from qnprox.oracles import symmetrize
+from qnprox.selftest import symmetrize
 from qnprox.separation import separation_oracle
 from qnprox.trace import RunRecord
 
@@ -48,6 +49,26 @@ class QuadraticObjective:
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.Q.copy()
+
+
+class GradientFaultAfter:
+    """Wraps an objective; every gradient after the first ``good`` is
+    ``fault(g)`` of the true gradient g, all NaN by default."""
+
+    def __init__(self, inner, good, fault=lambda g: np.full_like(g, np.nan)):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.smoothness = inner.smoothness
+        self.good = good
+        self.fault = fault
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.good -= 1
+        g = self.inner.gradient(x)
+        return g if self.good >= 0 else self.fault(g)
 
 
 class CountingMatrix(np.ndarray):

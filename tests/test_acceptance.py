@@ -14,10 +14,10 @@ import numpy as np
 from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
                     solve, write_trace_csv)
 from qnprox.errors import ConvergenceError
-from qnprox.learner import band_violation
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
-from qnprox.selftest import (backtrack_violation, certificate_violation,
+from qnprox.selftest import (backtrack_violation, band_violation,
+                             certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation, potential_violation,
                              separation_violation, weight_growth_violation)

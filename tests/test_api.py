@@ -1,6 +1,6 @@
 """The supported top-level API, every library name the benchmark in
 ``perfbench/`` imports or patches, so a rename cannot break it silently, and
-a caller for every config setting."""
+a caller for every config setting and every entry-point input."""
 
 import ast
 import dataclasses
@@ -92,27 +92,47 @@ def test_benchmark_calls_bind():
 UNSET_SETTINGS = {"sigma0", "beta"}
 
 
+ENTRY_POINTS = ("solve", "nag_solve", "bfgs_solve")
+
+
 def test_every_setting_has_a_caller():
-    # a field that no caller sets is a constant: the configs' calls in the
-    # library and the benchmark must set every field outside the allowlist
+    # a field or an input that no caller sets is a constant: the configs'
+    # calls in the library and the benchmark must set every field outside
+    # the allowlist, and the entry points' calls there or in tools/ must pass
+    # every parameter, by position or by keyword
     root = Path(__file__).resolve().parents[1]
     sources = [*sorted((root / "src" / "qnprox").glob("*.py")),
                root / "perfbench" / "measure.py"]
     configs = {"SolverConfig": qnprox.SolverConfig,
                "BaselineConfig": qnprox.BaselineConfig}
-    set_by_callers = {name: set() for name in configs}
-    for path in sources:
+    signatures = {name: inspect.signature(getattr(qnprox, name))
+                  for name in ENTRY_POINTS}
+    set_by_callers = {name: set() for name in (*configs, *signatures)}
+    for path in (*sources, *sorted((root / "tools").glob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in configs):
-                set_by_callers[node.func.id].update(
-                    kw.arg for kw in node.keywords)
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)):
+                continue
+            name = node.func.id
+            if name in configs and path in sources:
+                set_by_callers[name].update(kw.arg for kw in node.keywords)
+            elif name in signatures:
+                where = f"{name} at {path.name} line {node.lineno}"
+                assert not any(isinstance(arg, ast.Starred)
+                               for arg in node.args), where
+                assert all(kw.arg is not None for kw in node.keywords), where
+                set_by_callers[name].update(signatures[name].bind_partial(
+                    *node.args, **{kw.arg: kw.value for kw in node.keywords}
+                ).arguments)
     for name, cls in configs.items():
         fields = {field.name for field in dataclasses.fields(cls)}
         unset = fields - set_by_callers[name]
         assert unset <= UNSET_SETTINGS, f"{name}: no caller sets {unset}"
     assert UNSET_SETTINGS <= {field.name for field in
                               dataclasses.fields(qnprox.SolverConfig)}
+    for name, signature in signatures.items():
+        unset = set(signature.parameters) - set_by_callers[name]
+        assert not unset, f"{name}: no caller passes {unset}"
 
 
 @pytest.mark.parametrize("module, name", PATCHED)

@@ -14,7 +14,8 @@ from qnprox.baselines import (NAG_BETA, NAG_ETA0, WOLFE_C1, WOLFE_C2,
 from qnprox.errors import ConvergenceError, NumericsError
 from qnprox.learner import symmetric_completion
 from conftest import make_logistic, random_psd
-from helpers import QuadraticObjective, bfgs_inverse_product_form
+from helpers import (GradientFaultAfter, QuadraticObjective,
+                     bfgs_inverse_product_form)
 
 
 class CountingValues:
@@ -385,23 +386,6 @@ class TestBfgs:
         assert err.trace is not None
 
 
-class NanGradientAfter:
-    """Wraps an objective; every gradient after the first ``good`` is NaN."""
-
-    def __init__(self, inner, good):
-        self.inner = inner
-        self.dimension = inner.dimension
-        self.good = good
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.good -= 1
-        g = self.inner.gradient(x)
-        return g if self.good >= 0 else np.full_like(g, np.nan)
-
-
 @pytest.mark.parametrize("solver", [nag_solve, bfgs_solve])
 class TestBothBaselines:
     @pytest.mark.parametrize("x0", [np.zeros(5),
@@ -420,11 +404,22 @@ class TestBothBaselines:
         x0 = np.zeros(small_logistic.dimension)
         full = solver(small_logistic, x0, config)
         assert len(full.rows) > 8
-        broken = NanGradientAfter(small_logistic, full.rows[7].grad_queries)
+        broken = GradientFaultAfter(small_logistic, full.rows[7].grad_queries)
         with pytest.raises(NumericsError, match="gradient oracle") as info:
             solver(broken, x0, config)
         assert info.value.trace.rows == full.rows[:8]
         assert info.value.trace.method == full.method
+
+    def test_gradient_of_wrong_shape_raises_naming_it(self, solver):
+        # a 13-entry gradient for d = 12 after 5 good ones is rejected by the
+        # counting oracle, not by numpy broadcasting, and keeps the trace
+        objective = make_logistic(48, 12, seed=0)
+        broken = GradientFaultAfter(objective, 5,
+                                    fault=lambda g: np.append(g, 0.0))
+        with pytest.raises(ValueError, match=r"gradient oracle returned "
+                           r"shape \(13,\), expected \(12,\)") as info:
+            solver(broken, np.zeros(12), BaselineConfig(max_iters=40))
+        assert 1 <= len(info.value.trace.rows) <= 5
 
 
 class TestConfig:

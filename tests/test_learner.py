@@ -8,10 +8,11 @@ import qnprox.learner
 import qnprox.solver
 from qnprox import SolverConfig, solve
 from qnprox.learner import (FAILURE_BUDGET, Curvature, LossSample,
-                            _surrogate_coefficient, band_violation,
-                            delta_schedule, frobenius_norm, init_learner,
-                            learner_step, q_schedule, symmetric_completion)
-from qnprox.selftest import fed_loss_violation, learner_bound_violation
+                            _surrogate_coefficient, delta_schedule,
+                            frobenius_norm, init_learner, learner_step,
+                            q_schedule, symmetric_completion)
+from qnprox.selftest import (band_violation, fed_loss_violation,
+                             learner_bound_violation)
 from qnprox.separation import separation_oracle
 from conftest import random_psd
 from helpers import (CountingMatrix, ProductCounter, dense_learner_step,
@@ -155,49 +156,32 @@ class TestSchedules:
 class TestRescale:
     def test_matches_the_dense_identity_formula(self):
         # the in-place diagonal shift gives the same floats as adding a dense
-        # (L1 / 2) I, both into the learner's start W_0 from the symmetric
-        # part of a B0 in the band and into the curvature's dense form
+        # (L1 / 2) I into the curvature's dense form
         rng = np.random.default_rng(21)
         for d in (1, 2, 7, 40):
             for _ in range(5):
                 L1 = float(rng.uniform(0.1, 10.0))
-                skew = rng.standard_normal((d, d))
-                B0 = (random_psd(rng, d, top=L1 * float(rng.uniform(0.1, 1.0)))
-                      + 1e-3 * (skew - skew.T))
-                eye = np.eye(d)
-                expected = (2.0 / L1) * ((B0 + B0.T) / 2.0 - (L1 / 2.0) * eye)
-                assert np.array_equal(init_learner(d, L1, B0).W, expected)
                 M = rng.standard_normal((d, d))
                 M = (M + M.T) / 2.0
                 kappa = float(rng.uniform(0.1, 10.0))
                 assert np.array_equal(Curvature(M, kappa, L1 / 2.0).dense(),
-                                      kappa * M + (L1 / 2.0) * eye)
+                                      kappa * M + (L1 / 2.0) * np.eye(d))
 
     def test_leaves_its_input_alone(self):
         rng = np.random.default_rng(22)
-        B0 = random_psd(rng, 6, top=2.0)
         M = rng.standard_normal((6, 6))
-        before = B0.copy(), M.copy()
-        init_learner(6, 2.0, B0)
+        before = M.copy()
         Curvature(M, 0.5, 1.0).dense()
-        assert np.array_equal(B0, before[0])
-        assert np.array_equal(M, before[1])
-
-    @pytest.mark.parametrize("scale", [-0.5, 1.5])
-    def test_start_outside_the_band_names_B0(self, scale):
-        with pytest.raises(ValueError, match="B0 must lie in the band"):
-            init_learner(4, 2.0, scale * 2.0 * np.eye(4))
+        assert np.array_equal(M, before)
 
 
 class TestLearnerStep:
     def test_centered_start_maps_to_zero(self):
-        # the default start and a given center (L1 / 2) I both give W = 0,
-        # and B = (L1 / 2) I
+        # the start, the center (L1 / 2) I, gives W = 0 and B = (L1 / 2) I
         d, L1 = 5, 3.0
-        for state in (init_learner(d, L1),
-                      init_learner(d, L1, (L1 / 2.0) * np.eye(d))):
-            assert np.array_equal(state.W, np.zeros((d, d)))
-            assert np.array_equal(state.B.dense(), (L1 / 2.0) * np.eye(d))
+        state = init_learner(d, L1)
+        assert np.array_equal(state.W, np.zeros((d, d)))
+        assert np.array_equal(state.B.dense(), (L1 / 2.0) * np.eye(d))
 
     def test_projection_identity_inside_ball(self):
         rng = np.random.default_rng(7)
@@ -374,12 +358,8 @@ class TestLearnerStep:
                               reference.standard_normal(4))
 
     def test_initial_bound_is_the_frobenius_norm(self):
-        rng = np.random.default_rng(19)
-        d, L1 = 6, 2.0
-        assert init_learner(d, L1).op_bound == 0.0
-        B0 = random_psd(rng, d, top=L1)
-        state = init_learner(d, L1, B0)
-        assert state.op_bound == float(np.linalg.norm(state.W))
+        # ||W_0||_F = 0 at the center
+        assert init_learner(6, 2.0).op_bound == 0.0
 
     def test_static_comparator_regret_bound(self):
         # with a fixed comparator H in Z the cumulative loss obeys
@@ -389,7 +369,7 @@ class TestLearnerStep:
         d, L1, T = 6, 1.0, 20
         H = random_psd(rng, d, top=0.8 * L1)
         B0 = (L1 / 2.0) * np.eye(d)
-        state = init_learner(d, L1, B0)
+        state = init_learner(d, L1)
         total_alg = total_cmp = 0.0
         for _ in range(T):
             s = rng.standard_normal(d)

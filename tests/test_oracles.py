@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qnprox import CountingOracle, NumericsError, SolverConfig, solve
-from qnprox.oracles import PROBES, estimate_smoothness, symmetrize
+from qnprox.oracles import PROBES, estimate_smoothness
+from qnprox.selftest import symmetrize
 from conftest import make_logistic
 from helpers import CountingMatrix, QuadraticObjective
 

@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 
 from qnprox import SolverConfig, solve
-from qnprox.learner import band_violation, init_learner
+from qnprox.learner import init_learner
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
 from qnprox.solver import ALPHA1, ALPHA2, momentum_weights
-from qnprox.selftest import (backtrack_violation, certificate_violation,
+from qnprox.selftest import (backtrack_violation, band_violation,
+                             certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation,
                              learner_bound_violation, momentum_violation,
                              potential_violation, separation_violation,
                              smoothness_violation, weight_growth_violation)
 from conftest import random_psd, reference_minimizer
+from helpers import rescale_to_unit_ball
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +135,11 @@ def separation_inside(run):
 
 
 def learner_bound(run):
-    # the initial bound ||W_0||_F holds; one below ||W_0||_op does not
+    # the bound ||W||_F holds; one below ||W||_op does not
     rng = np.random.default_rng(0)
-    state = init_learner(6, 2.0, random_psd(rng, 6, top=2.0))
+    W = rescale_to_unit_ball(random_psd(rng, 6, top=2.0), 2.0)
+    state = replace(init_learner(6, 2.0), W=W,
+                    op_bound=float(np.linalg.norm(W)))
     op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
     return (learner_bound_violation, state,
             replace(state, op_bound=0.9 * op))

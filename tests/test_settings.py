@@ -1,7 +1,7 @@
 """The three setting rules and the places that apply them: an integer of at
 least a minimum, a real strictly between two bounds, and a real of at least
-a minimum (so NaN fails both).  Each rejection is a ValueError that names
-the setting."""
+a minimum (so NaN fails both).  No rule takes a bool.  Each rejection is a
+ValueError that names the setting."""
 
 import math
 from dataclasses import fields
@@ -34,6 +34,8 @@ def bad_settings():
         cases += [(name, value) for name, low in reals.items()
                   for value in (math.nan, math.inf, low - 1.0)
                   if not (name == "tolerance" and value == math.inf)]
+        # True compares as 1, inside most of these ranges
+        cases += [(name, True) for name in (*integers, *reals)]
         for name, value in cases:
             yield pytest.param(cls, base, name, value,
                                id=f"{cls.__name__}-{name}-{value!r}")
@@ -99,6 +101,18 @@ class TestRules:
         with pytest.raises(ValueError) as info:
             check_at_least("tolerance", value, 0.0)
         assert str(info.value).startswith("tolerance must be a real >= 0")
+        assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("value", [True, False], ids=repr)
+    @pytest.mark.parametrize("rule", [
+        lambda value: check_integer("n", value, 0),
+        lambda value: check_interval("q", value, -1.0, math.inf),
+        lambda value: check_at_least("tolerance", value, 0.0),
+    ], ids=["integer", "interval", "at_least"])
+    def test_rules_reject_a_bool(self, rule, value):
+        # a bool is an Integral and a Real, and both values lie in range
+        with pytest.raises(ValueError) as info:
+            rule(value)
         assert repr(value) in str(info.value)
 
     @pytest.mark.parametrize("value", [0.0, 1.0, -1.0, math.nan, math.inf,

@@ -18,7 +18,7 @@ from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              weight_growth_violation)
 from qnprox.separation import separation_oracle
 from conftest import reference_minimizer
-from helpers import ProductCounter, QuadraticObjective
+from helpers import GradientFaultAfter, ProductCounter, QuadraticObjective
 
 
 class TestMomentumWeights:
@@ -334,10 +334,10 @@ class TestInputValidation:
     """solve() rejects bad inputs before iteration 0, naming the input."""
 
     @staticmethod
-    def rejects(name, x0, z0=None, B0=None):
+    def rejects(name, x0, z0=None):
         oracle = CountingOracle(QuadraticObjective(np.eye(4)))
         with pytest.raises(ValueError, match=name):
-            solve(oracle, x0, z0, SolverConfig(max_iters=5), B0=B0)
+            solve(oracle, x0, z0, SolverConfig(max_iters=5))
         assert oracle.counters.gradient_queries == 0
 
     def test_x0_of_wrong_length(self):
@@ -354,21 +354,6 @@ class TestInputValidation:
 
     def test_z0_not_finite(self):
         self.rejects("z0", np.zeros(4), z0=np.full(4, np.inf))
-
-    def test_B0_of_wrong_shape(self):
-        self.rejects("B0", np.zeros(4), B0=np.eye(3))
-
-    def test_B0_not_finite(self):
-        B0 = np.eye(4)
-        B0[1, 2] = np.nan
-        self.rejects("B0", np.zeros(4), B0=B0)
-
-    def test_B0_below_the_band(self):
-        self.rejects("B0", np.zeros(4), B0=-5.0 * np.eye(4))
-
-    def test_B0_above_the_band(self):
-        # the oracle's smoothness is 1, so 100 I is far above L1 I
-        self.rejects("B0", np.zeros(4), B0=100.0 * np.eye(4))
 
 
 class NanAfter:
@@ -408,6 +393,19 @@ class TestBadOracle:
             solve(NanAfter(good=5), np.ones(4),
                   config=SolverConfig(max_iters=50))
         assert isinstance(info.value.__cause__, NumericsError)
+        assert len(info.value.trace.rows) >= 1
+
+    def test_gradient_of_wrong_shape_names_both_shapes(self):
+        # a 13-entry gradient for d = 12 after 5 good ones is rejected by the
+        # counting oracle, not by numpy broadcasting
+        objective = make_logistic(48, 12, seed=0)
+        broken = GradientFaultAfter(objective, 5,
+                                    fault=lambda g: np.append(g, 0.0))
+        with pytest.raises(SolverError, match=r"iteration \d+: gradient "
+                           r"oracle returned shape \(13,\), expected "
+                           r"\(12,\)") as info:
+            solve(broken, np.zeros(12), config=SolverConfig(max_iters=40))
+        assert isinstance(info.value.__cause__, ValueError)
         assert len(info.value.trace.rows) >= 1
 
     def test_non_finite_value_names_stage_and_iteration(self):
@@ -469,28 +467,28 @@ class TestSmoothnessFallback:
 
 class TestCustomInitialMatrix:
     def test_exact_curvature_start_never_backtracks(self):
+        # Q = c I with the valid upper bound L1 = 2 c: the learner's start,
+        # the center (L1 / 2) I, is the exact Hessian
         rng = np.random.default_rng(2)
-        Q = np.diag([0.5, 1.5, 3.0])
-        objective = QuadraticObjective(Q, center=rng.standard_normal(3))
+        c = 1.5
+        objective = QuadraticObjective(c * np.eye(3),
+                                       center=rng.standard_normal(3))
+        objective.smoothness = 2.0 * c
         reports = []
         record = solve(objective, np.zeros(3), np.zeros(3),
                        SolverConfig(max_iters=25, tolerance=1e-10, seed=0),
-                       B0=Q.copy(), observer=reports.append)
+                       observer=reports.append)
         # the model error vanishes, so every trial is accepted outright
         assert all(rep.case == "I" for rep in reports)
         assert record.rows[-1].f_value < 1e-10
 
 
 class TestMemory:
-    @pytest.mark.parametrize("given_B0", [False, True])
-    def test_peak_stays_under_three_dense_matrices(self, monkeypatch,
-                                                   given_B0):
+    def test_peak_stays_under_three_dense_matrices(self, monkeypatch):
         # an unobserved solve holds one d x d array, W, updated in place,
         # plus the Lanczos basis and vectors (1.55 d^2 measured); this
         # d = 200 run calls the separation oracle and one call separates, so
-        # both curvature scales occur.  A B0 given as a list is converted to
-        # a new array, and its one symmetric copy must not live through the
-        # run: the setup copies of B0 set that peak (2.22 d^2 measured)
+        # both curvature scales occur
         separated = []
 
         def recorded(*args):
@@ -502,21 +500,19 @@ class TestMemory:
         d = 200
         objective = make_logistic(1000, d, seed=0, sigma=3.0)
         config = SolverConfig(max_iters=150, rho=1.0 / 16.0, seed=3)
-        B0 = ((objective.smoothness / 2.0) * np.eye(d)).tolist()
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            solve(objective, np.zeros(d), config=config,
-                  B0=B0 if given_B0 else None)
+            solve(objective, np.zeros(d), config=config)
             peak = tracemalloc.get_traced_memory()[1] - baseline
         finally:
             if started:
                 tracemalloc.stop()
         assert True in separated and False in separated
-        assert peak <= (2.5 if given_B0 else 2.0) * d * d * 8
+        assert peak <= 2.0 * d * d * 8
 
     def test_kept_reports_keep_their_matrices(self, small_logistic):
         # solve holds no report across a step, but one the observer keeps is
