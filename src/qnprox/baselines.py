@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dsyr2
 
 from .errors import (ConvergenceError, SolverError, check_at_least,
                      check_integer)
 from .oracles import CountingOracle, checked_input
-from .separation import symv, written_in_place
+from .separation import PackedSymmetric
 from .trace import RunRecord, TraceRow, format_float
 
 
@@ -173,7 +172,8 @@ CURVATURE_SKIP = 1e-12
 H_NAME = "the BFGS inverse Hessian H"
 
 
-def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+def bfgs_inverse_update(H: PackedSymmetric, s: np.ndarray, y: np.ndarray
+                        ) -> None:
     """The BFGS update of the inverse Hessian approximation, in place:
 
         H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T,  rho = 1 / <s, y>,
@@ -184,18 +184,16 @@ def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
         c = (<s, y> + y^T H y) / <s, y>^2,
 
     which is the one symmetric rank-two update s v^T + v s^T with
-    v = (c / 2) s - H y / <s, y>.  H is held as its lower triangle
-    (row >= column) of a C-ordered float64 array, as the learner holds W:
-    H y is one ``dsymv`` (:func:`~qnprox.separation.symv`) and the update one
-    ``dsyr2`` on the Fortran-ordered view H.T.  Only that triangle is read or
-    written, and the update allocates no d x d array.
+    v = (c / 2) s - H y / <s, y>.  H is packed, as the learner holds W
+    (:class:`~qnprox.separation.PackedSymmetric`): H y is one ``dspmv`` and
+    the update one ``dspr2`` written in place, so the update allocates no
+    d x d array.
     """
     sy = float(s @ y)
-    Hy = symv(H, y)
+    Hy = H.matvec(y)
     v = ((sy + float(y @ Hy)) / (2.0 * sy * sy)) * s
     v -= Hy / sy
-    view = H.T
-    written_in_place(dsyr2(1.0, s, v, a=view, overwrite_a=1), view, H_NAME)
+    H.rank_two(1.0, s, v)
 
 
 def bfgs_solve(oracle, x0: np.ndarray,
@@ -204,11 +202,11 @@ def bfgs_solve(oracle, x0: np.ndarray,
 
     The curvature pair (s, y) is skipped whenever <s, y> <= 1e-12 ||s|| ||y||,
     which keeps the inverse approximation symmetric positive definite.  H is
-    the solve's one d x d array and holds the matrix in its lower triangle
-    (:func:`bfgs_inverse_update`); the strict upper triangle stays 0.  The
-    product H g is one ``dsymv``, and a reset after a non-descent direction
-    writes the identity into H in place.  Each iteration books the product
-    H g as one matvec, and each update its H y.
+    the solve's one matrix-sized array, held packed
+    (:func:`bfgs_inverse_update`).  The product H g is one ``dspmv``, and a
+    reset after a non-descent direction writes the identity into H in
+    place.  Each iteration books the product H g as one matvec, and each
+    update its H y.
     """
     config = config if config is not None else BaselineConfig()
     if not isinstance(oracle, CountingOracle):
@@ -217,7 +215,8 @@ def bfgs_solve(oracle, x0: np.ndarray,
 
     x = checked_input("x0", x0, (oracle.dimension,)).copy()
     d = x.shape[0]
-    H = np.eye(d)
+    H = PackedSymmetric(d, H_NAME)
+    H.set_identity()
 
     record = RunRecord(method="bfgs", metadata={
         "c1": format_float(WOLFE_C1),
@@ -232,11 +231,10 @@ def bfgs_solve(oracle, x0: np.ndarray,
         for k in range(config.max_iters):
             if float(np.linalg.norm(g)) <= config.tolerance:
                 break
-            p = symv(H, g, -1.0)
+            p = H.matvec(g, -1.0)
             counters.count_matvec()
             if float(g @ p) >= 0.0:
-                H.fill(0.0)
-                H.flat[::d + 1] = 1.0
+                H.set_identity()
                 p = -g
             descent = float(g @ p)
             try:

@@ -24,11 +24,13 @@ class ConvergenceError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """A solver run aborted; ``trace`` holds the partial run record."""
+    """A solver run aborted; ``trace`` holds the partial run record and
+    ``counters`` a copy of the query totals at the failure."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, counters=None):
         super().__init__(message)
         self.trace = trace
+        self.counters = counters
 
 
 def check_integer(name: str, value, minimum: int) -> None:

@@ -43,21 +43,14 @@ vector, so every later oracle call sees the random stream it would have seen.
 An inside result sets B_hat = W_next whatever its gamma, so B and the solver's
 iterates do not depend on whether the oracle ran.
 
-W is stored once, as the lower triangle (row >= column) of a C-ordered
-float64 d x d array; the strict upper triangle is stale and never read.
-BLAS and LAPACK see the Fortran-ordered W.T, whose upper triangle that is,
-and every routine below reads or writes that triangle only.  Every product
-W v, in B v and in the separation oracle's Lanczos steps, is one ``dsymv``
-(:func:`~qnprox.separation.symv`).  The step
-W - rho G = W + rho (2 / L1) (s r^T + r s^T) / ||s||^2
-- rho coefficient weight u u^T is one ``dsyr2`` with (s, r), plus one
-``dsyr`` with u when a certificate is held, both written into W in place.
-||W - rho G||_F is sqrt(2 ||L||_F^2 - ||diagonal||^2), with L the triangle
-and ||L||_F from LAPACK ``dlantr``, and the projection scale multiplies the
-triangle in place through ``dsyrk`` with alpha = 0, which is C := beta C on
-one triangle.  So a step allocates no d x d array and writes only into W's
-lower triangle, and a solve holds one d x d array.
-:func:`symmetric_completion` builds the full matrix for dense checks.
+W is a :class:`~qnprox.separation.PackedSymmetric`: its lower triangle,
+row by row, in one vector of d (d + 1) / 2 entries.  Every product W v, in
+B v and in the separation oracle's Lanczos steps, is one ``dspmv``.  The
+step W - rho G = W + rho (2 / L1) (s r^T + r s^T) / ||s||^2
+- rho coefficient weight u u^T is one ``dspr2`` with (s, r), plus one
+``dspr`` with u when a certificate is held, both written in place;
+||W - rho G||_F is read off the vector, and the projection scales it in
+place.  So a step allocates no d x d array, and a solve holds W alone.
 
 A step consumes its state: ``state.W`` becomes the new state's W, and the
 old state and every :class:`Curvature` made from it see the new matrix.  A
@@ -79,11 +72,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dsyr, dsyr2, dsyrk
-from scipy.linalg.lapack import dlantr
 
-from .separation import (SeparationResult, separation_oracle, symv,
-                         written_in_place)
+from .separation import PackedSymmetric, SeparationResult, separation_oracle
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
 # the budget p on the separation oracle's total failure probability
@@ -116,40 +106,25 @@ class LossSample:
             raise ValueError("loss sample requires a nonzero displacement s")
 
 
-def symmetric_completion(W: np.ndarray) -> np.ndarray:
-    """The symmetric matrix held in W's lower triangle, as a new array."""
-    full = np.tril(W)
-    full += np.tril(W, -1).T
-    return full
-
-
-def frobenius_norm(W: np.ndarray) -> float:
-    """||W||_F of the symmetric matrix held in W's lower triangle L:
-    sqrt(2 ||L||_F^2 - ||diagonal||^2), with ||L||_F from ``dlantr``."""
-    lower = dlantr("F", W.T, uplo="U")
-    diagonal = W.diagonal()
-    return math.sqrt(2.0 * lower * lower - float(diagonal @ diagonal))
-
-
 @dataclass(frozen=True, eq=False)
 class Curvature:
-    """The model curvature B = (L1 / 2) I + kappa W, held as W (its lower
-    triangle) and scalars.
+    """The model curvature B = (L1 / 2) I + kappa W, held as the packed W
+    and scalars.
 
-    ``B @ v`` is kappa W v + (L1 / 2) v, one ``dsymv`` with W.  ``dense()``
-    builds the d x d matrix kappa W + (L1 / 2) I from the triangle, for
-    checks against dense eigenvalues; a solve never calls it.
+    ``B @ v`` is kappa W v + (L1 / 2) v, one ``dspmv`` with W.  ``dense()``
+    builds the d x d matrix kappa W + (L1 / 2) I, for checks against dense
+    eigenvalues; a solve never calls it.
     """
 
-    W: np.ndarray
+    W: PackedSymmetric
     kappa: float
     half_L1: float
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return symv(self.W, v, self.kappa, self.half_L1, v)
+        return self.W.matvec(v, self.kappa, self.half_L1, v)
 
     def dense(self) -> np.ndarray:
-        B = symmetric_completion(self.W)
+        B = np.array(self.W)
         B *= self.kappa
         B.flat[::B.shape[0] + 1] += self.half_L1
         return B
@@ -159,15 +134,15 @@ class Curvature:
 class LearnerState:
     """State of the online learner between backtracked iterations.
 
-    ``W`` is the Frobenius-ball iterate and the only d x d array; only its
-    lower triangle is meaningful (module docstring).
+    ``W`` is the Frobenius-ball iterate, the only matrix-sized state, held
+    packed (module docstring).
     ``certificate`` is the separation result that produced the matrix in
     play when that call separated, and None when it certified containment
     (as for the initial matrix).  ``op_bound`` is an upper bound on
     ||W||_op: 0 at the start, then the oracle's gamma or the skip bound.
     """
 
-    W: np.ndarray
+    W: PackedSymmetric
     certificate: Optional[SeparationResult]
     op_bound: float
     t: int
@@ -224,8 +199,8 @@ def init_learner(d: int, L1: float, rho: float = DEFAULT_STEP_SIZE
                  ) -> LearnerState:
     """Start the learner at the center (L1 / 2) I of Z, where W_0 = 0: the
     start that minimizes the worst-case distance to any Hessian in Z."""
-    return LearnerState(W=np.zeros((d, d)), certificate=None, op_bound=0.0,
-                        t=0, rho=rho, L1=L1)
+    return LearnerState(W=PackedSymmetric(d, W_NAME), certificate=None,
+                        op_bound=0.0, t=0, rho=rho, L1=L1)
 
 
 def learner_step(state: LearnerState, sample: LossSample, seed
@@ -246,7 +221,7 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     new state's W.
     """
     W = state.W
-    d = W.shape[0]
+    d = W.dimension
     L1 = state.L1
     s, Bs = sample.s, sample.Bs
     residual = sample.w - Bs
@@ -255,24 +230,18 @@ def learner_step(state: LearnerState, sample: LossSample, seed
     loss_value = r2 / s2
     G_op = ((2.0 / L1) * (abs(float(s @ residual)) + math.sqrt(s2 * r2))
             / s2)
-    # W - rho G on W's lower triangle, the upper triangle of the view that
-    # BLAS writes into (module docstring)
-    view = W.T
-    written_in_place(dsyr2(state.rho * (2.0 / L1) / s2, s, residual,
-                           a=view, overwrite_a=1), view, W_NAME)
+    W.rank_two(state.rho * (2.0 / L1) / s2, s, residual)
     cert = state.certificate
     if cert is not None:
         coefficient = _surrogate_coefficient(s, Bs, residual, s2, L1)
         G_op += abs(coefficient * cert.weight)
-        written_in_place(dsyr(-state.rho * coefficient * cert.weight,
-                              cert.u, a=view, overwrite_a=1), view, W_NAME)
+        W.rank_one(-state.rho * coefficient * cert.weight, cert.u)
 
     radius = math.sqrt(d)
-    norm = frobenius_norm(W)
+    norm = W.frobenius_norm()
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     if norm > radius:
-        written_in_place(dsyrk(0.0, np.empty((d, 0)), beta=radius / norm,
-                               c=view, overwrite_c=1), view, W_NAME)
+        W.packed *= radius / norm
     t_next = state.t + 1
     if bound <= 1.0:
         # the draw the oracle's Lanczos start vector would have taken

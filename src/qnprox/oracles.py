@@ -45,9 +45,9 @@ class CountingOracle:
     """Wraps an objective so every gradient call increments the counters.
 
     A non-finite value, or a gradient with a non-finite entry, raises
-    :class:`NumericsError`, and a gradient not of shape ``(dimension,)``
-    :class:`ValueError`, so a bad oracle stops the run where it happened
-    instead of surfacing later as a linear-solver or step-size failure.
+    :class:`NumericsError`, and a value that is not a scalar, or a gradient
+    not of shape ``(dimension,)``, :class:`ValueError`: a bad oracle stops
+    the run where it happened, not later in a linear solve or a step size.
     """
 
     def __init__(self, inner):
@@ -64,19 +64,27 @@ class CountingOracle:
 
     def value(self, x: np.ndarray) -> float:
         f = self.inner.value(x)
+        if np.ndim(f) != 0:
+            raise ValueError(f"value oracle returned shape {np.shape(f)}, "
+                             f"expected a scalar")
         if not math.isfinite(f):
             raise NumericsError("value oracle returned a non-finite value")
         return f
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         self.counters.count_gradient()
-        g = self.inner.gradient(x)
-        if np.shape(g) != (self.dimension,):
-            raise ValueError(f"gradient oracle returned shape {np.shape(g)}, "
-                             f"expected {(self.dimension,)}")
-        if not np.isfinite(g).all():
-            raise NumericsError("gradient oracle returned a non-finite entry")
-        return g
+        return checked_gradient(self.inner.gradient(x), self.dimension)
+
+
+def checked_gradient(g, d: int):
+    """``g``, once it has shape (d,), else :class:`ValueError` naming both
+    shapes, and finite entries, else :class:`NumericsError`."""
+    if np.shape(g) != (d,):
+        raise ValueError(f"gradient oracle returned shape {np.shape(g)}, "
+                         f"expected {(d,)}")
+    if not np.isfinite(g).all():
+        raise NumericsError("gradient oracle returned a non-finite entry")
+    return g
 
 
 def checked_input(name: str, value, shape: tuple) -> np.ndarray:
@@ -97,9 +105,10 @@ def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:
     :func:`lanczos_extreme` on a d-step :class:`KrylovBasis` of
     ``hessian(x) @ v``, or else of central gradient differences: up to 2 d
     gradient calls and d basis rows a point, more than 100 power steps once
-    d > 100.  A non-finite product raises :class:`NumericsError` naming the
-    point."""
-    d, g = oracle.dimension, oracle.gradient
+    d > 100.  Each gradient passes :func:`checked_gradient`, uncounted.  A
+    non-finite product raises :class:`NumericsError` naming the point."""
+    d = oracle.dimension
+    g = lambda x: checked_gradient(oracle.gradient(x), d)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((PROBES, d))
     best = 0.0

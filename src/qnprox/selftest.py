@@ -15,11 +15,11 @@ import numpy as np
 from .datasets import LogisticObjective, SyntheticLogisticSpec, generate_logistic
 from .baselines import BaselineConfig, bfgs_solve
 from .errors import ConvergenceError
-from .learner import LossSample, frobenius_norm, init_learner, learner_step
+from .learner import LossSample, init_learner, learner_step
 from .line_search import backtracking_search
 from .linear_solver import KrylovBasis, conjugate_residual
 from .oracles import CountingOracle
-from .separation import separation_oracle
+from .separation import PackedSymmetric, separation_oracle
 from .solver import (ALPHA1, ALPHA2, IterationReport, SolverConfig,
                      momentum_weights, solve)
 
@@ -226,9 +226,8 @@ def band_violation(B, L1, rtol=1e-8):
 
 def learner_bound_violation(state, rtol=1e-8):
     """The learner's chained bound ||W||_op <= op_bound, against dense
-    eigenvalues (``eigvalsh`` reads the lower triangle, where the learner
-    keeps W)."""
-    op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
+    eigenvalues."""
+    op = float(np.abs(np.linalg.eigvalsh(np.array(state.W))).max())
     if not op <= state.op_bound * (1.0 + rtol):
         return (f"||W||_op = {op:.6g} above the learner's bound "
                 f"{state.op_bound:.6g} at round {state.t}")
@@ -274,11 +273,12 @@ def check_separation_oracle():
     calls = 30
     failures = []
     for trial in range(calls):
-        W = random_psd(rng, 20, top=float(rng.choice([0.4, 1.2, 4.0])))
+        M = random_psd(rng, 20, top=float(rng.choice([0.4, 1.2, 4.0])))
+        W = PackedSymmetric(20, packed=M[np.tril_indices(20)])
         result = separation_oracle(W, delta=0.05, q=0.05, seed=trial)
         if result.separated and abs(result.weight) not in (1.0, 3.0):
             return f"hyperplane weight {result.weight} on trial {trial}"
-        if problem := separation_violation(result, W):
+        if problem := separation_violation(result, M):
             failures.append(f"trial {trial}: {problem}")
     if len(failures) > max(1, int(0.05 * calls)):
         return f"{len(failures)}/{calls} certificate failures: {failures[0]}"
@@ -296,7 +296,7 @@ def check_learner():
         sample = LossSample(w=H @ s, s=s, Bs=state.B @ s)
         state, report = learner_step(state, sample, seed=rng)
         losses.append(report.loss_value)
-        if frobenius_norm(state.W) > math.sqrt(d) + 1e-12:
+        if state.W.frobenius_norm() > math.sqrt(d) + 1e-12:
             return "Frobenius-ball constraint violated"
         if problem := (band_violation(state.B.dense(), L1)
                        or learner_bound_violation(state)):

@@ -33,30 +33,74 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import dspmv, dspr, dspr2
 
 from .errors import check_integer, check_interval
 from .linear_solver import KrylovBasis
 
 
-def symv(W: np.ndarray, v: np.ndarray, alpha: float = 1.0,
-         beta: float = 0.0, y: Optional[np.ndarray] = None) -> np.ndarray:
-    """alpha W v + beta y as a new array, for the symmetric matrix held in
-    the lower triangle (row >= column) of the C-ordered W; the strict upper
-    triangle is never read, so it may be stale.  BLAS ``dsymv`` sees the
-    Fortran-ordered W.T, whose upper triangle that is.  Every product with
-    W, the learner's and the oracle's, goes through here."""
-    return dsymv(alpha, W.T, v, beta, y, lower=0)
+class PackedSymmetric:
+    """A symmetric d x d matrix held as its lower triangle, row by row, in
+    the float64 vector ``packed`` of d (d + 1) / 2 entries: BLAS's
+    column-major upper packed layout, so every routine runs with lower=0.
+    A product is one ``dspmv``, and a rank-one or rank-two update one
+    ``dspr`` or ``dspr2`` written into ``packed`` in place.
+    ``np.array(M)`` builds the dense matrix, for checks; no solve needs it.
+    ``name`` names the matrix in errors; ``packed`` defaults to zeros."""
 
+    def __init__(self, d: int, name: str = "the packed matrix",
+                 packed: Optional[np.ndarray] = None):
+        self.dimension = d
+        self.name = name
+        self.packed = np.zeros(d * (d + 1) // 2) if packed is None else packed
 
-def written_in_place(result: np.ndarray, view: np.ndarray, name: str
-                     ) -> None:
-    """f2py hands BLAS a copy of an output array it cannot pass as it is,
-    and the update is then lost: raise unless BLAS wrote into ``view``, the
-    transposed view of the triangle-held matrix ``name``."""
-    if result is not view:
-        raise ValueError(f"{name} must be a C-contiguous float64 array: "
-                         f"BLAS updated a copy of it")
+    def _diagonal(self) -> np.ndarray:
+        i = np.arange(self.dimension)  # row i starts at i (i + 1) / 2
+        return i * (i + 3) // 2
+
+    def _written(self, result: np.ndarray) -> None:
+        """f2py hands BLAS a copy of a vector it cannot pass as it is, and
+        the update is then lost: raise unless BLAS wrote into ``packed``."""
+        if result is not self.packed:
+            raise ValueError(f"{self.name} must be a contiguous float64 "
+                             f"vector: BLAS updated a copy of it")
+
+    def matvec(self, v: np.ndarray, alpha: float = 1.0, beta: float = 0.0,
+               y: Optional[np.ndarray] = None) -> np.ndarray:
+        """alpha M v + beta y, as a new array."""
+        return dspmv(self.dimension, alpha, self.packed, v, beta=beta, y=y)
+
+    def rank_one(self, alpha: float, x: np.ndarray) -> None:
+        """M += alpha x x^T, in place."""
+        self._written(dspr(self.dimension, alpha, x, self.packed,
+                           overwrite_ap=1))
+
+    def rank_two(self, alpha: float, x: np.ndarray, y: np.ndarray) -> None:
+        """M += alpha (x y^T + y x^T), in place."""
+        self._written(dspr2(self.dimension, alpha, x, y, self.packed,
+                            overwrite_ap=1))
+
+    def set_identity(self) -> None:
+        self.packed.fill(0.0)
+        self.packed[self._diagonal()] = 1.0
+
+    def frobenius_norm(self) -> float:
+        """sqrt(2 p . p - diag . diag): off-diagonal entries count twice."""
+        p = self.packed
+        diagonal = p[self._diagonal()]
+        return math.sqrt(2.0 * float(p @ p) - float(diagonal @ diagonal))
+
+    def copy(self) -> "PackedSymmetric":
+        return PackedSymmetric(self.dimension, self.name, self.packed.copy())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError(f"{self.name} has no dense view without a copy")
+        rows, cols = np.tril_indices(self.dimension)
+        full = np.empty((self.dimension, self.dimension), dtype=dtype or float)
+        full[rows, cols] = self.packed
+        full[cols, rows] = self.packed
+        return full
 
 
 class LanczosExtremes(NamedTuple):
@@ -162,7 +206,7 @@ def _dominant(extremes: LanczosExtremes) -> tuple[float, float]:
     return -extremes.lam_min, -1.0
 
 
-def separation_oracle(W: np.ndarray, delta: float, q: float, seed
+def separation_oracle(W: PackedSymmetric, delta: float, q: float, seed
                       ) -> SeparationResult:
     """Randomized separation oracle for {B symmetric : ||B||_op <= 1}.
 
@@ -197,13 +241,13 @@ def separation_oracle(W: np.ndarray, delta: float, q: float, seed
     """
     check_interval("delta", delta, 0.0, math.inf)
     check_interval("q", q, 0.0, 1.0)
-    d = W.shape[0]
+    d = W.dimension
     log_term = _lanczos_rounds(d, q)
     n1 = min(math.ceil(log_term + 0.5), d)
     n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
     start = np.random.default_rng(seed).standard_normal(d)
     # rows q_0 .. q_max(n1, n2): the buffer is allocated once
-    basis = KrylovBasis(lambda v: symv(W, v), start, min(max(n1, n2) + 1, d))
+    basis = KrylovBasis(W.matvec, start, min(max(n1, n2) + 1, d))
 
     coarse = lanczos_extreme(basis, n1)
     lam_hat, sign = _dominant(coarse)

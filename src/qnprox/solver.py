@@ -205,7 +205,8 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     Inputs are checked before iteration 0: ``x0`` and ``z0`` must match
     ``oracle.dimension`` and be finite, and the L1 must be finite and
     positive, else :class:`ValueError`.  On failure during the run the
-    partial trace is attached to the raised :class:`SolverError`.
+    partial trace, and a copy of the counters, are attached to the raised
+    :class:`SolverError`.
     """
     config = config if config is not None else SolverConfig()
     if not isinstance(oracle, CountingOracle):
@@ -258,7 +259,9 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
                 observer(report)
             if report.grad_norm_at_x_hat <= config.tolerance:
                 break
+            del advanced, report  # the next step holds no finished report
     except Exception as exc:
         raise SolverError(f"solver aborted at iteration {state.k}: {exc}",
-                          trace=record.finish(start, state.x)) from exc
+                          trace=record.finish(start, state.x),
+                          counters=replace(counters)) from exc
     return record.finish(start, state.x)

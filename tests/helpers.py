@@ -1,29 +1,29 @@
 """Reference code the tests share and the library does not need: a quadratic
-objective, an objective whose gradients turn bad after a count, a matrix that
-counts its products, a counter of the library's products with W, the
-separation oracle's Krylov basis of W, the map of the band onto the unit
-ball, a loss sample observed at a given matrix, the learner's loss and its
-gradient as dense formulas, the dense learner step they define, the dense
-separation hyperplane, the BFGS inverse update in product form, and the
-first iteration to reach an objective gap."""
+objective, an objective whose gradients turn bad after a count, one whose
+value is not a scalar, a matrix that
+counts its products, the packed form of a dense symmetric matrix, a counter
+of the library's products with a packed matrix, the separation oracle's
+Krylov basis of W, the map of the band onto the unit ball, a loss sample
+observed at a given matrix, the learner's loss and its gradient as dense
+formulas, the dense learner step they define, the dense separation
+hyperplane, the BFGS inverse update in product form, the tracemalloc peak of
+a call, and the first iteration to reach an objective gap."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-import qnprox.learner
-import qnprox.separation
 from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             _surrogate_coefficient, delta_schedule,
-                            next_op_norm_bound, q_schedule,
-                            symmetric_completion)
+                            next_op_norm_bound, q_schedule)
 from qnprox.linear_solver import KrylovBasis
 from qnprox.selftest import symmetrize
-from qnprox.separation import separation_oracle
+from qnprox.separation import PackedSymmetric, separation_oracle
 from qnprox.trace import RunRecord
 
 
@@ -71,6 +71,21 @@ class GradientFaultAfter:
         return g if self.good >= 0 else self.fault(g)
 
 
+class VectorValue:
+    """Wraps an objective; each value is returned as a 2-entry array."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.smoothness = inner.smoothness
+
+    def value(self, x):
+        return np.full(2, self.inner.value(x))
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
 class CountingMatrix(np.ndarray):
     """A matrix that counts the products taken with it.
 
@@ -90,32 +105,39 @@ class CountingMatrix(np.ndarray):
         return getattr(ufunc, method)(*plain, **kwargs)
 
 
+def packed(M, name: str = "the packed matrix") -> PackedSymmetric:
+    """The lower triangle of the square ``M``, row by row, as the packed
+    matrix the library holds: the symmetric matrix M is when M is
+    symmetric."""
+    M = np.asarray(M, dtype=float)
+    return PackedSymmetric(M.shape[0], name, M[np.tril_indices(M.shape[0])])
+
+
 class ProductCounter:
-    """Counts the products with W that the library takes, all of them
-    through ``qnprox.separation.symv``: installed with ``monkeypatch`` into
-    each module that calls it, it adds one to ``products`` per call and
-    returns the library's result."""
+    """Counts the products the library takes with packed matrices, all of
+    them through ``PackedSymmetric.matvec``: installed with ``monkeypatch``
+    on the class, it adds one to ``products`` per call and returns the
+    library's result."""
 
     def __init__(self, monkeypatch):
         self.products = 0
-        original = qnprox.separation.symv
+        original = PackedSymmetric.matvec
 
         def counted(*args, **kwargs):
             self.products += 1
             return original(*args, **kwargs)
 
-        for module in (qnprox.separation, qnprox.learner):
-            assert module.symv is original
-            monkeypatch.setattr(module, "symv", counted)
+        monkeypatch.setattr(PackedSymmetric, "matvec", counted)
 
 
 def lanczos_basis(W: np.ndarray, seed) -> KrylovBasis:
-    """The Krylov basis ``separation_oracle`` grows: products with the lower
-    triangle of W through ``qnprox.separation.symv`` (looked up per call, so
+    """The Krylov basis ``separation_oracle`` grows: products with the
+    packed form of the dense symmetric W (looked up per call, so
     :class:`ProductCounter` sees them), from a standard normal start drawn
     from ``seed``."""
+    matrix = packed(W)
     start = np.random.default_rng(seed).standard_normal(W.shape[0])
-    return KrylovBasis(lambda v: qnprox.separation.symv(W, v), start)
+    return KrylovBasis(lambda v: matrix.matvec(v), start)
 
 
 def rescale_to_unit_ball(B: np.ndarray, L1: float) -> np.ndarray:
@@ -153,11 +175,11 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
     surrogate gradient G as one matrix, W - rho G from the full symmetric W
     and its projection, and the next curvature matrix
     B = kappa W_next + (L1 / 2) I as a third return value.  The state is
-    not consumed, and the returned W is full.  The library updates W's
-    lower triangle in place by BLAS rank updates, which round differently,
-    and never forms B.  B s is the sample's, as in the library, so both
+    not consumed, and the returned W is dense.  The library updates the
+    packed W in place by BLAS rank updates, which round differently, and
+    never forms B.  B s is the sample's, as in the library, so both
     steps start from the same floats."""
-    d = state.W.shape[0]
+    d = state.W.dimension
     L1 = state.L1
     Bs = sample.Bs
     residual = sample.w - Bs
@@ -174,14 +196,14 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
 
     radius = math.sqrt(d)
     W_next, norm = project_frobenius_ball(
-        symmetric_completion(state.W) - state.rho * G, radius)
+        np.array(state.W) - state.rho * G, radius)
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     t_next = state.t + 1
     if bound <= 1.0:
         np.random.default_rng(seed).standard_normal(d)
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
-        sep = separation_oracle(W_next, delta_schedule(t_next),
+        sep = separation_oracle(packed(W_next), delta_schedule(t_next),
                                 q_schedule(t_next), seed)
         op_bound, sep_matvecs = sep.gamma, sep.matvecs
         certificate = sep if sep.separated else None
@@ -225,6 +247,22 @@ def bfgs_inverse_product_form(H: np.ndarray, s: np.ndarray, y: np.ndarray
     rho = 1.0 / float(s @ y)
     V = np.eye(H.shape[0]) - rho * np.outer(s, y)
     return V @ H @ V.T + rho * np.outer(s, s)
+
+
+def traced_allocation_peak(run) -> int:
+    """Bytes the tracemalloc peak rises above the traced memory while
+    ``run()`` runs."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def iterations_to_gap(record: RunRecord, f_star: float, gap: float

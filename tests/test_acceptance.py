@@ -25,7 +25,7 @@ from qnprox.solver import ALPHA1, ALPHA2
 from conftest import (make_logistic, random_psd, random_unit_opnorm,
                       reference_minimizer)
 from helpers import (hyperplane, iterations_to_gap, loss_sample,
-                     matrix_loss_gradient)
+                     matrix_loss_gradient, packed)
 from test_learner import fd_symmetric_gradient
 
 
@@ -137,7 +137,7 @@ def test_c09_separation_certificates():
     for seed in range(runs):
         target = targets[seed % len(targets)]
         W = random_unit_opnorm(rng, d) * target
-        result = separation_oracle(W, delta=delta, q=q, seed=seed)
+        result = separation_oracle(packed(W), delta=delta, q=q, seed=seed)
         ok = separation_violation(result, W) is None
         s_norm = float(np.linalg.norm(hyperplane(result)))
         if result.separated and abs(s_norm - 3.0) <= 1e-9:

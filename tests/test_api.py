@@ -19,7 +19,7 @@ import qnprox.solver
 from qnprox.learner import init_learner
 from qnprox.linear_solver import KrylovBasis
 from helpers import (ProductCounter, QuadraticObjective, lanczos_basis,
-                     loss_sample)
+                     loss_sample, packed)
 
 SUPPORTED = [
     "solve", "SolverConfig",
@@ -167,7 +167,7 @@ def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     assert report.matvecs == 0
 
     counter = ProductCounter(monkeypatch)
-    result = qnprox.learner.separation_oracle(5.0 * np.eye(d), 0.1, 0.05, 0)
+    result = qnprox.learner.separation_oracle(packed(5.0 * np.eye(d)), 0.1, 0.05, 0)
     assert result.separated is True
     # the Krylov space of a multiple of I breaks down after one step, and
     # the read-out takes no product

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +11,10 @@ from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
 from qnprox.baselines import (NAG_BETA, NAG_ETA0, WOLFE_C1, WOLFE_C2,
                               bfgs_inverse_update)
 from qnprox.errors import ConvergenceError, NumericsError
-from qnprox.learner import symmetric_completion
 from conftest import make_logistic, random_psd
-from helpers import (GradientFaultAfter, QuadraticObjective,
-                     bfgs_inverse_product_form)
+from helpers import (GradientFaultAfter, QuadraticObjective, VectorValue,
+                     bfgs_inverse_product_form, packed,
+                     traced_allocation_peak)
 
 
 class CountingValues:
@@ -149,16 +148,18 @@ class TestNag:
 
 
 def record_inverse_updates(monkeypatch, formed, pairs=None):
-    """Patch ``bfgs_inverse_update`` so that each call appends the symmetric
-    completion of the updated H to ``formed`` (and its (s, y) to ``pairs``),
-    after checking that the strict upper triangle of H is still exactly 0:
-    the update reads and writes the lower triangle only."""
+    """Patch ``bfgs_inverse_update`` so that each call appends the dense
+    form of the updated H to ``formed`` (and its (s, y) to ``pairs``),
+    after checking that the update wrote into H's one packed vector of
+    d (d + 1) / 2 entries."""
     original = qnprox.baselines.bfgs_inverse_update
 
     def recording(H, s, y):
+        vector = H.packed
         original(H, s, y)
-        assert not np.triu(H, 1).any()
-        formed.append(symmetric_completion(H))
+        assert H.packed is vector
+        assert vector.shape == (H.dimension * (H.dimension + 1) // 2,)
+        formed.append(np.array(H))
         if pairs is not None:
             pairs.append((s.copy(), y.copy()))
 
@@ -167,42 +168,35 @@ def record_inverse_updates(monkeypatch, formed, pairs=None):
 
 @pytest.fixture
 def bfgs_inverses(monkeypatch):
-    """The symmetric completion of each inverse-Hessian approximation
-    ``bfgs_solve`` forms, in order: every BFGS update is one
-    ``bfgs_inverse_update``, and each must leave H's strict upper triangle
-    exactly 0."""
+    """The dense form of each inverse-Hessian approximation ``bfgs_solve``
+    forms, in order: every BFGS update is one ``bfgs_inverse_update``, and
+    each must write into H's packed vector in place."""
     formed = []
     record_inverse_updates(monkeypatch, formed)
     return formed
 
 
+class DenseMatrix:
+    """H as it was held before it was packed: a full d x d array with dense
+    products, in place of the library's packed matrix."""
+
+    def __init__(self, d, name):
+        self.full = np.zeros((d, d))
+
+    def set_identity(self):
+        self.full[...] = np.eye(self.full.shape[0])
+
+    def matvec(self, v, alpha=1.0):
+        return alpha * (self.full @ v)
+
+
 def dense_inverse_update(H, s, y):
-    """The update as it was before H was held as a triangle: a full H and
-    dense outer products (Nocedal & Wright eq. 6.17)."""
+    """The update of a :class:`DenseMatrix` H with dense outer products
+    (Nocedal & Wright eq. 6.17)."""
     sy = float(s @ y)
-    Hy = H @ y
-    H += ((sy + float(y @ Hy)) / (sy * sy)) * np.outer(s, s)
-    H -= (np.outer(Hy, s) + np.outer(s, Hy)) / sy
-
-
-def dense_symv(H, v, alpha=1.0):
-    return alpha * (H @ v)
-
-
-def traced_allocation_peak(run) -> int:
-    """Bytes the tracemalloc peak rises above the traced memory while
-    ``run()`` runs."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        baseline = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return tracemalloc.get_traced_memory()[1] - baseline
-    finally:
-        if started:
-            tracemalloc.stop()
+    Hy = H.full @ y
+    H.full += ((sy + float(y @ Hy)) / (sy * sy)) * np.outer(s, s)
+    H.full -= (np.outer(Hy, s) + np.outer(s, Hy)) / sy
 
 
 class TestBfgs:
@@ -215,16 +209,16 @@ class TestBfgs:
         Q = (Q + Q.T) / 2.0
         x = rng.standard_normal(d)
         g = Q @ x
-        H = np.eye(d)
+        H = packed(np.eye(d))
         for _ in range(d):
-            p = -(symmetric_completion(H) @ g)
+            p = -(np.array(H) @ g)
             t = -float(g @ p) / float(p @ (Q @ p))
             s = t * p
             x = x + s
             g_next = Q @ x
             bfgs_inverse_update(H, s, g_next - g)
             g = g_next
-        H = symmetric_completion(H)
+        H = np.array(H)
         assert np.max(np.abs(H @ Q - np.eye(d))) <= 1e-6
 
     def test_immediate_termination_at_optimum(self):
@@ -253,18 +247,28 @@ class TestBfgs:
         assert record.rows[-1].matvecs == len(record.rows) + len(bfgs_inverses)
 
     def test_peak_stays_under_four_dense_matrices(self):
-        # H is one triangle-held array updated in place, so the peak is H
-        # plus d-vectors (1.08 d^2 measured; the dense update reached 3.47)
+        # H is one packed vector updated in place, so the peak is H plus
+        # d-vectors (0.57 d^2 measured, 1.08 with H a full square held by
+        # its lower triangle; the dense update reached 3.47)
         d = 200
         objective = make_logistic(1000, d, seed=0, sigma=3.0)
         peak = traced_allocation_peak(lambda: bfgs_solve(
             objective, np.zeros(d), BaselineConfig(max_iters=30)))
         assert peak <= 1.25 * d * d * 8
 
+    def test_peak_stays_under_six_tenths_of_a_dense_matrix(self):
+        # the packed H is half a d x d array: 0.55 d^2 doubles measured at
+        # d = 300, against 1.04 with H a full square
+        d = 300
+        objective = make_logistic(1500, d, seed=0, sigma=3.0)
+        peak = traced_allocation_peak(lambda: bfgs_solve(
+            objective, np.zeros(d), BaselineConfig(max_iters=30)))
+        assert peak < 0.6 * d * d * 8
+
     def test_one_update_allocates_less_than_one_matrix(self):
         d = 300
         rng = np.random.default_rng(4)
-        H = np.eye(d)
+        H = packed(np.eye(d))
         s, y = rng.standard_normal((2, d))
         if s @ y < 0.0:
             y = -y
@@ -272,10 +276,12 @@ class TestBfgs:
         assert peak < d * d * 8
 
     def test_update_refuses_an_H_that_BLAS_would_copy(self):
-        # a Fortran-ordered H reaches BLAS as a copy, and the update would
-        # be lost without a word
-        H = np.asfortranarray(np.eye(4))
-        with pytest.raises(ValueError, match="C-contiguous float64"):
+        # a strided packed vector reaches BLAS as a copy, and the update
+        # would be lost without a word
+        H = packed(np.eye(4), qnprox.baselines.H_NAME)
+        H.packed = np.repeat(H.packed, 2)[::2]
+        with pytest.raises(ValueError, match="the BFGS inverse Hessian H "
+                                             "must be a contiguous float64"):
             bfgs_inverse_update(H, np.ones(4), 2.0 * np.ones(4))
 
     @settings(max_examples=200)
@@ -283,7 +289,7 @@ class TestBfgs:
            data=st.data())
     def test_inverse_update_matches_product_form(self, d, seed, data):
         # H = U diag(e^u) U^T with u in [-4, 4], and a pair with <s, y> > 0;
-        # only H's lower triangle is passed, with a marker above it
+        # only H's packed lower triangle is passed, and updated in place
         u = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d,
                                         max_size=d), label="u"))
         rng = np.random.default_rng(seed)
@@ -294,11 +300,11 @@ class TestBfgs:
         if s @ y < 0.0:
             y = -y
         want = bfgs_inverse_product_form(H, s, y)
-        upper = np.triu_indices(d, 1)
-        H[upper] = np.nan
+        H = packed(H)
+        vector = H.packed
         bfgs_inverse_update(H, s, y)
-        assert np.isnan(H[upper]).all()
-        got = symmetric_completion(H)
+        assert H.packed is vector
+        got = np.array(H)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @settings(max_examples=40)
@@ -325,20 +331,20 @@ class TestBfgs:
         config = BaselineConfig(max_iters=500, tolerance=1e-8)
         x0 = np.zeros(logistic_instance.dimension)
         write_trace_csv(bfgs_solve(logistic_instance, x0, config),
-                        tmp_path / "triangle.csv")
+                        tmp_path / "packed.csv")
         monkeypatch.setattr(qnprox.baselines, "bfgs_inverse_update",
                             dense_inverse_update)
-        monkeypatch.setattr(qnprox.baselines, "symv", dense_symv)
+        monkeypatch.setattr(qnprox.baselines, "PackedSymmetric", DenseMatrix)
         write_trace_csv(bfgs_solve(logistic_instance, x0, config),
                         tmp_path / "dense.csv")
-        triangle, dense = (read_columns(tmp_path / name)
-                           for name in ("triangle.csv", "dense.csv"))
-        assert len(triangle["iter"]) > 10
+        packed_run, dense = (read_columns(tmp_path / name)
+                             for name in ("packed.csv", "dense.csv"))
+        assert len(packed_run["iter"]) > 10
         for name in ("iter", "case", "backtracks", "grad_queries",
                      "matvecs"):
-            assert triangle[name] == dense[name], name
+            assert packed_run[name] == dense[name], name
         for name in ("f", "eta_hat"):
-            got = np.array(triangle[name], dtype=float)
+            got = np.array(packed_run[name], dtype=float)
             want = np.array(dense[name], dtype=float)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
 
@@ -420,6 +426,17 @@ class TestBothBaselines:
                            r"shape \(13,\), expected \(12,\)") as info:
             solver(broken, np.zeros(12), BaselineConfig(max_iters=40))
         assert 1 <= len(info.value.trace.rows) <= 5
+
+
+    def test_value_of_wrong_shape_raises_naming_it(self, solver):
+        # a 2-entry value is rejected by the counting oracle, not by
+        # float(), and the error keeps its type and carries the trace
+        objective = make_logistic(48, 12, seed=0)
+        with pytest.raises(ValueError, match=r"value oracle returned shape "
+                           r"\(2,\), expected a scalar") as info:
+            solver(VectorValue(objective), np.zeros(12),
+                   BaselineConfig(max_iters=5))
+        assert len(info.value.trace.rows) == 0
 
 
 class TestConfig:

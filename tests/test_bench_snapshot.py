@@ -247,3 +247,61 @@ def test_compare_ratios_of_zero_and_aligned_columns(capsys):
     assert rows["separation.matvecs"].split()[1:] == ["0", "->", "5", "-"]
     # every name fits its column, so the arrows line up
     assert len({line.index(" -> ") for line in layer}) == 1
+
+
+def git_worktrees():
+    return subprocess.run(["git", "worktree", "list", "--porcelain"],
+                          cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(),
+                    reason="--paired checks the parent out with git worktree")
+def test_paired_block_at_tiny_sizes(capsys):
+    # one pair of tiny runs of HEAD against this checkout: the block's
+    # structure, not its times, and the worktree is gone afterwards
+    before = git_worktrees()
+    block = bench_snapshot.paired(ROOT, "HEAD", 1, ("paper", "tall"),
+                                  tiny=True)
+    assert git_worktrees() == before
+    assert (block["pairs"], block["tiny"], block["seconds"]) == (1, True, 0)
+    assert len(block["parent_commit"]) == 40
+    assert list(block["workloads"]) == ["paper", "tall"]
+    for entry in block["workloads"].values():
+        assert set(entry["time"]) == {"setup_s", "aqnpe.solve_s",
+                                      "nag.solve_s", "bfgs.solve_s"}
+        for t in entry["time"].values():
+            for side in ("parent", "change"):
+                s = t[side]
+                assert len(s["values"]) == 1
+                assert s["min"] == s["q1"] == s["median"] == s["q3"] == \
+                    s["values"][0]
+            assert t["lower"] in (0, 1)
+        assert {"aqnpe.iters", "aqnpe.grad_queries", "aqnpe.matvecs",
+                "aqnpe.peak_mem_mb"} <= set(entry["counts"])
+        assert entry["unequal"] == []
+        assert entry["failed_runs"] == {"parent": 0, "change": 0}
+    bench_snapshot.print_paired(block)
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.strip().startswith("aqnpe.solve_s") for line in out) == 2
+    assert all(line.rstrip().endswith("/1") for line in out
+               if "solve_s" in line)
+
+
+def test_paired_summary_counts_lower_pairs_and_unequal_counts():
+    def result(seconds, iters):
+        return {"exit_code": 0, "metrics": {
+            "aqnpe.solve_s": {"value": seconds, "unit": "s"},
+            "aqnpe.iters": {"value": iters, "unit": "count"}}}
+
+    parent = [result(s, 10) for s in (1.0, 2.0, 3.0, 4.0)]
+    change = [result(s, i) for s, i in ((0.5, 10), (2.5, 10), (2.0, 11),
+                                        (3.0, 10))]
+    block = bench_snapshot.paired_summary(parent, change)
+    t = block["time"]["aqnpe.solve_s"]
+    assert t["lower"] == 3
+    assert t["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25,
+                           "min": 1.0, "values": [1.0, 2.0, 3.0, 4.0]}
+    assert t["change"]["min"] == 0.5
+    assert block["counts"] == {"aqnpe.iters": {"parent": 10, "change": 10}}
+    assert block["unequal"] == ["aqnpe.iters"]

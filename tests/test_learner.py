@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,15 +10,14 @@ import qnprox.solver
 from qnprox import SolverConfig, solve
 from qnprox.learner import (FAILURE_BUDGET, Curvature, LossSample,
                             _surrogate_coefficient, delta_schedule,
-                            frobenius_norm, init_learner, learner_step,
-                            q_schedule, symmetric_completion)
+                            init_learner, learner_step, q_schedule)
 from qnprox.selftest import (band_violation, fed_loss_violation,
                              learner_bound_violation)
 from qnprox.separation import separation_oracle
 from conftest import random_psd
 from helpers import (CountingMatrix, ProductCounter, dense_learner_step,
                      hyperplane, loss_sample, matrix_loss,
-                     matrix_loss_gradient, project_frobenius_ball,
+                     matrix_loss_gradient, packed, project_frobenius_ball,
                      rescale_to_unit_ball)
 
 
@@ -164,15 +164,16 @@ class TestRescale:
                 M = rng.standard_normal((d, d))
                 M = (M + M.T) / 2.0
                 kappa = float(rng.uniform(0.1, 10.0))
-                assert np.array_equal(Curvature(M, kappa, L1 / 2.0).dense(),
+                assert np.array_equal(Curvature(packed(M), kappa,
+                                                L1 / 2.0).dense(),
                                       kappa * M + (L1 / 2.0) * np.eye(d))
 
     def test_leaves_its_input_alone(self):
         rng = np.random.default_rng(22)
-        M = rng.standard_normal((6, 6))
-        before = M.copy()
-        Curvature(M, 0.5, 1.0).dense()
-        assert np.array_equal(M, before)
+        W = packed(rng.standard_normal((6, 6)))
+        before = W.packed.copy()
+        Curvature(W, 0.5, 1.0).dense()
+        assert np.array_equal(W.packed, before)
 
 
 class TestLearnerStep:
@@ -180,7 +181,7 @@ class TestLearnerStep:
         # the start, the center (L1 / 2) I, gives W = 0 and B = (L1 / 2) I
         d, L1 = 5, 3.0
         state = init_learner(d, L1)
-        assert np.array_equal(state.W, np.zeros((d, d)))
+        assert np.array_equal(np.array(state.W), np.zeros((d, d)))
         assert np.array_equal(state.B.dense(), (L1 / 2.0) * np.eye(d))
 
     def test_projection_identity_inside_ball(self):
@@ -209,8 +210,7 @@ class TestLearnerStep:
             H = random_psd(rng, d, top=L1)
             state, _ = learner_step(state, loss_sample(state.B, H @ s, s),
                                     seed=rng)
-            # W holds its matrix in the lower triangle only
-            assert frobenius_norm(state.W) <= math.sqrt(d) + 1e-12
+            assert state.W.frobenius_norm() <= math.sqrt(d) + 1e-12
             B = state.B.dense()
             assert band_violation(B, L1) is None
             assert np.max(np.abs(B - B.T)) == 0.0
@@ -281,23 +281,25 @@ class TestLearnerStep:
             G = (2.0 / L1) * matrix_loss_gradient(state.B, sample)
             coeff = max(0.0, -float(np.sum(G * B_hat)))
         expected, _ = project_frobenius_ball(
-            symmetric_completion(state.W)
+            np.array(state.W)
             - state.rho * (G + coeff * hyperplane(state.certificate)),
             math.sqrt(d))
         state, _ = learner_step(state, sample, seed=rng)
-        assert np.allclose(symmetric_completion(state.W), expected, rtol=0.0,
+        assert np.allclose(np.array(state.W), expected, rtol=0.0,
                            atol=1e-14)
 
     def test_state_holds_one_dense_matrix_after_separation(self):
-        # W is the only d x d array; B is derived from it
+        # W is the only matrix, held as its packed lower triangle of
+        # d (d + 1) / 2 entries; B is derived from it
         rng = np.random.default_rng(16)
         d, L1 = 6, 1.0
         state = self.separated_state(rng, d, L1)
-        arrays = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        assert not any(isinstance(v, np.ndarray) for v in vars(state).values())
+        arrays = [state.W.packed]
         arrays += [v for v in vars(state.certificate).values()
                    if isinstance(v, np.ndarray)]
-        assert sum(a.size for a in arrays) == d * d + d
-        assert [a.ndim for a in arrays] == [2, 1]
+        assert sum(a.size for a in arrays) == d * (d + 1) // 2 + d
+        assert [a.ndim for a in arrays] == [1, 1]
         assert state.B.W is state.W
 
     def test_report_counts_separation_matvecs(self, monkeypatch):
@@ -429,7 +431,7 @@ def test_in_place_step_matches_the_dense_expression(d):
     for state, sample, seed in learner_walk(d):
         ref, ref_report, ref_B = dense_learner_step(state, sample, seed)
         new, report = learner_step(state, sample, seed)
-        assert relative_frobenius(symmetric_completion(new.W), ref.W) <= 1e-14
+        assert relative_frobenius(np.array(new.W), ref.W) <= 1e-14
         assert relative_frobenius(new.B.dense(), ref_B) <= 1e-14
         assert abs(new.op_bound - ref.op_bound) <= 1e-14 * ref.op_bound
         assert (new.t, report) == (ref.t, ref_report)
@@ -460,58 +462,92 @@ def test_operator_product_matches_its_dense_form(d):
     assert branches == {"skip", "inside", "separated"}
 
 
+def learner_allocation_peak(state, sample, seed, monkeypatch):
+    """The new state of ``learner_step``, and the most bytes it held
+    allocated above its start outside the separation oracle: the peak is
+    read before each oracle call and reset after it."""
+    peaks = []
+
+    def oracle(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        result = separation_oracle(*args)
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(qnprox.learner, "separation_oracle", oracle)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new, _ = learner_step(state, sample, seed)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        if started:
+            tracemalloc.stop()
+    return new, max(peaks) - baseline
+
+
 @pytest.mark.parametrize("d", [5, 40])
-def test_step_writes_only_into_the_lower_triangle_of_W(d):
-    # the step consumes state.W: it becomes the new state's W, with its
-    # strict upper triangle untouched; every other input is left alone.
-    # The walk never leaves the Frobenius ball, so one more step from the
-    # center takes a loss large enough to run the projection scale.  A
-    # nonzero marker fills the stale triangle, so that scaling it shows
-    # (the walk's upper triangle is 0); TestTriangleStorage checks that
-    # nothing reads it
+def test_step_writes_only_into_the_lower_triangle_of_W(d, monkeypatch):
+    # the step consumes state.W: it becomes the new state's W, updated in
+    # its one packed vector of the lower triangle, and outside the oracle
+    # it allocates less than that vector, so no d x d array and no copy of
+    # W; every
+    # other input is left alone.  The walk never leaves the Frobenius ball,
+    # so one more step from the center takes a loss large enough to run
+    # the projection scale
     steps = list(learner_walk(d))
     s = np.ones(d)
     start = init_learner(d, 2.0, rho=0.09)
     steps.append((start, loss_sample(start.B, 1000.0 * s, s), 7))
     certificates = 0
-    upper = np.triu_indices(d, 1)
     for state, sample, seed in steps:
         others = [sample.s, sample.w, sample.Bs]
         if state.certificate is not None:
             others.append(state.certificate.u)
             certificates += 1
         before = [a.copy() for a in others]
-        state.W[upper] = math.pi
-        new, _ = learner_step(state, sample, seed)
-        assert new.W is state.W
-        assert np.all(new.W[upper] == math.pi)
+        vector = state.W.packed
+        new, peak = learner_allocation_peak(state, sample, seed, monkeypatch)
+        assert new.W is state.W and new.W.packed is vector
+        assert vector.shape == (d * (d + 1) // 2,)
+        # at d = 5 the step's Python objects, about 2 kB, outweigh the
+        # 120-byte vector; at d = 40 they take under a third of it
+        assert peak < vector.nbytes or d < 40
         assert all(np.array_equal(a, b) for a, b in zip(others, before))
-        assert not any(np.shares_memory(new.W, a) for a in others)
+        assert not any(np.shares_memory(vector, a) for a in others)
     assert certificates > 0
-    assert frobenius_norm(new.W) <= math.sqrt(d) * (1.0 + 1e-12)
-    assert frobenius_norm(new.W) >= math.sqrt(d) * (1.0 - 1e-12)
+    assert new.W.frobenius_norm() <= math.sqrt(d) * (1.0 + 1e-12)
+    assert new.W.frobenius_norm() >= math.sqrt(d) * (1.0 - 1e-12)
 
 
 def test_triangle_norm_and_completion():
-    # both read only the lower triangle
+    # the packed lower triangle gives ||M||_F and the dense M, whose
+    # eigenvalues are M's to the bit
     rng = np.random.default_rng(24)
     for d in (1, 2, 7, 64, 130):
         M = rng.standard_normal((d, d))
         M = (M + M.T) / 2.0
-        W = M.copy()
-        W[np.triu_indices(d, 1)] = np.nan
-        assert np.array_equal(symmetric_completion(W), M)
+        W = packed(M)
+        assert W.packed.shape == (d * (d + 1) // 2,)
+        assert np.array_equal(np.array(W), M)
+        assert np.array_equal(np.array(W, copy=True), M)
+        assert np.array_equal(np.linalg.eigvalsh(np.array(W)),
+                              np.linalg.eigvalsh(M))
         norm = float(np.linalg.norm(M))
-        assert abs(frobenius_norm(W) - norm) <= 1e-14 * norm
+        assert abs(W.frobenius_norm() - norm) <= 1e-14 * norm
 
 
 def test_step_refuses_a_W_that_BLAS_would_copy():
-    # a Fortran-ordered W reaches BLAS as a copy, and the in-place update
-    # would be lost without a word
+    # a strided packed vector reaches BLAS as a copy, and the in-place
+    # update would be lost without a word
     state = init_learner(4, 1.0)
-    state = replace(state, W=np.asfortranarray(state.W))
+    state.W.packed = np.zeros(2 * state.W.packed.size)[::2]
     sample = loss_sample(state.B, 3.0 * np.ones(4), np.ones(4))
-    with pytest.raises(ValueError, match="C-contiguous float64"):
+    with pytest.raises(ValueError, match="the learner's W must be a "
+                                         "contiguous float64 vector"):
         learner_step(state, sample, 0)
 
 

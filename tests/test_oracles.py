@@ -212,3 +212,33 @@ class TestEstimateSmoothness:
             solve(GradientCounter(4, gradient), np.zeros(4),
                   config=SolverConfig(max_iters=5), observer=reports.append)
         assert reports == []
+
+    def test_probe_gradient_of_wrong_shape_stops_before_iteration_0(self):
+        # a 7-entry gradient for d = 6 gets the counting oracle's named
+        # error, not numpy's
+        reports = []
+        with pytest.raises(ValueError, match=r"gradient oracle returned "
+                                             r"shape \(7,\), expected "
+                                             r"\(6,\)"):
+            solve(GradientCounter(6, lambda x: np.zeros(7)), np.zeros(6),
+                  config=SolverConfig(max_iters=5), observer=reports.append)
+        assert reports == []
+
+    def test_probe_nan_gradient_names_the_probe_point(self):
+        with pytest.raises(NumericsError, match="curvature estimate at probe "
+                           "point 1: gradient oracle returned a non-finite "
+                           "entry"):
+            solve(GradientCounter(6, lambda x: np.full(6, np.nan)),
+                  np.zeros(6), config=SolverConfig(max_iters=5))
+
+    def test_probe_queries_are_not_counted(self):
+        # the probe's gradients reach the objective but not the counters,
+        # so the trace counts the solve's queries alone
+        quadratic = QuadraticObjective(np.diag([1.0, 2.0, 5.0]))
+        objective = GradientCounter(3, quadratic.gradient)
+        objective.value = quadratic.value
+        oracle = CountingOracle(objective)
+        record = solve(oracle, np.ones(3), config=SolverConfig(max_iters=5))
+        probe_calls = objective.calls - oracle.counters.gradient_queries
+        assert 0 < probe_calls <= 2 * 3 * (PROBES + 1)
+        assert record.rows[-1].grad_queries == oracle.counters.gradient_queries

@@ -21,7 +21,7 @@ from qnprox.selftest import (backtrack_violation, band_violation,
                              potential_violation, separation_violation,
                              smoothness_violation, weight_growth_violation)
 from conftest import random_psd, reference_minimizer
-from helpers import rescale_to_unit_ball
+from helpers import packed, rescale_to_unit_ball
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def conjugate_residual_cap(run):
 def separation(run):
     W = np.zeros((10, 10))
     W[0, 0] = 4.0
-    result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+    result = separation_oracle(packed(W), delta=0.1, q=0.05, seed=0)
     assert result.separated
     return lambda W: separation_violation(result, W), W, 10.0 * W
 
@@ -129,7 +129,7 @@ def separation_inside(run):
     e = np.zeros(10)
     e[0] = 1.0
     W = 0.3 * np.outer(e, e)
-    result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+    result = separation_oracle(packed(W), delta=0.1, q=0.05, seed=0)
     assert not result.separated and result.gamma < 0.75
     return lambda W: separation_violation(result, W), W, 2.5 * W
 
@@ -138,9 +138,9 @@ def learner_bound(run):
     # the bound ||W||_F holds; one below ||W||_op does not
     rng = np.random.default_rng(0)
     W = rescale_to_unit_ball(random_psd(rng, 6, top=2.0), 2.0)
-    state = replace(init_learner(6, 2.0), W=W,
+    state = replace(init_learner(6, 2.0), W=packed(W),
                     op_bound=float(np.linalg.norm(W)))
-    op = float(np.abs(np.linalg.eigvalsh(state.W)).max())
+    op = float(np.abs(np.linalg.eigvalsh(W)).max())
     return (learner_bound_violation, state,
             replace(state, op_bound=0.9 * op))
 

@@ -10,9 +10,9 @@ from scipy.linalg import eigh_tridiagonal
 import qnprox.separation
 from qnprox.selftest import separation_violation
 from qnprox.separation import (_ritz_vector, lanczos_extreme,
-                               separation_oracle, symv)
+                               separation_oracle)
 from conftest import random_unit_opnorm
-from helpers import ProductCounter, hyperplane, lanczos_basis
+from helpers import ProductCounter, hyperplane, lanczos_basis, packed
 
 
 def stage_lengths(d, delta, q):
@@ -125,7 +125,7 @@ class TestLanczos:
                 assert lam == w[0], (k, index)
                 assert np.array_equal(_ritz_vector(basis, sign), want), (
                     k, index)
-                rayleigh = float(want @ symv(W, want))
+                rayleigh = float(want @ packed(W).matvec(want))
                 assert abs(lam - rayleigh) <= k * eps * frobenius, (k, index)
 
     # the breakdown test is relative, so at any scale c = 2^e, which every
@@ -142,7 +142,7 @@ class TestLanczos:
         for got, want in ((scaled.lam_max, plain.lam_max),
                           (scaled.lam_min, plain.lam_min)):
             assert abs(got - c * want) <= 1e-12 * abs(c * want)
-        result = separation_oracle(c * W, delta=0.05, q=0.05, seed=5)
+        result = separation_oracle(packed(c * W), delta=0.05, q=0.05, seed=5)
         assert separation_violation(result, c * W) is None
 
     @settings(max_examples=150, deadline=None)
@@ -201,7 +201,7 @@ class TestContinuedRun:
             calls.clear()
             counter.products = 0
             W = random_unit_opnorm(rng, d) * scale
-            result = separation_oracle(W, delta, q, seed=3)
+            result = separation_oracle(packed(W), delta, q, seed=3)
             assert calls == per_call, branch
             assert result.matvecs == counter.products == sum(per_call)
         assert sum(per_call) == max(n1, n2)
@@ -221,7 +221,7 @@ class TestContinuedRun:
 
         monkeypatch.setattr(qnprox.separation, "lanczos_extreme", recording)
         W = random_unit_opnorm(np.random.default_rng(31), d)
-        separation_oracle(W, delta, self.Q, seed=3)
+        separation_oracle(packed(W), delta, self.Q, seed=3)
         assert len(buffers) == 2
         assert buffers[0] is buffers[1]
         assert buffers[1].shape == (min(max(n1, n2) + 1, d), d)
@@ -230,7 +230,7 @@ class TestContinuedRun:
         n1, n2 = stage_lengths(30, 0.05, 0.05)
         W = random_unit_opnorm(np.random.default_rng(2), 30)
         generator = np.random.default_rng(5)
-        result = separation_oracle(W, 0.05, 0.05, seed=generator)
+        result = separation_oracle(packed(W), 0.05, 0.05, seed=generator)
         assert result.matvecs == max(n1, n2)
         reference = np.random.default_rng(5)
         reference.standard_normal(30)
@@ -250,7 +250,7 @@ class TestContinuedRun:
         if kind == "zero":
             W = np.zeros((d, d))
         counter = ProductCounter(monkeypatch)
-        result = separation_oracle(W, delta, q, seed=0)
+        result = separation_oracle(packed(W), delta, q, seed=0)
         assert result.matvecs == counter.products == matvecs
         assert not result.separated
         if kind == "rank-one":
@@ -274,7 +274,7 @@ class TestContinuedRun:
 
         monkeypatch.setattr(qnprox.separation, "lanczos_extreme", recording)
         W = random_unit_opnorm(np.random.default_rng(31), d)
-        result = separation_oracle(W, delta, self.Q, seed=3)
+        result = separation_oracle(packed(W), delta, self.Q, seed=3)
         (coarse, coarse_products), (fine, fine_products) = stages
         assert coarse.matvecs == coarse_products == n1
         assert fine.matvecs == fine_products == 0
@@ -301,7 +301,7 @@ class TestContinuedRun:
         with MonkeyPatch.context() as patch:
             counter = ProductCounter(patch)
             patch.setattr(qnprox.separation, "lanczos_extreme", recording)
-            result = separation_oracle(W, delta, q, seed=start)
+            result = separation_oracle(packed(W), delta, q, seed=start)
         assert len(bases) in (1, 2) and all(b is bases[0] for b in bases)
         assert result.matvecs == counter.products == bases[0].size
         n1, n2 = stage_lengths(d, delta, q)
@@ -310,7 +310,7 @@ class TestContinuedRun:
 
 class TestSeparationOracle:
     def test_zero_matrix_is_inside(self):
-        result = separation_oracle(np.zeros((8, 8)), delta=0.1, q=0.05, seed=0)
+        result = separation_oracle(packed(np.zeros((8, 8))), delta=0.1, q=0.05, seed=0)
         assert not result.separated
         assert result.gamma == 0.0
         assert np.array_equal(hyperplane(result), np.zeros((8, 8)))
@@ -319,7 +319,7 @@ class TestSeparationOracle:
         d = 10
         W = np.zeros((d, d))
         W[0, 0] = 4.0
-        result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+        result = separation_oracle(packed(W), delta=0.1, q=0.05, seed=0)
         assert result.separated
         assert 4.0 < result.gamma <= 8.0 + 1e-12
         assert abs(np.linalg.norm(hyperplane(result)) - 3.0) <= 1e-9
@@ -335,7 +335,7 @@ class TestSeparationOracle:
         inside = 0
         for seed in range(runs):
             W = random_unit_opnorm(rng, d) * 0.4
-            result = separation_oracle(W, delta=0.05, q=0.05, seed=seed)
+            result = separation_oracle(packed(W), delta=0.05, q=0.05, seed=seed)
             if not result.separated:
                 inside += 1
         assert inside >= 0.95 * runs
@@ -351,7 +351,7 @@ class TestSeparationOracle:
             target = float(rng.choice([0.3, 0.8, 1.2, 3.0]))
             W = random_unit_opnorm(rng, d) * target
             delta = 0.05
-            result = separation_oracle(W, delta=delta, q=0.05, seed=seed)
+            result = separation_oracle(packed(W), delta=delta, q=0.05, seed=seed)
             ok = separation_violation(result, W) is None
             if not result.separated:
                 assert np.array_equal(hyperplane(result), np.zeros((d, d)))
@@ -385,7 +385,7 @@ class TestSeparationOracle:
         e = np.random.default_rng(3).standard_normal(d)
         e /= np.linalg.norm(e)
         W = c * np.outer(e, e)
-        result = separation_oracle(W, delta=0.1, q=0.05, seed=0)
+        result = separation_oracle(packed(W), delta=0.1, q=0.05, seed=0)
         assert abs(result.gamma - gamma) <= 1e-12
         assert result.weight == weight
         assert result.separated == (weight != 0.0)
@@ -396,8 +396,8 @@ class TestSeparationOracle:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         W = random_unit_opnorm(rng, 9) * 1.3
-        a = separation_oracle(W, delta=0.07, q=0.02, seed=42)
-        b = separation_oracle(W, delta=0.07, q=0.02, seed=42)
+        a = separation_oracle(packed(W), delta=0.07, q=0.02, seed=42)
+        b = separation_oracle(packed(W), delta=0.07, q=0.02, seed=42)
         assert a.gamma == b.gamma
         assert a.separated == b.separated
         assert a.weight == b.weight
@@ -405,6 +405,6 @@ class TestSeparationOracle:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            separation_oracle(np.eye(3), delta=0.0, q=0.5, seed=0)
+            separation_oracle(packed(np.eye(3)), delta=0.0, q=0.5, seed=0)
         with pytest.raises(ValueError):
-            separation_oracle(np.eye(3), delta=0.1, q=1.5, seed=0)
+            separation_oracle(packed(np.eye(3)), delta=0.1, q=1.5, seed=0)

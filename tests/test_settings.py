@@ -13,6 +13,7 @@ from qnprox import BaselineConfig, SolverConfig, SyntheticLogisticSpec
 from qnprox.errors import check_at_least, check_integer, check_interval
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import lanczos_extreme, separation_oracle
+from helpers import packed
 
 # per config class: the fields a caller must pass, each integer field with
 # its minimum, and each real field with its lower bound
@@ -133,10 +134,10 @@ ROUTINE_CALLS = {
         KrylovBasis(_identity, np.ones(3)), 1.0, np.ones(3), math.nan),
     "alpha-1.0": lambda: conjugate_residual(
         KrylovBasis(_identity, np.ones(3)), 1.0, np.ones(3), 1.0),
-    "delta-nan": lambda: separation_oracle(np.eye(3), math.nan, 0.1, 0),
-    "delta-inf": lambda: separation_oracle(np.eye(3), math.inf, 0.1, 0),
-    "q-nan": lambda: separation_oracle(np.eye(3), 0.1, math.nan, 0),
-    "q-1.0": lambda: separation_oracle(np.eye(3), 0.1, 1.0, 0),
+    "delta-nan": lambda: separation_oracle(packed(np.eye(3)), math.nan, 0.1, 0),
+    "delta-inf": lambda: separation_oracle(packed(np.eye(3)), math.inf, 0.1, 0),
+    "q-nan": lambda: separation_oracle(packed(np.eye(3)), 0.1, math.nan, 0),
+    "q-1.0": lambda: separation_oracle(packed(np.eye(3)), 0.1, 1.0, 0),
     "capacity-2.0": lambda: KrylovBasis(_identity, np.ones(3), 2.0),
     "capacity-0": lambda: KrylovBasis(_identity, np.ones(3), 0),
     "iterations-1.5": lambda: lanczos_extreme(

@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -8,17 +7,18 @@ import pytest
 
 import qnprox.learner
 import qnprox.solver
-from qnprox import CountingOracle, SolverConfig, solve, write_trace_csv
-from qnprox.learner import init_learner
+from qnprox import CountingOracle, OracleCounters, SolverConfig, solve
+from qnprox.learner import learner_step
 from qnprox.solver import ALPHA1, ALPHA2, damped_iterate, momentum_weights
 from qnprox.errors import NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              gradient_query_violation, make_logistic,
                              momentum_violation, potential_violation,
                              weight_growth_violation)
-from qnprox.separation import separation_oracle
+from qnprox.separation import PackedSymmetric, separation_oracle
 from conftest import reference_minimizer
-from helpers import GradientFaultAfter, ProductCounter, QuadraticObjective
+from helpers import (GradientFaultAfter, ProductCounter, QuadraticObjective,
+                     VectorValue, traced_allocation_peak)
 
 
 class TestMomentumWeights:
@@ -408,6 +408,30 @@ class TestBadOracle:
         assert isinstance(info.value.__cause__, ValueError)
         assert len(info.value.trace.rows) >= 1
 
+    def test_value_of_wrong_shape_names_it(self):
+        # a 2-entry value is rejected by the counting oracle, not by float()
+        objective = make_logistic(48, 12, seed=0)
+        with pytest.raises(SolverError, match=r"iteration \d+: value oracle "
+                           r"returned shape \(2,\), expected a "
+                           r"scalar") as info:
+            solve(VectorValue(objective), np.zeros(12),
+                  config=SolverConfig(max_iters=5))
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_error_carries_the_counters_at_the_failure(self):
+        # with the fault at gradient query 7 the copied counters read 7,
+        # while the partial trace's last row, written before the failing
+        # iteration, reads fewer
+        oracle = CountingOracle(GradientFaultAfter(
+            make_logistic(48, 12, seed=0), 6))
+        with pytest.raises(SolverError) as info:
+            solve(oracle, np.zeros(12), config=SolverConfig(max_iters=40))
+        counters = info.value.counters
+        assert isinstance(counters, OracleCounters)
+        assert counters is not oracle.counters and counters == oracle.counters
+        assert counters.gradient_queries == 7
+        assert info.value.trace.rows[-1].grad_queries < 7
+
     def test_non_finite_value_names_stage_and_iteration(self):
         with pytest.raises(SolverError,
                            match=r"iteration \d+: value oracle") as info:
@@ -500,19 +524,32 @@ class TestMemory:
         d = 200
         objective = make_logistic(1000, d, seed=0, sigma=3.0)
         config = SolverConfig(max_iters=150, rho=1.0 / 16.0, seed=3)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            solve(objective, np.zeros(d), config=config)
-            peak = tracemalloc.get_traced_memory()[1] - baseline
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak = traced_allocation_peak(
+            lambda: solve(objective, np.zeros(d), config=config))
         assert True in separated and False in separated
         assert peak <= 2.0 * d * d * 8
+
+    def test_peak_stays_under_six_tenths_of_a_dense_matrix(self,
+                                                          monkeypatch):
+        # the packed W is half a d x d array; with the vectors of the
+        # solve, the peak at d = 300 is 0.59 d^2 doubles (1.11 when W was a
+        # full square).  This run feeds the learner without an oracle call,
+        # whose Lanczos basis would add up to d rows
+        fed = []
+
+        def stepped(*args):
+            result = learner_step(*args)
+            fed.append(result[1].matvecs)
+            return result
+
+        monkeypatch.setattr(qnprox.solver, "learner_step", stepped)
+        d = 300
+        objective = make_logistic(600, d, seed=0)
+        peak = traced_allocation_peak(lambda: solve(
+            objective, np.zeros(d),
+            config=SolverConfig(max_iters=30, rho=1.0 / 16.0, seed=0)))
+        assert fed and not any(fed)
+        assert peak < 0.6 * d * d * 8
 
     def test_kept_reports_keep_their_matrices(self, small_logistic):
         # solve holds no report across a step, but one the observer keeps is
@@ -535,37 +572,39 @@ class TestMemory:
             assert np.array_equal(report.B.dense(), B)
 
 
-class TestTriangleStorage:
-    def test_stale_upper_triangle_is_never_read(self, monkeypatch, tmp_path):
-        # W keeps only its lower triangle; with the strict upper triangle
-        # NaN from the start, a read of the full array anywhere in a solve
-        # that separates would change the trace or the counts
-        separated = []
+class TestPackedStorage:
+    def test_solve_steps_one_packed_W_and_never_forms_it(self, monkeypatch):
+        # an unobserved solve that separates keeps W in the one packed
+        # vector of d (d + 1) / 2 entries that init_learner allocates: every
+        # learner step writes into it in place, and nothing builds the
+        # dense W
+        separated, steps = [], []
 
         def recorded(*args):
             result = separation_oracle(*args)
             separated.append(result.separated)
             return result
 
-        def poisoned(*args, **kwargs):
-            state = init_learner(*args, **kwargs)
-            state.W[np.triu_indices(state.W.shape[0], 1)] = np.nan
-            return state
+        def stepped(state, sample, seed):
+            new, report = learner_step(state, sample, seed)
+            steps.append((state.W, new.W, new.W.packed))
+            return new, report
+
+        def no_dense(self, dtype=None, copy=None):
+            raise AssertionError("the solve formed the dense W")
 
         monkeypatch.setattr(qnprox.learner, "separation_oracle", recorded)
+        monkeypatch.setattr(qnprox.solver, "learner_step", stepped)
+        monkeypatch.setattr(PackedSymmetric, "__array__", no_dense)
         d = 40
         objective = make_logistic(400, d, seed=1, sigma=3.0)
-        config = SolverConfig(max_iters=150, rho=1.0 / 16.0, seed=2)
-        runs = []
-        for start in (init_learner, poisoned):
-            monkeypatch.setattr(qnprox.solver, "init_learner", start)
-            oracle = CountingOracle(objective)
-            record = solve(oracle, np.zeros(d), config=config)
-            path = tmp_path / f"{start.__name__}.csv"
-            write_trace_csv(record, path)
-            runs.append((path.read_bytes(), oracle.counters))
+        solve(objective, np.zeros(d),
+              config=SolverConfig(max_iters=150, rho=1.0 / 16.0, seed=2))
         assert True in separated
-        assert runs[0] == runs[1]
+        vector = steps[0][2]
+        assert vector.shape == (d * (d + 1) // 2,)
+        assert all(old is new and packed is vector
+                   for old, new, packed in steps)
 
 
 class TestDeterminism:

@@ -5,6 +5,8 @@ Run from the repository root:
     python3 tools/bench_snapshot.py                  # BENCH_<short HEAD>.json
     python3 tools/bench_snapshot.py --root ../parent # BENCH_<its short HEAD>.json
     python3 tools/bench_snapshot.py --compare BENCH_a.json BENCH_b.json
+    python3 tools/bench_snapshot.py --paired PARENT [--pairs N]
+                                    [--workloads W ...] [--tiny]
 
 A snapshot runs ``perfbench/run.py --seed 1 --seconds 20 --trace {0,1}`` on
 the paper, tall and wide workloads inside ``--root`` (the git checkout whose
@@ -39,12 +41,25 @@ The snapshot is written to ``BENCH_<tag>.json`` in the current directory,
 the tag being the root's short HEAD, with ``-dirty`` when its ``src`` or
 ``perfbench`` has uncommitted changes.
 
+``--paired PARENT`` times a change against its parent.  It checks the
+revision PARENT out with ``git worktree add`` into a temporary directory,
+then runs ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` N times
+(``--pairs``, default 4) in PARENT's checkout and in ``--root``'s, in
+alternating order (parent first on even pairs), per workload, and removes
+the worktree on exit.  Per time metric it prints the median, the quartiles
+and the minimum of each side, and the number of pairs where the change was
+lower; per other metric the two values, after checking that every run of a
+side gave the same one.  The block is written as ``paired`` into
+``BENCH_<tag>.json``, joining the snapshot there if one exists.
+``--tiny`` runs perfbench's tiny instances with ``--seconds 0`` and writes
+nothing.
+
 ``--compare`` prints the simplicity counts before -> after (``-`` for a
 snapshot without them), then, per workload, each end-to-end metric before
 and after with its ratio, the per-layer metrics of LAYER_METRICS from the
 trace-1 run, the trace columns whose digests differ, the largest relative
-change of ``f``, and the ladder's counts (before -> after where both files
-have a ladder).  It runs nothing.
+change of ``f``, the ladder's counts (before -> after where both files
+have a ladder), and the after file's paired block.  It runs nothing.
 """
 
 from __future__ import annotations
@@ -54,8 +69,11 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("paper", "tall", "wide")
@@ -87,6 +105,7 @@ LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
 SIMPLICITY_COUNTS = ("src_lines", "public_names", "config_fields")
+DEFAULT_PAIRS = 4
 # run in a fresh interpreter on --root's src, so the counts are that
 # checkout's, whatever this process has imported
 PUBLIC_SURFACE = (
@@ -274,6 +293,123 @@ def ladder(root: Path, tiny: bool = False) -> dict:
     return out
 
 
+def perfbench_result(checkout: Path, workload: str, tiny: bool) -> dict:
+    """The JSON result line of one trace-0 perfbench run in ``checkout``,
+    with its ``exit_code``."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload,
+               "--seed", str(SEED), "--seconds", "0" if tiny else str(SECONDS),
+               "--trace", "0", *(["--tiny"] if tiny else [])]
+    print(f"+ ({checkout}) " + " ".join(command[1:]), file=sys.stderr,
+          flush=True)
+    proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited "
+                           f"{proc.returncode} with no result:\n"
+                           f"{proc.stderr[-2000:]}") from None
+    return {**result, "exit_code": proc.returncode}
+
+
+def spread(values: list) -> dict:
+    """Median, quartiles and minimum of ``values``."""
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        q1 = median = q3 = ordered[0]
+    else:
+        q1, median, q3 = statistics.quantiles(ordered, n=4,
+                                              method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "min": ordered[0]}
+
+
+def paired_summary(parent: list, change: list) -> dict:
+    """One workload's paired block from the parent's and the change's
+    results, pair i being ``parent[i]`` and ``change[i]``: per time metric
+    (unit ``s``) each side's values and :func:`spread`, and the pairs where
+    the change was lower; per other metric the first value of each side,
+    with ``unequal`` naming the metrics whose value differs between two
+    runs of one side; and the runs that did not exit 0."""
+    times, counts, unequal = {}, {}, []
+    for name, entry in parent[0]["metrics"].items():
+        sides = {side: [run["metrics"][name]["value"] for run in runs]
+                 for side, runs in (("parent", parent), ("change", change))}
+        if entry["unit"] == "s":
+            times[name] = {
+                **{side: {**spread(v), "values": v}
+                   for side, v in sides.items()},
+                "lower": sum(b < a for a, b in zip(sides["parent"],
+                                                   sides["change"]))}
+        else:
+            counts[name] = {side: v[0] for side, v in sides.items()}
+            if any(len(set(v)) > 1 for v in sides.values()):
+                unequal.append(name)
+    failed = {side: sum(run["exit_code"] != 0 for run in runs)
+              for side, runs in (("parent", parent), ("change", change))}
+    return {"time": times, "counts": counts, "unequal": unequal,
+            "failed_runs": failed}
+
+
+def paired(root: Path, parent: str, pairs: int, workloads,
+           tiny: bool = False) -> dict:
+    """The paired block (module docstring) of ``root`` against the
+    revision ``parent``, checked out with ``git worktree add`` into a
+    temporary directory that is removed on exit."""
+    commit = subprocess.run(["git", "rev-parse", "--verify",
+                             f"{parent}^{{commit}}"], cwd=root, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    scratch = Path(tempfile.mkdtemp(prefix="bench-paired-"))
+    checkout = scratch / "parent"
+    subprocess.run(["git", "worktree", "add", "--detach", str(checkout),
+                    commit], cwd=root, check=True, capture_output=True)
+    try:
+        blocks = {}
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for i in range(pairs):
+                order = [("parent", checkout), ("change", root)]
+                for side, path in order[::-1] if i % 2 else order:
+                    runs[side].append(perfbench_result(path, workload, tiny))
+            blocks[workload] = paired_summary(runs["parent"], runs["change"])
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force",
+                        str(checkout)], cwd=root, capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=root,
+                       capture_output=True)
+    return {"parent": parent, "parent_commit": commit, "pairs": pairs,
+            "seed": SEED, "seconds": 0 if tiny else SECONDS, "tiny": tiny,
+            "command": "python3 perfbench/run.py --workload W "
+                       f"--seed {SEED} --seconds "
+                       f"{0 if tiny else SECONDS} --trace 0"
+                       + (" --tiny" if tiny else ""),
+            "workloads": blocks}
+
+
+def print_paired(block: dict) -> None:
+    """Per workload and time metric ``parent median [q1, q3] min ->
+    change median [q1, q3] min``, the ratio of the medians and the pairs
+    where the change was lower; then the other metrics, parent -> change."""
+    print(f"\npaired: {block['parent']} ({block['parent_commit'][:7]}) -> "
+          f"change, {block['pairs']} pairs in alternating order, "
+          f"{block['command']}")
+    for workload, entry in block["workloads"].items():
+        width = max(map(len, (*entry["time"], *entry["counts"])))
+        print(f"  {workload}")
+        for name, t in entry["time"].items():
+            a, b = t["parent"], t["change"]
+            cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}] "
+                     f"min {s['min']:.4g}" for s in (a, b)]
+            ratio = f"x{b['median'] / a['median']:.3f}" if a["median"] else "-"
+            print(f"    {name:{width}s} {cells[0]} -> {cells[1]} {ratio} "
+                  f"lower {t['lower']}/{block['pairs']}")
+        for name, c in entry["counts"].items():
+            print(f"    {name:{width}s} {c['parent']:.6g} -> {c['change']:.6g}")
+        print(f"    unequal within a side: {entry['unequal'] or 'none'}; "
+              f"runs that failed: {entry['failed_runs']}")
+
+
 def print_ladder(before, after: dict) -> None:
     """The ladder's counts as iterations/gradient queries per gap (with
     /matvecs in the rho row), ``before -> after`` where they differ."""
@@ -346,6 +482,8 @@ def compare(before: dict, after: dict) -> None:
             print(f"  trace rows: {old_trace['rows']} -> {new_trace['rows']}")
     if "ladder" in after:
         print_ladder(before.get("ladder"), after["ladder"])
+    if "paired" in after:
+        print_paired(after["paired"])
 
 
 def main(argv=None) -> int:
@@ -355,6 +493,14 @@ def main(argv=None) -> int:
                              "directory)")
     parser.add_argument("--compare", nargs=2, type=Path,
                         metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--paired", metavar="PARENT",
+                        help="time --root against this git revision")
+    parser.add_argument("--pairs", type=int, default=DEFAULT_PAIRS)
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                        default=list(WORKLOADS))
+    parser.add_argument("--tiny", action="store_true",
+                        help="with --paired: perfbench's tiny instances, "
+                             "nothing written")
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (json.loads(p.read_text()) for p in args.compare)
@@ -363,6 +509,17 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     tag = git_short_head(root) + ("-dirty" if git_dirty(root) else "")
     out = Path(f"BENCH_{tag}.json")
+    if args.paired:
+        block = paired(root, args.paired, args.pairs, args.workloads,
+                       args.tiny)
+        print_paired(block)
+        if not args.tiny:
+            data = json.loads(out.read_text()) if out.exists() else {
+                "tag": tag}
+            data["paired"] = block
+            out.write_text(json.dumps(data, indent=1) + "\n")
+            print(f"wrote {out}", file=sys.stderr)
+        return 0
     data = snapshot(root, tag)
     for variable in BLAS_THREAD_VARIABLES:
         os.environ[variable] = "1"
