@@ -509,8 +509,9 @@ class TestCustomInitialMatrix:
 
 class TestMemory:
     def test_peak_stays_under_three_dense_matrices(self, monkeypatch):
-        # an unobserved solve holds one d x d array, W, updated in place,
-        # plus the Lanczos basis and vectors (1.55 d^2 measured); this
+        # an unobserved solve holds W, packed into half a d x d array and
+        # updated in place, plus the Lanczos basis and vectors (0.84 d^2
+        # doubles measured, 1.35 when W was a full square); this
         # d = 200 run calls the separation oracle and one call separates, so
         # both curvature scales occur
         separated = []
