@@ -7,9 +7,9 @@ produces the loss
     loss(B) = ||w - B s||^2 / ||s||^2,
 
 with w the gradient difference and s the displacement of the rejected trial
-iterate.  The sample carries B s as well: the line search reads it off its
-Krylov basis of B (``qnprox.line_search``), so a step takes no product with
-B, and its only products are the separation oracle's.  B is updated by
+iterate.  The line search builds the sample (``qnprox.line_search``) and
+reads its B s off its Krylov basis of B, so a step takes no product with B,
+and its only products are the separation oracle's.  B is updated by
 projection-free online gradient descent on the rescaled variable
 B_hat = (2 / L1) (B - (L1 / 2) I), which lives in the unit operator-norm
 ball: the auxiliary iterate W is projected onto the Frobenius ball of radius

@@ -19,14 +19,13 @@ costs as many products as its largest Krylov dimension, not the sum over its
 trials.  The iterates are the conjugate-residual iterates in exact
 arithmetic, so each trial stops at the same dimension as a fresh solve.
 
-Step sizes shrink geometrically by beta until acceptance; the last rejected
-candidate (and its gradient, already paid for) is returned so the caller can
-build a curvature loss sample without extra gradient queries.  Its
-displacement s is returned as solved, with B s read off the shared basis by
-the Lanczos relation (``KrylovBasis.image``): the loss sample costs no
-gradient query and no product with B.  Acceptance is
-guaranteed once eta < alpha2 / (L1 + ||B||_op), so with consistent inputs the
-loop is finite.
+Step sizes shrink geometrically by beta until acceptance.  The last
+rejected trial x~ = y + s is returned as the learner's loss sample
+(:class:`~qnprox.learner.LossSample`): w = grad_f(x~) - g from the gradient
+already paid for, s as solved, and B s read off the shared basis by the
+Lanczos relation (``KrylovBasis.image``), so the sample costs no gradient
+query and no product with B.  Acceptance is guaranteed once
+eta < alpha2 / (L1 + ||B||_op), so with consistent inputs the loop is finite.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
+from .learner import LossSample
 from .linear_solver import KrylovBasis, conjugate_residual
 
 UNDERFLOW_RATIO = 1e-16
@@ -44,22 +44,19 @@ UNDERFLOW_RATIO = 1e-16
 
 @dataclass(frozen=True)
 class LineSearchOutcome:
-    """Accepted pair plus the cached rejected trial, if any.
+    """Accepted pair plus the loss sample of the last rejected trial.
 
-    ``x_tilde``, ``grad_at_x_tilde``, ``s_tilde`` and ``Bs_tilde`` are
-    present iff the search backtracked, and come from the trial at step size
-    eta_hat / beta: ``s_tilde`` is its solved displacement (x_tilde is
-    y + s_tilde) and ``Bs_tilde`` its product with B, read off the basis.
+    ``rejected`` is None iff the first trial was accepted.  Otherwise it is
+    the trial at step size eta_hat / beta: ``rejected.s`` its solved
+    displacement (the trial point is y + s), ``rejected.w`` the gradient
+    there minus g and ``rejected.Bs`` the product with B, read off the basis.
     """
 
     eta_hat: float
     x_hat: np.ndarray
     grad_at_x_hat: np.ndarray
     backtracks: int
-    x_tilde: Optional[np.ndarray]
-    grad_at_x_tilde: Optional[np.ndarray]
-    s_tilde: Optional[np.ndarray]
-    Bs_tilde: Optional[np.ndarray]
+    rejected: Optional[LossSample]
     matvecs: int
 
 
@@ -78,9 +75,7 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
     """
     sigma = alpha1 + alpha2
     eta_hat = float(eta_init)
-    x_tilde = None
-    grad_tilde = None
-    rejected = None
+    rejected = grad_rejected = None
     backtracks = 0
     matvecs = 0
     basis = KrylovBasis(lambda v: B @ v, g)
@@ -101,17 +96,13 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
         proximal_residual = float(np.linalg.norm(
             x_hat - y + eta_hat * grad_hat))
         if proximal_residual <= sigma * displacement:
-            s_tilde = Bs_tilde = None
+            sample = None
             if rejected is not None:
-                s_tilde = rejected.s
-                Bs_tilde = basis.image(rejected.coefficients)
+                sample = LossSample(w=grad_rejected - g, s=rejected.s,
+                                    Bs=basis.image(rejected.coefficients))
             return LineSearchOutcome(
                 eta_hat=eta_hat, x_hat=x_hat, grad_at_x_hat=grad_hat,
-                backtracks=backtracks, x_tilde=x_tilde,
-                grad_at_x_tilde=grad_tilde, s_tilde=s_tilde,
-                Bs_tilde=Bs_tilde, matvecs=matvecs)
-        x_tilde = x_hat
-        grad_tilde = grad_hat
-        rejected = solve
+                backtracks=backtracks, rejected=sample, matvecs=matvecs)
+        rejected, grad_rejected = solve, grad_hat
         eta_hat *= beta
         backtracks += 1

@@ -207,10 +207,10 @@ def conjugate_residual(basis: KrylovBasis, eta: float, b: np.ndarray,
     # phi: the QR's last right-hand-side entry, +/- the residual norm
     phi = basis.coordinate(b, b_norm) if b_norm > 0.0 else 0.0
     history = [abs(phi)]
-    columns = b.shape[0]
-    # R by diagonals, as BLAS dtbsv reads an upper band with 2 superdiagonals
-    R = np.zeros((3, columns), order="F")
-    t = np.empty(columns)
+    # R by diagonals, as BLAS dtbsv reads an upper band with 2 superdiagonals,
+    # and t, with a column per row of the basis buffer
+    R = np.zeros((3, basis.vectors.shape[0]), order="F")
+    t = np.empty(basis.vectors.shape[0])
     c_old = c_last = 1.0   # the rotations of columns k - 2 and k - 1
     s_old = s_last = 0.0
     y = np.zeros(0)
@@ -226,6 +226,9 @@ def conjugate_residual(basis: KrylovBasis, eta: float, b: np.ndarray,
                     "conjugate residual: the Krylov space is invariant at "
                     f"dimension {k} but the residual is {abs(phi):.3e}")
             basis.extend()
+        if k == t.shape[0]:  # the basis buffer grew: widen R and t with it
+            wider = (0, basis.vectors.shape[0] - k)
+            R, t = np.pad(R, ((0, 0), wider)), np.pad(t, wider)
         # column k of I + eta T: rows k - 1, k and k + 1
         above = eta * basis.betas[k - 1] if k > 0 else 0.0
         diagonal = 1.0 + eta * basis.alphas[k]

@@ -106,7 +106,7 @@ def weight_growth_violation(reports, beta, rtol=1e-12):
     const = (1.0 - math.sqrt(beta)) ** 2 / (4.0 * (2.0 - math.sqrt(beta)) ** 2)
     partial = 0.0
     for rep in reports:
-        partial += math.sqrt(rep.eta_hat)
+        partial += math.sqrt(rep.search.eta_hat)
         if not rep.A >= const * partial ** 2 * (1.0 - rtol):
             return f"A = {rep.A:.3e} below its growth bound at k={rep.k}"
     return None
@@ -142,38 +142,39 @@ def fed_loss_violation(losses, L1, rtol=1e-8):
     return None
 
 
-def step_size_bound_violation(trial, y, g, B, alpha2, beta, rtol=1e-10):
+def step_size_bound_violation(outcome, y, g, B, alpha2, beta, rtol=1e-10):
     """After a backtrack from anchor y with gradient g and curvature B,
-    eta_hat >= alpha2 beta ||x_tilde - y|| / ||grad(x_tilde) - g - B (x_tilde - y)||.
-    ``trial`` is a LineSearchOutcome or an IterationReport."""
-    if trial.x_tilde is None:
+    eta_hat >= alpha2 beta ||x~ - y|| / ||grad(x~) - g - B (x~ - y)||, for
+    the line search ``outcome`` and its rejected trial x~ = y + s."""
+    if outcome.rejected is None:
         return None
-    displacement = trial.x_tilde - y
-    model_error = trial.grad_at_x_tilde - g - B @ displacement
+    displacement = (y + outcome.rejected.s) - y
+    model_error = outcome.rejected.w - B @ displacement
     bound = (alpha2 * beta * float(np.linalg.norm(displacement))
              / float(np.linalg.norm(model_error)))
-    if not trial.eta_hat >= bound * (1.0 - rtol):
-        return f"step {trial.eta_hat:.6e} below its lower bound {bound:.6e}"
+    if not outcome.eta_hat >= bound * (1.0 - rtol):
+        return f"step {outcome.eta_hat:.6e} below its lower bound {bound:.6e}"
     return None
 
 
-def displacement_violation(trial, y, alpha1, beta, rtol=1e-10):
+def displacement_violation(outcome, y, alpha1, beta, rtol=1e-10):
     """After a backtrack from anchor y,
-    ||x_tilde - y|| <= (1 + alpha1) / (beta (1 - alpha1)) ||x_hat - y||."""
-    if trial.x_tilde is None:
+    ||x~ - y|| <= (1 + alpha1) / (beta (1 - alpha1)) ||x_hat - y||, for the
+    line search ``outcome`` and its rejected trial x~ = y + s."""
+    if outcome.rejected is None:
         return None
     ratio = (1.0 + alpha1) / (beta * (1.0 - alpha1))
-    if not (np.linalg.norm(trial.x_tilde - y)
-            <= ratio * np.linalg.norm(trial.x_hat - y) * (1.0 + rtol)):
+    if not (np.linalg.norm((y + outcome.rejected.s) - y)
+            <= ratio * np.linalg.norm(outcome.x_hat - y) * (1.0 + rtol)):
         return "rejected trial too far from the anchor"
     return None
 
 
-def backtrack_violation(trial, y, g, B, alpha1, alpha2, beta, rtol=1e-10):
-    """Both backtrack relations: the step-size lower bound, then the
-    displacement relation."""
-    return (step_size_bound_violation(trial, y, g, B, alpha2, beta, rtol)
-            or displacement_violation(trial, y, alpha1, beta, rtol))
+def backtrack_violation(outcome, y, g, B, alpha1, alpha2, beta, rtol=1e-10):
+    """Both backtrack relations of a line search ``outcome``: the step-size
+    lower bound, then the displacement relation."""
+    return (step_size_bound_violation(outcome, y, g, B, alpha2, beta, rtol)
+            or displacement_violation(outcome, y, alpha1, beta, rtol))
 
 
 def conjugate_residual_violation(result, A, b, alpha, rtol=1e-9,
@@ -349,7 +350,7 @@ def check_solver_certificate():
         potential_violation(reports, objective, x_star, f_star, x0),
         weight_growth_violation(reports, c.beta),
         gradient_query_violation(record),
-        *(backtrack_violation(rep, rep.y, rep.grad_at_y, rep.B_used,
+        *(backtrack_violation(rep.search, rep.y, rep.grad_at_y, rep.B_used,
                               ALPHA1, ALPHA2, c.beta) for rep in reports),
     ]), None)
 

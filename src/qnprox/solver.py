@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import (ConfigurationError, SolverError, check_at_least,
                      check_integer, check_interval)
-from .learner import (DEFAULT_STEP_SIZE, Curvature, LearnerState, LossSample,
+from .learner import (DEFAULT_STEP_SIZE, Curvature, LearnerState,
                       init_learner, learner_step)
-from .line_search import backtracking_search
+from .line_search import LineSearchOutcome, backtracking_search
 from .oracles import CountingOracle, checked_input, estimate_smoothness
 from .trace import RunRecord, TraceRow, format_float
 
@@ -70,23 +70,20 @@ class SolverState:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Internals of one iteration, for invariant checks and diagnostics."""
+    """Internals of one iteration, for invariant checks and diagnostics.
+    ``search`` is the line search's outcome from ``y``, with ``grad_at_y``
+    and ``B_used``; on case II the learner was fed ``search.rejected``."""
 
     k: int
     a: float
     eta: float
-    eta_hat: float
     case: str
-    backtracks: int
     y: np.ndarray
-    x_hat: np.ndarray
     x: np.ndarray
     z: np.ndarray
     A: float
-    grad_norm_at_x_hat: float
-    x_tilde: Optional[np.ndarray]
     grad_at_y: np.ndarray
-    grad_at_x_tilde: Optional[np.ndarray]
+    search: LineSearchOutcome
     loss_fed: Optional[float]
     B_used: Curvature
     B: Curvature
@@ -121,9 +118,10 @@ def precision_floor(L1: float, y: np.ndarray) -> float:
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
          rng: np.random.Generator, *, observed: bool
          ) -> Optional[tuple[SolverState, IterationReport]]:
-    """Advance one iteration; feeds the learner only when backtracked and
-    books the iteration's reported matvecs on ``oracle.counters``.  Returns
-    None when the gradient at the anchor is at the precision floor.
+    """Advance one iteration; feeds the learner only when backtracked, with
+    the line search's sample of its rejected trial as it is, and books the
+    iteration's reported matvecs on ``oracle.counters``.  Returns None when
+    the gradient at the anchor is at the precision floor.
 
     The learner step consumes ``state.learner``'s W.  When ``observed``, it
     steps on a copy instead, so the report's ``B_used`` is never written
@@ -159,12 +157,11 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         z_next = state.z - gamma * a * outcome.grad_at_x_hat
         A_next = state.A + gamma * a
         eta_next = outcome.eta_hat
-        sample = LossSample(w=outcome.grad_at_x_tilde - grad_y,
-                            s=outcome.s_tilde, Bs=outcome.Bs_tilde)
         learner = state.learner
         if observed:
             learner = replace(learner, W=learner.W.copy())
-        learner, learner_report = learner_step(learner, sample, rng)
+        learner, learner_report = learner_step(learner, outcome.rejected,
+                                               rng)
         case = CASE_DAMPED
         loss_fed = learner_report.loss_value
         learner_matvecs = learner_report.matvecs
@@ -173,12 +170,8 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     next_state = SolverState(x=x_next, z=z_next, A=A_next, eta=eta_next,
                              learner=learner, k=state.k + 1)
     report = IterationReport(
-        k=state.k, a=a, eta=state.eta, eta_hat=outcome.eta_hat, case=case,
-        backtracks=outcome.backtracks, y=y, x_hat=outcome.x_hat, x=x_next,
-        z=z_next, A=A_next,
-        grad_norm_at_x_hat=float(np.linalg.norm(outcome.grad_at_x_hat)),
-        x_tilde=outcome.x_tilde, grad_at_y=grad_y,
-        grad_at_x_tilde=outcome.grad_at_x_tilde, loss_fed=loss_fed,
+        k=state.k, a=a, eta=state.eta, case=case, y=y, x=x_next, z=z_next,
+        A=A_next, grad_at_y=grad_y, search=outcome, loss_fed=loss_fed,
         B_used=state.learner.B, B=learner.B, gamma=gamma)
     return next_state, report
 
@@ -249,15 +242,15 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
             record.append(TraceRow(
                 iteration=state.k,
                 f_value=float(oracle.value(state.x)),
-                eta_hat=report.eta_hat,
+                eta_hat=report.search.eta_hat,
                 case=report.case,
-                backtracks=report.backtracks,
+                backtracks=report.search.backtracks,
                 grad_queries=counters.gradient_queries,
                 matvecs=counters.matvecs,
             ))
             if observer is not None:
                 observer(report)
-            if report.grad_norm_at_x_hat <= config.tolerance:
+            if np.linalg.norm(report.search.grad_at_x_hat) <= config.tolerance:
                 break
             del advanced, report  # the next step holds no finished report
     except Exception as exc:

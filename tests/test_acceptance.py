@@ -98,10 +98,10 @@ def test_c06_loss_bound(criterion_run, logistic_instance):
 @criterion(7, "step-size lower bound and displacement relation when backtracked")
 def test_c07_backtrack_relations(criterion_run):
     _, reports, config = criterion_run
-    backtracked = [rep for rep in reports if rep.x_tilde is not None]
+    backtracked = [rep for rep in reports if rep.search.rejected is not None]
     assert backtracked
     for rep in backtracked:
-        assert backtrack_violation(rep, rep.y, rep.grad_at_y, rep.B_used,
+        assert backtrack_violation(rep.search, rep.y, rep.grad_at_y, rep.B_used,
                                    ALPHA1, ALPHA2, config.beta) is None
 
 

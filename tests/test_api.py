@@ -18,8 +18,7 @@ import qnprox.separation
 import qnprox.solver
 from qnprox.learner import init_learner
 from qnprox.linear_solver import KrylovBasis
-from helpers import (ProductCounter, QuadraticObjective, lanczos_basis,
-                     loss_sample, packed)
+from helpers import ProductCounter, QuadraticObjective, lanczos_basis, packed
 
 SUPPORTED = [
     "solve", "SolverConfig",
@@ -153,15 +152,15 @@ def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     oracle = qnprox.CountingOracle(QuadraticObjective(np.eye(d)))
     y = np.ones(d)
     g = oracle.gradient(y)
+    state = init_learner(d, 1.0)
     outcome = qnprox.solver.backtracking_search(
-        y, g, np.zeros((d, d)), 64.0, 0.1, 0.85, 0.5, oracle)
+        y, g, state.B, 64.0, 0.1, 0.85, 0.5, oracle)
     # perfbench counts backtracks + 1 trials, one gradient query each
     assert outcome.backtracks >= 1
     assert oracle.counters.gradient_queries == 1 + outcome.backtracks + 1
 
-    state = init_learner(d, 1.0)
-    sample = loss_sample(state.B, 3.0 * np.ones(d), np.ones(d))
-    report = qnprox.solver.learner_step(state, sample, 0)[1]
+    # the learner is fed the search's sample, made at the learner's B
+    report = qnprox.solver.learner_step(state, outcome.rejected, 0)[1]
     # the learner's count is its separation call's; the norm bound skips
     # this one
     assert report.matvecs == 0

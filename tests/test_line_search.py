@@ -36,7 +36,7 @@ class TestAcceptance:
         assert outcome.backtracks == 0
         assert outcome.eta_hat == 7.0
         assert np.array_equal(outcome.x_hat, y)
-        assert outcome.x_tilde is None
+        assert outcome.rejected is None
 
     def test_exact_curvature_accepts_any_initial_step(self):
         # with B equal to the true Hessian of a quadratic the model error
@@ -167,12 +167,13 @@ class TestInvariants:
             assert outcome.eta_hat >= floor * (1.0 - 1e-10)
 
     def test_cached_gradients_match_oracle(self, backtracked):
-        for _, _, _, outcome, _, objective in backtracked:
+        for y, g, _, outcome, _, objective in backtracked:
             assert np.array_equal(outcome.grad_at_x_hat,
                                   objective.gradient(outcome.x_hat))
-            if outcome.x_tilde is not None:
-                assert np.array_equal(outcome.grad_at_x_tilde,
-                                      objective.gradient(outcome.x_tilde))
+            rejected = outcome.rejected
+            if rejected is not None:
+                assert np.array_equal(
+                    rejected.w, objective.gradient(y + rejected.s) - g)
 
 
 def test_search_allocates_no_d_by_d_array():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnprox.errors import NumericsError
-from qnprox.linear_solver import KrylovBasis, conjugate_residual
+from qnprox.linear_solver import (INITIAL_ROWS, KrylovBasis,
+                                  conjugate_residual)
 from qnprox.selftest import conjugate_residual_violation
 from conftest import random_psd
-from helpers import CountingMatrix
+from helpers import CountingMatrix, traced_allocation_peak
 
 
 def allocating_conjugate_residual(apply_A, b, alpha):
@@ -212,6 +213,36 @@ class TestSharedBasis:
             assert size < basis.vectors.shape[0] <= max(8, 2 * size)
             Q = basis.vectors[:size + 1]
             assert np.allclose(Q @ Q.T, np.eye(size + 1), atol=1e-12)
+
+
+    def test_solve_on_a_built_basis_allocates_less_than_four_vectors(self):
+        # the QR's band and right-hand sides have one column per basis row,
+        # not d: on a basis already at the call's dimension, one call
+        # allocates less than 4 d doubles, its iterate s included
+        d = 300
+        diagonal = np.linspace(1.0, 10.0, d)
+        g = np.random.default_rng(7).standard_normal(d)
+        basis = KrylovBasis(lambda v: diagonal * v, g)
+        first = conjugate_residual(basis, 0.5, -0.5 * g, 0.1)
+        b = -0.5 * g
+        results = []
+        peak = traced_allocation_peak(lambda: results.append(
+            conjugate_residual(basis, 0.5, b, 0.1)))
+        assert first.iterations > 1 and results[0].matvecs == 0
+        assert np.array_equal(results[0].s, first.s)
+        assert peak < 4 * d * np.dtype(float).itemsize
+
+    def test_band_widens_with_the_basis_buffer(self):
+        # a solve past INITIAL_ROWS dimensions widens its band with the
+        # basis and still meets the contract
+        d = 60
+        B = np.diag(np.linspace(0.0, 1.0, d))
+        b = np.ones(d)
+        result = shifted_solve(B, 400.0, b, 1e-3)
+        assert result.iterations > 2 * INITIAL_ROWS
+        A = np.eye(d) + 400.0 * B
+        assert (np.linalg.norm(A @ result.s - b)
+                <= 1e-3 * np.linalg.norm(result.s))
 
 
 class TestImage:

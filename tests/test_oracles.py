@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qnprox import CountingOracle, NumericsError, SolverConfig, solve
-from qnprox.oracles import PROBES, estimate_smoothness
+from qnprox.oracles import (PROBE_ACCURACY, PROBE_FAILURE, PROBES,
+                            estimate_smoothness)
+from qnprox.separation import _lanczos_rounds
 from qnprox.selftest import symmetrize
 from conftest import make_logistic
 from helpers import CountingMatrix, QuadraticObjective
@@ -193,6 +197,19 @@ class TestEstimateSmoothness:
         counted.hessian = quadratic.hessian
         estimate_smoothness(counted, np.zeros(d), seed=0)
         assert counted.calls == 0
+
+    def test_gradient_only_probe_takes_the_random_start_count(self):
+        # each point's basis stops at the Kuczynski-Wozniakowski count k,
+        # below d = 300: at most k products of two gradient calls a point
+        d = 300
+        k = math.ceil(_lanczos_rounds(d, PROBE_FAILURE)
+                      / (4.0 * math.sqrt(PROBE_ACCURACY)) + 0.5)
+        assert k < d
+        diagonal = np.linspace(0.0, 2.0, d)
+        objective = GradientCounter(d, lambda x: diagonal * x)
+        estimate = estimate_smoothness(objective, np.zeros(d), seed=0)
+        assert objective.calls <= 2 * k * (PROBES + 1)
+        assert 2.0 <= estimate <= 2.2 + 1e-9
 
     def test_non_finite_probe_point_raises(self):
         # gradient 3 x inside the unit ball and NaN outside: the random probe

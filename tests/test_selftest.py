@@ -86,23 +86,26 @@ def fed_loss(run):
 
 
 def backtracked_report(run):
-    return next(rep for rep in run.reports if rep.x_tilde is not None)
+    return next(rep for rep in run.reports
+                if rep.search.rejected is not None)
 
 
-def backtrack_check(run):
+def backtrack_check(run, rep):
     c = run.config
-    return lambda rep: backtrack_violation(rep, rep.y, rep.grad_at_y,
-                                           rep.B_used, ALPHA1, ALPHA2, c.beta)
+    return lambda outcome: backtrack_violation(
+        outcome, rep.y, rep.grad_at_y, rep.B_used, ALPHA1, ALPHA2, c.beta)
 
 
 def backtrack_step(run):
     rep = backtracked_report(run)
-    return backtrack_check(run), rep, replace(rep, eta_hat=0.0)
+    return (backtrack_check(run, rep), rep.search,
+            replace(rep.search, eta_hat=0.0))
 
 
 def backtrack_displacement(run):
     rep = backtracked_report(run)
-    return backtrack_check(run), rep, replace(rep, x_hat=rep.y)
+    return (backtrack_check(run, rep), rep.search,
+            replace(rep.search, x_hat=rep.y))
 
 
 def conjugate_residual_cap(run):

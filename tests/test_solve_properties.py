@@ -95,8 +95,8 @@ def violations(objective, x_star, f_star, config, record, reports, states,
     yield weight_growth_violation(reports, config.beta)
     yield gradient_query_violation(record)
     yield fed_loss_violation(losses, float(record.metadata["L1"]))
-    yield from (backtrack_violation(rep, rep.y, rep.grad_at_y, rep.B_used,
-                                    ALPHA1, ALPHA2, config.beta)
+    yield from (backtrack_violation(rep.search, rep.y, rep.grad_at_y,
+                                    rep.B_used, ALPHA1, ALPHA2, config.beta)
                 for rep in reports)
     yield from map(learner_bound_violation, states)
 
@@ -178,7 +178,8 @@ def test_backtrack_relations_fail_only_at_the_precision_floor():
                                                               config)
     assert record.metadata["stopped"] == "precision_floor"
     near_floor = [rep for rep in reports if backtrack_violation(
-        rep, rep.y, rep.grad_at_y, rep.B_used, ALPHA1, ALPHA2, config.beta)]
+        rep.search, rep.y, rep.grad_at_y, rep.B_used, ALPHA1, ALPHA2,
+        config.beta)]
     for rep in near_floor:
         assert (np.linalg.norm(rep.grad_at_y)
                 <= 2.0 * precision_floor(objective.smoothness, rep.y))

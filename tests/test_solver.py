@@ -65,7 +65,7 @@ class TestStepUpdates:
         rep = reports[0]
         assert rep.case == "I"
         assert rep.A == sigma0
-        assert rep.eta_hat == sigma0
+        assert rep.search.eta_hat == sigma0
         grad = small_logistic.gradient(rep.x)
         assert np.allclose(rep.z, z0 - sigma0 * grad, rtol=1e-12, atol=1e-15)
 
@@ -79,7 +79,7 @@ class TestStepUpdates:
                   observer=reports.append)
             rep = reports[0]
             assert rep.case == expected_case
-            assert math.isclose(rep.A, rep.eta_hat, rel_tol=1e-15)
+            assert math.isclose(rep.A, rep.search.eta_hat, rel_tol=1e-15)
 
     def test_case_two_feeds_learner(self, small_logistic):
         config = SolverConfig(max_iters=40, seed=0)
@@ -91,7 +91,7 @@ class TestStepUpdates:
         for rep in damped:
             assert rep.loss_fed is not None
             assert rep.gamma is not None and 0.0 < rep.gamma < 1.0
-            assert rep.x_tilde is not None
+            assert rep.search.rejected is not None
         accepted = [r for r in reports if r.case == "I"]
         for rep in accepted:
             assert rep.loss_fed is None
@@ -185,7 +185,8 @@ class TestSolveInvariants:
         record, reports, config, x_star = observed_run
         sigma = ALPHA1 + ALPHA2
         total = sum((rep.a / rep.eta) ** 2
-                    * float((rep.x_hat - rep.y) @ (rep.x_hat - rep.y))
+                    * float((rep.search.x_hat - rep.y)
+                            @ (rep.search.x_hat - rep.y))
                     for rep in reports)
         bound = float(x_star @ x_star) / (1.0 - sigma ** 2)
         assert total <= bound * (1.0 + 1e-10)
@@ -201,7 +202,7 @@ class TestSolveInvariants:
         record, reports, config, _ = observed_run
         beta, alpha2 = config.beta, ALPHA2
         sigma0 = ALPHA2 / small_logistic.smoothness
-        lhs = sum(1.0 / rep.eta_hat ** 2 for rep in reports)
+        lhs = sum(1.0 / rep.search.eta_hat ** 2 for rep in reports)
         fed = sum(rep.loss_fed for rep in reports if rep.loss_fed is not None)
         rhs = ((2.0 - beta ** 2) / ((1.0 - beta ** 2) * sigma0 ** 2)
                + (2.0 - beta ** 2)
@@ -641,7 +642,7 @@ def test_fed_samples_carry_the_product_with_the_matrix_used(
         logistic_instance, monkeypatch):
     # the learner takes B s from the line search's basis, not by a product:
     # on every fed sample it must be the product with the matrix the line
-    # search used, and s the rejected trial's displacement x_tilde - y.
+    # search used, and s the rejected trial's displacement (y + s) - y.
     # rho = 1/16 makes separating calls, so some samples meet a scaled W
     fed = []
 
@@ -655,12 +656,38 @@ def test_fed_samples_carry_the_product_with_the_matrix_used(
     solve(logistic_instance, x0, config=SolverConfig(max_iters=300,
                                                      rho=1.0 / 16.0, seed=0),
           observer=reports.append)
-    backtracked = [rep for rep in reports if rep.x_tilde is not None]
+    backtracked = [rep for rep in reports if rep.search.rejected is not None]
     assert len(fed) == len(backtracked) > 0
     assert any(certificate is not None for _, _, certificate in fed)
     eps = np.finfo(float).eps
     for (sample, product, _), rep in zip(fed, backtracked):
         assert (np.linalg.norm(sample.Bs - product)
                 <= 1e-12 * np.linalg.norm(product))
-        assert (np.linalg.norm(sample.s - (rep.x_tilde - rep.y))
+        assert (np.linalg.norm(sample.s
+                               - ((rep.y + rep.search.rejected.s) - rep.y))
                 <= 4.0 * eps * np.linalg.norm(rep.y))
+
+
+def test_learner_is_fed_the_search_sample_itself(logistic_instance,
+                                                 monkeypatch):
+    # step builds no sample: on every backtracked iteration the learner
+    # receives the line search's report.search.rejected as it is, and the
+    # search holds a sample exactly when it backtracked (case II)
+    fed = []
+
+    def recording(state, sample, seed):
+        fed.append(sample)
+        return qnprox.learner.learner_step(state, sample, seed)
+
+    monkeypatch.setattr(qnprox.solver, "learner_step", recording)
+    reports = []
+    x0 = np.zeros(logistic_instance.dimension)
+    solve(logistic_instance, x0, config=SolverConfig(max_iters=200, seed=0),
+          observer=reports.append)
+    for rep in reports:
+        assert (rep.search.rejected is None) == (rep.case == "I")
+        assert (rep.search.rejected is None) == (rep.search.backtracks == 0)
+    damped = [rep.search.rejected for rep in reports if rep.case == "II"]
+    assert len(fed) == len(damped) > 0
+    assert any(rep.case == "I" for rep in reports)
+    assert all(sample is rejected for sample, rejected in zip(fed, damped))
