@@ -38,8 +38,8 @@ the oracle's claims, or the bound itself after a skip.  When the smaller bound,
 inflated by a relative 1e-12 against rounding, is at most 1, W_next is
 certified inside with no oracle call and no matvec.  A skip adds no failure
 event (the Frobenius bound is deterministic, the Weyl bound rests on the last
-call's event), and it still draws the d standard normals of the Lanczos start
-vector, so every later oracle call sees the random stream it would have seen.
+call's event), and it still draws the oracle's Lanczos start vector, so
+every later oracle call sees the random stream it would have seen.
 An inside result sets B_hat = W_next whatever its gamma, so B and the solver's
 iterates do not depend on whether the oracle ran.
 
@@ -73,7 +73,8 @@ from typing import Optional
 
 import numpy as np
 
-from .separation import PackedSymmetric, SeparationResult, separation_oracle
+from .separation import (PackedSymmetric, SeparationResult, lanczos_start,
+                         separation_oracle)
 
 DEFAULT_STEP_SIZE = 1.0 / 128.0
 # the budget p on the separation oracle's total failure probability
@@ -244,8 +245,7 @@ def learner_step(state: LearnerState, sample: LossSample, seed
         W.packed *= radius / norm
     t_next = state.t + 1
     if bound <= 1.0:
-        # the draw the oracle's Lanczos start vector would have taken
-        np.random.default_rng(seed).standard_normal(d)
+        lanczos_start(d, seed)  # the oracle's draw, dropped
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
         sep = separation_oracle(W, delta_schedule(t_next),

@@ -33,8 +33,9 @@ B s that way for the learner's loss.
 
 :class:`KrylovBasis` is the package's one Lanczos recurrence: the separation
 oracle grows one on W, and the L1 probe one on each Hessian it samples, from
-a random start, and both read extreme Ritz values off the same ``alphas``
-and ``betas`` (:func:`qnprox.separation.lanczos_extreme`).
+a random start, and both read extreme Ritz values off ``alphas`` and
+``betas`` with scipy's ``eigh_tridiagonal``; :mod:`qnprox.separation` owns
+that start, the step count and the read-out.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .linear_solver import KrylovBasis
-from .separation import _lanczos_rounds, lanczos_extreme
+from .separation import lanczos_extreme, lanczos_start, lanczos_steps
 
 PROBES = 5  # random points the curvature estimate probes besides x0
 PROBE_ACCURACY = 0.01  # relative, on each point's largest eigenvalue
@@ -103,21 +103,20 @@ def checked_input(name: str, value, shape: tuple) -> np.ndarray:
 def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:
     """1.1 times the largest |eigenvalue| of the Hessian at ``x0``, near
     which a logistic Hessian peaks, and at PROBES normal points drawn up
-    front from ``seed``.  Each is max(lam_max, -lam_min) of
-    :func:`lanczos_extreme` on a random-start :class:`KrylovBasis` of
-    ``hessian(x) @ v``, or else of central gradient differences, of min(d, k)
-    steps, k = ceil(log(11 d / q^2) / (4 sqrt(eps)) + 1/2) for eps =
-    PROBE_ACCURACY and q = PROBE_FAILURE: at most 2 k gradient calls and
-    k + 1 rows a point.  A convex f's Hessian H is semidefinite, so that max
-    is the top Ritz value, and the Kuczynski-Wozniakowski bound for definite
-    matrices (SIAM J. Matrix Anal. Appl. 13(4), 1992), on H + tau I as
-    tau -> 0, puts it below (1 - eps) lam_max(H) with probability at most q.
-    Gradients pass :func:`checked_gradient`, uncounted; a non-finite product
-    raises :class:`NumericsError` naming the point."""
+    front from ``seed``.  Each is the dominant Ritz value max(lam_max,
+    -lam_min) of a Lanczos run on ``hessian(x) @ v``, or else on central
+    gradient differences, from a start drawn from the same generator, of k =
+    lanczos_steps(d, q, eps) steps for eps = PROBE_ACCURACY and q =
+    PROBE_FAILURE: at most 2 k gradient calls and k + 1 rows a point.  A
+    convex f's Hessian H is semidefinite, so that max is the top Ritz value,
+    and the Kuczynski-Wozniakowski bound for definite matrices (SIAM J.
+    Matrix Anal. Appl. 13(4), 1992), on H + tau I as tau -> 0, puts it
+    below (1 - eps) lam_max(H) with probability at most q.  Gradients pass
+    :func:`checked_gradient`, uncounted; a non-finite product raises
+    :class:`NumericsError` naming the point."""
     d = oracle.dimension
     g = lambda x: checked_gradient(oracle.gradient(x), d)
-    steps = math.ceil(_lanczos_rounds(d, PROBE_FAILURE)
-                      / (4.0 * math.sqrt(PROBE_ACCURACY)) + 0.5)
+    steps = lanczos_steps(d, PROBE_FAILURE, PROBE_ACCURACY)
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((PROBES, d))
     best = 0.0
@@ -128,14 +127,14 @@ def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:
             h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
             apply_h = lambda v, x=x, h=h: (
                 g(x + h * v) - g(x - h * v)) / (2.0 * h)
-        basis = KrylovBasis(apply_h, rng.standard_normal(d), steps + 1)
+        basis = KrylovBasis(apply_h, lanczos_start(d, rng), steps + 1)
         try:
             extremes = lanczos_extreme(basis, steps)
         except NumericsError as exc:
             where = "x0" if i == PROBES else f"probe point {i + 1}"
             raise NumericsError(
                 f"curvature estimate at {where}: {exc}") from exc
-        best = max(best, extremes.lam_max, -extremes.lam_min)
+        best = max(best, extremes.dominant[0])
     estimate = 1.1 * best
     if not np.isfinite(estimate):
         raise NumericsError("curvature estimate is not finite")

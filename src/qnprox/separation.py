@@ -21,8 +21,8 @@ which is all the random-start bound of Kuczynski and Wozniakowski (SIAM J.
 Matrix Anal. Appl. 13(4), 1992) asks for, so each stage keeps its failure
 probability q and the union bound over the calls is unchanged.  That
 bound is on the extreme Ritz value, an eigenvalue of the tridiagonal T_k,
-so the oracle reads its values off T_k and takes no product with W beyond
-the Lanczos steps.
+read off T_k with no product with W.  The L1 probe shares the start draw
+(:func:`lanczos_start`), the count (:func:`lanczos_steps`) and the read-out.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dspmv, dspr, dspr2
 
 from .errors import check_integer, check_interval
@@ -111,6 +111,13 @@ class LanczosExtremes(NamedTuple):
     lam_min: float
     matvecs: int
 
+    @property
+    def dominant(self) -> tuple[float, float]:
+        """max(lam_max, -lam_min) and its sign, +1 for lam_max on ties."""
+        if self.lam_max >= -self.lam_min:
+            return self.lam_max, 1.0
+        return -self.lam_min, -1.0
+
 
 @dataclass(frozen=True)
 class SeparationResult:
@@ -128,24 +135,27 @@ class SeparationResult:
         return self.weight != 0.0
 
 
-def _bisection(a: np.ndarray, b: np.ndarray, index: int) -> tuple:
-    """LAPACK ``stebz`` bisection for eigenvalue ``index`` (0 = lowest) of
-    the symmetric tridiagonal matrix with diagonal ``a`` and off-diagonal
-    ``b``: the one-entry eigenvalue array, then the block data ``stein``
-    reads.
+def lanczos_steps(d: int, q: float, eps: float) -> int:
+    """The Kuczynski-Wozniakowski count min(ceil(log(11 d / q^2) /
+    (4 sqrt(eps)) + 1/2), d) for relative accuracy ``eps`` with failure
+    probability ``q`` from a uniform random start."""
+    return min(math.ceil(math.log(11.0 * d / q ** 2)
+                         / (4.0 * math.sqrt(eps)) + 0.5), d)
 
-    These are the arguments of ``scipy.linalg.eigh_tridiagonal(a, b,
-    select="i")``, so its eigenvalue, and with ``stein`` its eigenvector,
-    are the same to the bit; calling LAPACK directly skips the wrapper's
-    argument checks.
-    """
-    stebz = get_lapack_funcs("stebz", (a, b))
-    m, w, iblock, isplit, info = stebz(a, b, 2, 0.0, 1.0, index + 1,
-                                       index + 1, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"tridiagonal eigenvalue {index} failed (LAPACK info {info})")
-    return w[:m], iblock, isplit
+
+def lanczos_start(d: int, seed) -> np.ndarray:
+    """A Lanczos run's random start: d standard normals from
+    ``np.random.default_rng(seed)``, which advances a Generator ``seed``."""
+    return np.random.default_rng(seed).standard_normal(d)
+
+
+def _tridiagonal_eigh(basis: KrylovBasis, index: int, vector: bool = False):
+    """Eigenvalue ``index`` (0 = lowest) of the basis's T_k by LAPACK
+    ``stebz``, and its eigenvector by ``stein`` when ``vector``.  T_k goes in
+    as two new arrays, so no slice of the lists outlives the conversion."""
+    a, b = np.array(basis.alphas), np.array(basis.betas[:basis.size - 1])
+    return eigh_tridiagonal(a, b, eigvals_only=not vector, select="i",
+                            select_range=(index, index), check_finite=False)
 
 
 def lanczos_extreme(basis: KrylovBasis, iterations: int) -> LanczosExtremes:
@@ -153,57 +163,34 @@ def lanczos_extreme(basis: KrylovBasis, iterations: int) -> LanczosExtremes:
 
     The steps stop early once the basis is invariant.  ``lam_max`` and
     ``lam_min`` are the top and bottom eigenvalues of the basis's k x k
-    tridiagonal T_k, read by bisection (``alphas[0]`` when k = 1), so the
-    read-out takes no product with M; ``matvecs`` counts the steps this
-    call added, 0 when the basis already had them.  After a breakdown, at
-    a beta of at most LANCZOS_BREAKDOWN times the basis's scale, each is
-    within that beta of an eigenvalue of M.
+    tridiagonal T_k by scipy's ``eigh_tridiagonal``, so the read-out takes no
+    product with M; ``matvecs`` counts the steps this call added, 0 when
+    the basis already had them.  After a breakdown, at a beta of at most
+    LANCZOS_BREAKDOWN times the basis's scale, each is within that beta of
+    an eigenvalue of M.
     """
     check_integer("iterations", iterations, 1)
     start = basis.size
     while basis.size < iterations and not basis.invariant:
         basis.extend()
     k = basis.size
-    if k == 1:
-        lam_max = lam_min = basis.alphas[0]
-    else:
-        a, b = np.array(basis.alphas), np.array(basis.betas[:k - 1])
-        lam_max = float(_bisection(a, b, k - 1)[0][0])
-        lam_min = float(_bisection(a, b, 0)[0][0])
-    return LanczosExtremes(lam_max, lam_min, matvecs=k - start)
+    return LanczosExtremes(float(_tridiagonal_eigh(basis, k - 1)[0]),
+                           float(_tridiagonal_eigh(basis, 0)[0]), k - start)
 
 
 def _ritz_vector(basis: KrylovBasis, sign: float) -> np.ndarray:
     """The unit top (``sign`` +1) or bottom (-1) Ritz vector of ``basis``:
-    LAPACK ``stein`` on a repeat of the bisection that gave its Ritz value,
-    mapped to R^d by one k x d product with the basis vectors, and no
-    product with M."""
+    the eigenvector of T_k mapped to R^d by one k x d product with the
+    basis vectors, and no product with M; q_0 itself at k = 1, which
+    normalizing could move by an ulp."""
     k = basis.size
     Q = basis.vectors[:k]
     if k == 1:
         return Q[0].copy()
-    a, b = np.array(basis.alphas), np.array(basis.betas[:k - 1])
-    index = k - 1 if sign > 0.0 else 0
-    stein = get_lapack_funcs("stein", (a, b))
-    v, info = stein(a, b, *_bisection(a, b, index))
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"tridiagonal eigenvector {index} failed (LAPACK info {info})")
+    v = _tridiagonal_eigh(basis, k - 1 if sign > 0.0 else 0, True)[1]
     u = v[:, 0] @ Q
     u /= np.linalg.norm(u)
     return u
-
-
-def _lanczos_rounds(d: int, q: float) -> float:
-    return math.log(11.0 * d / q ** 2)
-
-
-def _dominant(extremes: LanczosExtremes) -> tuple[float, float]:
-    """max(lam_1, -lam_d) with its sign, +1 for the top Ritz value (ties
-    included) and -1 for the bottom."""
-    if extremes.lam_max >= -extremes.lam_min:
-        return extremes.lam_max, 1.0
-    return -extremes.lam_min, -1.0
 
 
 def separation_oracle(W: PackedSymmetric, delta: float, q: float, seed
@@ -211,13 +198,13 @@ def separation_oracle(W: PackedSymmetric, delta: float, q: float, seed
     """Randomized separation oracle for {B symmetric : ||B||_op <= 1}.
 
     One Krylov basis of W from a random start serves both stages.  After
-    n1 = min(ceil(log(11 d / q^2) + 1/2), d) steps the coarse estimate
-    lam_hat = max(lam_1, -lam_d) of the extreme Ritz values decides: if
-    lam_hat <= 1/2 the input is certified inside (gamma = 2 lam_hat,
-    weight 0); if lam_hat >= 2 it is separated with the scaled certificate
-    gamma = 2 lam_hat and S = +/- 3 u u^T.  Otherwise the same basis grows
-    to max(n1, n2) steps, n2 = min(ceil(log(11 d / q^2) / (4 sqrt(2 delta))
-    + 1/2), d), and the finer estimate lam_tilde decides: gamma = lam_tilde
+    n1 = lanczos_steps(d, q, 1/16) = min(ceil(log(11 d / q^2) + 1/2), d)
+    steps the coarse estimate lam_hat = max(lam_1, -lam_d) of the extreme
+    Ritz values decides: if lam_hat <= 1/2 the input is certified inside
+    (gamma = 2 lam_hat, weight 0); if lam_hat >= 2 it is separated with the
+    scaled certificate gamma = 2 lam_hat and S = +/- 3 u u^T.  Otherwise the
+    same basis grows to max(n1, n2) steps, n2 = lanczos_steps(d, q,
+    2 delta), and the finer estimate lam_tilde decides: gamma = lam_tilde
     + delta with weight 0 when lam_tilde <= 1 - delta, else S = +/- u u^T.
     On every branch u is the Ritz vector of the deciding value, the top one
     on ties (sign +), formed once the call is decided.
@@ -242,15 +229,13 @@ def separation_oracle(W: PackedSymmetric, delta: float, q: float, seed
     check_interval("delta", delta, 0.0, math.inf)
     check_interval("q", q, 0.0, 1.0)
     d = W.dimension
-    log_term = _lanczos_rounds(d, q)
-    n1 = min(math.ceil(log_term + 0.5), d)
-    n2 = min(math.ceil(log_term / (4.0 * math.sqrt(2.0 * delta)) + 0.5), d)
-    start = np.random.default_rng(seed).standard_normal(d)
+    n1 = lanczos_steps(d, q, 1.0 / 16.0)
+    n2 = lanczos_steps(d, q, 2.0 * delta)
     # rows q_0 .. q_max(n1, n2): the buffer is allocated once
-    basis = KrylovBasis(W.matvec, start, min(max(n1, n2) + 1, d))
+    basis = KrylovBasis(W.matvec, lanczos_start(d, seed), max(n1, n2) + 1)
 
     coarse = lanczos_extreme(basis, n1)
-    lam_hat, sign = _dominant(coarse)
+    lam_hat, sign = coarse.dominant
     if lam_hat <= 0.5 or lam_hat >= 2.0:
         weight = 0.0 if lam_hat <= 0.5 else 3.0 * sign
         return SeparationResult(gamma=2.0 * lam_hat,
@@ -258,7 +243,7 @@ def separation_oracle(W: PackedSymmetric, delta: float, q: float, seed
                                 matvecs=coarse.matvecs)
 
     fine = lanczos_extreme(basis, max(n1, n2))
-    lam_tilde, sign = _dominant(fine)
+    lam_tilde, sign = fine.dominant
     weight = 0.0 if lam_tilde <= 1.0 - delta else sign
     return SeparationResult(gamma=lam_tilde + delta,
                             u=_ritz_vector(basis, sign), weight=weight,

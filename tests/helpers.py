@@ -23,7 +23,8 @@ from qnprox.learner import (LearnerState, LearnerStepReport, LossSample,
                             next_op_norm_bound, q_schedule)
 from qnprox.linear_solver import KrylovBasis
 from qnprox.selftest import symmetrize
-from qnprox.separation import PackedSymmetric, separation_oracle
+from qnprox.separation import (PackedSymmetric, lanczos_start,
+                               separation_oracle)
 from qnprox.trace import RunRecord
 
 
@@ -136,7 +137,7 @@ def lanczos_basis(W: np.ndarray, seed) -> KrylovBasis:
     :class:`ProductCounter` sees them), from a standard normal start drawn
     from ``seed``."""
     matrix = packed(W)
-    start = np.random.default_rng(seed).standard_normal(W.shape[0])
+    start = lanczos_start(W.shape[0], seed)
     return KrylovBasis(lambda v: matrix.matvec(v), start)
 
 
@@ -200,7 +201,7 @@ def dense_learner_step(state: LearnerState, sample: LossSample, seed
     bound = next_op_norm_bound(state.op_bound, state.rho * G_op, norm, radius)
     t_next = state.t + 1
     if bound <= 1.0:
-        np.random.default_rng(seed).standard_normal(d)
+        lanczos_start(d, seed)
         op_bound, certificate, sep_matvecs = bound, None, 0
     else:
         sep = separation_oracle(packed(W_next), delta_schedule(t_next),

@@ -134,6 +134,23 @@ def test_every_setting_has_a_caller():
         assert not unset, f"{name}: no caller passes {unset}"
 
 
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name is its module's own: a second module that imports
+    # it is a second owner of the computation, so it must be made public
+    library = Path(qnprox.__file__).parent
+    imported = []
+    for path in sorted(library.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").split(".")[0]
+                         == "qnprox")):
+                continue
+            imported += [f"{path.name} line {node.lineno}: {alias.name}"
+                         for alias in node.names
+                         if alias.name.startswith("_")]
+    assert not imported
+
+
 @pytest.mark.parametrize("module, name", PATCHED)
 def test_patched_stage_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name))

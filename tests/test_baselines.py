@@ -10,7 +10,7 @@ from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
                     bfgs_solve, nag_solve, write_trace_csv)
 from qnprox.baselines import (NAG_BETA, NAG_ETA0, WOLFE_C1, WOLFE_C2,
                               bfgs_inverse_update)
-from qnprox.errors import ConvergenceError, NumericsError
+from qnprox.errors import ConvergenceError, NumericsError, SolverError
 from conftest import make_logistic, random_psd
 from helpers import (GradientFaultAfter, QuadraticObjective, VectorValue,
                      bfgs_inverse_product_form, packed,
@@ -138,6 +138,23 @@ class TestNag:
         with pytest.raises(NumericsError, match="value oracle"):
             nag_solve(NanValue(np.eye(3)), np.ones(3),
                       BaselineConfig(max_iters=5))
+
+    def test_step_size_underflow_aborts_with_the_trace(self):
+        # a flat value never shows the sufficient decrease the nonzero
+        # gradient x predicts, so eta shrinks below 1e-300 in iteration 1
+        class FlatValue:
+            dimension = 3
+
+            def value(self, x):
+                return 0.0
+
+            def gradient(self, x):
+                return x.copy()
+
+        with pytest.raises(SolverError, match="NAG step size underflowed"
+                           ) as info:
+            nag_solve(FlatValue(), np.ones(3), BaselineConfig(max_iters=10))
+        assert len(info.value.trace.rows) == 0
 
     def test_monotone_choice_never_increases(self):
         objective = make_logistic(120, 12, seed=7)

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnprox import read_dataset_csv, selftest
+import qnprox.cli
+from qnprox import (SyntheticLogisticSpec, generate_logistic,
+                    read_dataset_csv, selftest)
 from qnprox.cli import main
 
 
@@ -26,6 +28,22 @@ class TestGen:
         dataset = read_dataset_csv(out)
         assert dataset.n == 30 and dataset.d == 6
         assert set(np.unique(dataset.labels)) <= {-1.0, 1.0}
+
+    def test_paper_scale_overrides_the_shape(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the dataset is captured, not written: 2000 x 150 is 300k floats
+        written = []
+        monkeypatch.setattr(qnprox.cli, "write_dataset_csv",
+                            lambda dataset, path: written.append(dataset))
+        code = run_cli(["gen", "--paper-scale", "--n", "30", "--d", "6",
+                        "--sigma", "0.1", "--seed", "2",
+                        "--out", str(tmp_path / "data.csv")])
+        assert code == 0
+        (dataset,) = written
+        assert (dataset.n, dataset.d) == (2000, 150)
+        spec = SyntheticLogisticSpec(n=2000, d=150, sigma=0.8, seed=2)
+        assert np.array_equal(dataset.features,
+                              generate_logistic(spec).features)
 
     def test_bad_dimension_is_usage_error(self, tmp_path, capsys):
         code = run_cli(["gen", "--n", "10", "--d", "1", "--out",

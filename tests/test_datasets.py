@@ -123,6 +123,11 @@ class TestCsvRoundTrip:
     def test_rejects_header_without_rows(self, tmp_path):
         self.rejects(tmp_path, "y,a_0,a_1\n", 1, "header with no data rows")
 
+    def test_rejects_non_numeric_entry_past_a_blank_line(self, tmp_path):
+        # the blank line 3 is skipped, and line 4 is named
+        self.rejects(tmp_path, "y,a_0,a_1\n1,0.5,1.0\n\n-1,abc,1.0\n", 4,
+                     "could not convert string to float: 'abc'")
+
 
 @pytest.fixture(scope="module")
 def objective():

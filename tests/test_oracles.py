@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from qnprox import CountingOracle, NumericsError, SolverConfig, solve
 from qnprox.oracles import (PROBE_ACCURACY, PROBE_FAILURE, PROBES,
                             estimate_smoothness)
-from qnprox.separation import _lanczos_rounds
+from qnprox.separation import lanczos_steps
 from qnprox.selftest import symmetrize
 from conftest import make_logistic
 from helpers import CountingMatrix, QuadraticObjective
@@ -202,8 +201,7 @@ class TestEstimateSmoothness:
         # each point's basis stops at the Kuczynski-Wozniakowski count k,
         # below d = 300: at most k products of two gradient calls a point
         d = 300
-        k = math.ceil(_lanczos_rounds(d, PROBE_FAILURE)
-                      / (4.0 * math.sqrt(PROBE_ACCURACY)) + 0.5)
+        k = lanczos_steps(d, PROBE_FAILURE, PROBE_ACCURACY)
         assert k < d
         diagonal = np.linspace(0.0, 2.0, d)
         objective = GradientCounter(d, lambda x: diagonal * x)

@@ -104,7 +104,8 @@ class TestLanczos:
                               _ritz_vector(one_shot_basis, 1.0))
 
     def test_ritz_pairs_equal_eigh_tridiagonal(self):
-        # the direct LAPACK calls must give scipy's wrapper's result exactly;
+        # the read-out is eigh_tridiagonal on the basis's T_k, and the Ritz
+        # vector its eigenvector mapped by the basis vectors, to the bit;
         # with full reorthogonalization the Ritz value is the Ritz vector's
         # Rayleigh quotient up to rounding, measured at most 0.11 k eps
         # ||W||_F here

@@ -10,7 +10,7 @@ import qnprox.solver
 from qnprox import CountingOracle, OracleCounters, SolverConfig, solve
 from qnprox.learner import learner_step
 from qnprox.solver import ALPHA1, ALPHA2, damped_iterate, momentum_weights
-from qnprox.errors import NumericsError, SolverError
+from qnprox.errors import ConfigurationError, NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              gradient_query_violation, make_logistic,
                              momentum_violation, potential_violation,
@@ -439,6 +439,20 @@ class TestBadOracle:
             solve(NanValue(), np.ones(4),
                   config=SolverConfig(max_iters=5))
         assert isinstance(info.value.__cause__, NumericsError)
+
+    def test_understated_smoothness_aborts_with_the_search_error(self):
+        # L1 = 1e-20 for 1/2 ||x||^2: the first search rejects every trial
+        # at an anchor gradient far above the precision floor, so step
+        # re-raises the search's error instead of stopping the run
+        objective = QuadraticObjective(np.eye(4))
+        objective.smoothness = 1e-20
+        with pytest.raises(SolverError, match=r"solver aborted at iteration "
+                           r"0: line search step size underflowed") as info:
+            solve(objective, np.ones(4), config=SolverConfig(max_iters=10))
+        assert isinstance(info.value.__cause__, ConfigurationError)
+        assert len(info.value.trace.rows) == 0
+        # the anchor gradient and 54 rejected trials
+        assert info.value.counters.gradient_queries == 55
 
 
 class BareQuadratic:

@@ -50,6 +50,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
+    def test_rejects_metadata_without_header(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# method=aqnpe\n# seed=0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} contains no trace header")):
+            read_trace_csv(path)
+
     @staticmethod
     def written_with(tmp_path, line, text):
         """The sample trace with its file line ``line`` replaced."""
