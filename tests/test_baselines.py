@@ -141,7 +141,8 @@ class TestNag:
 
     def test_step_size_underflow_aborts_with_the_trace(self):
         # a flat value never shows the sufficient decrease the nonzero
-        # gradient x predicts, so eta shrinks below 1e-300 in iteration 1
+        # gradient x predicts, so eta shrinks below 1e-300 in the first
+        # iteration, before any row is written
         class FlatValue:
             dimension = 3
 

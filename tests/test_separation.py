@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import qnprox.separation
 from qnprox.selftest import separation_violation
-from qnprox.separation import (_ritz_vector, lanczos_extreme,
+from qnprox.separation import (_ritz_vector, lanczos_extreme, lanczos_steps,
                                separation_oracle)
 from conftest import random_unit_opnorm
 from helpers import ProductCounter, hyperplane, lanczos_basis, packed
@@ -84,6 +84,15 @@ class TestLanczos:
         W = random_symmetric(np.random.default_rng(3), 10)
         result = fresh_lanczos(W, iterations=6, seed=0)
         assert result.matvecs == counter.products == 6
+
+    def test_step_count_gives_both_stage_lengths(self):
+        # 4 sqrt(1/16) is exactly 1, so the coarse count is the fine
+        # count's formula at eps = 1/16, for every d and q
+        for q in (0.5, 0.05, 1e-3, 1e-6, 1e-9):
+            for d in range(2, 3000):
+                n1, n2 = stage_lengths(d, 0.01, q)
+                assert lanczos_steps(d, q, 1.0 / 16.0) == n1, (d, q)
+                assert lanczos_steps(d, q, 0.02) == n2, (d, q)
 
     def test_iterations_validation(self):
         with pytest.raises(ValueError):
