@@ -1,7 +1,7 @@
 """Synthetic logistic-regression instances and their CSV format.
 
 Labels come from a noise-free linear rule y_i = sign(<a*_i, x*>) in dimension
-d - 1; the observed features add Gaussian noise and a constant shift of one
+d - 1; the stored features add Gaussian noise and a constant shift of one
 to every coordinate and append a constant-one intercept column:
 
     a_i = [a*_i + n_i + 1; 1],    n_i ~ N(0, sigma^2 I).

@@ -54,9 +54,9 @@ place.  So a step allocates no d x d array, and a solve holds W alone.
 
 A step consumes its state: ``state.W`` becomes the new state's W, and the
 old state and every :class:`Curvature` made from it see the new matrix.  A
-caller that keeps the old matrix steps on a copy, as ``solve`` does when an
-observer may keep its reports.  The step writes into no other array of the
-state, the certificate or the sample.
+caller that needs the old matrix reads it before the step; ``solve`` keeps
+none, and its iteration reports hold no matrix.  The step writes into no
+other array of the state, the certificate or the sample.
 
 The learner's clock t counts fed losses only; iterations where the line
 search accepts its first trial leave both B and the schedules untouched.

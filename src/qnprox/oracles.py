@@ -1,11 +1,13 @@
 """Objective oracles, the input check, the curvature estimate, and query
 accounting.
 
-All vectors are 1-d ``numpy.float64`` arrays and all matrices are dense
-``d x d`` arrays.  :class:`CountingOracle` counts gradient queries.  Each
-stage returns the matrix-vector products it took as ``matvecs``, and
-``solve`` or ``bfgs_solve`` books them on :class:`OracleCounters` once per
-iteration.
+All vectors are 1-d ``numpy.float64`` arrays.  The only dense ``d x d``
+matrix is an objective's ``hessian(x)``: W and H are packed
+(:class:`~qnprox.separation.PackedSymmetric`) and B is the learner's
+:class:`~qnprox.learner.Curvature` operator.  :class:`CountingOracle`
+counts gradient queries.  Each stage returns the matrix-vector products it
+took as ``matvecs``, and ``solve`` or ``bfgs_solve`` books them on
+:class:`OracleCounters` once per iteration.
 """
 
 from __future__ import annotations

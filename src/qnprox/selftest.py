@@ -142,14 +142,15 @@ def fed_loss_violation(losses, L1, rtol=1e-8):
     return None
 
 
-def step_size_bound_violation(outcome, y, g, B, alpha2, beta, rtol=1e-10):
+def step_size_bound_violation(outcome, y, alpha2, beta, rtol=1e-10):
     """After a backtrack from anchor y with gradient g and curvature B,
-    eta_hat >= alpha2 beta ||x~ - y|| / ||grad(x~) - g - B (x~ - y)||, for
-    the line search ``outcome`` and its rejected trial x~ = y + s."""
+    eta_hat >= alpha2 beta ||x~ - y|| / ||grad(x~) - g - B s||, for the line
+    search ``outcome`` and its rejected trial x~ = y + s.  The model error
+    is w - Bs of ``outcome.rejected``, the sample the learner is fed."""
     if outcome.rejected is None:
         return None
     displacement = (y + outcome.rejected.s) - y
-    model_error = outcome.rejected.w - B @ displacement
+    model_error = outcome.rejected.w - outcome.rejected.Bs
     bound = (alpha2 * beta * float(np.linalg.norm(displacement))
              / float(np.linalg.norm(model_error)))
     if not outcome.eta_hat >= bound * (1.0 - rtol):
@@ -170,10 +171,10 @@ def displacement_violation(outcome, y, alpha1, beta, rtol=1e-10):
     return None
 
 
-def backtrack_violation(outcome, y, g, B, alpha1, alpha2, beta, rtol=1e-10):
+def backtrack_violation(outcome, y, alpha1, alpha2, beta, rtol=1e-10):
     """Both backtrack relations of a line search ``outcome``: the step-size
     lower bound, then the displacement relation."""
-    return (step_size_bound_violation(outcome, y, g, B, alpha2, beta, rtol)
+    return (step_size_bound_violation(outcome, y, alpha2, beta, rtol)
             or displacement_violation(outcome, y, alpha1, beta, rtol))
 
 
@@ -330,8 +331,7 @@ def check_line_search():
         spent = oracle.counters.gradient_queries - before
         if spent != outcome.backtracks + 1:
             return f"gradient accounting off: {spent} queries"
-        if problem := backtrack_violation(outcome, y, g, B, ALPHA1, ALPHA2,
-                                          beta):
+        if problem := backtrack_violation(outcome, y, ALPHA1, ALPHA2, beta):
             return problem
     return None
 
@@ -350,8 +350,8 @@ def check_solver_certificate():
         potential_violation(reports, objective, x_star, f_star, x0),
         weight_growth_violation(reports, c.beta),
         gradient_query_violation(record),
-        *(backtrack_violation(rep.search, rep.y, rep.grad_at_y, rep.B_used,
-                              ALPHA1, ALPHA2, c.beta) for rep in reports),
+        *(backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2, c.beta)
+          for rep in reports),
     ]), None)
 
 

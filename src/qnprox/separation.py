@@ -90,9 +90,6 @@ class PackedSymmetric:
         diagonal = p[self._diagonal()]
         return math.sqrt(2.0 * float(p @ p) - float(diagonal @ diagonal))
 
-    def copy(self) -> "PackedSymmetric":
-        return PackedSymmetric(self.dimension, self.name, self.packed.copy())
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError(f"{self.name} has no dense view without a copy")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, SolverError, check_at_least,
                      check_integer, check_interval)
-from .learner import (DEFAULT_STEP_SIZE, Curvature, LearnerState,
-                      init_learner, learner_step)
+from .learner import (DEFAULT_STEP_SIZE, LearnerState, init_learner,
+                      learner_step)
 from .line_search import LineSearchOutcome, backtracking_search
 from .oracles import CountingOracle, checked_input, estimate_smoothness
 from .trace import RunRecord, TraceRow, format_float
@@ -70,9 +70,10 @@ class SolverState:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Internals of one iteration, for invariant checks and diagnostics.
-    ``search`` is the line search's outcome from ``y``, with ``grad_at_y``
-    and ``B_used``; on case II the learner was fed ``search.rejected``."""
+    """Internals of one iteration, for invariant checks and diagnostics:
+    d-vectors and scalars, which no later step writes into.  ``search`` is
+    the line search's outcome from ``y``; on case II the learner was fed
+    ``search.rejected``."""
 
     k: int
     a: float
@@ -85,8 +86,6 @@ class IterationReport:
     grad_at_y: np.ndarray
     search: LineSearchOutcome
     loss_fed: Optional[float]
-    B_used: Curvature
-    B: Curvature
     gamma: Optional[float]
 
 
@@ -116,18 +115,13 @@ def precision_floor(L1: float, y: np.ndarray) -> float:
 
 
 def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
-         rng: np.random.Generator, *, observed: bool
+         rng: np.random.Generator
          ) -> Optional[tuple[SolverState, IterationReport]]:
     """Advance one iteration; feeds the learner only when backtracked, with
     the line search's sample of its rejected trial as it is, and books the
     iteration's reported matvecs on ``oracle.counters``.  Returns None when
-    the gradient at the anchor is at the precision floor.
-
-    The learner step consumes ``state.learner``'s W.  When ``observed``, it
-    steps on a copy instead, so the report's ``B_used`` is never written
-    after it is reported.  Without it, the report's ``B_used`` shares its W
-    with the returned state, so once ``step`` returns ``B_used`` no longer
-    is the matrix the line search used, and no check may read it."""
+    the gradient at the anchor is at the precision floor.  The learner
+    step consumes ``state.learner``'s W."""
     a, y = momentum_weights(state.A, state.eta, state.x, state.z)
     grad_y = oracle.gradient(y)
     try:
@@ -157,11 +151,8 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
         z_next = state.z - gamma * a * outcome.grad_at_x_hat
         A_next = state.A + gamma * a
         eta_next = outcome.eta_hat
-        learner = state.learner
-        if observed:
-            learner = replace(learner, W=learner.W.copy())
-        learner, learner_report = learner_step(learner, outcome.rejected,
-                                               rng)
+        learner, learner_report = learner_step(state.learner,
+                                               outcome.rejected, rng)
         case = CASE_DAMPED
         loss_fed = learner_report.loss_value
         learner_matvecs = learner_report.matvecs
@@ -172,7 +163,7 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     report = IterationReport(
         k=state.k, a=a, eta=state.eta, case=case, y=y, x=x_next, z=z_next,
         A=A_next, grad_at_y=grad_y, search=outcome, loss_fed=loss_fed,
-        B_used=state.learner.B, B=learner.B, gamma=gamma)
+        gamma=gamma)
     return next_state, report
 
 
@@ -233,8 +224,7 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     start = time.perf_counter()
     try:
         for _ in range(config.max_iters):
-            advanced = step(state, oracle, config, rng,
-                            observed=observer is not None)
+            advanced = step(state, oracle, config, rng)
             if advanced is None:
                 record.metadata["stopped"] = "precision_floor"
                 break

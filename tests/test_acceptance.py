@@ -2,7 +2,8 @@
 
 Each test prints a single ``[criterion NN] PASS/FAIL`` line (run with -s or
 check the captured output).  Criteria 1-7, 11 and 13 share the session-scoped
-500-iteration run on the n=500, d=50, seed-0 logistic instance.
+500-iteration run on the n=500, d=50, seed-0 logistic instance; criterion 11
+solves it again to check each learner output as it is made.
 """
 
 import functools
@@ -11,9 +12,11 @@ from collections import Counter
 
 import numpy as np
 
+import qnprox.solver
 from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
                     solve, write_trace_csv)
 from qnprox.errors import ConvergenceError
+from qnprox.learner import learner_step
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
 from qnprox.selftest import (backtrack_violation, band_violation,
@@ -101,8 +104,8 @@ def test_c07_backtrack_relations(criterion_run):
     backtracked = [rep for rep in reports if rep.search.rejected is not None]
     assert backtracked
     for rep in backtracked:
-        assert backtrack_violation(rep.search, rep.y, rep.grad_at_y, rep.B_used,
-                                   ALPHA1, ALPHA2, config.beta) is None
+        assert backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2,
+                                   config.beta) is None
 
 
 @criterion(8, "conjugate residual bounds on 100 random shifted operators")
@@ -178,16 +181,25 @@ def test_c10_loss_gradient_fd():
 
 
 @criterion(11, "learner outputs stay inside the curvature band")
-def test_c11_learner_feasibility(criterion_run, logistic_instance):
-    _, reports, _ = criterion_run
+def test_c11_learner_feasibility(criterion_run, logistic_instance,
+                                 monkeypatch):
+    # the shared run again, with each learner output checked as it is made:
+    # the next step writes into its W
+    record, reports, config = criterion_run
     L1 = logistic_instance.smoothness
-    checked = 0
-    for rep in reports:
-        if rep.loss_fed is None:
-            continue
-        checked += 1
-        assert band_violation(rep.B.dense(), L1) is None
-    assert checked > 0
+    outputs = []
+
+    def checked(state, sample, seed):
+        state, report = learner_step(state, sample, seed)
+        outputs.append(band_violation(state.B.dense(), L1))
+        return state, report
+
+    monkeypatch.setattr(qnprox.solver, "learner_step", checked)
+    x0 = np.zeros(logistic_instance.dimension)
+    rerun = solve(logistic_instance, x0, x0.copy(), config)
+    assert rerun.rows == record.rows
+    assert len(outputs) == sum(rep.case == "II" for rep in reports) > 0
+    assert outputs == [None] * len(outputs)
 
 
 @criterion(12, "iteration ordering: BFGS < accelerated solver < NAG at gap 1e-8")

@@ -1,11 +1,13 @@
 """The supported top-level API, every library name the benchmark in
-``perfbench/`` imports or patches, so a rename cannot break it silently, and
-a caller for every config setting and every entry-point input."""
+``perfbench/`` imports or patches, so a rename cannot break it silently, a
+caller for every config setting and every entry-point input, and iteration
+reports that hold no live solver state."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,10 @@ import qnprox.learner
 import qnprox.line_search
 import qnprox.separation
 import qnprox.solver
-from qnprox.learner import init_learner
+from qnprox.learner import Curvature, LearnerState, init_learner
 from qnprox.linear_solver import KrylovBasis
+from qnprox.separation import PackedSymmetric
+from qnprox.solver import IterationReport, SolverState
 from helpers import ProductCounter, QuadraticObjective, lanczos_basis, packed
 
 SUPPORTED = [
@@ -149,6 +153,27 @@ def test_no_module_imports_another_modules_private_name():
                          for alias in node.names
                          if alias.name.startswith("_")]
     assert not imported
+
+
+def annotated_types(hint):
+    """The hint and every type nested in it, as in Optional[X], and in the
+    fields of a record it names, as in the report's LineSearchOutcome."""
+    yield hint
+    for arg in typing.get_args(hint):
+        yield from annotated_types(arg)
+    if dataclasses.is_dataclass(hint):
+        for field_hint in typing.get_type_hints(hint).values():
+            yield from annotated_types(field_hint)
+
+
+def test_iteration_reports_hold_no_solver_state():
+    # a report an observer keeps must not share live, mutable solver state:
+    # the learner steps its W in place, so a report holding the curvature
+    # would change after it is observed
+    live = {Curvature, LearnerState, SolverState, PackedSymmetric}
+    hints = typing.get_type_hints(IterationReport)
+    assert [field.name for field in dataclasses.fields(IterationReport)
+            if live & set(annotated_types(hints[field.name]))] == []
 
 
 @pytest.mark.parametrize("module, name", PATCHED)

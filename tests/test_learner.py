@@ -13,7 +13,7 @@ from qnprox.learner import (FAILURE_BUDGET, Curvature, LossSample,
                             init_learner, learner_step, q_schedule)
 from qnprox.selftest import (band_violation, fed_loss_violation,
                              learner_bound_violation)
-from qnprox.separation import separation_oracle
+from qnprox.separation import PackedSymmetric, separation_oracle
 from conftest import random_psd
 from helpers import (CountingMatrix, ProductCounter, dense_learner_step,
                      hyperplane, loss_sample, matrix_loss,
@@ -413,7 +413,8 @@ def learner_walk(d, steps=60, L1=2.0, rho=0.09):
         s = rng.standard_normal(d)
         w = float(rng.uniform(-3.0, 6.0)) * s + 0.3 * rng.standard_normal(d)
         sample = loss_sample(state.B, w, s)
-        yield replace(state, W=state.W.copy()), sample, 1000 + k
+        W = PackedSymmetric(d, state.W.name, state.W.packed.copy())
+        yield replace(state, W=W), sample, 1000 + k
         state, _ = learner_step(state, sample, seed=1000 + k)
 
 

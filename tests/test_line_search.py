@@ -143,9 +143,8 @@ class TestInvariants:
 
     def test_step_size_lower_bound(self, backtracked):
         assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
-        for y, g, B, outcome, _, _ in backtracked:
-            assert step_size_bound_violation(outcome, y, g, B, ALPHA2,
-                                             BETA) is None
+        for y, _, _, outcome, _, _ in backtracked:
+            assert step_size_bound_violation(outcome, y, ALPHA2, BETA) is None
 
     def test_displacement_relation(self, backtracked):
         assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
@@ -167,13 +166,16 @@ class TestInvariants:
             assert outcome.eta_hat >= floor * (1.0 - 1e-10)
 
     def test_cached_gradients_match_oracle(self, backtracked):
-        for y, g, _, outcome, _, objective in backtracked:
+        for y, g, B, outcome, _, objective in backtracked:
             assert np.array_equal(outcome.grad_at_x_hat,
                                   objective.gradient(outcome.x_hat))
             rejected = outcome.rejected
             if rejected is not None:
                 assert np.array_equal(
                     rejected.w, objective.gradient(y + rejected.s) - g)
+                product = B @ rejected.s
+                assert (np.linalg.norm(rejected.Bs - product)
+                        <= 1e-12 * np.linalg.norm(product))
 
 
 def test_search_allocates_no_d_by_d_array():

@@ -91,9 +91,8 @@ def backtracked_report(run):
 
 
 def backtrack_check(run, rep):
-    c = run.config
-    return lambda outcome: backtrack_violation(
-        outcome, rep.y, rep.grad_at_y, rep.B_used, ALPHA1, ALPHA2, c.beta)
+    return lambda outcome: backtrack_violation(outcome, rep.y, ALPHA1,
+                                               ALPHA2, run.config.beta)
 
 
 def backtrack_step(run):

@@ -5,9 +5,10 @@ logistic instances, d from 2 to 30, with random rho, beta and seeds.  Every
 iteration of the solve must keep each shared check of ``qnprox.selftest``:
 the momentum identity, the certificate, the potential, weight growth,
 gradient-query accounting, the fed-loss bound, the backtrack relations, and
-the learner's chained bound ||W||_op <= op_bound, read from each learner
-state the solve produces.  Solved with and without an observer, a drawn
-instance must write the same trace bytes.
+the learner's chained bound ||W||_op <= op_bound, checked on each learner
+state as the solve makes it, before the next step writes into its W.
+Solved with and without an observer, a drawn instance must write the same
+trace bytes.
 
 These are exact-arithmetic statements.  Near the solver's precision floor,
 an anchor gradient of about 4096 eps L1 (1 + ||y||)
@@ -67,13 +68,14 @@ def logistic(d, seed):
 
 
 def solve_recording_learner(objective, config):
-    """Solve from x0 = z0 = 0, keeping every report and every learner state
-    and fed loss the solve produces."""
-    reports, states, losses = [], [], []
+    """Solve from x0 = z0 = 0, keeping every report and fed loss the solve
+    produces, and the learner-bound check of every learner state it makes,
+    run before the next step writes into that state's W."""
+    reports, bounds, losses = [], [], []
 
     def recording(state, sample, seed):
         state, report = learner_step(state, sample, seed)
-        states.append(state)
+        bounds.append(learner_bound_violation(state))
         losses.append(report.loss_value)
         return state, report
 
@@ -81,10 +83,10 @@ def solve_recording_learner(objective, config):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qnprox.solver, "learner_step", recording)
         record = solve(objective, x0, config=config, observer=reports.append)
-    return record, reports, states, losses
+    return record, reports, bounds, losses
 
 
-def violations(objective, x_star, f_star, config, record, reports, states,
+def violations(objective, x_star, f_star, config, record, reports, bounds,
                losses):
     z0 = np.zeros(objective.dimension)
     previous_A = [0.0] + [rep.A for rep in reports[:-1]]
@@ -95,10 +97,10 @@ def violations(objective, x_star, f_star, config, record, reports, states,
     yield weight_growth_violation(reports, config.beta)
     yield gradient_query_violation(record)
     yield fed_loss_violation(losses, float(record.metadata["L1"]))
-    yield from (backtrack_violation(rep.search, rep.y, rep.grad_at_y,
-                                    rep.B_used, ALPHA1, ALPHA2, config.beta)
+    yield from (backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2,
+                                    config.beta)
                 for rep in reports)
-    yield from map(learner_bound_violation, states)
+    yield from bounds
 
 
 def drawn_problem(kind, d, data_seed, solver_seed, rho, beta):
@@ -115,13 +117,13 @@ def drawn_problem(kind, d, data_seed, solver_seed, rho, beta):
 def check_solve(kind, d, data_seed, solver_seed, rho, beta):
     objective, x_star, f_star, config = drawn_problem(
         kind, d, data_seed, solver_seed, rho, beta)
-    record, reports, states, losses = solve_recording_learner(objective,
+    record, reports, bounds, losses = solve_recording_learner(objective,
                                                               config)
     assert len(reports) == len(record.rows) > 0
-    assert len(states) == len(losses) == sum(rep.loss_fed is not None
+    assert len(bounds) == len(losses) == sum(rep.loss_fed is not None
                                              for rep in reports)
     problems = [problem for problem in violations(
-        objective, x_star, f_star, config, record, reports, states, losses)
+        objective, x_star, f_star, config, record, reports, bounds, losses)
         if problem is not None]
     assert not problems, problems
 
@@ -150,8 +152,8 @@ def test_every_iteration_keeps_every_check(kind, d, data_seed, solver_seed,
        beta=st.floats(0.1, 0.9))
 def test_observed_and_unobserved_solves_are_one_run(kind, d, data_seed,
                                                     solver_seed, rho, beta):
-    # an observed solve steps the learner on a copy of W, so the reports it
-    # hands out are never written; the copy must not change the run
+    # an observer only reads the reports: observed or not, a solve runs the
+    # same statements and writes the same trace
     objective, _, _, config = drawn_problem(kind, d, data_seed, solver_seed,
                                             rho, beta)
     x0 = np.zeros(d)
@@ -174,16 +176,15 @@ def test_backtrack_relations_fail_only_at_the_precision_floor():
     objective, x_star, f_star = quadratic(2, 0)
     config = SolverConfig(max_iters=FLOOR_RUN_ITERS, rho=0.25, beta=0.25,
                           seed=0)
-    record, reports, states, losses = solve_recording_learner(objective,
+    record, reports, bounds, losses = solve_recording_learner(objective,
                                                               config)
     assert record.metadata["stopped"] == "precision_floor"
     near_floor = [rep for rep in reports if backtrack_violation(
-        rep.search, rep.y, rep.grad_at_y, rep.B_used, ALPHA1, ALPHA2,
-        config.beta)]
+        rep.search, rep.y, ALPHA1, ALPHA2, config.beta)]
     for rep in near_floor:
         assert (np.linalg.norm(rep.grad_at_y)
                 <= 2.0 * precision_floor(objective.smoothness, rep.y))
     problems = [problem for problem in violations(
-        objective, x_star, f_star, config, record, reports, states, losses)
+        objective, x_star, f_star, config, record, reports, bounds, losses)
         if problem is not None]
     assert len(problems) == len(near_floor)

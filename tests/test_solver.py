@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -95,9 +95,6 @@ class TestStepUpdates:
         accepted = [r for r in reports if r.case == "I"]
         for rep in accepted:
             assert rep.loss_fed is None
-            # curvature matrix untouched outside backtracked iterations
-            assert rep.B.W is rep.B_used.W
-            assert rep.B.kappa == rep.B_used.kappa
 
 
 class TestSolveOnQuadratic:
@@ -522,6 +519,20 @@ class TestCustomInitialMatrix:
         assert record.rows[-1].f_value < 1e-10
 
 
+def report_arrays(record):
+    """Every array an iteration report reaches, through its nested records:
+    y, x, z, grad_at_y, the search's x_hat and grad_at_x_hat, and on a
+    backtracked iteration the rejected sample's w, s and Bs."""
+    arrays = []
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif is_dataclass(value):
+            arrays += report_arrays(value)
+    return arrays
+
+
 class TestMemory:
     def test_peak_stays_under_three_dense_matrices(self, monkeypatch):
         # an unobserved solve holds W, packed into half a d x d array and
@@ -567,25 +578,27 @@ class TestMemory:
         assert fed and not any(fed)
         assert peak < 0.6 * d * d * 8
 
-    def test_kept_reports_keep_their_matrices(self, small_logistic):
-        # solve holds no report across a step, but one the observer keeps is
-        # never written into: each B_used is the previous report's B
+    def test_kept_reports_are_never_written(self, logistic_instance):
+        # solve holds no report across a step, and no later step writes into
+        # one the observer keeps: every array a report reaches reads, after
+        # the solve, as it did when observed.  rho = 1/16 makes separating
+        # learner calls
         reports, copies = [], []
 
         def keep(report):
             reports.append(report)
-            copies.append((report.B_used.dense(), report.B.dense()))
+            copies.append([array.copy() for array in report_arrays(report)])
 
-        x0 = np.zeros(small_logistic.dimension)
-        solve(small_logistic, x0, config=SolverConfig(max_iters=60, seed=0),
-              observer=keep)
-        assert any(report.B.W is not report.B_used.W for report in reports)
-        for previous, report in zip(reports, reports[1:]):
-            assert report.B_used.W is previous.B.W
-            assert report.B_used.kappa == previous.B.kappa
-        for report, (B_used, B) in zip(reports, copies):
-            assert np.array_equal(report.B_used.dense(), B_used)
-            assert np.array_equal(report.B.dense(), B)
+        x0 = np.zeros(logistic_instance.dimension)
+        solve(logistic_instance, x0, config=SolverConfig(
+            max_iters=200, rho=1.0 / 16.0, seed=0), observer=keep)
+        assert any(report.search.rejected is not None for report in reports)
+        for report, copied in zip(reports, copies):
+            arrays = report_arrays(report)
+            assert len(arrays) == (6 if report.search.rejected is None else 9)
+            assert len(arrays) == len(copied)
+            assert all(np.array_equal(array, copy)
+                       for array, copy in zip(arrays, copied))
 
 
 class TestPackedStorage:
