@@ -1,15 +1,17 @@
 """First-order and quasi-Newton baselines: monotone NAG and BFGS.
 
-Both record their traces through the same counting oracle as the accelerated
-solver, so gradient-query comparisons are like for like.  ``x0`` is checked
-like :func:`qnprox.solver.solve` checks it, and an error raised during a run
-carries the partial trace as ``trace``.
+Both run in the accelerated solver's driver loop
+(:func:`qnprox.trace.record_run`), so gradient-query comparisons are like for
+like and ``x0`` is checked alike.  An error raised during a run keeps its
+type and carries the partial trace as ``trace`` and a copy of the counters
+as ``counters``; the accelerated solver instead wraps it in
+:class:`~qnprox.errors.SolverError`, naming the iteration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,9 +19,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, SolverError, check_at_least,
                      check_integer)
-from .oracles import CountingOracle, checked_input
 from .separation import PackedSymmetric
-from .trace import RunRecord, TraceRow, format_float
+from .trace import (PRECISION_FLOOR, TOLERANCE, RunRecord, format_float,
+                    record_run)
 
 
 # NAG's first step size and its backtracking factor
@@ -56,60 +58,47 @@ def nag_solve(oracle, x0: np.ndarray,
     query per iteration; the backtracking loop touches function values only.
     """
     config = config if config is not None else BaselineConfig()
-    if not isinstance(oracle, CountingOracle):
-        oracle = CountingOracle(oracle)
-    counters = oracle.counters
+    metadata = {"eta0": format_float(NAG_ETA0), "beta": format_float(NAG_BETA)}
+    return record_run("nag", oracle, x0, config, lambda oracle, x: (
+        metadata, _nag_iterations(oracle, x, config.tolerance)))
 
-    x = checked_input("x0", x0, (oracle.dimension,)).copy()
+
+def _nag_iterations(oracle, x: np.ndarray, tolerance: float):
+    """:func:`nag_solve`'s iterations for :func:`~qnprox.trace.record_run`;
+    the tolerance test is on the gradient at y, before the row."""
     y = x.copy()
     eta = NAG_ETA0
     t_momentum = 1.0
-
-    record = RunRecord(method="nag", metadata={
-        "eta0": format_float(NAG_ETA0),
-        "beta": format_float(NAG_BETA),
-        "max_iters": str(config.max_iters),
-        "tolerance": format_float(config.tolerance),
-    })
-    start = time.perf_counter()
-    try:
-        fx = float(oracle.value(x))
-        for k in range(config.max_iters):
-            g = oracle.gradient(y)
-            grad_norm = float(np.linalg.norm(g))
-            if grad_norm <= config.tolerance:
+    fx = float(oracle.value(x))
+    while True:
+        g = oracle.gradient(y)
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm <= tolerance:
+            return TOLERANCE
+        fy = float(oracle.value(y))
+        g_sq = grad_norm * grad_norm
+        backtracks = 0
+        while True:
+            u = y - eta * g
+            fu = float(oracle.value(u))
+            if fu <= fy - 0.5 * eta * g_sq:
                 break
-            fy = float(oracle.value(y))
-            g_sq = grad_norm * grad_norm
-            backtracks = 0
-            while True:
-                u = y - eta * g
-                fu = float(oracle.value(u))
-                if fu <= fy - 0.5 * eta * g_sq:
-                    break
-                eta *= NAG_BETA
-                backtracks += 1
-                if eta < 1e-300:
-                    raise SolverError("NAG step size underflowed")
+            eta *= NAG_BETA
+            backtracks += 1
+            if eta < 1e-300:
+                raise SolverError("NAG step size underflowed")
 
-            if fu <= fx:
-                x_next, fx_next = u, fu
-            else:
-                x_next, fx_next = x, fx
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0
-            y = (x_next + (t_momentum / t_next) * (u - x_next)
-                 + ((t_momentum - 1.0) / t_next) * (x_next - x))
-            x, fx = x_next, fx_next
-            t_momentum = t_next
+        if fu <= fx:
+            x_next, fx_next = u, fu
+        else:
+            x_next, fx_next = x, fx
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum)) / 2.0
+        y = (x_next + (t_momentum / t_next) * (u - x_next)
+             + ((t_momentum - 1.0) / t_next) * (x_next - x))
+        x, fx = x_next, fx_next
+        t_momentum = t_next
 
-            record.append(TraceRow(
-                iteration=k + 1, f_value=fx, eta_hat=eta, case="-",
-                backtracks=backtracks, grad_queries=counters.gradient_queries,
-                matvecs=counters.matvecs))
-    except Exception as exc:
-        exc.trace = record.finish(start, x)
-        raise
-    return record.finish(start, x)
+        yield fx, eta, "-", backtracks, x
 
 
 def _strong_wolfe(oracle, x, p, phi0, dphi0):
@@ -209,62 +198,45 @@ def bfgs_solve(oracle, x0: np.ndarray,
     update its H y.
     """
     config = config if config is not None else BaselineConfig()
-    if not isinstance(oracle, CountingOracle):
-        oracle = CountingOracle(oracle)
-    counters = oracle.counters
+    metadata = {"c1": format_float(WOLFE_C1), "c2": format_float(WOLFE_C2)}
+    return record_run("bfgs", oracle, x0, config, lambda oracle, x: (
+        metadata, _bfgs_iterations(oracle, x, config.tolerance)))
 
-    x = checked_input("x0", x0, (oracle.dimension,)).copy()
-    d = x.shape[0]
-    H = PackedSymmetric(d, H_NAME)
+
+def _bfgs_iterations(oracle, x: np.ndarray, tolerance: float):
+    """:func:`bfgs_solve`'s iterations for :func:`~qnprox.trace.record_run`;
+    the tolerance test is on the gradient at x, before the row."""
+    H = PackedSymmetric(x.shape[0], H_NAME)
     H.set_identity()
+    f = float(oracle.value(x))
+    g = oracle.gradient(x)
+    for k in itertools.count():
+        if float(np.linalg.norm(g)) <= tolerance:
+            return TOLERANCE
+        p = H.matvec(g, -1.0)
+        oracle.counters.count_matvec()
+        if float(g @ p) >= 0.0:
+            H.set_identity()
+            p = -g
+        descent = float(g @ p)
+        try:
+            t, f_new, g_new, evals = _strong_wolfe(oracle, x, p, f, descent)
+        except ConvergenceError as exc:
+            if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
+                # the predicted decrease is below the float resolution of f,
+                # so the Wolfe conditions were noise: converged to the floor
+                return PRECISION_FLOOR
+            raise ConvergenceError(
+                f"BFGS line search failed at iteration {k} "
+                f"(gradient norm {np.linalg.norm(g):.3e}): {exc}",
+                best=x) from exc
+        s = t * p
+        y_vec = g_new - g
+        x = x + s
+        sy = float(s @ y_vec)
+        if sy > CURVATURE_SKIP * float(np.linalg.norm(s)) * float(np.linalg.norm(y_vec)):
+            bfgs_inverse_update(H, s, y_vec)
+            oracle.counters.count_matvec()
+        f, g = f_new, g_new
 
-    record = RunRecord(method="bfgs", metadata={
-        "c1": format_float(WOLFE_C1),
-        "c2": format_float(WOLFE_C2),
-        "max_iters": str(config.max_iters),
-        "tolerance": format_float(config.tolerance),
-    })
-    start = time.perf_counter()
-    try:
-        f = float(oracle.value(x))
-        g = oracle.gradient(x)
-        for k in range(config.max_iters):
-            if float(np.linalg.norm(g)) <= config.tolerance:
-                break
-            p = H.matvec(g, -1.0)
-            counters.count_matvec()
-            if float(g @ p) >= 0.0:
-                H.set_identity()
-                p = -g
-            descent = float(g @ p)
-            try:
-                t, f_new, g_new, evals = _strong_wolfe(oracle, x, p, f,
-                                                       descent)
-            except ConvergenceError as exc:
-                if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
-                    # the predicted decrease is below the float resolution of
-                    # f, so the Wolfe conditions were noise: converged to the
-                    # floor
-                    record.metadata["stopped"] = "precision_floor"
-                    break
-                raise ConvergenceError(
-                    f"BFGS line search failed at iteration {k} "
-                    f"(gradient norm {np.linalg.norm(g):.3e}): {exc}",
-                    best=x) from exc
-            s = t * p
-            y_vec = g_new - g
-            x = x + s
-            sy = float(s @ y_vec)
-            if sy > CURVATURE_SKIP * float(np.linalg.norm(s)) * float(np.linalg.norm(y_vec)):
-                bfgs_inverse_update(H, s, y_vec)
-                counters.count_matvec()
-            f, g = f_new, g_new
-
-            record.append(TraceRow(
-                iteration=k + 1, f_value=f, eta_hat=t, case="-",
-                backtracks=evals - 1, grad_queries=counters.gradient_queries,
-                matvecs=counters.matvecs))
-    except Exception as exc:
-        exc.trace = record.finish(start, x)
-        raise
-    return record.finish(start, x)
+        yield f, t, "-", evals - 1, x

@@ -24,13 +24,10 @@ class ConvergenceError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """A solver run aborted; ``trace`` holds the partial run record and
-    ``counters`` a copy of the query totals at the failure."""
-
-    def __init__(self, message, trace=None, counters=None):
-        super().__init__(message)
-        self.trace = trace
-        self.counters = counters
+    """A solver run aborted.  Every solver attaches ``trace``, the partial
+    record, and ``counters``, a copy of the query totals, to an error raised
+    during a run; aqnpe raises this type naming the iteration, from the
+    cause, and NAG and BFGS raise the cause's own type."""
 
 
 def check_integer(name: str, value, minimum: int) -> None:

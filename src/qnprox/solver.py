@@ -10,8 +10,7 @@ round of the online curvature learner.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +21,8 @@ from .learner import (DEFAULT_STEP_SIZE, LearnerState, init_learner,
                       learner_step)
 from .line_search import LineSearchOutcome, backtracking_search
 from .oracles import CountingOracle, checked_input, estimate_smoothness
-from .trace import RunRecord, TraceRow, format_float
+from .trace import (PRECISION_FLOOR, TOLERANCE, RunRecord, format_float,
+                    record_run)
 
 CASE_ACCEPTED = "I"
 CASE_DAMPED = "II"
@@ -167,6 +167,30 @@ def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
     return next_state, report
 
 
+def _iterations(state: SolverState, oracle, config: SolverConfig, observer):
+    """:func:`solve`'s iterations for :func:`~qnprox.trace.record_run`.  The
+    observer gets each report before its row is taken, and the tolerance
+    test follows the row.  An error is raised as :class:`SolverError`."""
+    rng = np.random.default_rng(config.seed)
+    try:
+        while True:
+            advanced = step(state, oracle, config, rng)
+            if advanced is None:
+                return PRECISION_FLOOR
+            state, report = advanced
+            f = float(oracle.value(state.x))
+            if observer is not None:
+                observer(report)
+            yield (f, report.search.eta_hat, report.case,
+                   report.search.backtracks, state.x)
+            if np.linalg.norm(report.search.grad_at_x_hat) <= config.tolerance:
+                return TOLERANCE
+            del advanced, report  # the next step holds no finished report
+    except Exception as exc:
+        raise SolverError(f"solver aborted at iteration {state.k}: {exc}"
+                          ) from exc
+
+
 def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
           config: Optional[SolverConfig] = None,
           observer: Optional[Callable[[IterationReport], None]] = None
@@ -188,63 +212,26 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
 
     Inputs are checked before iteration 0: ``x0`` and ``z0`` must match
     ``oracle.dimension`` and be finite, and the L1 must be finite and
-    positive, else :class:`ValueError`.  On failure during the run the
-    partial trace, and a copy of the counters, are attached to the raised
-    :class:`SolverError`.
+    positive, else :class:`ValueError`.  An error during the run is raised
+    as :class:`SolverError`, naming the iteration, from its cause.
     """
     config = config if config is not None else SolverConfig()
-    if not isinstance(oracle, CountingOracle):
-        oracle = CountingOracle(oracle)
-    counters = oracle.counters
-    d = oracle.dimension
-    x = checked_input("x0", x0, (d,)).copy()
-    z = x.copy() if z0 is None else checked_input("z0", z0, (d,)).copy()
 
-    L1, source = oracle.smoothness, "the oracle's smoothness"
-    if L1 is None:
-        L1 = estimate_smoothness(oracle.inner, x, seed=config.seed)
-        source = "the curvature estimate"
-    check_interval(f"L1 from {source}", L1, 0.0, math.inf)
-    sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
+    def begin(oracle, x):
+        z = x.copy() if z0 is None else checked_input("z0", z0, x.shape).copy()
+        L1, source = oracle.smoothness, "the oracle's smoothness"
+        if L1 is None:
+            L1 = estimate_smoothness(oracle.inner, x, seed=config.seed)
+            source = "the curvature estimate"
+        check_interval(f"L1 from {source}", L1, 0.0, math.inf)
+        sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
+        state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0,
+                            learner=init_learner(x.size, L1, rho=config.rho))
+        metadata = {"alpha1": format_float(ALPHA1),
+                    "alpha2": format_float(ALPHA2),
+                    "beta": format_float(config.beta),
+                    "sigma0": format_float(sigma0), "L1": format_float(L1),
+                    "seed": str(config.seed)}
+        return metadata, _iterations(state, oracle, config, observer)
 
-    state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0,
-                        learner=init_learner(d, L1, rho=config.rho))
-    rng = np.random.default_rng(config.seed)
-
-    record = RunRecord(method="aqnpe", metadata={
-        "alpha1": format_float(ALPHA1),
-        "alpha2": format_float(ALPHA2),
-        "beta": format_float(config.beta),
-        "sigma0": format_float(sigma0),
-        "L1": format_float(L1),
-        "seed": str(config.seed),
-        "max_iters": str(config.max_iters),
-        "tolerance": format_float(config.tolerance),
-    })
-    start = time.perf_counter()
-    try:
-        for _ in range(config.max_iters):
-            advanced = step(state, oracle, config, rng)
-            if advanced is None:
-                record.metadata["stopped"] = "precision_floor"
-                break
-            state, report = advanced
-            record.append(TraceRow(
-                iteration=state.k,
-                f_value=float(oracle.value(state.x)),
-                eta_hat=report.search.eta_hat,
-                case=report.case,
-                backtracks=report.search.backtracks,
-                grad_queries=counters.gradient_queries,
-                matvecs=counters.matvecs,
-            ))
-            if observer is not None:
-                observer(report)
-            if np.linalg.norm(report.search.grad_at_x_hat) <= config.tolerance:
-                break
-            del advanced, report  # the next step holds no finished report
-    except Exception as exc:
-        raise SolverError(f"solver aborted at iteration {state.k}: {exc}",
-                          trace=record.finish(start, state.x),
-                          counters=replace(counters)) from exc
-    return record.finish(start, state.x)
+    return record_run("aqnpe", oracle, x0, config, begin)

@@ -1,4 +1,5 @@
-"""Per-iteration run records and their CSV round trip.
+"""Per-iteration run records, the driver loop every solver runs in
+(:func:`record_run`), and their CSV round trip.
 
 Trace files carry metadata as ``# key=value`` comment lines, then the header
 ``iter,f,eta_hat,case,backtracks,grad_queries,matvecs`` and one row per
@@ -19,11 +20,16 @@ import sys
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+from .oracles import CountingOracle, checked_input
+
 TRACE_HEADER = "iter,f,eta_hat,case,backtracks,grad_queries,matvecs"
+# why a solver's iterations ended before the cap
+TOLERANCE = "tolerance"
+PRECISION_FLOOR = "precision_floor"
 
 
 def format_float(x: float) -> str:
@@ -119,11 +125,10 @@ class RunRecord:
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
 
-    def finish(self, start: float, final_x) -> "RunRecord":
+    def finish(self, start: float, final_x) -> None:
         """Stamp the wall time since ``start`` and the last iterate."""
         self.wall_time = time.perf_counter() - start
         self.final_x = final_x
-        return self
 
     def grad_query_deltas(self) -> list:
         """Gradient queries spent per iteration (first row counts from 0)."""
@@ -133,6 +138,44 @@ class RunRecord:
             deltas.append(row.grad_queries - previous)
             previous = row.grad_queries
         return deltas
+
+
+def record_run(method: str, oracle, x0, config, begin) -> RunRecord:
+    """One solve of ``method``, capped at ``config.max_iters`` rows.
+
+    Wraps the oracle in a :class:`~qnprox.oracles.CountingOracle` unless it
+    is one, and checks ``x0`` against its dimension (:class:`ValueError`).
+    ``begin(oracle, x)``, x a copy of x0, returns the run's metadata and its
+    iterations: a generator that yields each finished iteration's f,
+    eta_hat, case, backtracks and iterate, and returns TOLERANCE or
+    PRECISION_FLOOR, the one written as ``stopped``.  A row is numbered and
+    counted here.  An error raised by the iterations carries the partial
+    record as ``trace`` and a copy of the counters as ``counters``.
+    """
+    if not isinstance(oracle, CountingOracle):
+        oracle = CountingOracle(oracle)
+    counters = oracle.counters
+    x = checked_input("x0", x0, (oracle.dimension,)).copy()
+    metadata, iterations = begin(oracle, x)
+    record = RunRecord(method, dict(metadata, max_iters=str(config.max_iters),
+                                    tolerance=format_float(config.tolerance)))
+    start = time.perf_counter()
+    try:
+        for k in range(1, config.max_iters + 1):
+            try:
+                *columns, x = next(iterations)
+            except StopIteration as stop:
+                if stop.value == PRECISION_FLOOR:
+                    record.metadata["stopped"] = PRECISION_FLOOR
+                break
+            record.append(TraceRow(k, *columns, counters.gradient_queries,
+                                   counters.matvecs))
+    except Exception as exc:
+        exc.trace, exc.counters = record, replace(counters)
+        raise
+    finally:
+        record.finish(start, x)
+    return record
 
 
 def write_trace_csv(record: RunRecord, path) -> None:

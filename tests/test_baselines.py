@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnprox.baselines
-from qnprox import (BaselineConfig, CountingOracle, RunRecord, TraceRow,
-                    bfgs_solve, nag_solve, write_trace_csv)
+from qnprox import (BaselineConfig, CountingOracle, OracleCounters,
+                    RunRecord, TraceRow, bfgs_solve, nag_solve,
+                    write_trace_csv)
 from qnprox.baselines import (NAG_BETA, NAG_ETA0, WOLFE_C1, WOLFE_C2,
                               bfgs_inverse_update)
 from qnprox.errors import ConvergenceError, NumericsError, SolverError
@@ -421,19 +422,6 @@ class TestBothBaselines:
             solver(oracle, x0, BaselineConfig(max_iters=5))
         assert oracle.counters.gradient_queries == 0
 
-    def test_failure_mid_run_keeps_the_partial_trace(self, solver,
-                                                     small_logistic):
-        # the gradient turns NaN right after iteration 8 completes
-        config = BaselineConfig(max_iters=40)
-        x0 = np.zeros(small_logistic.dimension)
-        full = solver(small_logistic, x0, config)
-        assert len(full.rows) > 8
-        broken = GradientFaultAfter(small_logistic, full.rows[7].grad_queries)
-        with pytest.raises(NumericsError, match="gradient oracle") as info:
-            solver(broken, x0, config)
-        assert info.value.trace.rows == full.rows[:8]
-        assert info.value.trace.method == full.method
-
     def test_gradient_of_wrong_shape_raises_naming_it(self, solver):
         # a 13-entry gradient for d = 12 after 5 good ones is rejected by the
         # counting oracle, not by numpy broadcasting, and keeps the trace
@@ -444,7 +432,8 @@ class TestBothBaselines:
                            r"shape \(13,\), expected \(12,\)") as info:
             solver(broken, np.zeros(12), BaselineConfig(max_iters=40))
         assert 1 <= len(info.value.trace.rows) <= 5
-
+        # the rejected sixth query is counted
+        assert info.value.counters.gradient_queries == 6
 
     def test_value_of_wrong_shape_raises_naming_it(self, solver):
         # a 2-entry value is rejected by the counting oracle, not by
@@ -455,6 +444,8 @@ class TestBothBaselines:
             solver(VectorValue(objective), np.zeros(12),
                    BaselineConfig(max_iters=5))
         assert len(info.value.trace.rows) == 0
+        # the value at x0 comes before any gradient
+        assert info.value.counters == OracleCounters()
 
 
 class TestConfig:

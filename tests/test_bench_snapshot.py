@@ -2,6 +2,7 @@
 merges an output left by an earlier run, and records in its counts ladder
 what a direct solve counts."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnprox import SolverConfig, solve, write_trace_csv
+from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
+                    solve, write_trace_csv)
 from qnprox.selftest import make_logistic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +122,30 @@ def test_ladder_rung_is_the_first_iteration_at_the_gap(tiny_ladder):
     assert rows[-2].f_value - entry["f_star"] > 1e-6
     assert (rows[-1].grad_queries, rows[-1].matvecs) == (
         rung["grad_queries"], rung["matvecs"])
+
+
+def test_ladder_digests_are_the_baseline_trace_csvs(tiny_ladder, tmp_path):
+    # each digest is that of the trace CSV a direct solve writes when it is
+    # capped at the first iteration at gap 1e-8
+    import measure
+    import workloads
+
+    workload = workloads.tiny(workloads.WORKLOADS["paper"])
+    plan = workloads.seed_plan(workload, bench_snapshot.SEED)
+    objective, _, _ = measure.setup(workload, plan)
+    entry = tiny_ladder["workloads"]["paper"]
+    digests = entry["baseline_traces"]
+    assert digests["nag"]["iters"] == entry["nag"]["1e-08"]["iters"]
+    x0 = np.zeros(workload.d)
+    for method, solver in (("nag", nag_solve), ("bfgs", bfgs_solve)):
+        record = solver(objective, x0,
+                        BaselineConfig(max_iters=digests[method]["iters"]))
+        gaps = [row.f_value - entry["f_star"] for row in record.rows]
+        assert gaps[-1] <= 1e-8 and all(gap > 1e-8 for gap in gaps[:-1])
+        path = tmp_path / f"{method}.csv"
+        write_trace_csv(record, path)
+        assert digests[method]["sha256"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()
 
 
 def fake_snapshot(tag, linear_matvecs, layer_keys):
@@ -305,3 +331,22 @@ def test_paired_summary_counts_lower_pairs_and_unequal_counts():
     assert t["change"]["min"] == 0.5
     assert block["counts"] == {"aqnpe.iters": {"parent": 10, "change": 10}}
     assert block["unequal"] == ["aqnpe.iters"]
+
+
+def test_compare_names_the_baseline_traces_that_moved(tiny_ladder, capsys):
+    def digest_lines():
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  baseline trace CSVs that differ: ")]
+
+    before = fake_snapshot("parent", 1, [])
+    after = fake_snapshot("change", 1, [])
+    after["ladder"] = tiny_ladder
+    bench_snapshot.compare(before, after)
+    # a snapshot without digests reads "-"
+    assert [line.split(": ")[1] for line in digest_lines()] == ["-"] * 3
+    before["ladder"] = json.loads(json.dumps(tiny_ladder))
+    before["ladder"]["workloads"]["tall"]["baseline_traces"]["bfgs"][
+        "sha256"] = "0" * 64
+    bench_snapshot.compare(before, after)
+    assert [line.split(": ")[1] for line in digest_lines()] == [
+        "none", "['bfgs']", "none"]

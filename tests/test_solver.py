@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
@@ -246,42 +245,6 @@ class TestConfigValidation:
     def test_beta_range(self):
         with pytest.raises(ValueError):
             SolverConfig(beta=1.0)
-
-    def test_partial_trace_attached_on_failure(self, small_logistic):
-        # the gradient turns non-finite at a set query, mid-run: the error
-        # names the iteration, and the trace holds the iterations before it
-        failing_query = 40
-
-        class FailsAtQuery:
-            dimension = small_logistic.dimension
-            smoothness = small_logistic.smoothness
-            queries = 0
-
-            def value(self, x):
-                return small_logistic.value(x)
-
-            def gradient(self, x):
-                self.queries += 1
-                if self.queries == failing_query:
-                    return np.full(self.dimension, np.nan)
-                return small_logistic.gradient(x)
-
-        with pytest.raises(SolverError) as exc_info:
-            solve(FailsAtQuery(), np.zeros(small_logistic.dimension),
-                  config=SolverConfig(max_iters=50, seed=0))
-        exc = exc_info.value
-        match = re.match(r"solver aborted at iteration (\d+): gradient oracle",
-                         str(exc))
-        assert match
-        assert isinstance(exc.__cause__, NumericsError)
-        k = int(match.group(1))
-        assert k >= 1
-        # row j records the state after iteration j, so the k iterations
-        # before the failed one are the whole trace
-        assert [row.iteration for row in exc.trace.rows] == list(
-            range(1, k + 1))
-        assert exc.trace.rows[-1].grad_queries < failing_query
-
 
     @pytest.mark.parametrize("field, value", [
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),

@@ -5,12 +5,16 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnprox import RunRecord, TraceRow, read_trace_csv, write_trace_csv
+from qnprox import (BaselineConfig, CountingOracle, NumericsError, RunRecord,
+                    SolverConfig, SolverError, TraceRow, bfgs_solve,
+                    nag_solve, read_trace_csv, solve, write_trace_csv)
 from qnprox.trace import format_float
+from helpers import GradientFaultAfter
 
 
 def sample_record():
@@ -223,3 +227,47 @@ def test_any_written_record_reads_back_and_rewrites_to_the_same_bytes(
         # equality cannot tell -0.0 from 0.0; the bytes can
         write_trace_csv(parsed, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+SOLVES = {
+    "aqnpe": lambda oracle, x0: solve(oracle, x0, config=SolverConfig(
+        max_iters=40, seed=0)),
+    "nag": lambda oracle, x0: nag_solve(oracle, x0,
+                                        BaselineConfig(max_iters=40)),
+    "bfgs": lambda oracle, x0: bfgs_solve(oracle, x0,
+                                          BaselineConfig(max_iters=40)),
+}
+
+
+@pytest.mark.parametrize("method", list(SOLVES))
+def test_failure_mid_run_keeps_the_partial_trace_and_counters(
+        method, small_logistic):
+    # the gradient turns NaN right after iteration 8 completes: aqnpe wraps
+    # the cause in SolverError naming the iteration, the baselines raise it
+    # as it is, and every solver attaches the clean run's first 8 rows and a
+    # copy of the counters
+    x0 = np.zeros(small_logistic.dimension)
+    full = SOLVES[method](small_logistic, x0)
+    assert len(full.rows) > 8
+    good = full.rows[7].grad_queries
+    broken = GradientFaultAfter(small_logistic, good)
+    oracle = CountingOracle(broken)
+    with pytest.raises(Exception) as info:
+        SOLVES[method](oracle, x0)
+    err = info.value
+    if method == "aqnpe":
+        assert type(err) is SolverError
+        assert str(err).startswith(
+            "solver aborted at iteration 8: gradient oracle")
+        assert type(err.__cause__) is NumericsError
+    else:
+        assert type(err) is NumericsError
+        assert str(err).startswith("gradient oracle")
+    assert err.trace.method == full.method
+    assert err.trace.rows == full.rows[:8]
+    # the first faulty query is counted before it is rejected
+    assert err.counters.gradient_queries == good - broken.good == good + 1
+    with pytest.raises(NumericsError):
+        oracle.gradient(x0)
+    assert oracle.counters.gradient_queries == good + 2
+    assert err.counters.gradient_queries == good + 1

@@ -26,7 +26,10 @@ library's public API on the same instances (perfbench's ``workloads`` and
   gradient queries to objective gaps 1e-4, 1e-6, 1e-8 and 1e-10, next to
   d ln d;
 * for aqnpe at rho = 1e-12, 1/128, 1/16, 1/4 and 1, iterations, gradient
-  queries and matvecs to gap 1e-8.
+  queries and matvecs to gap 1e-8;
+* for NAG and BFGS, the SHA-256 of the ``write_trace_csv`` output of a solve
+  run to its first iteration at gap 1e-8, so a change to the baselines shows
+  byte identity of their traces, as the aqnpe trace's digests show its own.
 
 Counts are deterministic, so the ladder repeats nothing.  Each count comes
 from the first trace row at or below the gap, with f* from perfbench's
@@ -59,7 +62,8 @@ snapshot without them), then, per workload, each end-to-end metric before
 and after with its ratio, the per-layer metrics of LAYER_METRICS from the
 trace-1 run, the trace columns whose digests differ, the largest relative
 change of ``f``, the ladder's counts (before -> after where both files
-have a ladder), and the after file's paired block.  It runs nothing.
+have a ladder), the baselines whose trace digests differ, and the after
+file's paired block.  It runs nothing.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ RESULT_KEYS = ("correct", "attempted", "failed", "metrics", "environment",
                "notes", "problems")
 LADDER_GAPS = (1e-4, 1e-6, 1e-8, 1e-10)
 RHO_GAP = 1e-8
+BASELINE_TRACE_GAP = 1e-8
 RHOS = {"1e-12": 1e-12, "1/128": 1.0 / 128.0, "1/16": 1.0 / 16.0,
         "1/4": 1.0 / 4.0, "1": 1.0}
 LADDER_MAX_ITERS = 20000
@@ -252,7 +257,8 @@ def ladder(root: Path, tiny: bool = False) -> dict:
     for path in ("perfbench", "src"):
         sys.path.insert(0, str(root / path))
     import numpy as np
-    from qnprox import BaselineConfig, SolverConfig, nag_solve, solve
+    from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
+                        solve, write_trace_csv)
     import measure
     import workloads
 
@@ -274,6 +280,22 @@ def ladder(root: Path, tiny: bool = False) -> dict:
         def nag(cap):
             return nag_solve(objective, x0, BaselineConfig(max_iters=cap))
 
+        def bfgs(cap):
+            return bfgs_solve(objective, x0, BaselineConfig(max_iters=cap))
+
+        def trace_digest(run, cap):
+            """The iterations to BASELINE_TRACE_GAP and the SHA-256 of the
+            trace CSV of ``run`` stopped there, or None if never reached."""
+            gap = f"{BASELINE_TRACE_GAP:g}"
+            rung = counts_to_gaps(run, cap, f_star, (BASELINE_TRACE_GAP,))[gap]
+            if rung is None:
+                return None
+            with tempfile.TemporaryDirectory() as scratch:
+                path = Path(scratch) / "trace.csv"
+                write_trace_csv(run(rung["iters"]), path)
+                return {"iters": rung["iters"],
+                        "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
         caps = workload.caps
         print(f"+ ladder {name}", file=sys.stderr, flush=True)
         out["workloads"][name] = {
@@ -289,6 +311,8 @@ def ladder(root: Path, tiny: bool = False) -> dict:
                 label: counts_to_gaps(aqnpe(rho), caps["aqnpe"], f_star,
                                       (RHO_GAP,))[f"{RHO_GAP:g}"]
                 for label, rho in RHOS.items()},
+            "baseline_traces": {"nag": trace_digest(nag, caps["nag"]),
+                                "bfgs": trace_digest(bfgs, caps["bfgs"])},
         }
     return out
 
@@ -480,6 +504,15 @@ def compare(before: dict, after: dict) -> None:
             print(f"  largest relative change of f: {change:.3g}")
         else:
             print(f"  trace rows: {old_trace['rows']} -> {new_trace['rows']}")
+        digests = [snapshot.get("ladder", {}).get("workloads", {})
+                   .get(workload, {}).get("baseline_traces")
+                   for snapshot in (before, after)]
+        if None in digests:
+            moved = "-"
+        else:
+            moved = [method for method, digest in digests[1].items()
+                     if digests[0].get(method) != digest] or "none"
+        print(f"  baseline trace CSVs that differ: {moved}")
     if "ladder" in after:
         print_ladder(before.get("ladder"), after["ladder"])
     if "paired" in after:
