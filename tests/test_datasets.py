@@ -261,8 +261,9 @@ class UncachedLogistic:
 
 
 class TestMarginCache:
-    """Value, gradient and Hessian at one point share one S x; every result
-    stays bit-identical to the uncached formulas."""
+    """Value, gradient and Hessian at one point share one S x; on an
+    instance of one row block every result stays bit-identical to the
+    uncached formulas, on several it stays within a few ulps."""
 
     def test_interleaved_calls_match_uncached_formulas(self):
         cached = LogisticObjective(generate_logistic(
@@ -325,40 +326,91 @@ class TestMarginCache:
             write_trace_csv(run(plain), plain_csv)
             assert cached_csv.read_bytes() == plain_csv.read_bytes(), name
 
+    def test_multi_block_calls_match_uncached_formulas(self):
+        # four row blocks, the last one short: the margins and the sums
+        # A^T w and A^T diag(c) A are formed block by block, so they differ
+        # from the one-product formulas in the last bits only
+        cached = LogisticObjective(generate_logistic(
+            SyntheticLogisticSpec(n=1700, d=128, sigma=0.8, seed=7)))
+        rows = [len(features) for features, *_ in cached._blocks]
+        assert len(rows) >= 3 and rows[-1] < rows[0]
+        plain = UncachedLogistic(cached)
+        A = cached.features
+        n = A.shape[0]
+        column_sums = np.abs(A).sum(axis=0).max()          # ||A||_1
+        rng = np.random.default_rng(11)
+        x1, x2 = rng.standard_normal((2, cached.dimension)) * 0.2
+
+        def check_gradient(x):
+            got = cached.gradient(x)
+            want = plain.gradient(x)
+            weights = logistic_weights(plain.signed @ x, np.empty(n))
+            scale = column_sums * np.abs(weights).max() / n
+            assert np.all(np.abs(got - want) <= 8 * EPS * scale), x
+            return got
+
+        miss = check_gradient(x1)                # cache miss
+        cached.value(x2)
+        check_gradient(x2)                       # hit after a value
+        cached.value(x1)
+        assert np.array_equal(cached.gradient(x1), miss)   # hit, same bits
+        moving = x2.copy()
+        cached.gradient(moving)
+        moving[0] += 0.5                         # the same array, mutated
+        check_gradient(moving)
+
+        # value(x) has the same bits whichever call filled the cache
+        cached.gradient(x1)
+        after_gradient = cached.value(x1)
+        cached.value(x2)
+        after_value = cached.value(x1)
+        cached.hessian(x2)
+        cached.hessian(x1)
+        after_hessian = cached.value(x1)
+        assert after_gradient == after_value == after_hessian
+        assert abs(after_value - plain.value(x1)) <= 8 * EPS * after_value
+
+        got = cached.hessian(x2)
+        want = plain.hessian(x2)
+        scale = column_sums * np.abs(A).max() / (4.0 * n)
+        assert np.all(np.abs(got - want) <= 8 * EPS * scale)
+
     def test_holds_no_copy_of_the_dataset(self):
         # the margins, one scratch n-vector and the cached point: 2 n + d
-        # floats, plus a little for the object itself
-        n, d = 2000, 20
-        dataset = generate_logistic(
-            SyntheticLogisticSpec(n=n, d=d, sigma=0.8, seed=1))
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            objective = LogisticObjective(dataset)
-            held = tracemalloc.get_traced_memory()[0] - baseline
-        finally:
+        # floats, plus a little for the object itself and its block views;
+        # 2000 x 20 is one row block, 20000 x 10 four
+        for n, d in ((2000, 20), (20000, 10)):
+            dataset = generate_logistic(
+                SyntheticLogisticSpec(n=n, d=d, sigma=0.8, seed=1))
+            started = not tracemalloc.is_tracing()
             if started:
-                tracemalloc.stop()
-        assert objective.features is dataset.features
-        assert held <= (2 * n + d) * 8 + 4096
+                tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                objective = LogisticObjective(dataset)
+                held = tracemalloc.get_traced_memory()[0] - baseline
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert objective.features is dataset.features
+            assert held <= (2 * n + d) * 8 + 4096, (n, d)
 
     @pytest.mark.parametrize("method", ["value", "gradient"])
     def test_call_allocates_no_n_vector(self, method):
-        # on a cache miss (a new point: the product runs again) and on a hit
-        n = 20000
-        objective = LogisticObjective(generate_logistic(
-            SyntheticLogisticSpec(n=n, d=10, sigma=0.8, seed=1)))
-        rng = np.random.default_rng(0)
-        x, y = rng.standard_normal((2, objective.dimension))
-        call = getattr(objective, method)
-        call(x)                      # warm-up
-        for point in (y, y):         # miss, then hit
-            tracemalloc.start()
-            try:
-                call(point)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < n * 8
+        # on a cache miss (a new point: the product runs again) and on a
+        # hit; 20000 x 10 is four row blocks, 6000 x 100 ten
+        for n, d in ((20000, 10), (6000, 100)):
+            objective = LogisticObjective(generate_logistic(
+                SyntheticLogisticSpec(n=n, d=d, sigma=0.8, seed=1)))
+            rng = np.random.default_rng(0)
+            x, y = rng.standard_normal((2, objective.dimension))
+            call = getattr(objective, method)
+            call(x)                      # warm-up
+            for point in (y, y):         # miss, then hit
+                tracemalloc.start()
+                try:
+                    call(point)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < n * 8, (n, d)
