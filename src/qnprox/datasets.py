@@ -106,7 +106,7 @@ class LogisticObjective:
     All three walk A in the same row blocks of ``_BLOCK_BYTES`` (512 KiB)
     of features or less.  A gradient at a new point writes each block's
     margins and weights and adds its A_b^T w_b while the block is still in
-    cache, so it reads A from memory once, not twice; a Hessian sums
+    cache, so it reads A from beyond L2 once, not twice; a Hessian sums
     A_b^T diag(c_b) A_b, so its temporary is one block's size.  The margins
     are always formed block by block, so ``value`` gives the same bits
     whichever call filled the cache.  An instance whose features fit in one
@@ -116,9 +116,10 @@ class LogisticObjective:
     floating-point overflow for its whole walk, its n x d products included.
 
     The instance reads the dataset's arrays and keeps no copy of them: it
-    holds 2 n + d floats of scratch space and one view per block of each,
-    ``value`` and ``gradient`` allocate no length-n array, and it must not
-    be called from two threads at once.
+    holds 2 n + d floats of scratch space, plus a view per block of the
+    features, the labels and the two scratch n-vectors; ``value`` and
+    ``gradient`` allocate no length-n array, and it must not be called from
+    two threads at once.
 
     ``smoothness`` is L1 = lambda_max(A^T A) / (4 n), the largest eigenvalue
     of the Hessian at 0, computed exactly rather than estimated: the Gram
