@@ -106,14 +106,14 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0):
     the constants WOLFE_C1 and WOLFE_C2.
 
     Returns (t, f(x + t p), grad f(x + t p), evaluations).  Each trial costs
-    one value and one gradient query.
+    a gradient query, then a value query that can reuse the gradient's work.
     """
     if dphi0 >= 0.0:
         raise ValueError("search direction is not a descent direction")
 
     def phi(t):
         point = x + t * p
-        return float(oracle.value(point)), oracle.gradient(point)
+        return oracle.gradient(point), float(oracle.value(point))
 
     def zoom(lo, phi_lo, dphi_lo, hi, phi_hi, dphi_hi, evals):
         for _ in range(MAX_ZOOM):
@@ -124,7 +124,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0):
             margin = 1e-3 * (high - low)
             if not math.isfinite(t) or t <= low + margin or t >= high - margin:
                 t = 0.5 * (lo + hi)
-            phi_t, g_t = phi(t)
+            g_t, phi_t = phi(t)
             evals += 1
             dphi_t = float(g_t @ p)
             if phi_t > phi0 + WOLFE_C1 * t * dphi0 or phi_t >= phi_lo:
@@ -142,7 +142,7 @@ def _strong_wolfe(oracle, x, p, phi0, dphi0):
     t = 1.0
     evals = 0
     for i in range(25):
-        phi_t, g_t = phi(t)
+        g_t, phi_t = phi(t)
         evals += 1
         dphi_t = float(g_t @ p)
         if (phi_t > phi0 + WOLFE_C1 * t * dphi0

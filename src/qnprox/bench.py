@@ -1,5 +1,6 @@
 """Benchmark orchestration: run solvers on a dataset, emit CSV traces,
-gradient-query histograms, and optional SVG convergence charts."""
+gradient-query histograms, and optional SVG charts of the gap f - f*, with
+f* = min(each row's f, f(x*)), x* from ``selftest.reference_minimizer``."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 from .baselines import BaselineConfig, bfgs_solve, nag_solve
 from .datasets import LogisticDataset, LogisticObjective
 from .errors import ConvergenceError
+from .selftest import reference_minimizer
 from .solver import SolverConfig, solve
 from .trace import RunRecord, format_float, write_trace_csv
 
@@ -49,25 +51,6 @@ def method_configs(methods: Sequence[str], max_iters: int, tolerance: float,
     return {name: aqnpe if name == "aqnpe" else baseline for name in methods}
 
 
-def reference_value(objective, runs: Sequence[MethodRun]) -> float:
-    """Best objective value seen anywhere, after a high-accuracy BFGS polish
-    (up to 2000 iterations) of each method's final iterate."""
-    best = math.inf
-    for run in runs:
-        if run.record is None or not run.record.rows:
-            continue
-        best = min(best, min(row.f_value for row in run.record.rows))
-        try:
-            polish = bfgs_solve(
-                objective, run.record.final_x,
-                BaselineConfig(max_iters=2000, tolerance=1e-13))
-        except ConvergenceError as exc:  # polish is best effort
-            best = min(best, float(objective.value(exc.best)))
-            continue
-        best = min(best, float(objective.value(polish.final_x)))
-    return best
-
-
 def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
                   out_dir, max_iters: int = 500, tolerance: float = 0.0,
                   seed: int = 0, svg: bool = False) -> list[MethodRun]:
@@ -79,8 +62,8 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
     Failures are recorded per method without aborting the others; an
     unknown method or a setting a method's config rejects raises
     :class:`ValueError` before ``out_dir`` is created.  Every method and the
-    chart's reference share one objective: its margin cache is exact, so
-    sharing it changes no output.
+    charts' reference minimizer share one objective: its margin cache is
+    exact, so sharing it changes no output.
     """
     configs = method_configs(methods, max_iters, tolerance, seed)
     out_dir = Path(out_dir)
@@ -109,7 +92,14 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
                                   out_dir / "aqnpe_grad_hist.csv")
 
     if svg and any(run.record is not None and run.record.rows for run in runs):
-        f_star = reference_value(objective, runs)
+        zeros = np.zeros(objective.dimension)
+        try:
+            x_star = reference_minimizer(objective, zeros)
+        except ConvergenceError as exc:  # its best point stands in for x*
+            x_star = exc.best
+        f_star = min(float(objective.value(x_star)), *(
+            row.f_value for run in runs if run.record is not None
+            for row in run.record.rows))
         _write_gap_chart(runs, f_star, "iteration",
                          out_dir / "fgap_vs_iteration.svg")
         _write_gap_chart(runs, f_star, "grad_queries",

@@ -49,19 +49,28 @@ def make_logistic(n, d, seed, sigma=0.8):
 
 
 def reference_minimizer(objective, x0):
-    """BFGS to its numerical floor, then Newton polish to ||grad|| <= 1e-13."""
+    """BFGS to its floor, then Newton steps while they lower ||grad||, to
+    ||grad|| <= 1e-13: the library's one x*.  Else raises
+    :class:`ConvergenceError` with ``best`` set, never ``LinAlgError``."""
     try:
         record = bfgs_solve(objective, x0,
                             BaselineConfig(max_iters=2000, tolerance=1e-13))
         x = record.final_x
     except ConvergenceError as exc:
         x = exc.best
+    g = objective.gradient(x)
     for _ in range(10):
-        g = objective.gradient(x)
         if np.linalg.norm(g) <= 1e-14:
             break
-        x = x - np.linalg.solve(objective.hessian(x), g)
-    if not np.linalg.norm(objective.gradient(x)) <= 1e-13:
+        try:
+            trial = x - np.linalg.solve(objective.hessian(x), g)
+        except np.linalg.LinAlgError:
+            break
+        g_trial = objective.gradient(trial)
+        if not np.linalg.norm(g_trial) < np.linalg.norm(g):
+            break
+        x, g = trial, g_trial
+    if not np.linalg.norm(g) <= 1e-13:
         raise ConvergenceError("no reference minimizer to ||grad|| <= 1e-13",
                                best=x)
     return x

@@ -350,3 +350,15 @@ def test_compare_names_the_baseline_traces_that_moved(tiny_ladder, capsys):
     bench_snapshot.compare(before, after)
     assert [line.split(": ")[1] for line in digest_lines()] == [
         "none", "['bfgs']", "none"]
+    # each workload's ladder f* prints before -> after, to the bit, with
+    # its relative change
+    f_star = tiny_ladder["workloads"]["tall"]["f_star"]
+    before["ladder"]["workloads"]["tall"]["f_star"] = 2.0 * f_star
+    bench_snapshot.compare(before, after)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("    f* ")]
+    assert lines[1] == ["f*", repr(2.0 * f_star), "->", repr(f_star) + ",",
+                        "relative", "change", "-0.5"]
+    paper = repr(tiny_ladder["workloads"]["paper"]["f_star"])
+    assert lines[0] == ["f*", paper, "->", paper + ",", "relative", "change",
+                        "0"]

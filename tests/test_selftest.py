@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qnprox import SolverConfig, solve
+from qnprox import ConvergenceError, SolverConfig, solve
 from qnprox.learner import init_learner
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
@@ -20,7 +20,7 @@ from qnprox.selftest import (backtrack_violation, band_violation,
                              learner_bound_violation, momentum_violation,
                              potential_violation, separation_violation,
                              smoothness_violation, weight_growth_violation)
-from conftest import random_psd, reference_minimizer
+from conftest import make_logistic, random_psd, reference_minimizer
 from helpers import packed, rescale_to_unit_ball
 
 
@@ -193,3 +193,21 @@ def test_gradient_query_bound_is_exactly_3n_at_the_default_sigma0(run, extra):
     message = gradient_query_violation(replace(run.record, rows=rows,
                                                metadata=metadata))
     assert (message is None) == (extra == 0)
+
+
+@pytest.mark.parametrize("n, d", [(40, 5), (500, 50)])
+def test_reference_minimizer_survives_separable_data(n, d):
+    # on separable data f has no minimizer and the Newton system turns
+    # singular: the polish returns a point at ||grad|| <= 1e-13 or raises
+    # ConvergenceError with its best point, never LinAlgError, and that
+    # point is no worse than the start
+    objective = make_logistic(n, d, seed=0, sigma=0.0)
+    x0 = np.zeros(d)
+    try:
+        x = reference_minimizer(objective, x0)
+    except ConvergenceError as exc:
+        assert exc.best is not None
+        x = exc.best
+    else:
+        assert np.linalg.norm(objective.gradient(x)) <= 1e-13
+    assert objective.value(x) <= objective.value(x0)

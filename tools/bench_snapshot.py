@@ -32,9 +32,9 @@ library's public API on the same instances (perfbench's ``workloads`` and
   byte identity of their traces, as the aqnpe trace's digests show its own.
 
 Counts are deterministic, so the ladder repeats nothing.  Each count comes
-from the first trace row at or below the gap, with f* from perfbench's
-reference optimum; a solve that does not reach a gap within 20000 iterations
-records null.
+from the first trace row at or below the gap, with f* = f(x*), x* from the
+library's ``qnprox.selftest.reference_minimizer`` started at zeros; a solve
+that does not reach a gap within 20000 iterations records null.
 
 It also records three simplicity counts of ``--root``: the lines of the
 ``.py`` files under ``src/``, the names in ``qnprox.__all__``, and the
@@ -61,9 +61,9 @@ nothing.
 snapshot without them), then, per workload, each end-to-end metric before
 and after with its ratio, the per-layer metrics of LAYER_METRICS from the
 trace-1 run, the trace columns whose digests differ, the largest relative
-change of ``f``, the ladder's counts (before -> after where both files
-have a ladder), the baselines whose trace digests differ, and the after
-file's paired block.  It runs nothing.
+change of ``f``, the ladder's f* with its relative change and its counts
+(before -> after where both files have a ladder), the baselines whose trace
+digests differ, and the after file's paired block.  It runs nothing.
 """
 
 from __future__ import annotations
@@ -259,6 +259,7 @@ def ladder(root: Path, tiny: bool = False) -> dict:
     import numpy as np
     from qnprox import (BaselineConfig, SolverConfig, bfgs_solve, nag_solve,
                         solve, write_trace_csv)
+    from qnprox.selftest import reference_minimizer
     import measure
     import workloads
 
@@ -270,8 +271,8 @@ def ladder(root: Path, tiny: bool = False) -> dict:
             workload = workloads.tiny(workload)
         plan = workloads.seed_plan(workload, SEED)
         objective, _, _ = measure.setup(workload, plan)
-        f_star = measure.reference_optimum(objective)
         x0 = np.zeros(workload.d)
+        f_star = float(objective.value(reference_minimizer(objective, x0)))
 
         def aqnpe(rho):
             return lambda cap: solve(objective, x0, x0.copy(), SolverConfig(
@@ -435,8 +436,9 @@ def print_paired(block: dict) -> None:
 
 
 def print_ladder(before, after: dict) -> None:
-    """The ladder's counts as iterations/gradient queries per gap (with
-    /matvecs in the rho row), ``before -> after`` where they differ."""
+    """The ladder's f*, ``before -> after`` with the relative change, and its
+    counts as iterations/gradient queries per gap (with /matvecs in the rho
+    row), ``before -> after`` where they differ."""
     def cell(entry, keys):
         return "-" if entry is None else "/".join(str(entry[k]) for k in keys)
 
@@ -446,6 +448,8 @@ def print_ladder(before, after: dict) -> None:
         old = before["workloads"][name] if before else new
         print(f"  {name} (d ln d = {new['d_ln_d']:.0f}, pinned rho "
               f"{new['rho']})")
+        a, b = old["f_star"], new["f_star"]
+        print(f"    f*     {a!r} -> {b!r}, relative change {(b - a) / a:.3g}")
         for label, key, columns in (
                 ("aqnpe", "aqnpe", ("iters", "grad_queries")),
                 ("nag", "nag", ("iters", "grad_queries")),
