@@ -26,8 +26,9 @@ class ConvergenceError(RuntimeError):
 class SolverError(RuntimeError):
     """A solver run aborted.  Every solver attaches ``trace``, the partial
     record, and ``counters``, a copy of the query totals, to an error raised
-    during a run; aqnpe raises this type naming the iteration, from the
-    cause, and NAG and BFGS raise the cause's own type."""
+    during a run; aqnpe raises this type from the cause, naming the failing
+    iteration k, which counts from 0 and so equals the rows already written
+    whichever query failed, and NAG and BFGS raise the cause's own type."""
 
 
 def check_integer(name: str, value, minimum: int) -> None:

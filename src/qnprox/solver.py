@@ -4,7 +4,8 @@ Each iteration runs four stages: momentum weights and the anchor point,
 the backtracking line search for an inexact proximal step, the case-dependent
 state update (plain acceleration when the first trial is accepted, momentum
 damping when the search backtracks), and, on backtracked iterations only, one
-round of the online curvature learner.
+round of the online curvature learner.  The iterations are one generator,
+driven by :func:`~qnprox.trace.record_run` as the baselines' are.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (ConfigurationError, SolverError, check_at_least,
 from .learner import (DEFAULT_STEP_SIZE, LearnerState, init_learner,
                       learner_step)
 from .line_search import LineSearchOutcome, backtracking_search
-from .oracles import CountingOracle, checked_input, estimate_smoothness
+from .oracles import checked_input, estimate_smoothness
 from .trace import (PRECISION_FLOOR, TOLERANCE, RunRecord, format_float,
                     record_run)
 
@@ -58,22 +59,13 @@ class SolverConfig:
         check_integer("seed", self.seed, 0)
 
 
-@dataclass
-class SolverState:
-    x: np.ndarray
-    z: np.ndarray
-    A: float
-    eta: float
-    learner: LearnerState
-    k: int
-
-
 @dataclass(frozen=True)
 class IterationReport:
     """Internals of one iteration, for invariant checks and diagnostics:
-    d-vectors and scalars, which no later step writes into.  ``search`` is
-    the line search's outcome from ``y``; on case II the learner was fed
-    ``search.rejected``."""
+    d-vectors and scalars, which no later iteration writes into.  ``k``
+    counts from 0, so it is the number of trace rows before this one.
+    ``search`` is the line search's outcome from ``y``; on case II the
+    learner was fed ``search.rejected``."""
 
     k: int
     a: float
@@ -114,81 +106,68 @@ def precision_floor(L1: float, y: np.ndarray) -> float:
             * (1.0 + float(np.linalg.norm(y))))
 
 
-def step(state: SolverState, oracle: CountingOracle, config: SolverConfig,
-         rng: np.random.Generator
-         ) -> Optional[tuple[SolverState, IterationReport]]:
-    """Advance one iteration; feeds the learner only when backtracked, with
-    the line search's sample of its rejected trial as it is, and books the
-    iteration's reported matvecs on ``oracle.counters``.  Returns None when
-    the gradient at the anchor is at the precision floor.  The learner
-    step consumes ``state.learner``'s W."""
-    a, y = momentum_weights(state.A, state.eta, state.x, state.z)
-    grad_y = oracle.gradient(y)
-    try:
-        outcome = backtracking_search(
-            y, grad_y, state.learner.B, state.eta, ALPHA1, ALPHA2,
-            config.beta, oracle)
-    except ConfigurationError:
-        # a failed search with a gradient at the floor: converged
-        floor = precision_floor(state.learner.L1, y)
-        if float(np.linalg.norm(grad_y)) <= floor:
-            return None
-        raise
+def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,
+                learner: LearnerState, config: SolverConfig, observer):
+    """:func:`solve`'s iterations for :func:`~qnprox.trace.record_run`.
 
-    learner_matvecs = 0
-    if outcome.backtracks == 0:
-        x_next = outcome.x_hat
-        z_next = state.z - a * outcome.grad_at_x_hat
-        A_next = state.A + a
-        eta_next = outcome.eta_hat / config.beta
-        learner = state.learner
-        case = CASE_ACCEPTED
-        loss_fed = None
-        gamma = None
-    else:
-        gamma = outcome.eta_hat / state.eta
-        x_next = damped_iterate(state.x, outcome.x_hat, state.A, a, gamma)
-        z_next = state.z - gamma * a * outcome.grad_at_x_hat
-        A_next = state.A + gamma * a
-        eta_next = outcome.eta_hat
-        learner, learner_report = learner_step(state.learner,
-                                               outcome.rejected, rng)
-        case = CASE_DAMPED
-        loss_fed = learner_report.loss_value
-        learner_matvecs = learner_report.matvecs
-    oracle.counters.count_matvec(outcome.matvecs + learner_matvecs)
-
-    next_state = SolverState(x=x_next, z=z_next, A=A_next, eta=eta_next,
-                             learner=learner, k=state.k + 1)
-    report = IterationReport(
-        k=state.k, a=a, eta=state.eta, case=case, y=y, x=x_next, z=z_next,
-        A=A_next, grad_at_y=grad_y, search=outcome, loss_fed=loss_fed,
-        gamma=gamma)
-    return next_state, report
-
-
-def _iterations(state: SolverState, oracle, config: SolverConfig, observer):
-    """:func:`solve`'s iterations for :func:`~qnprox.trace.record_run`.  The
-    observer gets each report before its row is taken, and the tolerance
-    test follows the row.  An error is raised as :class:`SolverError`."""
+    Feeds the learner only when backtracked, with the line search's sample
+    of its rejected trial as it is, and books each iteration's reported
+    matvecs on ``oracle.counters``; the learner step consumes the learner's
+    W.  Returns PRECISION_FLOOR when the gradient at the anchor is at the
+    precision floor.  The observer gets each report before its row is taken,
+    and the tolerance test follows the row.  Iteration k counts from 0, so
+    it is the number of rows already written; an error is raised as
+    :class:`SolverError` naming it.
+    """
     rng = np.random.default_rng(config.seed)
+    A, eta, k = 0.0, sigma0, 0
     try:
         while True:
-            advanced = step(state, oracle, config, rng)
-            if advanced is None:
-                return PRECISION_FLOOR
-            state, report = advanced
-            f = float(oracle.value(state.x))
+            a, y = momentum_weights(A, eta, x, z)
+            grad_y = oracle.gradient(y)
+            try:
+                outcome = backtracking_search(y, grad_y, learner.B, eta,
+                                              ALPHA1, ALPHA2, config.beta,
+                                              oracle)
+            except ConfigurationError:
+                # a failed search with a gradient at the floor: converged
+                if (float(np.linalg.norm(grad_y))
+                        <= precision_floor(learner.L1, y)):
+                    return PRECISION_FLOOR
+                raise
+
+            if outcome.backtracks == 0:
+                case, gamma, loss_fed = CASE_ACCEPTED, None, None
+                learner_matvecs = 0
+                x = outcome.x_hat
+                z = z - a * outcome.grad_at_x_hat
+                A += a
+                eta_next = outcome.eta_hat / config.beta
+            else:
+                case = CASE_DAMPED
+                gamma = outcome.eta_hat / eta
+                x = damped_iterate(x, outcome.x_hat, A, a, gamma)
+                z = z - gamma * a * outcome.grad_at_x_hat
+                A += gamma * a
+                eta_next = outcome.eta_hat
+                learner, learned = learner_step(learner, outcome.rejected, rng)
+                loss_fed, learner_matvecs = learned.loss_value, learned.matvecs
+            oracle.counters.count_matvec(outcome.matvecs + learner_matvecs)
+
+            f = float(oracle.value(x))
             if observer is not None:
-                observer(report)
-            yield (f, report.search.eta_hat, report.case,
-                   report.search.backtracks, state.x)
-            if np.linalg.norm(report.search.grad_at_x_hat) <= config.tolerance:
+                observer(IterationReport(
+                    k=k, a=a, eta=eta, case=case, y=y, x=x, z=z, A=A,
+                    grad_at_y=grad_y, search=outcome, loss_fed=loss_fed,
+                    gamma=gamma))
+            yield f, outcome.eta_hat, case, outcome.backtracks, x
+            if np.linalg.norm(outcome.grad_at_x_hat) <= config.tolerance:
                 return TOLERANCE
-            del advanced, report  # the next step holds no finished report
+            # the next search holds no finished iteration's vectors
+            del outcome, y, grad_y
+            eta, k = eta_next, k + 1
     except Exception as exc:
-        raise SolverError(f"solver aborted at iteration {state.k}: {exc}"
-                          ) from exc
+        raise SolverError(f"solver aborted at iteration {k}: {exc}") from exc
 
 
 def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
@@ -225,13 +204,13 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
             source = "the curvature estimate"
         check_interval(f"L1 from {source}", L1, 0.0, math.inf)
         sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
-        state = SolverState(x=x, z=z, A=0.0, eta=sigma0, k=0,
-                            learner=init_learner(x.size, L1, rho=config.rho))
         metadata = {"alpha1": format_float(ALPHA1),
                     "alpha2": format_float(ALPHA2),
                     "beta": format_float(config.beta),
                     "sigma0": format_float(sigma0), "L1": format_float(L1),
                     "seed": str(config.seed)}
-        return metadata, _iterations(state, oracle, config, observer)
+        return metadata, _iterations(
+            oracle, x, z, sigma0, init_learner(x.size, L1, rho=config.rho),
+            config, observer)
 
     return record_run("aqnpe", oracle, x0, config, begin)

@@ -197,23 +197,25 @@ def write_trace_csv(record: RunRecord, path) -> None:
 
 
 def read_trace_csv(path) -> RunRecord:
-    """Parse a trace file; a bad header, a malformed row, a count outside
-    int64 or a row out of iteration order raises ValueError naming the file
-    and the line."""
+    """Parse a trace file; a metadata line without ``=``, a bad header, a
+    malformed row, a count outside int64 or a row out of iteration order
+    raises ValueError naming the file and the line."""
     record = RunRecord(method="")
     saw_header = False
     for number, line in enumerate(Path(path).read_text().splitlines(),
                                   start=1):
         if not line:
             continue
+        where = f"{path}, line {number}"
         if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
+            key, equals, value = line[2:].partition("=")
+            if not equals:
+                raise ValueError(f"{where}: metadata line {line!r} has no '='")
             if key == "method":
                 record.method = value
             else:
                 record.metadata[key] = value
             continue
-        where = f"{path}, line {number}"
         if not saw_header:
             if line != TRACE_HEADER:
                 raise ValueError(f"{where}: unexpected trace header {line!r}")

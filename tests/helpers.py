@@ -1,6 +1,6 @@
 """Reference code the tests share and the library does not need: a quadratic
-objective, an objective whose gradients turn bad after a count, one whose
-value is not a scalar, a matrix that
+objective, an objective whose gradients or values turn bad after a count,
+one whose value is not a scalar, a matrix that
 counts its products, the packed form of a dense symmetric matrix, a counter
 of the library's products with a packed matrix, the separation oracle's
 Krylov basis of W, the map of the band onto the unit ball, a loss sample
@@ -52,24 +52,33 @@ class QuadraticObjective:
         return self.Q.copy()
 
 
-class GradientFaultAfter:
-    """Wraps an objective; every gradient after the first ``good`` is
-    ``fault(g)`` of the true gradient g, all NaN by default."""
+class FaultAfter:
+    """Wraps an objective; every ``query`` ("gradient" or "value") after the
+    first ``good`` of its kind is ``fault`` of the true result, all NaN by
+    default.  ``seen`` counts the queries of each kind."""
 
-    def __init__(self, inner, good, fault=lambda g: np.full_like(g, np.nan)):
+    def __init__(self, inner, good, fault=lambda result: result * np.nan,
+                 query="gradient"):
         self.inner = inner
         self.dimension = inner.dimension
         self.smoothness = inner.smoothness
         self.good = good
         self.fault = fault
+        self.query = query
+        self.seen = {"gradient": 0, "value": 0}
+
+    def _answer(self, query, result):
+        self.seen[query] += 1
+        if query != self.query:
+            return result
+        self.good -= 1
+        return result if self.good >= 0 else self.fault(result)
 
     def value(self, x):
-        return self.inner.value(x)
+        return self._answer("value", self.inner.value(x))
 
     def gradient(self, x):
-        self.good -= 1
-        g = self.inner.gradient(x)
-        return g if self.good >= 0 else self.fault(g)
+        return self._answer("gradient", self.inner.gradient(x))
 
 
 class VectorValue:

@@ -13,7 +13,7 @@ from qnprox.baselines import (NAG_BETA, NAG_ETA0, WOLFE_C1, WOLFE_C2,
                               bfgs_inverse_update)
 from qnprox.errors import ConvergenceError, NumericsError, SolverError
 from conftest import make_logistic, random_psd
-from helpers import (GradientFaultAfter, QuadraticObjective, VectorValue,
+from helpers import (FaultAfter, QuadraticObjective, VectorValue,
                      bfgs_inverse_product_form, packed,
                      traced_allocation_peak)
 
@@ -426,7 +426,7 @@ class TestBothBaselines:
         # a 13-entry gradient for d = 12 after 5 good ones is rejected by the
         # counting oracle, not by numpy broadcasting, and keeps the trace
         objective = make_logistic(48, 12, seed=0)
-        broken = GradientFaultAfter(objective, 5,
+        broken = FaultAfter(objective, 5,
                                     fault=lambda g: np.append(g, 0.0))
         with pytest.raises(ValueError, match=r"gradient oracle returned "
                            r"shape \(13,\), expected \(12,\)") as info:

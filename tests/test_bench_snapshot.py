@@ -314,6 +314,19 @@ def test_paired_block_at_tiny_sizes(capsys):
                if "solve_s" in line)
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_a_usage_error(pairs, monkeypatch, capsys):
+    # rejected before any git command, so no worktree is made
+    def no_git(*args, **kwargs):
+        raise AssertionError(f"ran {args[0]}")
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", no_git)
+    with pytest.raises(SystemExit) as info:
+        bench_snapshot.main(["--paired", "HEAD", "--pairs", pairs, "--tiny"])
+    assert info.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
 def test_paired_summary_counts_lower_pairs_and_unequal_counts():
     def result(seconds, iters):
         return {"exit_code": 0, "metrics": {

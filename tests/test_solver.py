@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import qnprox.learner
 import qnprox.solver
 from qnprox import CountingOracle, OracleCounters, SolverConfig, solve
 from qnprox.learner import learner_step
+from qnprox.line_search import backtracking_search
 from qnprox.solver import ALPHA1, ALPHA2, damped_iterate, momentum_weights
 from qnprox.errors import ConfigurationError, NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
@@ -16,7 +18,7 @@ from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              weight_growth_violation)
 from qnprox.separation import PackedSymmetric, separation_oracle
 from conftest import reference_minimizer
-from helpers import (GradientFaultAfter, ProductCounter, QuadraticObjective,
+from helpers import (FaultAfter, ProductCounter, QuadraticObjective,
                      VectorValue, traced_allocation_peak)
 
 
@@ -360,7 +362,7 @@ class TestBadOracle:
         # a 13-entry gradient for d = 12 after 5 good ones is rejected by the
         # counting oracle, not by numpy broadcasting
         objective = make_logistic(48, 12, seed=0)
-        broken = GradientFaultAfter(objective, 5,
+        broken = FaultAfter(objective, 5,
                                     fault=lambda g: np.append(g, 0.0))
         with pytest.raises(SolverError, match=r"iteration \d+: gradient "
                            r"oracle returned shape \(13,\), expected "
@@ -383,7 +385,7 @@ class TestBadOracle:
         # with the fault at gradient query 7 the copied counters read 7,
         # while the partial trace's last row, written before the failing
         # iteration, reads fewer
-        oracle = CountingOracle(GradientFaultAfter(
+        oracle = CountingOracle(FaultAfter(
             make_logistic(48, 12, seed=0), 6))
         with pytest.raises(SolverError) as info:
             solve(oracle, np.zeros(12), config=SolverConfig(max_iters=40))
@@ -562,6 +564,28 @@ class TestMemory:
             assert len(arrays) == len(copied)
             assert all(np.array_equal(array, copy)
                        for array, copy in zip(arrays, copied))
+
+    def test_the_next_search_holds_no_finished_iteration(
+            self, monkeypatch, logistic_instance):
+        # an observer that keeps no report leaves nothing of a finished
+        # iteration alive into the next line search: not its outcome, which
+        # holds the rejected trial's vectors, nor its anchor y and gradient
+        finished, held = [], []
+
+        def watch(report):
+            finished.extend(weakref.ref(item) for item in (
+                report.search, report.y, report.grad_at_y))
+
+        def searched(*args):
+            held.append(sum(ref() is not None for ref in finished))
+            return backtracking_search(*args)
+
+        monkeypatch.setattr(qnprox.solver, "backtracking_search", searched)
+        run = solve(logistic_instance, np.zeros(logistic_instance.dimension),
+                    config=SolverConfig(max_iters=60, rho=1.0 / 16.0, seed=0),
+                    observer=watch)
+        assert {row.case for row in run.rows} == {"I", "II"}
+        assert len(held) == 60 and not any(held)
 
 
 class TestPackedStorage:

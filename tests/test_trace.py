@@ -14,7 +14,7 @@ from qnprox import (BaselineConfig, CountingOracle, NumericsError, RunRecord,
                     SolverConfig, SolverError, TraceRow, bfgs_solve,
                     nag_solve, read_trace_csv, solve, write_trace_csv)
 from qnprox.trace import format_float
-from helpers import GradientFaultAfter
+from helpers import FaultAfter
 
 
 def sample_record():
@@ -70,6 +70,12 @@ class TestRoundTrip:
         lines[line - 1] = text
         path.write_text("\n".join(lines) + "\n")
         return path
+
+    def test_metadata_without_equals_names_file_and_line(self, tmp_path):
+        # the sample's metadata is file lines 1-3, "# beta=0.5" on line 2
+        path = self.written_with(tmp_path, 2, "# beta")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 2: .*'# beta'"):
+            read_trace_csv(path)
 
     def test_rejects_rows_out_of_order(self, tmp_path):
         # the sample's rows are file lines 5-7 with iterations 1, 2, 3
@@ -239,35 +245,55 @@ SOLVES = {
 }
 
 
+# where the fault lands, for aqnpe in the iteration after the clean run's
+# eighth row: the query, and how many queries of its kind stay good
+FAULTS = {
+    "anchor gradient": ("gradient", lambda full: full.rows[7].grad_queries),
+    "trial gradient": ("gradient",
+                       lambda full: full.rows[7].grad_queries + 1),
+    # aqnpe asks one value an iteration, at x_{k+1}, after its gradients
+    "value": ("value", lambda full: 8),
+}
+
+
 @pytest.mark.parametrize("method", list(SOLVES))
 def test_failure_mid_run_keeps_the_partial_trace_and_counters(
         method, small_logistic):
-    # the gradient turns NaN right after iteration 8 completes: aqnpe wraps
-    # the cause in SolverError naming the iteration, the baselines raise it
-    # as it is, and every solver attaches the clean run's first 8 rows and a
-    # copy of the counters
+    # the first faulty query turns NaN: aqnpe wraps the cause in SolverError
+    # naming the iteration, the rows already written whichever query
+    # failed, and the baselines raise it as it is; every solver attaches
+    # the clean run's first rows and a copy of the counters
     x0 = np.zeros(small_logistic.dimension)
     full = SOLVES[method](small_logistic, x0)
-    assert len(full.rows) > 8
-    good = full.rows[7].grad_queries
-    broken = GradientFaultAfter(small_logistic, good)
-    oracle = CountingOracle(broken)
-    with pytest.raises(Exception) as info:
-        SOLVES[method](oracle, x0)
-    err = info.value
-    if method == "aqnpe":
-        assert type(err) is SolverError
-        assert str(err).startswith(
-            "solver aborted at iteration 8: gradient oracle")
-        assert type(err.__cause__) is NumericsError
-    else:
-        assert type(err) is NumericsError
-        assert str(err).startswith("gradient oracle")
-    assert err.trace.method == full.method
-    assert err.trace.rows == full.rows[:8]
-    # the first faulty query is counted before it is rejected
-    assert err.counters.gradient_queries == good - broken.good == good + 1
-    with pytest.raises(NumericsError):
-        oracle.gradient(x0)
-    assert oracle.counters.gradient_queries == good + 2
-    assert err.counters.gradient_queries == good + 1
+    assert len(full.rows) > 9
+    for fault, (query, good_queries) in FAULTS.items():
+        good = good_queries(full)
+        broken = FaultAfter(small_logistic, good, query=query)
+        oracle = CountingOracle(broken)
+        with pytest.raises(Exception) as info:
+            SOLVES[method](oracle, x0)
+        err = info.value
+        rows = len(err.trace.rows)
+        assert rows > 0, fault
+        if method == "aqnpe":
+            assert rows == 8, fault
+            assert type(err) is SolverError
+            assert str(err).startswith(
+                f"solver aborted at iteration {rows}: {query} oracle"), fault
+            assert type(err.__cause__) is NumericsError
+        else:
+            assert type(err) is NumericsError
+            assert str(err).startswith(f"{query} oracle"), fault
+        assert err.trace.method == full.method
+        assert err.trace.rows == full.rows[:rows], fault
+        # the counters are the queries seen, the first faulty one counted
+        # before it is rejected
+        seen = broken.seen["gradient"]
+        assert err.counters.gradient_queries == seen, fault
+        if query == "gradient":
+            assert seen == good + 1, fault
+        # the live counters move on with the next query, the copy does not
+        with pytest.raises(NumericsError):
+            getattr(oracle, query)(x0)
+        assert oracle.counters.gradient_queries == broken.seen["gradient"]
+        assert err.counters.gradient_queries == seen, fault

@@ -539,6 +539,8 @@ def main(argv=None) -> int:
                         help="with --paired: perfbench's tiny instances, "
                              "nothing written")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     if args.compare:
         before, after = (json.loads(p.read_text()) for p in args.compare)
         compare(before, after)
