@@ -427,7 +427,7 @@ class TestBothBaselines:
         # counting oracle, not by numpy broadcasting, and keeps the trace
         objective = make_logistic(48, 12, seed=0)
         broken = FaultAfter(objective, 5,
-                                    fault=lambda g: np.append(g, 0.0))
+                            fault=lambda g: np.append(g, 0.0))
         with pytest.raises(ValueError, match=r"gradient oracle returned "
                            r"shape \(13,\), expected \(12,\)") as info:
             solver(broken, np.zeros(12), BaselineConfig(max_iters=40))

@@ -363,7 +363,7 @@ class TestBadOracle:
         # counting oracle, not by numpy broadcasting
         objective = make_logistic(48, 12, seed=0)
         broken = FaultAfter(objective, 5,
-                                    fault=lambda g: np.append(g, 0.0))
+                            fault=lambda g: np.append(g, 0.0))
         with pytest.raises(SolverError, match=r"iteration \d+: gradient "
                            r"oracle returned shape \(13,\), expected "
                            r"\(12,\)") as info:

@@ -245,14 +245,18 @@ SOLVES = {
 }
 
 
-# where the fault lands, for aqnpe in the iteration after the clean run's
-# eighth row: the query, and how many queries of its kind stay good
+# where the fault lands: the query, how many queries of its kind stay good,
+# and the rows each solver writes first.  aqnpe's three land in the
+# iteration after the clean run's eighth row, at its anchor gradient, its
+# first trial's gradient and its one value query, at x_{k+1}; NAG asks one
+# gradient an iteration, so its "trial" is the next iteration's anchor
 FAULTS = {
-    "anchor gradient": ("gradient", lambda full: full.rows[7].grad_queries),
+    "anchor gradient": ("gradient", lambda full: full.rows[7].grad_queries,
+                        {"aqnpe": 8, "nag": 8, "bfgs": 8}),
     "trial gradient": ("gradient",
-                       lambda full: full.rows[7].grad_queries + 1),
-    # aqnpe asks one value an iteration, at x_{k+1}, after its gradients
-    "value": ("value", lambda full: 8),
+                       lambda full: full.rows[7].grad_queries + 1,
+                       {"aqnpe": 8, "nag": 9, "bfgs": 9}),
+    "value": ("value", lambda full: 8, {"aqnpe": 8, "nag": 3, "bfgs": 7}),
 }
 
 
@@ -266,7 +270,7 @@ def test_failure_mid_run_keeps_the_partial_trace_and_counters(
     x0 = np.zeros(small_logistic.dimension)
     full = SOLVES[method](small_logistic, x0)
     assert len(full.rows) > 9
-    for fault, (query, good_queries) in FAULTS.items():
+    for fault, (query, good_queries, written) in FAULTS.items():
         good = good_queries(full)
         broken = FaultAfter(small_logistic, good, query=query)
         oracle = CountingOracle(broken)
@@ -274,9 +278,8 @@ def test_failure_mid_run_keeps_the_partial_trace_and_counters(
             SOLVES[method](oracle, x0)
         err = info.value
         rows = len(err.trace.rows)
-        assert rows > 0, fault
+        assert rows == written[method], fault
         if method == "aqnpe":
-            assert rows == 8, fault
             assert type(err) is SolverError
             assert str(err).startswith(
                 f"solver aborted at iteration {rows}: {query} oracle"), fault
