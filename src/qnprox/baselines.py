@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (ConvergenceError, SolverError, check_at_least,
                      check_integer)
 from .separation import PackedSymmetric
-from .trace import (PRECISION_FLOOR, TOLERANCE, RunRecord, format_float,
-                    record_run)
+from .trace import (FLOAT_NOISE, PRECISION_FLOOR, TOLERANCE, RunRecord,
+                    format_float, record_run)
 
 
 # NAG's first step size and its backtracking factor
@@ -222,7 +222,7 @@ def _bfgs_iterations(oracle, x: np.ndarray, tolerance: float):
         try:
             t, f_new, g_new, evals = _strong_wolfe(oracle, x, p, f, descent)
         except ConvergenceError as exc:
-            if -descent <= 4096.0 * np.finfo(float).eps * (1.0 + abs(f)):
+            if -descent <= FLOAT_NOISE * (1.0 + abs(f)):
                 # the predicted decrease is below the float resolution of f,
                 # so the Wolfe conditions were noise: converged to the floor
                 return PRECISION_FLOOR

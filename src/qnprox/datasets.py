@@ -172,7 +172,7 @@ class LogisticObjective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             total = reduce(iadd, (
-                features.T @ _signed_weights(margins, labels, work)
+                features.T @ logistic_weights(margins, labels, work)
                 for features, labels, margins, work in self._walk(x)))
         return -total / self.features.shape[0]
 
@@ -198,19 +198,12 @@ def mean_logistic_loss(margins: np.ndarray, out: np.ndarray) -> float:
     return (hinge + float(np.sum(out))) / margins.shape[0]
 
 
-def logistic_weights(margins: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sigma(-m) = 1 / (1 + exp(m)) into ``out``; exp(m) overflowing to inf
-    gives the weight 0 without a warning."""
-    with np.errstate(over="ignore"):
-        return _signed_weights(margins, 1.0, out)
-
-
-def _signed_weights(margins: np.ndarray, signs, out: np.ndarray
-                    ) -> np.ndarray:
-    """signs / (1 + exp(m)) into ``out``, for a caller that silences
-    overflow itself, once for all its blocks.  With signs of +-1 this is
-    ``signs * logistic_weights(m)`` bit for bit: the same division, and a
-    change of sign is exact."""
+def logistic_weights(margins: np.ndarray, signs, out: np.ndarray
+                     ) -> np.ndarray:
+    """signs sigma(-m) = signs / (1 + exp(m)) into ``out``.  exp(m)
+    overflowing to inf gives the weight 0, and the caller silences that
+    warning, as the gradient does once for all its blocks.  A change of
+    sign is exact, so with signs of +-1 this is +-sigma(-m) bit for bit."""
     np.exp(margins, out=out)
     out += 1.0
     return np.divide(signs, out, out=out)

@@ -69,15 +69,14 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
     re-queried here).  ``B`` is the model curvature, a symmetric positive
     semidefinite matrix or any operator with ``B @ v`` (the learner's
     :class:`~qnprox.learner.Curvature`).  Each trial costs one solve on
-    the shared basis and one gradient query; ``matvecs`` totals the products
-    B v the solves added to the basis, the largest Krylov dimension any
-    trial used.  The rejected trial's B s takes none.
+    the shared basis and one gradient query; ``matvecs`` is the basis's
+    size, the products B v the solves added to it, which is the largest
+    Krylov dimension any trial used.  The rejected trial's B s takes none.
     """
     sigma = alpha1 + alpha2
     eta_hat = float(eta_init)
     rejected = grad_rejected = None
     backtracks = 0
-    matvecs = 0
     basis = KrylovBasis(lambda v: B @ v, g)
 
     while True:
@@ -88,7 +87,6 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                 "smoothness constant is likely inconsistent with the oracle")
 
         solve = conjugate_residual(basis, eta_hat, -eta_hat * g, alpha1)
-        matvecs += solve.matvecs
         x_hat = y + solve.s
         grad_hat = oracle.gradient(x_hat)
 
@@ -102,7 +100,8 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                                     Bs=basis.image(rejected.coefficients))
             return LineSearchOutcome(
                 eta_hat=eta_hat, x_hat=x_hat, grad_at_x_hat=grad_hat,
-                backtracks=backtracks, rejected=sample, matvecs=matvecs)
+                backtracks=backtracks, rejected=sample,
+                matvecs=basis.size)
         rejected, grad_rejected = solve, grad_hat
         eta_hat *= beta
         backtracks += 1

@@ -22,8 +22,8 @@ from .learner import (DEFAULT_STEP_SIZE, LearnerState, init_learner,
                       learner_step)
 from .line_search import LineSearchOutcome, backtracking_search
 from .oracles import checked_input, estimate_smoothness
-from .trace import (PRECISION_FLOOR, TOLERANCE, RunRecord, format_float,
-                    record_run)
+from .trace import (FLOAT_NOISE, PRECISION_FLOOR, TOLERANCE, RunRecord,
+                    format_float, record_run)
 
 CASE_ACCEPTED = "I"
 CASE_DAMPED = "II"
@@ -99,11 +99,10 @@ def damped_iterate(x: np.ndarray, x_hat: np.ndarray, A: float, a: float,
 
 
 def precision_floor(L1: float, y: np.ndarray) -> float:
-    """4096 eps L1 (1 + ||y||): an anchor gradient at or below it is at
+    """FLOAT_NOISE L1 (1 + ||y||): an anchor gradient at or below it is at
     float-noise scale, where displacements round away and no step size can
     satisfy the proximal test."""
-    return (4096.0 * np.finfo(float).eps * L1
-            * (1.0 + float(np.linalg.norm(y))))
+    return FLOAT_NOISE * L1 * (1.0 + float(np.linalg.norm(y)))
 
 
 def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,

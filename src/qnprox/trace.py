@@ -30,6 +30,9 @@ TRACE_HEADER = "iter,f,eta_hat,case,backtracks,grad_queries,matvecs"
 # why a solver's iterations ended before the cap
 TOLERANCE = "tolerance"
 PRECISION_FLOOR = "precision_floor"
+# 4096 eps: aqnpe's anchor gradient and BFGS's predicted decrease, relative
+# to their scales, are float noise at or below it, and stop at the floor
+FLOAT_NOISE = 4096.0 * sys.float_info.epsilon
 
 
 def format_float(x: float) -> str:
@@ -197,9 +200,10 @@ def write_trace_csv(record: RunRecord, path) -> None:
 
 
 def read_trace_csv(path) -> RunRecord:
-    """Parse a trace file; a metadata line without ``=``, a bad header, a
-    malformed row, a count outside int64 or a row out of iteration order
-    raises ValueError naming the file and the line."""
+    """Parse a trace file; a metadata line without ``=``, after the header
+    or repeating a key, a bad header, a malformed row, a count outside int64
+    or a row out of iteration order raises ValueError naming the file and
+    the line."""
     record = RunRecord(method="")
     saw_header = False
     for number, line in enumerate(Path(path).read_text().splitlines(),
@@ -209,16 +213,19 @@ def read_trace_csv(path) -> RunRecord:
         where = f"{path}, line {number}"
         if line.startswith("# "):
             key, equals, value = line[2:].partition("=")
+            if saw_header:
+                raise ValueError(f"{where}: metadata line {line!r} after "
+                                 "the header")
             if not equals:
                 raise ValueError(f"{where}: metadata line {line!r} has no '='")
-            if key == "method":
-                record.method = value
-            else:
-                record.metadata[key] = value
+            if key in record.metadata:
+                raise ValueError(f"{where}: metadata key {key!r} repeated")
+            record.metadata[key] = value
             continue
         if not saw_header:
             if line != TRACE_HEADER:
                 raise ValueError(f"{where}: unexpected trace header {line!r}")
+            record.method = record.metadata.pop("method", "")
             saw_header = True
             continue
         parts = line.split(",")

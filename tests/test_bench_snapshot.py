@@ -37,44 +37,28 @@ def test_trace_summary_reads_a_library_trace(tmp_path):
         "matvecs"]
 
 
-@pytest.mark.parametrize("settings", [
-    dict(max_iters=150, seed=0),
-    dict(max_iters=150, rho=1.0 / 16.0, seed=2),
-    dict(max_iters=80, beta=0.25, sigma0=3.0, seed=1),
-], ids=["default", "rho-1/16", "beta-sigma0"])
-def test_trace_weights_are_the_solver_weights(tmp_path, settings):
-    # A_k read back from the trace CSV alone equals every iteration's A to
-    # the bit, through both cases
-    objective = make_logistic(200, 12, seed=3)
-    reports = []
-    record = solve(objective, np.zeros(12), config=SolverConfig(**settings),
-                   observer=reports.append)
-    path = tmp_path / "aqnpe.csv"
-    write_trace_csv(record, path)
-    weights = bench_snapshot.trace_weights(*bench_snapshot.read_trace(path))
-    assert {rep.case for rep in reports} == {"I", "II"}
-    assert weights == [rep.A for rep in reports]
-    assert bench_snapshot.trace_summary(path)["A_K"] == reports[-1].A
-
-
-def test_run_one_refuses_a_stale_trace_csv(tmp_path, monkeypatch):
-    """A trace-1 run that writes its result but no aqnpe trace CSV fails,
-    even when an earlier run's CSV is lying in .perfbench."""
+@pytest.mark.parametrize("trace", [0, 1])
+def test_run_one_refuses_a_stale_trace_csv(tmp_path, monkeypatch, trace):
+    """A run that does not write one of its outputs fails, even when an
+    earlier run's file is lying in .perfbench: the result file on trace 0,
+    the aqnpe trace CSV on trace 1, where the result file is written."""
     results = tmp_path / ".perfbench"
     results.mkdir()
-    stale = results / "tall-aqnpe-untraced.csv"
+    result = results / f"tall-seed{bench_snapshot.SEED}-trace{trace}.json"
+    stale = results / "tall-aqnpe-untraced.csv" if trace else result
     stale.write_text("iter,f\n0,1.0\n")
 
-    def perfbench_without_trace(command, cwd, stdout):
-        result = {key: None for key in bench_snapshot.RESULT_KEYS}
-        (results / f"tall-seed{bench_snapshot.SEED}-trace1.json").write_text(
-            json.dumps(result))
+    def perfbench_without_output(command, cwd, stdout):
+        if trace:
+            result.write_text(json.dumps(
+                {key: None for key in bench_snapshot.RESULT_KEYS}))
         return subprocess.CompletedProcess(command, 1)
 
     monkeypatch.setattr(bench_snapshot.subprocess, "run",
-                        perfbench_without_trace)
-    with pytest.raises(RuntimeError, match="tall-aqnpe-untraced.csv"):
-        bench_snapshot.run_one(tmp_path, "tall", 1)
+                        perfbench_without_output)
+    with pytest.raises(RuntimeError, match=rf"--trace {trace} in .* exited 1 "
+                                           rf"and wrote no {stale.name}$"):
+        bench_snapshot.run_one(tmp_path, "tall", trace)
     assert not stale.exists()
 
 
@@ -122,6 +106,12 @@ def test_ladder_rung_is_the_first_iteration_at_the_gap(tiny_ladder):
     assert rows[-2].f_value - entry["f_star"] > 1e-6
     assert (rows[-1].grad_queries, rows[-1].matvecs) == (
         rung["grad_queries"], rung["matvecs"])
+    # A_K is the A that the observer reports at the 1e-8 row
+    reports = []
+    solve(objective, x0, x0.copy(), SolverConfig(
+        max_iters=entry["aqnpe"]["1e-08"]["iters"], rho=workload.rho,
+        seed=plan.solver_seed), observer=reports.append)
+    assert entry["A_K"] == reports[-1].A
 
 
 def test_ladder_digests_are_the_baseline_trace_csvs(tiny_ladder, tmp_path):

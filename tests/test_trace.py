@@ -77,6 +77,27 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 2: .*'# beta'"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("text, line", [("# method=nag", 2),
+                                            ("# seed=7", 3)],
+                             ids=["method", "seed"])
+    def test_repeated_metadata_key_names_file_and_line(self, tmp_path, text,
+                                                       line):
+        # "# seed=7" on line 2 comes before the sample's "# seed=0" on line 3
+        path = self.written_with(tmp_path, 2, text)
+        key = text[2:].partition("=")[0]
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line {line}: .*'{key}' repeated"):
+            read_trace_csv(path)
+
+    def test_metadata_after_the_header_names_file_and_line(self, tmp_path):
+        # the sample's header is file line 4 and its first row line 5
+        path = tmp_path / "bad.csv"
+        write_trace_csv(sample_record(), path)
+        lines = path.read_text().splitlines()
+        lines[5:5] = ["# method=nag", "# seed=7"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, line 6: .*'# method=nag' after the header"):
+            read_trace_csv(path)
+
     def test_rejects_rows_out_of_order(self, tmp_path):
         # the sample's rows are file lines 5-7 with iterations 1, 2, 3
         path = self.written_with(tmp_path, 6,

@@ -14,17 +14,19 @@ the paper, tall and wide workloads inside ``--root`` (the git checkout whose
 ``.perfbench/<workload>-seed1-trace{0,1}.json`` results (metrics, environment,
 notes, problems) into one file.  It also keeps the aqnpe trace CSV that the
 trace-1 run writes: a SHA-256 per column and the ``f`` column itself, so two
-snapshots show which columns of the trace moved and by how much, and the
-last weight A_K, recomputed from the trace, for the paper's certificate
-f(x_K) - f* <= ||z0 - x*||^2 / (2 A_K).
+snapshots show which columns of the trace moved and by how much.
 
 It then adds a counts ladder, computed in this process through the
 library's public API on the same instances (perfbench's ``workloads`` and
-``measure.setup``, imported from ``--root`` and not edited), seed 1:
+``measure.setup``, imported from ``--root`` and not edited), seed 1, with
+one BLAS thread as perfbench pins it (its ``run.BLAS_THREAD_VARIABLES``):
 
 * for aqnpe at the workload's pinned rho and for NAG, iterations and
   gradient queries to objective gaps 1e-4, 1e-6, 1e-8 and 1e-10, next to
   d ln d;
+* the last weight A_K of the pinned-rho aqnpe solve, the A that ``solve``'s
+  observer reports at the 1e-8 row, for the paper's certificate
+  f(x_K) - f* <= ||z0 - x*||^2 / (2 A_K);
 * for aqnpe at rho = 1e-12, 1/128, 1/16, 1/4 and 1, iterations, gradient
   queries and matvecs to gap 1e-8;
 * for NAG and BFGS, the SHA-256 of the ``write_trace_csv`` output of a solve
@@ -49,10 +51,12 @@ revision PARENT out with ``git worktree add`` into a temporary directory,
 then runs ``perfbench/run.py --seed 1 --seconds 20 --trace 0`` N times
 (``--pairs``, default 4) in PARENT's checkout and in ``--root``'s, in
 alternating order (parent first on even pairs), per workload, and removes
-the worktree on exit.  Per time metric it prints the median, the quartiles
-and the minimum of each side, and the number of pairs where the change was
-lower; per other metric the two values, after checking that every run of a
-side gave the same one.  The block is written as ``paired`` into
+the worktree on exit.  Both modes run perfbench through one runner,
+:func:`run_one`, which reads the ``.perfbench`` result file of each run.
+Per time metric it prints the median, the quartiles and the minimum of
+each side, and the number of pairs where the change was lower; per other
+metric the two values, after checking that every run of a side gave the
+same one.  The block is written as ``paired`` into
 ``BENCH_<tag>.json``, joining the snapshot there if one exists.
 ``--tiny`` runs perfbench's tiny instances with ``--seconds 0`` and writes
 nothing.
@@ -106,9 +110,6 @@ LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
                  "separation.branch.fine_separated",
                  "separation.lanczos.calls", "separation.lanczos.steps",
                  "separation.lanczos.self_s", "separation.matvecs")
-# perfbench/run.py pins the same: one BLAS thread, set before numpy loads
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                         "MKL_NUM_THREADS")
 SIMPLICITY_COUNTS = ("src_lines", "public_names", "config_fields")
 DEFAULT_PAIRS = 4
 # run in a fresh interpreter on --root's src, so the counts are that
@@ -134,76 +135,54 @@ def git_dirty(root: Path) -> bool:
     return bool(status.strip())
 
 
-def read_trace(csv_path: Path) -> tuple[dict, dict]:
-    """The ``# key=value`` metadata of a trace CSV, and its columns by name,
-    as strings."""
-    metadata, lines = {}, []
-    for line in csv_path.read_text().splitlines():
-        if line.startswith("#"):
-            key, _, value = line[2:].partition("=")
-            metadata[key] = value
-        else:
-            lines.append(line.split(","))
-    header, *rows = lines
-    return metadata, dict(zip(header, zip(*rows)))
-
-
-def trace_weights(metadata: dict, columns: dict) -> list:
-    """A_k after each row of an aqnpe trace (:func:`read_trace`), from its
-    ``eta_hat`` and ``case`` columns and its ``sigma0`` and ``beta``
-    metadata, in the solver's arithmetic: from A = 0 and eta = sigma0, the
-    momentum weight a = (eta + sqrt(eta^2 + 4 eta A)) / 2, then A += a and
-    eta = eta_hat / beta on case I, A += (eta_hat / eta) a and
-    eta = eta_hat on case II.  The floats are written with 17 digits, so
-    each A_k is the solver's to the bit."""
-    beta = float(metadata["beta"])
-    A, eta = 0.0, float(metadata["sigma0"])
-    weights = []
-    for eta_hat, case in zip(map(float, columns["eta_hat"]),
-                             columns["case"]):
-        a = (eta + math.sqrt(eta * eta + 4.0 * eta * A)) / 2.0
-        if case == "I":
-            A, eta = A + a, eta_hat / beta
-        else:
-            A, eta = A + (eta_hat / eta) * a, eta_hat
-        weights.append(A)
-    return weights
-
-
 def trace_summary(csv_path: Path) -> dict:
     """Per-column SHA-256 of an aqnpe trace CSV (after its ``#`` metadata
-    lines), its ``f`` column, and its last A_k (:func:`trace_weights`)."""
-    metadata, columns = read_trace(csv_path)
+    lines), and its ``f`` column."""
+    header, *rows = [line.split(",")
+                     for line in csv_path.read_text().splitlines()
+                     if not line.startswith("#")]
+    columns = dict(zip(header, zip(*rows)))
     return {
         "rows": len(columns["f"]),
         "column_sha256": {
             name: hashlib.sha256("\n".join(column).encode()).hexdigest()
             for name, column in columns.items()},
         "f": [float(v) for v in columns["f"]],
-        "A_K": trace_weights(metadata, columns)[-1],
     }
 
 
-def run_one(root: Path, workload: str, trace: int) -> dict:
+def run_one(checkout: Path, workload: str, trace: int,
+            tiny: bool = False) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``: the RESULT_KEYS of the
+    result file it writes, its ``exit_code``, and on trace 1 the
+    :func:`trace_summary` of its aqnpe trace CSV.  Those files are unlinked
+    first: a run that does not write them raises RuntimeError, naming the
+    command, its exit code and the missing files, rather than read an
+    earlier run's."""
+    seconds = 0 if tiny else SECONDS
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(SEED), "--seconds", str(SECONDS),
-               "--trace", str(trace)]
-    result_path = root / ".perfbench" / f"{workload}-seed{SEED}-trace{trace}.json"
-    trace_path = root / ".perfbench" / f"{workload}-aqnpe-untraced.csv"
-    outputs = [result_path, trace_path] if trace else [result_path]
+               "--seed", str(SEED), "--seconds", str(seconds),
+               "--trace", str(trace), *(["--tiny"] if tiny else [])]
+    work_dir = checkout / ".perfbench"
+    stem = f"{workload}{'-tiny' if tiny else ''}-seed{SEED}-trace{trace}"
+    outputs = [work_dir / f"{stem}.json"]
+    if trace:
+        outputs.append(work_dir / f"{workload}-aqnpe-untraced.csv")
     for path in outputs:
-        path.unlink(missing_ok=True)   # never merge a stale result
-    print("+ " + " ".join(command[1:]), file=sys.stderr, flush=True)
-    code = subprocess.run(command, cwd=root, stdout=subprocess.DEVNULL).returncode
-    for path in outputs:
-        if not path.exists():
-            raise RuntimeError(f"{' '.join(command[1:])} exited {code} and "
-                               f"wrote no {path.name}")
-    result = json.loads(result_path.read_text())
+        path.unlink(missing_ok=True)
+    print(f"+ ({checkout}) " + " ".join(command[1:]), file=sys.stderr,
+          flush=True)
+    code = subprocess.run(command, cwd=checkout,
+                          stdout=subprocess.DEVNULL).returncode
+    missing = [path.name for path in outputs if not path.exists()]
+    if missing:
+        raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited "
+                           f"{code} and wrote no {' and no '.join(missing)}")
+    result = json.loads(outputs[0].read_text())
     entry = {key: result[key] for key in RESULT_KEYS}
     entry["exit_code"] = code
     if trace:
-        entry["aqnpe_trace"] = trace_summary(trace_path)
+        entry["aqnpe_trace"] = trace_summary(outputs[1])
     return entry
 
 
@@ -274,9 +253,15 @@ def ladder(root: Path, tiny: bool = False) -> dict:
         x0 = np.zeros(workload.d)
         f_star = float(objective.value(reference_minimizer(objective, x0)))
 
-        def aqnpe(rho):
+        def aqnpe(rho, observer=None):
             return lambda cap: solve(objective, x0, x0.copy(), SolverConfig(
-                max_iters=cap, rho=rho, seed=plan.solver_seed))
+                max_iters=cap, rho=rho, seed=plan.solver_seed), observer)
+
+        weights = []   # A after each iteration of the last pinned-rho solve
+
+        def pinned(cap):
+            weights.clear()
+            return aqnpe(workload.rho, lambda r: weights.append(r.A))(cap)
 
         def nag(cap):
             return nag_solve(objective, x0, BaselineConfig(max_iters=cap))
@@ -299,14 +284,16 @@ def ladder(root: Path, tiny: bool = False) -> dict:
 
         caps = workload.caps
         print(f"+ ladder {name}", file=sys.stderr, flush=True)
+        counts = counts_to_gaps(pinned, caps["aqnpe"], f_star, LADDER_GAPS)
+        rung = counts[f"{RHO_GAP:g}"]
         out["workloads"][name] = {
             "n": workload.n, "d": workload.d,
             "d_ln_d": workload.d * math.log(workload.d),
             "rho": next(label for label, rho in RHOS.items()
                         if rho == workload.rho),
             "f_star": f_star,
-            "aqnpe": counts_to_gaps(aqnpe(workload.rho), caps["aqnpe"],
-                                    f_star, LADDER_GAPS),
+            "aqnpe": counts,
+            "A_K": rung and weights[rung["iters"] - 1],
             "nag": counts_to_gaps(nag, caps["nag"], f_star, LADDER_GAPS),
             "aqnpe_rho": {
                 label: counts_to_gaps(aqnpe(rho), caps["aqnpe"], f_star,
@@ -316,26 +303,6 @@ def ladder(root: Path, tiny: bool = False) -> dict:
                                 "bfgs": trace_digest(bfgs, caps["bfgs"])},
         }
     return out
-
-
-def perfbench_result(checkout: Path, workload: str, tiny: bool) -> dict:
-    """The JSON result line of one trace-0 perfbench run in ``checkout``,
-    with its ``exit_code``."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(SEED), "--seconds", "0" if tiny else str(SECONDS),
-               "--trace", "0", *(["--tiny"] if tiny else [])]
-    print(f"+ ({checkout}) " + " ".join(command[1:]), file=sys.stderr,
-          flush=True)
-    proc = subprocess.run(command, cwd=checkout, capture_output=True,
-                          text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        raise RuntimeError(f"{' '.join(command[1:])} in {checkout} exited "
-                           f"{proc.returncode} with no result:\n"
-                           f"{proc.stderr[-2000:]}") from None
-    return {**result, "exit_code": proc.returncode}
 
 
 def spread(values: list) -> dict:
@@ -395,7 +362,7 @@ def paired(root: Path, parent: str, pairs: int, workloads,
             for i in range(pairs):
                 order = [("parent", checkout), ("change", root)]
                 for side, path in order[::-1] if i % 2 else order:
-                    runs[side].append(perfbench_result(path, workload, tiny))
+                    runs[side].append(run_one(path, workload, 0, tiny))
             blocks[workload] = paired_summary(runs["parent"], runs["change"])
     finally:
         subprocess.run(["git", "worktree", "remove", "--force",
@@ -560,7 +527,9 @@ def main(argv=None) -> int:
             print(f"wrote {out}", file=sys.stderr)
         return 0
     data = snapshot(root, tag)
-    for variable in BLAS_THREAD_VARIABLES:
+    sys.path.insert(0, str(root / "perfbench"))
+    from run import BLAS_THREAD_VARIABLES
+    for variable in BLAS_THREAD_VARIABLES:   # before the ladder loads numpy
         os.environ[variable] = "1"
     data["ladder"] = ladder(root)
     out.write_text(json.dumps(data, indent=1) + "\n")
