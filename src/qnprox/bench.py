@@ -39,13 +39,15 @@ def method_configs(methods: Sequence[str], max_iters: int, tolerance: float,
                    seed: int) -> dict:
     """The config of each of ``methods`` for these settings.
 
-    An unknown method, or a setting that a method's config rejects, raises
-    :class:`ValueError` here, before any method runs.
+    An unknown or repeated method, or a setting that a method's config
+    rejects, raises :class:`ValueError` here, before any method runs.
     """
-    for name in methods:
+    for i, name in enumerate(methods):
         if name not in SOLVERS:
             raise ValueError(f"unknown method {name!r}; choose from "
                              f"{','.join(SOLVERS)}")
+        if name in methods[:i]:
+            raise ValueError(f"method {name!r} is given twice")
     aqnpe = SolverConfig(max_iters=max_iters, tolerance=tolerance, seed=seed)
     baseline = BaselineConfig(max_iters=max_iters, tolerance=tolerance)
     return {name: aqnpe if name == "aqnpe" else baseline for name in methods}
@@ -60,16 +62,17 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
     gradient-query histogram for the accelerated solver, and (optionally)
     SVG charts of the objective gap by iteration and by gradient queries.
     Failures are recorded per method without aborting the others; an
-    unknown method or a setting a method's config rejects raises
+    unknown or repeated method, a setting a method's config rejects, or a
+    dataset :class:`~qnprox.datasets.LogisticObjective` rejects raises
     :class:`ValueError` before ``out_dir`` is created.  Every method and the
     charts' reference minimizer share one objective: its margin cache is
     exact, so sharing it changes no output.
     """
     configs = method_configs(methods, max_iters, tolerance, seed)
+    objective = LogisticObjective(dataset)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    objective = LogisticObjective(dataset)
     runs: list[MethodRun] = []
     for name in methods:
         x0 = np.zeros(objective.dimension)

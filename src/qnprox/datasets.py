@@ -126,14 +126,23 @@ class LogisticObjective:
     matrix A^T A when d <= n, else A A^T (the same nonzero spectrum), is one
     BLAS ``syrk``, and ``eigvalsh`` gives its top eigenvalue.  That costs
     O(n d m + m^3) flops, m = min(n, d), and one m x m array that is freed
-    before the constructor returns.
+    before the constructor returns.  The constructor checks the arrays, else
+    :class:`ValueError` naming one: the features are a non-empty n x d array
+    whose Gram matrix is finite (so is every feature, since each enters a
+    diagonal entry as its square), and the labels are n entries of +-1.
     """
 
     def __init__(self, dataset: LogisticDataset):
-        self.features = dataset.features
-        self.labels = dataset.labels
-        self.dimension = dataset.d
-        n = dataset.n
+        self.features, self.labels = dataset.features, dataset.labels
+        if self.features.ndim != 2 or 0 in self.features.shape:
+            raise ValueError(f"features must be a non-empty 2-d array, got "
+                             f"shape {self.features.shape}")
+        n, self.dimension = self.features.shape
+        if self.labels.shape != (n,):
+            raise ValueError(f"labels must have shape {(n,)}, one per row of "
+                             f"features, got {self.labels.shape}")
+        if not (np.abs(self.labels) == 1.0).all():
+            raise ValueError("labels must be +-1")
         self._margins = np.empty(n)
         self._work = np.empty(n)
         self._margins_x = np.full(self.dimension, np.nan)  # NaN: none cached
@@ -143,7 +152,11 @@ class LogisticObjective:
                   (self.features, self.labels, self._margins, self._work))
             for start in range(0, n, rows)]
         A = self.features
-        gram = A.T @ A if self.dimension <= n else A @ A.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = A.T @ A if self.dimension <= n else A @ A.T
+        if not np.isfinite(gram).all():
+            raise ValueError("features must be finite, and small enough that "
+                             "their Gram matrix is")
         self.smoothness = float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * n)
 
     def _walk(self, x: np.ndarray):

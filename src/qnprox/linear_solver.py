@@ -32,10 +32,9 @@ relation gives M s_k = (T_k y_k) @ Q_{k+1} with no product
 B s that way for the learner's loss.
 
 :class:`KrylovBasis` is the package's one Lanczos recurrence: the separation
-oracle grows one on W, and the L1 probe one on each Hessian it samples, from
-a random start, and both read extreme Ritz values off ``alphas`` and
-``betas`` with scipy's ``eigh_tridiagonal``; :mod:`qnprox.separation` owns
-that start, the step count and the read-out.
+oracle grows one on W from a random start, and reads extreme Ritz values off
+``alphas`` and ``betas`` with scipy's ``eigh_tridiagonal``;
+:mod:`qnprox.separation` owns that start, the step count and the read-out.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class LinearSolveResult:
 
 class KrylovBasis:
     """Lanczos basis of the symmetric operator ``apply`` from ``start``,
-    grown one product at a time: the line search's basis of B from g, the
-    separation oracle's of W and the L1 probe's of a Hessian.
+    grown one product at a time: the line search's basis of B from g and
+    the separation oracle's of W.
 
     After ``size`` products the rows 0..size of ``vectors`` hold q_0 ..
     q_size (q_size is absent once the basis is invariant), and ``alphas``
@@ -85,9 +84,9 @@ class KrylovBasis:
     scale c.  The buffer starts at ``min(capacity, d)`` rows and doubles as
     needed up to d.  The line search keeps the default INITIAL_ROWS, so its
     buffer has at most max(INITIAL_ROWS, 2 size) rows and never d rows
-    before it needs them; the separation oracle and the L1 probe pass the
-    rows they need, so their buffers never grow.  A product whose alpha or
-    beta is not finite raises :class:`NumericsError`.
+    before it needs them; the separation oracle passes the rows it needs,
+    so its buffer never grows.  A product whose alpha or beta is not finite
+    raises :class:`NumericsError`.
     """
 
     def __init__(self, apply: Callable[[np.ndarray], np.ndarray],

@@ -1,8 +1,7 @@
-"""Objective oracles, the input check, the curvature estimate, and query
-accounting.
+"""Objective oracles, the input check, and query accounting.
 
-All vectors are 1-d ``numpy.float64`` arrays.  The only dense ``d x d``
-matrix is an objective's ``hessian(x)``: W and H are packed
+All vectors are 1-d ``numpy.float64`` arrays.  No solve forms a dense
+``d x d`` matrix or calls an objective's ``hessian``: W and H are packed
 (:class:`~qnprox.separation.PackedSymmetric`) and B is the learner's
 :class:`~qnprox.learner.Curvature` operator.  :class:`CountingOracle`
 counts gradient queries.  Each stage returns the matrix-vector products it
@@ -18,12 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .linear_solver import KrylovBasis
-from .separation import lanczos_extreme, lanczos_start, lanczos_steps
-
-PROBES = 5  # random points the curvature estimate probes besides x0
-PROBE_ACCURACY = 0.01  # relative, on each point's largest eigenvalue
-PROBE_FAILURE = 1e-6  # the probability that a point misses that accuracy
 
 
 @dataclass
@@ -100,44 +93,3 @@ def checked_input(name: str, value, shape: tuple) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValueError(f"{name} has a non-finite entry")
     return array
-
-
-def estimate_smoothness(oracle, x0: np.ndarray, seed: int = 0) -> float:
-    """1.1 times the largest |eigenvalue| of the Hessian at ``x0``, near
-    which a logistic Hessian peaks, and at PROBES normal points drawn up
-    front from ``seed``.  Each is the dominant Ritz value max(lam_max,
-    -lam_min) of a Lanczos run on ``hessian(x) @ v``, or else on central
-    gradient differences, from a start drawn from the same generator, of k =
-    lanczos_steps(d, q, eps) steps for eps = PROBE_ACCURACY and q =
-    PROBE_FAILURE: at most 2 k gradient calls and k + 1 rows a point.  A
-    convex f's Hessian H is semidefinite, so that max is the top Ritz value,
-    and the Kuczynski-Wozniakowski bound for definite matrices (SIAM J.
-    Matrix Anal. Appl. 13(4), 1992), on H + tau I as tau -> 0, puts it
-    below (1 - eps) lam_max(H) with probability at most q.  Gradients pass
-    :func:`checked_gradient`, uncounted; a non-finite product raises
-    :class:`NumericsError` naming the point."""
-    d = oracle.dimension
-    g = lambda x: checked_gradient(oracle.gradient(x), d)
-    steps = lanczos_steps(d, PROBE_FAILURE, PROBE_ACCURACY)
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((PROBES, d))
-    best = 0.0
-    for i, x in enumerate((*points, x0)):
-        if hasattr(oracle, "hessian"):
-            apply_h = lambda v, H=oracle.hessian(x): H @ v
-        else:
-            h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-            apply_h = lambda v, x=x, h=h: (
-                g(x + h * v) - g(x - h * v)) / (2.0 * h)
-        basis = KrylovBasis(apply_h, lanczos_start(d, rng), steps + 1)
-        try:
-            extremes = lanczos_extreme(basis, steps)
-        except NumericsError as exc:
-            where = "x0" if i == PROBES else f"probe point {i + 1}"
-            raise NumericsError(
-                f"curvature estimate at {where}: {exc}") from exc
-        best = max(best, extremes.dominant[0])
-    estimate = 1.1 * best
-    if not np.isfinite(estimate):
-        raise NumericsError("curvature estimate is not finite")
-    return estimate

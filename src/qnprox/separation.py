@@ -21,8 +21,9 @@ which is all the random-start bound of Kuczynski and Wozniakowski (SIAM J.
 Matrix Anal. Appl. 13(4), 1992) asks for, so each stage keeps its failure
 probability q and the union bound over the calls is unchanged.  That
 bound is on the extreme Ritz value, an eigenvalue of the tridiagonal T_k,
-read off T_k with no product with W.  The L1 probe shares the start draw
-(:func:`lanczos_start`), the count (:func:`lanczos_steps`) and the read-out.
+read off T_k with no product with W: the start draw is
+:func:`lanczos_start`, the count :func:`lanczos_steps`, and the read-out
+:func:`lanczos_extreme`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .errors import (ConfigurationError, SolverError, check_at_least,
 from .learner import (DEFAULT_STEP_SIZE, LearnerState, init_learner,
                       learner_step)
 from .line_search import LineSearchOutcome, backtracking_search
-from .oracles import checked_input, estimate_smoothness
+from .oracles import checked_input
 from .trace import (FLOAT_NOISE, PRECISION_FLOOR, TOLERANCE, RunRecord,
                     format_float, record_run)
 
@@ -181,27 +181,23 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
     oracle queries).  Returns the per-iteration trace; an ``observer``
     receives the full :class:`IterationReport` each iteration.
 
-    L1 is the oracle's ``smoothness`` attribute when it has one, else the
-    Lanczos estimate of :func:`~qnprox.oracles.estimate_smoothness`, which
-    raises :class:`NumericsError` at a non-finite Hessian product.
+    L1, the Lipschitz constant of the gradient, is required: it is read
+    from the oracle's ``smoothness`` attribute, and nothing estimates it.
 
     The curvature learner starts at the center (L1 / 2) I of the band
     0 <= B <= L1 I (:func:`~qnprox.learner.init_learner`).
 
     Inputs are checked before iteration 0: ``x0`` and ``z0`` must match
-    ``oracle.dimension`` and be finite, and the L1 must be finite and
-    positive, else :class:`ValueError`.  An error during the run is raised
+    ``oracle.dimension`` and be finite, and the L1 must be present, finite
+    and positive, else :class:`ValueError`.  An error during the run is raised
     as :class:`SolverError`, naming the iteration, from its cause.
     """
     config = config if config is not None else SolverConfig()
 
     def begin(oracle, x):
         z = x.copy() if z0 is None else checked_input("z0", z0, x.shape).copy()
-        L1, source = oracle.smoothness, "the oracle's smoothness"
-        if L1 is None:
-            L1 = estimate_smoothness(oracle.inner, x, seed=config.seed)
-            source = "the curvature estimate"
-        check_interval(f"L1 from {source}", L1, 0.0, math.inf)
+        L1 = oracle.smoothness
+        check_interval("L1 from the oracle's smoothness", L1, 0.0, math.inf)
         sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
         metadata = {"alpha1": format_float(ALPHA1),
                     "alpha2": format_float(ALPHA2),

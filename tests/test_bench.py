@@ -46,6 +46,12 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(small_dataset, ["sgd"], tmp_path)
 
+    def test_repeated_method_rejected(self, small_dataset, tmp_path):
+        with pytest.raises(ValueError, match="method 'aqnpe' is given twice"):
+            run_benchmark(small_dataset, ["aqnpe", "aqnpe", "nag"],
+                          tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("setting, field", [
         ({"max_iters": 0}, "max_iters"), ({"tolerance": -1.0}, "tolerance"),
         ({"tolerance": float("nan")}, "tolerance"), ({"seed": -1}, "seed"),

@@ -336,6 +336,55 @@ def test_paired_summary_counts_lower_pairs_and_unequal_counts():
     assert block["unequal"] == ["aqnpe.iters"]
 
 
+def test_ratios_of_a_committed_paired_block(capsys):
+    # the run-by-run aqnpe/nag ratios of BENCH_7c30621's paired block,
+    # recomputed from its raw times: change-side medians and lower pairs
+    block = json.loads((ROOT / "BENCH_7c30621.json").read_text())["paired"]
+    got = {workload: bench_snapshot.ratios(entry["time"])
+           for workload, entry in block["workloads"].items()}
+    for workload, median, lower in (("paper", 0.7905, 6), ("tall", 0.6158, 6),
+                                    ("wide", 1.2468, 8)):
+        ratio = got[workload]["aqnpe/nag"]
+        assert round(ratio["change"]["median"], 4) == median
+        assert ratio["lower"] == lower
+        times = block["workloads"][workload]["time"]
+        for label, (top, bottom) in bench_snapshot.RATIOS.items():
+            for side in ("parent", "change"):
+                values = [a / b for a, b in zip(times[top][side]["values"],
+                                                times[bottom][side]["values"])]
+                assert got[workload][label][side] == {
+                    **bench_snapshot.spread(values), "values": values}
+    # the block predates the ratios, so print_paired derives them the same
+    bench_snapshot.print_paired(block)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("    aqnpe/nag ")]
+    assert [(line[7], line[-1]) for line in lines] == [
+        ("0.7905", "6/10"), ("0.6158", "6/10"), ("1.247", "8/10")]
+
+
+def test_paired_summary_keeps_the_ratios_apart_from_the_times():
+    def result(aqnpe, nag, bfgs):
+        return {"exit_code": 0, "metrics": {
+            "aqnpe.solve_s": {"value": aqnpe, "unit": "s"},
+            "nag.solve_s": {"value": nag, "unit": "s"},
+            "bfgs.solve_s": {"value": bfgs, "unit": "s"}}}
+
+    # the machine slows the change's second run: its raw times are higher,
+    # its ratios are not
+    parent = [result(1.0, 2.0, 0.5), result(1.0, 2.0, 0.5)]
+    change = [result(0.9, 2.0, 0.5), result(1.8, 4.0, 1.0)]
+    block = bench_snapshot.paired_summary(parent, change)
+    assert set(block["time"]) == {"aqnpe.solve_s", "nag.solve_s",
+                                  "bfgs.solve_s"}
+    assert block["time"]["aqnpe.solve_s"]["lower"] == 1
+    ratio = block["ratio"]["aqnpe/nag"]
+    assert ratio["parent"]["values"] == [0.5, 0.5]
+    assert ratio["change"]["values"] == [0.45, 0.45]
+    assert ratio["lower"] == 2
+    assert block["ratio"]["bfgs/nag"]["change"]["values"] == [0.25, 0.25]
+    assert block["ratio"]["bfgs/nag"]["lower"] == 0
+
+
 def test_compare_names_the_baseline_traces_that_moved(tiny_ladder, capsys):
     def digest_lines():
         return [line for line in capsys.readouterr().out.splitlines()

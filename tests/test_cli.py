@@ -95,6 +95,13 @@ class TestRun:
         assert "unknown method 'sgd'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_repeated_method_is_usage_error(self, data_csv, tmp_path, capsys):
+        code = run_cli(["run", "--data", str(data_csv), "--methods",
+                        "aqnpe,aqnpe,nag", "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "method 'aqnpe' is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flags, field", [
         (["--max-iters", "0"], "max_iters"), (["--tol", "-1"], "tolerance"),
         (["--tol", "nan"], "tolerance"), (["--seed", "-1"], "seed"),

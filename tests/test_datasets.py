@@ -191,6 +191,26 @@ class TestLogisticObjective:
         assert abs(objective.smoothness - exact) <= 1e-12 * exact
         assert smoothness_violation(objective, np.zeros(d)) is None
 
+    @pytest.mark.parametrize("features, labels, name", [
+        (np.ones((4, 2)), np.array([1.0, 0.0, 1.0, 0.0]), "labels"),
+        (np.ones((4, 2)), np.array([1.0, -1.0, 1.0]), "labels"),
+        (np.ones((4, 2)), np.ones((4, 1)), "labels"),
+        (np.ones(4), np.ones(4), "features"),
+        (np.ones((0, 2)), np.ones(0), "features"),
+        (np.array([[1.0, np.nan]] * 4), np.ones(4), "features"),
+        (np.array([[1.0, -np.inf]] * 4), np.ones(4), "features"),
+        (np.full((4, 2), 1e200), np.ones(4), "features"),
+        (np.ones((2, 3)) + [0.0, 0.0, np.nan], np.ones(2), "features"),
+    ], ids=["zero-one-labels", "short-labels", "2d-labels", "1d-features",
+            "empty-features", "nan-feature", "inf-feature", "gram-overflow",
+            "nan-feature-wide"])
+    def test_rejects_arrays_it_cannot_use(self, features, labels, name):
+        # 0/1 labels, a short or 2-d label array, 1-d or empty features,
+        # and a non-finite Gram matrix, on both sides of d <= n
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            LogisticObjective(LogisticDataset(features=features,
+                                              labels=labels))
+
 
 # margins where a naive kernel overflows, underflows, cancels or loses the
 # sign of zero: exp(745) overflows, exp(-745) is the last subnormal

@@ -266,10 +266,11 @@ class TestConfigValidation:
 
 
 class TestResolvedL1:
-    """The L1 that solve() reads from the oracle or estimates is checked
-    before iteration 0."""
+    """The L1 that solve() reads from the oracle's smoothness is checked
+    before iteration 0, and nothing stands in for a missing one."""
 
-    @pytest.mark.parametrize("smoothness", [0.0, math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("smoothness",
+                             [0.0, math.nan, -1.0, math.inf, None])
     def test_bad_oracle_smoothness(self, smoothness):
         objective = QuadraticObjective(np.eye(3))
         objective.smoothness = smoothness
@@ -279,7 +280,7 @@ class TestResolvedL1:
             solve(oracle, np.ones(3), config=SolverConfig(max_iters=5))
         assert oracle.counters.gradient_queries == 0
 
-    def test_linear_objective_estimates_zero(self):
+    def test_missing_smoothness_is_rejected(self):
         class Linear:
             dimension = 3
 
@@ -289,8 +290,11 @@ class TestResolvedL1:
             def gradient(self, x):
                 return np.ones(3)
 
-        with pytest.raises(ValueError, match="L1 from the curvature estimate"):
-            solve(Linear(), np.ones(3), config=SolverConfig(max_iters=5))
+        oracle = CountingOracle(Linear())
+        with pytest.raises(ValueError, match=r"L1 from the oracle's "
+                                             r"smoothness .* got None"):
+            solve(oracle, np.ones(3), config=SolverConfig(max_iters=5))
+        assert oracle.counters.gradient_queries == 0
 
 
 class TestInputValidation:
@@ -415,55 +419,6 @@ class TestBadOracle:
         assert len(info.value.trace.rows) == 0
         # the anchor gradient and 54 rejected trials
         assert info.value.counters.gradient_queries == 55
-
-
-class BareQuadratic:
-    """Quadratic oracle exposing no smoothness constant, so the solver has
-    to estimate one by curvature probing."""
-
-    dimension = 4
-
-    def value(self, x):
-        return 0.5 * float(x @ x) * 3.0
-
-    def gradient(self, x):
-        return 3.0 * x
-
-    def hessian(self, x):
-        return 3.0 * np.eye(4)
-
-
-class TestSmoothnessFallback:
-    def test_solver_estimates_missing_constant(self):
-        record = solve(BareQuadratic(), np.ones(4), np.ones(4),
-                       SolverConfig(max_iters=30, seed=0))
-        L1 = float(record.metadata["L1"])
-        assert 3.0 <= L1 <= 3.3 + 1e-9
-        assert record.rows[-1].f_value < 1e-8
-
-    def test_estimate_covers_the_curvature_at_x0(self):
-        # a logistic Hessian is largest at x = 0, where every margin is 0;
-        # random probes alone put L1 at 0.60 of lambda_max(hessian(0)) here
-        class HiddenSmoothness:
-            def __init__(self, inner):
-                self.inner = inner
-                self.dimension = inner.dimension
-
-            def value(self, x):
-                return self.inner.value(x)
-
-            def gradient(self, x):
-                return self.inner.gradient(x)
-
-            def hessian(self, x):
-                return self.inner.hessian(x)
-
-        objective = make_logistic(120, 12, seed=0)
-        x0 = np.zeros(objective.dimension)
-        record = solve(HiddenSmoothness(objective), x0,
-                       config=SolverConfig(max_iters=1))
-        top = float(np.linalg.eigvalsh(objective.hessian(x0))[-1])
-        assert float(record.metadata["L1"]) >= top
 
 
 class TestCustomInitialMatrix:

@@ -54,7 +54,9 @@ alternating order (parent first on even pairs), per workload, and removes
 the worktree on exit.  Both modes run perfbench through one runner,
 :func:`run_one`, which reads the ``.perfbench`` result file of each run.
 Per time metric it prints the median, the quartiles and the minimum of
-each side, and the number of pairs where the change was lower; per other
+each side, and the number of pairs where the change was lower, and then
+the same for the ratios aqnpe.solve_s / nag.solve_s and bfgs.solve_s /
+nag.solve_s of each run (kept as ``ratio``, apart from ``time``); per other
 metric the two values, after checking that every run of a side gave the
 same one.  The block is written as ``paired`` into
 ``BENCH_<tag>.json``, joining the snapshot there if one exists.
@@ -111,6 +113,11 @@ LAYER_METRICS = ("linear_solver.calls", "linear_solver.iterations",
                  "separation.lanczos.calls", "separation.lanczos.steps",
                  "separation.lanczos.self_s", "separation.matvecs")
 SIMPLICITY_COUNTS = ("src_lines", "public_names", "config_fields")
+# the ratios of one run's solve times that the paired block keeps beside the
+# raw times: a load on the machine moves both solves of a run alike
+RATIOS = {"aqnpe/nag": ("aqnpe.solve_s", "nag.solve_s"),
+          "bfgs/nag": ("bfgs.solve_s", "nag.solve_s")}
+SIDES = ("parent", "change")
 DEFAULT_PAIRS = 4
 # run in a fresh interpreter on --root's src, so the counts are that
 # checkout's, whatever this process has imported
@@ -316,31 +323,47 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": ordered[0]}
 
 
+def paired_values(sides: dict) -> dict:
+    """Each side's values, pair i being the i-th of each, with their
+    :func:`spread`, and the pairs where the change was lower."""
+    return {**{side: {**spread(v), "values": v} for side, v in sides.items()},
+            "lower": sum(b < a for a, b in zip(sides["parent"],
+                                               sides["change"]))}
+
+
+def ratios(times: dict) -> dict:
+    """The RATIOS of one workload's paired ``time`` entries, run by run,
+    as :func:`paired_values`; a ratio whose times are missing is left
+    out."""
+    return {label: paired_values({
+                side: [a / b for a, b in zip(times[top][side]["values"],
+                                             times[bottom][side]["values"])]
+                for side in SIDES})
+            for label, (top, bottom) in RATIOS.items()
+            if top in times and bottom in times}
+
+
 def paired_summary(parent: list, change: list) -> dict:
     """One workload's paired block from the parent's and the change's
     results, pair i being ``parent[i]`` and ``change[i]``: per time metric
-    (unit ``s``) each side's values and :func:`spread`, and the pairs where
-    the change was lower; per other metric the first value of each side,
-    with ``unequal`` naming the metrics whose value differs between two
-    runs of one side; and the runs that did not exit 0."""
+    (unit ``s``) its :func:`paired_values`, and per ratio of RATIOS the
+    same of the run-by-run ratios; per other metric the first value of each
+    side, with ``unequal`` naming the metrics whose value differs between
+    two runs of one side; and the runs that did not exit 0."""
     times, counts, unequal = {}, {}, []
     for name, entry in parent[0]["metrics"].items():
         sides = {side: [run["metrics"][name]["value"] for run in runs]
-                 for side, runs in (("parent", parent), ("change", change))}
+                 for side, runs in zip(SIDES, (parent, change))}
         if entry["unit"] == "s":
-            times[name] = {
-                **{side: {**spread(v), "values": v}
-                   for side, v in sides.items()},
-                "lower": sum(b < a for a, b in zip(sides["parent"],
-                                                   sides["change"]))}
+            times[name] = paired_values(sides)
         else:
             counts[name] = {side: v[0] for side, v in sides.items()}
             if any(len(set(v)) > 1 for v in sides.values()):
                 unequal.append(name)
     failed = {side: sum(run["exit_code"] != 0 for run in runs)
-              for side, runs in (("parent", parent), ("change", change))}
-    return {"time": times, "counts": counts, "unequal": unequal,
-            "failed_runs": failed}
+              for side, runs in zip(SIDES, (parent, change))}
+    return {"time": times, "ratio": ratios(times), "counts": counts,
+            "unequal": unequal, "failed_runs": failed}
 
 
 def paired(root: Path, parent: str, pairs: int, workloads,
@@ -380,16 +403,20 @@ def paired(root: Path, parent: str, pairs: int, workloads,
 
 
 def print_paired(block: dict) -> None:
-    """Per workload and time metric ``parent median [q1, q3] min ->
-    change median [q1, q3] min``, the ratio of the medians and the pairs
-    where the change was lower; then the other metrics, parent -> change."""
+    """Per workload, per time metric and then per ratio of RATIOS,
+    ``parent median [q1, q3] min -> change median [q1, q3] min``, the ratio
+    of the medians and the pairs where the change was lower; then the other
+    metrics, parent -> change.  A block from before the ratios were kept
+    gets them from its times."""
     print(f"\npaired: {block['parent']} ({block['parent_commit'][:7]}) -> "
           f"change, {block['pairs']} pairs in alternating order, "
           f"{block['command']}")
     for workload, entry in block["workloads"].items():
-        width = max(map(len, (*entry["time"], *entry["counts"])))
+        spreads = {**entry["time"],
+                   **entry.get("ratio", ratios(entry["time"]))}
+        width = max(map(len, (*spreads, *entry["counts"])))
         print(f"  {workload}")
-        for name, t in entry["time"].items():
+        for name, t in spreads.items():
             a, b = t["parent"], t["change"]
             cells = [f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}] "
                      f"min {s['min']:.4g}" for s in (a, b)]
