@@ -78,9 +78,12 @@ def main(argv=None) -> int:
             dataset = read_dataset_csv(args.data)
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read dataset: {exc}")
-        runs = run_benchmark(dataset, methods, args.out_dir,
-                             max_iters=args.max_iters, tolerance=args.tol,
-                             seed=args.seed, svg=args.svg)
+        try:
+            runs = run_benchmark(dataset, methods, args.out_dir,
+                                 max_iters=args.max_iters, tolerance=args.tol,
+                                 seed=args.seed, svg=args.svg)
+        except ValueError as exc:  # only a dataset the objective rejects
+            parser.error(f"cannot use dataset: {exc}")
         for run in runs:
             status = "ok" if run.ok else f"FAILED ({run.error})"
             rows = len(run.record.rows) if run.record is not None else 0

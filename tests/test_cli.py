@@ -128,6 +128,18 @@ class TestRun:
         assert code == 2
         assert "cannot read dataset" in capsys.readouterr().err
 
+    def test_dataset_the_objective_rejects_is_usage_error(self, tmp_path,
+                                                          capsys):
+        # finite entries whose Gram matrix overflows
+        path = tmp_path / "data.csv"
+        path.write_text("y,a_0,a_1\n1,1e200,1.0\n-1,1.0,1.0\n")
+        code = run_cli(["run", "--data", str(path),
+                        "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert "cannot use dataset: features must be finite" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_method_failure_exits_one(self, data_csv, tmp_path, monkeypatch):
         import qnprox.bench as bench_module
 

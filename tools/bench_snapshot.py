@@ -406,14 +406,13 @@ def print_paired(block: dict) -> None:
     """Per workload, per time metric and then per ratio of RATIOS,
     ``parent median [q1, q3] min -> change median [q1, q3] min``, the ratio
     of the medians and the pairs where the change was lower; then the other
-    metrics, parent -> change.  A block from before the ratios were kept
-    gets them from its times."""
+    metrics, parent -> change.  The ratios are taken from the times, so a
+    block from before they were kept prints them too."""
     print(f"\npaired: {block['parent']} ({block['parent_commit'][:7]}) -> "
           f"change, {block['pairs']} pairs in alternating order, "
           f"{block['command']}")
     for workload, entry in block["workloads"].items():
-        spreads = {**entry["time"],
-                   **entry.get("ratio", ratios(entry["time"]))}
+        spreads = {**entry["time"], **ratios(entry["time"])}
         width = max(map(len, (*spreads, *entry["counts"])))
         print(f"  {workload}")
         for name, t in spreads.items():
