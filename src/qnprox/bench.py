@@ -64,9 +64,10 @@ def run_benchmark(dataset: LogisticDataset, methods: Sequence[str],
     Failures are recorded per method without aborting the others; an
     unknown or repeated method, a setting a method's config rejects, or a
     dataset :class:`~qnprox.datasets.LogisticObjective` rejects raises
-    :class:`ValueError` before ``out_dir`` is created.  Every method and the
-    charts' reference minimizer share one objective: its margin cache is
-    exact, so sharing it changes no output.
+    :class:`ValueError` before ``out_dir`` is created, and an ``out_dir``
+    that cannot be made or written raises :class:`OSError`.  Every method
+    and the charts' reference minimizer share one objective: its margin
+    cache is exact, so sharing it changes no output.
     """
     configs = method_configs(methods, max_iters, tolerance, seed)
     objective = LogisticObjective(dataset)

@@ -64,7 +64,10 @@ def main(argv=None) -> int:
             dataset = generate_logistic(spec)
         except ValueError as exc:
             parser.error(str(exc))
-        write_dataset_csv(dataset, args.out)
+        try:
+            write_dataset_csv(dataset, args.out)
+        except OSError as exc:
+            parser.error(f"cannot write dataset: {exc}")
         print(f"wrote {dataset.n} x {dataset.d} dataset to {args.out}")
         return 0
 
@@ -84,6 +87,8 @@ def main(argv=None) -> int:
                                  seed=args.seed, svg=args.svg)
         except ValueError as exc:  # only a dataset the objective rejects
             parser.error(f"cannot use dataset: {exc}")
+        except OSError as exc:  # only an output path that cannot be written
+            parser.error(f"cannot write results: {exc}")
         for run in runs:
             status = "ok" if run.ok else f"FAILED ({run.error})"
             rows = len(run.record.rows) if run.record is not None else 0

@@ -20,7 +20,7 @@ from .line_search import backtracking_search
 from .linear_solver import KrylovBasis, conjugate_residual
 from .oracles import CountingOracle
 from .separation import PackedSymmetric, separation_oracle
-from .solver import (ALPHA1, ALPHA2, IterationReport, SolverConfig,
+from .solver import (ALPHA1, ALPHA2, BETA, IterationReport, SolverConfig,
                      momentum_weights, solve)
 
 
@@ -122,22 +122,13 @@ def weight_growth_violation(reports, beta, rtol=1e-12):
 
 
 def gradient_query_violation(record):
-    """An aqnpe iteration queries 2 + backtracks gradients, and N of them at
-    most 3 N + log(sigma0 L1 / alpha2) / log(1 / beta), with the constants
-    read from the record's metadata (written exactly)."""
+    """An aqnpe iteration queries 2 + backtracks gradients, and N of them,
+    started at sigma0 = alpha2 / L1, at most 3 N."""
     for delta, row in zip(record.grad_query_deltas(), record.rows):
         if delta != 2 + row.backtracks:
             return (f"{delta} gradient queries with {row.backtracks} "
                     f"backtracks at iteration {row.iteration}")
-    sigma0, L1, alpha2, beta = (float(record.metadata[key]) for key in
-                                ("sigma0", "L1", "alpha2", "beta"))
-    N = len(record.rows)
-    ratio = sigma0 * L1 / alpha2
-    # the default sigma0 = alpha2 / L1 gives a ratio of 1 up to rounding,
-    # where the paper's bound is exactly 3 N
-    if abs(ratio - 1.0) <= 4.0 * math.ulp(1.0):
-        ratio = 1.0
-    bound = 3 * N + math.log(ratio) / math.log(1.0 / beta)
+    bound = 3 * len(record.rows)
     if not record.rows[-1].grad_queries <= bound:
         return f"{record.rows[-1].grad_queries} gradient queries > {bound}"
     return None
@@ -329,18 +320,17 @@ def check_line_search():
     objective = make_logistic(120, 12, seed=7)
     oracle = CountingOracle(objective)
     rng = np.random.default_rng(4)
-    beta = 0.5
     for trial in range(5):
         y = rng.standard_normal(objective.dimension)
         g = oracle.gradient(y)
         B = random_psd(rng, objective.dimension, top=objective.smoothness)
         before = oracle.counters.gradient_queries
         outcome = backtracking_search(y, g, B, 64.0 / objective.smoothness,
-                                      ALPHA1, ALPHA2, beta, oracle)
+                                      ALPHA1, ALPHA2, BETA, oracle)
         spent = oracle.counters.gradient_queries - before
         if spent != outcome.backtracks + 1:
             return f"gradient accounting off: {spent} queries"
-        if problem := backtrack_violation(outcome, y, ALPHA1, ALPHA2, beta):
+        if problem := backtrack_violation(outcome, y, ALPHA1, ALPHA2, BETA):
             return problem
     return None
 
@@ -352,14 +342,14 @@ def check_solver_certificate():
     f_star = float(objective.value(x_star))
 
     reports: list[IterationReport] = []
-    c = SolverConfig(max_iters=120, seed=0)
-    record = solve(objective, x0, config=c, observer=reports.append)
+    record = solve(objective, x0, config=SolverConfig(max_iters=120, seed=0),
+                   observer=reports.append)
     return next(filter(None, [
         certificate_violation(reports, objective, x_star, f_star, x0),
         potential_violation(reports, objective, x_star, f_star, x0),
-        weight_growth_violation(reports, c.beta),
+        weight_growth_violation(reports, BETA),
         gradient_query_violation(record),
-        *(backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2, c.beta)
+        *(backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2, BETA)
           for rep in reports),
     ]), None)
 

@@ -30,29 +30,26 @@ CASE_DAMPED = "II"
 # the linear solve's accuracy and the proximal slack, alpha1 + alpha2 < 1
 ALPHA1 = 0.1
 ALPHA2 = 0.85
+# the backtracking factor; every solve starts at sigma0 = ALPHA2 / L1, under
+# which N iterations cost at most 3 N gradient queries
+BETA = 0.5
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the accelerated solver, checked when constructed: a field
+    """The accelerated solver's settings, checked when constructed: a field
     out of range raises :class:`ValueError` naming it.
 
-    beta is the backtracking factor.  sigma0 defaults to ALPHA2 / L1, the
-    choice under which the amortized gradient cost is below three queries
-    per iteration.
+    The paper's other inputs are the constants ALPHA1, ALPHA2 and BETA, and
+    the first step size sigma0 = ALPHA2 / L1.
     """
 
-    beta: float = 0.5
-    sigma0: Optional[float] = None
     max_iters: int = 100
     tolerance: float = 0.0
     rho: float = DEFAULT_STEP_SIZE
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_interval("beta", self.beta, 0.0, 1.0)
-        if self.sigma0 is not None:
-            check_interval("sigma0", self.sigma0, 0.0, math.inf)
         check_integer("max_iters", self.max_iters, 1)
         check_at_least("tolerance", self.tolerance, 0.0)
         check_interval("rho", self.rho, 0.0, math.inf)
@@ -126,8 +123,7 @@ def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,
             grad_y = oracle.gradient(y)
             try:
                 outcome = backtracking_search(y, grad_y, learner.B, eta,
-                                              ALPHA1, ALPHA2, config.beta,
-                                              oracle)
+                                              ALPHA1, ALPHA2, BETA, oracle)
             except ConfigurationError:
                 # a failed search with a gradient at the floor: converged
                 if (float(np.linalg.norm(grad_y))
@@ -141,7 +137,7 @@ def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,
                 x = outcome.x_hat
                 z = z - a * outcome.grad_at_x_hat
                 A += a
-                eta_next = outcome.eta_hat / config.beta
+                eta_next = outcome.eta_hat / BETA
             else:
                 case = CASE_DAMPED
                 gamma = outcome.eta_hat / eta
@@ -198,10 +194,10 @@ def solve(oracle, x0: np.ndarray, z0: Optional[np.ndarray] = None,
         z = x.copy() if z0 is None else checked_input("z0", z0, x.shape).copy()
         L1 = oracle.smoothness
         check_interval("L1 from the oracle's smoothness", L1, 0.0, math.inf)
-        sigma0 = config.sigma0 if config.sigma0 is not None else ALPHA2 / L1
+        sigma0 = ALPHA2 / L1
         metadata = {"alpha1": format_float(ALPHA1),
                     "alpha2": format_float(ALPHA2),
-                    "beta": format_float(config.beta),
+                    "beta": format_float(BETA),
                     "sigma0": format_float(sigma0), "L1": format_float(L1),
                     "seed": str(config.seed)}
         return metadata, _iterations(

@@ -27,9 +27,11 @@ from typing import Optional
 from .oracles import CountingOracle, checked_input
 
 TRACE_HEADER = "iter,f,eta_hat,case,backtracks,grad_queries,matvecs"
-# why a solver's iterations ended before the cap
+# why a run stopped, as RunRecord.stopped reads
+MAX_ITERS = "max_iters"
 TOLERANCE = "tolerance"
 PRECISION_FLOOR = "precision_floor"
+ERROR = "error"
 # 4096 eps: aqnpe's anchor gradient and BFGS's predicted decrease, relative
 # to their scales, are float noise at or below it, and stop at the floor
 FLOAT_NOISE = 4096.0 * sys.float_info.epsilon
@@ -113,6 +115,10 @@ class RunRecord:
     row, read as ``TraceRow`` objects built on access.  A plain list of rows
     given to the constructor, or to ``dataclasses.replace``, is appended row
     by row, so it passes the same ordering check as ``append``.
+
+    ``stopped`` is why the run stopped: MAX_ITERS, TOLERANCE,
+    PRECISION_FLOOR, or ERROR on the partial record an error carries.  It
+    is not written, so a record read from a CSV has None.
     """
 
     method: str
@@ -120,6 +126,7 @@ class RunRecord:
     rows: Sequence[TraceRow] = field(default_factory=TraceTable)
     wall_time: Optional[float] = field(default=None, compare=False)
     final_x: Optional[object] = field(default=None, compare=False, repr=False)
+    stopped: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.rows, TraceTable):
@@ -152,8 +159,9 @@ def record_run(method: str, oracle, x0, config, begin) -> RunRecord:
     iterations: a generator that yields each finished iteration's f,
     eta_hat, case, backtracks and iterate, and returns TOLERANCE or
     PRECISION_FLOOR, the one written as ``stopped``.  A row is numbered and
-    counted here.  An error raised by the iterations carries the partial
-    record as ``trace`` and a copy of the counters as ``counters``.
+    counted here, and ``record.stopped`` set.  An error raised by the
+    iterations carries the partial record as ``trace`` and a copy of the
+    counters as ``counters``.
     """
     if not isinstance(oracle, CountingOracle):
         oracle = CountingOracle(oracle)
@@ -168,12 +176,16 @@ def record_run(method: str, oracle, x0, config, begin) -> RunRecord:
             try:
                 *columns, x = next(iterations)
             except StopIteration as stop:
+                record.stopped = stop.value
                 if stop.value == PRECISION_FLOOR:
                     record.metadata["stopped"] = PRECISION_FLOOR
                 break
             record.append(TraceRow(k, *columns, counters.gradient_queries,
                                    counters.matvecs))
+        else:
+            record.stopped = MAX_ITERS
     except Exception as exc:
+        record.stopped = ERROR
         exc.trace, exc.counters = record, replace(counters)
         raise
     finally:

@@ -88,21 +88,14 @@ def test_benchmark_calls_bind():
             pytest.fail(f"{where}: {exc}")
 
 
-# settings that no library or benchmark caller sets, kept because tests
-# reach paths with them that nothing else reaches: a precision-floor stop at
-# sigma0 = 100, the d = 2 precision-floor regression at beta = 0.25, and
-# first iterations of case I and case II chosen by sigma0
-UNSET_SETTINGS = {"sigma0", "beta"}
-
-
 ENTRY_POINTS = ("solve", "nag_solve", "bfgs_solve")
 
 
 def test_every_setting_has_a_caller():
     # a field or an input that no caller sets is a constant: the configs'
-    # calls in the library and the benchmark must set every field outside
-    # the allowlist, and the entry points' calls there or in tools/ must pass
-    # every parameter, by position or by keyword
+    # calls in the library and the benchmark must set every field, and the
+    # entry points' calls there or in tools/ must pass every parameter, by
+    # position or by keyword
     root = Path(__file__).resolve().parents[1]
     sources = [*sorted((root / "src" / "qnprox").glob("*.py")),
                root / "perfbench" / "measure.py"]
@@ -130,9 +123,7 @@ def test_every_setting_has_a_caller():
     for name, cls in configs.items():
         fields = {field.name for field in dataclasses.fields(cls)}
         unset = fields - set_by_callers[name]
-        assert unset <= UNSET_SETTINGS, f"{name}: no caller sets {unset}"
-    assert UNSET_SETTINGS <= {field.name for field in
-                              dataclasses.fields(qnprox.SolverConfig)}
+        assert not unset, f"{name}: no caller sets {unset}"
     for name, signature in signatures.items():
         unset = set(signature.parameters) - set_by_callers[name]
         assert not unset, f"{name}: no caller passes {unset}"

@@ -83,7 +83,9 @@ def test_ladder_counts_grow_as_the_gap_shrinks(tiny_ladder):
         assert list(entry["aqnpe_rho"]) == list(bench_snapshot.RHOS)
         # the pinned rho's row is the 1e-8 rung of the gap ladder, from a
         # solve with another iteration cap
-        assert (entry["aqnpe_rho"][entry["rho"]]
+        pinned = entry["aqnpe_rho"][entry["rho"]]
+        assert ({key: pinned[key] for key in ("iters", "grad_queries",
+                                              "matvecs")}
                 == entry["aqnpe"][tiny_ladder["rho_gap"]])
 
 
@@ -112,6 +114,29 @@ def test_ladder_rung_is_the_first_iteration_at_the_gap(tiny_ladder):
         max_iters=entry["aqnpe"]["1e-08"]["iters"], rho=workload.rho,
         seed=plan.solver_seed), observer=reports.append)
     assert entry["A_K"] == reports[-1].A
+
+
+def test_ladder_rate_counts_are_the_solves_own(tiny_ladder):
+    # each rho rung feeds the learner once per case II row up to its 1e-8
+    # row, and the pinned rung's A_K is the workload's, bit for bit
+    import measure
+    import workloads
+
+    for name, entry in tiny_ladder["workloads"].items():
+        workload = workloads.tiny(workloads.WORKLOADS[name])
+        plan = workloads.seed_plan(workload, bench_snapshot.SEED)
+        objective, _, _ = measure.setup(workload, plan)
+        x0 = np.zeros(workload.d)
+        for label, rung in entry["aqnpe_rho"].items():
+            assert set(bench_snapshot.RATE_COUNTS) <= set(rung)
+            rows = solve(objective, x0, x0.copy(), SolverConfig(
+                max_iters=rung["iters"], rho=bench_snapshot.RHOS[label],
+                seed=plan.solver_seed)).rows
+            assert rung["fed_losses"] == sum(row.case == "II"
+                                             for row in rows), (name, label)
+        pinned = entry["aqnpe_rho"][entry["rho"]]
+        assert pinned["A_K"] == entry["A_K"]
+        assert entry["x_star_sq"] > 0.0
 
 
 def test_ladder_digests_are_the_baseline_trace_csvs(tiny_ladder, tmp_path):
@@ -407,3 +432,35 @@ def test_compare_names_the_baseline_traces_that_moved(tiny_ladder, capsys):
     paper = repr(tiny_ladder["workloads"]["paper"]["f_star"])
     assert lines[0] == ["f*", paper, "->", paper + ",", "relative", "change",
                         "0"]
+
+
+def ladder_cells(out, label):
+    """The cells of each workload's ladder row ``label`` in ``out``."""
+    return [line.split(None, 1)[1].split(", ") for line in out.splitlines()
+            if line.startswith(f"    {label} ")]
+
+
+def test_compare_prints_each_rungs_certificate(tiny_ladder, capsys):
+    after = fake_snapshot("change", 1, [])
+    after["ladder"] = tiny_ladder
+    bench_snapshot.compare(after, after)
+    rows = ladder_cells(capsys.readouterr().out, "cert")
+    assert rows == [
+        [f"{label} {entry['x_star_sq'] / (2.0 * rung['A_K']):.3g}"
+         for label, rung in entry["aqnpe_rho"].items()]
+        for entry in tiny_ladder["workloads"].values()]
+    # a snapshot from before the rate counts reads "-" in both new rows
+    before = fake_snapshot("parent", 1, [])
+    before["ladder"] = json.loads(json.dumps(tiny_ladder))
+    for entry in before["ladder"]["workloads"].values():
+        del entry["x_star_sq"]
+        for rung in entry["aqnpe_rho"].values():
+            for key in bench_snapshot.RATE_COUNTS:
+                del rung[key]
+    bench_snapshot.compare(before, after)
+    out = capsys.readouterr().out
+    for label in ("rate", "cert"):
+        rows = ladder_cells(out, label)
+        assert len(rows) == 3
+        assert all(cell.split()[1:3] == ["-", "->"]
+                   for cells in rows for cell in cells)

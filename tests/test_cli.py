@@ -62,6 +62,13 @@ class TestGen:
         assert f"{field} must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = run_cli(["gen", "--n", "5", "--d", "3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write dataset" in err and str(out) in err
+
 
 class TestRun:
     @pytest.fixture()
@@ -139,6 +146,19 @@ class TestRun:
         assert "cannot use dataset: features must be finite" in \
             capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under"])
+    def test_out_dir_that_cannot_be_made_is_usage_error(
+            self, data_csv, tmp_path, capsys, below):
+        # a file where the directory, or one of its parents, would be
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out_dir = taken.joinpath(*below)
+        code = run_cli(["run", "--data", str(data_csv), "--methods", "nag",
+                        "--max-iters", "2", "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write results" in err and str(out_dir) in err
 
     def test_method_failure_exits_one(self, data_csv, tmp_path, monkeypatch):
         import qnprox.bench as bench_module

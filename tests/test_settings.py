@@ -19,8 +19,7 @@ from helpers import packed
 # its minimum, and each real field with its lower bound
 CONFIGS = {
     SolverConfig: ({}, {"max_iters": 1, "seed": 0},
-                   {"beta": 0.0, "sigma0": 0.0, "tolerance": 0.0,
-                    "rho": 0.0}),
+                   {"tolerance": 0.0, "rho": 0.0}),
     BaselineConfig: ({}, {"max_iters": 1}, {"tolerance": 0.0}),
     SyntheticLogisticSpec: (dict(n=5, d=3, sigma=0.8, seed=0),
                             {"n": 1, "d": 2, "seed": 0}, {"sigma": 0.0}),
@@ -45,9 +44,9 @@ def bad_settings():
 # a value of the wrong type must be rejected by name, not by a TypeError
 # from a comparison
 WRONG_TYPES = [(SolverConfig, "tolerance", "1e-6"),
-               (SolverConfig, "sigma0", "0.1"),
+               (SolverConfig, "rho", "0.1"),
                (BaselineConfig, "max_iters", "0.1"),
-               (SolverConfig, "beta", None),
+               (SolverConfig, "max_iters", None),
                (BaselineConfig, "tolerance", "x")]
 
 
@@ -63,7 +62,7 @@ def test_every_settable_value_is_listed():
     for cls, (_, integers, reals) in CONFIGS.items():
         assert {f.name for f in fields(cls)} == set(integers) | set(reals)
         listed += len(integers) + len(reals)
-    assert listed == 12
+    assert listed == 10
 
 
 @pytest.mark.parametrize("cls, base, name, value", bad_settings())

@@ -1,6 +1,7 @@
 import math
 import weakref
 from dataclasses import astuple, fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import qnprox.solver
 from qnprox import CountingOracle, OracleCounters, SolverConfig, solve
 from qnprox.learner import learner_step
 from qnprox.line_search import backtracking_search
-from qnprox.solver import ALPHA1, ALPHA2, damped_iterate, momentum_weights
+from qnprox.solver import (ALPHA1, ALPHA2, BETA, damped_iterate,
+                           momentum_weights)
 from qnprox.errors import ConfigurationError, NumericsError, SolverError
 from qnprox.selftest import (certificate_violation, fed_loss_violation,
                              gradient_query_violation, make_logistic,
@@ -20,6 +22,13 @@ from qnprox.separation import PackedSymmetric, separation_oracle
 from conftest import reference_minimizer
 from helpers import (FaultAfter, ProductCounter, QuadraticObjective,
                      VectorValue, traced_allocation_peak)
+
+
+def stated(objective, scale):
+    """``objective`` with its L1 stated ``scale`` times its own."""
+    return SimpleNamespace(dimension=objective.dimension,
+                           value=objective.value, gradient=objective.gradient,
+                           smoothness=scale * objective.smoothness)
 
 
 class TestMomentumWeights:
@@ -55,13 +64,14 @@ class TestStepUpdates:
         assert np.allclose(out, (x + 2.0 * x_hat) / 3.0, rtol=1e-15)
 
     def test_first_iteration_case_one_substitution(self, small_logistic):
-        # a tiny sigma0 accepts the first trial, so A1 = sigma0,
+        # an L1 stated 1e3 times too large gives a tiny sigma0 = alpha2 / L1,
+        # which accepts the first trial, so A1 = sigma0,
         # z1 = z0 - sigma0 * grad(x1), eta1 = sigma0 / beta
-        sigma0 = 1e-3 / small_logistic.smoothness
-        config = SolverConfig(max_iters=1, sigma0=sigma0, seed=0)
+        objective = stated(small_logistic, 1e3)
+        sigma0 = ALPHA2 / objective.smoothness
         reports = []
         z0 = np.zeros(small_logistic.dimension)
-        solve(small_logistic, z0, z0.copy(), config,
+        solve(objective, z0, z0.copy(), SolverConfig(max_iters=1, seed=0),
               observer=reports.append)
         rep = reports[0]
         assert rep.case == "I"
@@ -71,13 +81,13 @@ class TestStepUpdates:
         assert np.allclose(rep.z, z0 - sigma0 * grad, rtol=1e-12, atol=1e-15)
 
     def test_A1_equals_accepted_step_in_both_cases(self, small_logistic):
+        # the stated L1 sets sigma0 = alpha2 / L1: 1e-4 times the true L1
+        # makes the first search backtrack
         z0 = np.zeros(small_logistic.dimension)
-        for sigma0, expected_case in ((1e-3 / small_logistic.smoothness, "I"),
-                                      (1e4 / small_logistic.smoothness, "II")):
+        for scale, expected_case in ((1e3, "I"), (1e-4, "II")):
             reports = []
-            config = SolverConfig(max_iters=1, sigma0=sigma0, seed=0)
-            solve(small_logistic, z0, z0.copy(), config,
-                  observer=reports.append)
+            solve(stated(small_logistic, scale), z0, z0.copy(),
+                  SolverConfig(max_iters=1, seed=0), observer=reports.append)
             rep = reports[0]
             assert rep.case == expected_case
             assert math.isclose(rep.A, rep.search.eta_hat, rel_tol=1e-15)
@@ -134,8 +144,7 @@ class TestSolveOnQuadratic:
         Q = np.diag(np.linspace(0.5, 6.0, 20))
         objective = QuadraticObjective(Q, center=rng.standard_normal(20))
         record = solve(objective, np.zeros(20),
-                       config=SolverConfig(max_iters=1000, sigma0=100.0,
-                                           seed=0))
+                       config=SolverConfig(max_iters=1000, seed=0))
         assert record.metadata.get("stopped") == "precision_floor"
         assert len(record.rows) < 1000
         assert record.rows[-1].f_value <= 1e-25
@@ -166,8 +175,8 @@ class TestSolveInvariants:
                                      np.zeros_like(x_star)) is None
 
     def test_weight_growth_bound(self, observed_run):
-        record, reports, config, _ = observed_run
-        assert weight_growth_violation(reports, config.beta) is None
+        record, reports, _, _ = observed_run
+        assert weight_growth_violation(reports, BETA) is None
 
     def test_iterate_boundedness(self, observed_run, small_logistic):
         record, reports, config, x_star = observed_run
@@ -198,7 +207,7 @@ class TestSolveInvariants:
 
     def test_step_size_square_sum_bound(self, observed_run, small_logistic):
         record, reports, config, _ = observed_run
-        beta, alpha2 = config.beta, ALPHA2
+        beta, alpha2 = BETA, ALPHA2
         sigma0 = ALPHA2 / small_logistic.smoothness
         lhs = sum(1.0 / rep.search.eta_hat ** 2 for rep in reports)
         fed = sum(rep.loss_fed for rep in reports if rep.loss_fed is not None)
@@ -244,17 +253,12 @@ class TestConfigValidation:
     def test_alpha_sum_must_be_contractive(self):
         assert 0.0 < ALPHA1 and 0.0 < ALPHA2 and ALPHA1 + ALPHA2 < 1.0
 
-    def test_beta_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(beta=1.0)
-
     @pytest.mark.parametrize("field, value", [
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
         ("tolerance", -1.0), ("tolerance", math.nan),
         ("max_iters", 0), ("seed", -1),
         ("max_iters", 2.5), ("seed", 1.5),
         ("seed", "1"),
-        ("sigma0", math.nan), ("sigma0", math.inf), ("sigma0", 0.0),
     ])
     def test_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from qnprox import (BaselineConfig, CountingOracle, NumericsError, RunRecord,
                     SolverConfig, SolverError, TraceRow, bfgs_solve,
                     nag_solve, read_trace_csv, solve, write_trace_csv)
+from qnprox.bench import SOLVERS, method_configs
 from qnprox.trace import format_float
-from helpers import FaultAfter
+from helpers import FaultAfter, QuadraticObjective
 
 
 def sample_record():
@@ -321,3 +322,54 @@ def test_failure_mid_run_keeps_the_partial_trace_and_counters(
             getattr(oracle, query)(x0)
         assert oracle.counters.gradient_queries == broken.seen["gradient"]
         assert err.counters.gradient_queries == seen, fault
+
+
+def floor_quadratic():
+    """A 20-d quadratic that aqnpe, at tolerance 0, runs to its precision
+    floor in 383 rows."""
+    rng = np.random.default_rng(0)
+    return QuadraticObjective(np.diag(np.linspace(0.5, 6.0, 20)),
+                              center=rng.standard_normal(20))
+
+
+# per method, each reason it can stop for and a run that stops for it: the
+# objective (from the small logistic instance), max_iters and tolerance.
+# NAG has no precision-floor stop
+STOPS = [
+    *((method, "max_iters", lambda logistic: (logistic, 5, 0.0))
+      for method in SOLVERS),
+    *((method, "tolerance", lambda logistic: (
+        QuadraticObjective(np.eye(3), center=np.ones(3)), 500, 1e-9))
+      for method in SOLVERS),
+    ("aqnpe", "precision_floor", lambda logistic: (floor_quadratic(), 1000,
+                                                   0.0)),
+    ("bfgs", "precision_floor", lambda logistic: (logistic, 2000, 0.0)),
+]
+
+
+@pytest.mark.parametrize("method, reason, problem", STOPS,
+                         ids=[f"{m}-{r}" for m, r, _ in STOPS])
+def test_record_names_why_the_run_stopped(method, reason, problem,
+                                          small_logistic, tmp_path):
+    # only the precision floor is written, as metadata, so the CSV keeps its
+    # bytes and a record read back has no reason
+    objective, max_iters, tolerance = problem(small_logistic)
+    record = SOLVERS[method](
+        objective, np.zeros(objective.dimension),
+        config=method_configs([method], max_iters, tolerance, 0)[method])
+    assert record.stopped == reason
+    assert (len(record.rows) == max_iters) == (reason == "max_iters")
+    path = tmp_path / "trace.csv"
+    write_trace_csv(record, path)
+    assert (("# stopped=" in path.read_text())
+            == (reason == "precision_floor"))
+    assert read_trace_csv(path).stopped is None
+
+
+@pytest.mark.parametrize("method", list(SOLVES))
+def test_the_partial_record_of_a_failed_run_is_stopped_by_error(
+        method, small_logistic):
+    x0 = np.zeros(small_logistic.dimension)
+    with pytest.raises(Exception) as info:
+        SOLVES[method](FaultAfter(small_logistic, 5), x0)
+    assert info.value.trace.stopped == "error"

@@ -25,10 +25,13 @@ one BLAS thread as perfbench pins it (its ``run.BLAS_THREAD_VARIABLES``):
   gradient queries to objective gaps 1e-4, 1e-6, 1e-8 and 1e-10, next to
   d ln d;
 * the last weight A_K of the pinned-rho aqnpe solve, the A that ``solve``'s
-  observer reports at the 1e-8 row, for the paper's certificate
-  f(x_K) - f* <= ||z0 - x*||^2 / (2 A_K);
+  observer reports at the 1e-8 row, and ||x*||^2, for the paper's
+  certificate f(x_K) - f* <= ||z0 - x*||^2 / (2 A_K) at z0 = 0;
 * for aqnpe at rho = 1e-12, 1/128, 1/16, 1/4 and 1, iterations, gradient
-  queries and matvecs to gap 1e-8;
+  queries and matvecs to gap 1e-8, and the paper's rate mechanism read
+  through ``solve``'s observer up to that row (RATE_COUNTS): the losses
+  fed to the learner, their sum over L1^2, the sum of 1/eta_hat^2 over the
+  backtracked iterations, and A_K;
 * for NAG and BFGS, the SHA-256 of the ``write_trace_csv`` output of a solve
   run to its first iteration at gap 1e-8, so a change to the baselines shows
   byte identity of their traces, as the aqnpe trace's digests show its own.
@@ -68,8 +71,10 @@ snapshot without them), then, per workload, each end-to-end metric before
 and after with its ratio, the per-layer metrics of LAYER_METRICS from the
 trace-1 run, the trace columns whose digests differ, the largest relative
 change of ``f``, the ladder's f* with its relative change and its counts
-(before -> after where both files have a ladder), the baselines whose trace
-digests differ, and the after file's paired block.  It runs nothing.
+(before -> after where both files have a ladder), each rho rung's
+certificate ||z0 - x*||^2 / (2 A_K) on its 1e-8 gap (``-`` for a snapshot
+without it), the baselines whose trace digests differ, and the after
+file's paired block.  It runs nothing.
 """
 
 from __future__ import annotations
@@ -97,6 +102,10 @@ BASELINE_TRACE_GAP = 1e-8
 RHOS = {"1e-12": 1e-12, "1/128": 1.0 / 128.0, "1/16": 1.0 / 16.0,
         "1/4": 1.0 / 4.0, "1": 1.0}
 LADDER_MAX_ITERS = 20000
+# each rho rung's rate mechanism: fed losses, sum l_t / L1^2, sum
+# 1/eta_hat^2 over backtracked iterations, and A_K
+RATE_COUNTS = ("fed_losses", "fed_loss_sum_over_L1_sq",
+               "backtracked_inv_eta_hat_sq_sum", "A_K")
 # trace-1 metrics that --compare prints: where the solves' products and the
 # line search's time go, and what the separation oracle did.  perfbench
 # reads a Lanczos call's steps as its matvecs - 2, for two Rayleigh
@@ -258,17 +267,34 @@ def ladder(root: Path, tiny: bool = False) -> dict:
         plan = workloads.seed_plan(workload, SEED)
         objective, _, _ = measure.setup(workload, plan)
         x0 = np.zeros(workload.d)
-        f_star = float(objective.value(reference_minimizer(objective, x0)))
+        x_star = reference_minimizer(objective, x0)
+        f_star = float(objective.value(x_star))
 
-        def aqnpe(rho, observer=None):
-            return lambda cap: solve(objective, x0, x0.copy(), SolverConfig(
-                max_iters=cap, rho=rho, seed=plan.solver_seed), observer)
+        def aqnpe(rho, seen):
+            """``run(max_iters)`` of aqnpe at ``rho``: each run replaces
+            ``seen`` with its reports' A, fed loss, and eta_hat when
+            backtracked, else None."""
+            def run(cap):
+                seen.clear()
+                return solve(objective, x0, x0.copy(), SolverConfig(
+                    max_iters=cap, rho=rho, seed=plan.solver_seed),
+                    lambda r: seen.append((r.A, r.loss_fed, r.search.eta_hat
+                                           if r.search.backtracks else None)))
+            return run
 
-        weights = []   # A after each iteration of the last pinned-rho solve
-
-        def pinned(cap):
-            weights.clear()
-            return aqnpe(workload.rho, lambda r: weights.append(r.A))(cap)
+        def rate_rung(rho):
+            """The rung to RHO_GAP at ``rho``, with its RATE_COUNTS."""
+            seen = []
+            rung = counts_to_gaps(aqnpe(rho, seen), caps["aqnpe"], f_star,
+                                  (RHO_GAP,))[f"{RHO_GAP:g}"]
+            if rung is None:
+                return None
+            seen = seen[:rung["iters"]]
+            fed = [loss for _, loss, _ in seen if loss is not None]
+            return {**rung, **dict(zip(RATE_COUNTS, (
+                len(fed), sum(fed) / objective.smoothness ** 2,
+                sum(eta ** -2 for _, _, eta in seen if eta is not None),
+                seen[-1][0])))}
 
         def nag(cap):
             return nag_solve(objective, x0, BaselineConfig(max_iters=cap))
@@ -291,7 +317,9 @@ def ladder(root: Path, tiny: bool = False) -> dict:
 
         caps = workload.caps
         print(f"+ ladder {name}", file=sys.stderr, flush=True)
-        counts = counts_to_gaps(pinned, caps["aqnpe"], f_star, LADDER_GAPS)
+        pinned = []   # the last pinned-rho solve's reports
+        counts = counts_to_gaps(aqnpe(workload.rho, pinned), caps["aqnpe"],
+                                f_star, LADDER_GAPS)
         rung = counts[f"{RHO_GAP:g}"]
         out["workloads"][name] = {
             "n": workload.n, "d": workload.d,
@@ -299,13 +327,12 @@ def ladder(root: Path, tiny: bool = False) -> dict:
             "rho": next(label for label, rho in RHOS.items()
                         if rho == workload.rho),
             "f_star": f_star,
+            "x_star_sq": float(x_star @ x_star),
             "aqnpe": counts,
-            "A_K": rung and weights[rung["iters"] - 1],
+            "A_K": rung and pinned[rung["iters"] - 1][0],
             "nag": counts_to_gaps(nag, caps["nag"], f_star, LADDER_GAPS),
-            "aqnpe_rho": {
-                label: counts_to_gaps(aqnpe(rho), caps["aqnpe"], f_star,
-                                      (RHO_GAP,))[f"{RHO_GAP:g}"]
-                for label, rho in RHOS.items()},
+            "aqnpe_rho": {label: rate_rung(rho)
+                          for label, rho in RHOS.items()},
             "baseline_traces": {"nag": trace_digest(nag, caps["nag"]),
                                 "bfgs": trace_digest(bfgs, caps["bfgs"])},
         }
@@ -431,25 +458,41 @@ def print_paired(block: dict) -> None:
 def print_ladder(before, after: dict) -> None:
     """The ladder's f*, ``before -> after`` with the relative change, and its
     counts as iterations/gradient queries per gap (with /matvecs in the rho
-    row), ``before -> after`` where they differ."""
-    def cell(entry, keys):
-        return "-" if entry is None else "/".join(str(entry[k]) for k in keys)
+    row, and RATE_COUNTS in the rate row), ``before -> after`` where they
+    differ, and each rho rung's certificate ||z0 - x*||^2 / (2 A_K) on its
+    gap.  A count or certificate a snapshot lacks reads ``-``."""
+    def counts(*keys):
+        def show(workload, entry):
+            if entry is None or not all(key in entry for key in keys):
+                return "-"
+            return "/".join(f"{entry[k]:.3g}" if isinstance(entry[k], float)
+                            else str(entry[k]) for k in keys)
+        return show
+
+    def certificate(workload, rung):
+        if rung is None or "x_star_sq" not in workload or "A_K" not in rung:
+            return "-"
+        return f"{workload['x_star_sq'] / (2.0 * rung['A_K']):.3g}"
 
     print("\nladder: iterations/gradient queries to each gap; rho row to "
-          f"{after['rho_gap']}, with matvecs")
+          f"{after['rho_gap']}, with matvecs; rate row: fed losses/"
+          "sum l_t / L1^2/sum 1/eta_hat^2 backtracked/A_K; cert row: "
+          "||z0 - x*||^2 / (2 A_K), bound on the gap")
+    rows = (("aqnpe", "aqnpe", counts("iters", "grad_queries")),
+            ("nag", "nag", counts("iters", "grad_queries")),
+            ("rho", "aqnpe_rho", counts("iters", "grad_queries", "matvecs")),
+            ("rate", "aqnpe_rho", counts(*RATE_COUNTS)),
+            ("cert", "aqnpe_rho", certificate))
     for name, new in after["workloads"].items():
         old = before["workloads"][name] if before else new
         print(f"  {name} (d ln d = {new['d_ln_d']:.0f}, pinned rho "
               f"{new['rho']})")
         a, b = old["f_star"], new["f_star"]
         print(f"    f*     {a!r} -> {b!r}, relative change {(b - a) / a:.3g}")
-        for label, key, columns in (
-                ("aqnpe", "aqnpe", ("iters", "grad_queries")),
-                ("nag", "nag", ("iters", "grad_queries")),
-                ("rho", "aqnpe_rho", ("iters", "grad_queries", "matvecs"))):
+        for label, key, show in rows:
             cells = []
             for point, entry in new[key].items():
-                a, b = cell(old[key].get(point), columns), cell(entry, columns)
+                a, b = show(old, old[key].get(point)), show(new, entry)
                 cells.append(f"{point} {b if a == b else f'{a} -> {b}'}")
             print(f"    {label:6s} " + ", ".join(cells))
 
