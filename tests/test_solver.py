@@ -252,6 +252,7 @@ class TestSolveInvariants:
 class TestConfigValidation:
     def test_alpha_sum_must_be_contractive(self):
         assert 0.0 < ALPHA1 and 0.0 < ALPHA2 and ALPHA1 + ALPHA2 < 1.0
+        assert 0.0 < BETA < 1.0
 
     @pytest.mark.parametrize("field, value", [
         ("rho", -1.0), ("rho", 0.0), ("rho", math.nan), ("rho", math.inf),
