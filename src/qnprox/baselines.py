@@ -98,7 +98,7 @@ def _nag_iterations(oracle, x: np.ndarray, tolerance: float):
         x, fx = x_next, fx_next
         t_momentum = t_next
 
-        yield fx, eta, "-", backtracks, x
+        yield fx, eta, "-", backtracks, x, None
 
 
 def _strong_wolfe(oracle, x, p, phi0, dphi0):
@@ -205,14 +205,14 @@ def bfgs_solve(oracle, x0: np.ndarray,
 
 def _bfgs_iterations(oracle, x: np.ndarray, tolerance: float):
     """:func:`bfgs_solve`'s iterations for :func:`~qnprox.trace.record_run`;
-    the tolerance test is on the gradient at x, before the row."""
+    the tolerance test is on the gradient at x, at x0 before any row."""
     H = PackedSymmetric(x.shape[0], H_NAME)
     H.set_identity()
     f = float(oracle.value(x))
     g = oracle.gradient(x)
+    if float(np.linalg.norm(g)) <= tolerance:
+        return TOLERANCE
     for k in itertools.count():
-        if float(np.linalg.norm(g)) <= tolerance:
-            return TOLERANCE
         p = H.matvec(g, -1.0)
         oracle.counters.count_matvec()
         if float(g @ p) >= 0.0:
@@ -239,4 +239,5 @@ def _bfgs_iterations(oracle, x: np.ndarray, tolerance: float):
             oracle.counters.count_matvec()
         f, g = f_new, g_new
 
-        yield f, t, "-", evals - 1, x
+        met = float(np.linalg.norm(g)) <= tolerance
+        yield f, t, "-", evals - 1, x, TOLERANCE if met else None

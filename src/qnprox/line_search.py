@@ -5,10 +5,10 @@ size eta produces a candidate
 
     x = y + s,    s ~ solution of (I + eta B) s = -eta g
 
-through the minimum-residual solver at relative accuracy alpha1, and the
+through the minimum-residual solver at relative accuracy ALPHA1, and the
 trial is accepted once
 
-    ||x - y + eta grad_f(x)|| <= (alpha1 + alpha2) ||x - y||.
+    ||x - y + eta grad_f(x)|| <= (ALPHA1 + ALPHA2) ||x - y||.
 
 All trials of one search share B and g, so they share the Krylov space
 K(B, g): the search builds one Lanczos basis of B from g and each trial's
@@ -19,13 +19,14 @@ costs as many products as its largest Krylov dimension, not the sum over its
 trials.  The iterates are the conjugate-residual iterates in exact
 arithmetic, so each trial stops at the same dimension as a fresh solve.
 
-Step sizes shrink geometrically by beta until acceptance.  The last
+Step sizes shrink geometrically by BETA until acceptance.  The last
 rejected trial x~ = y + s is returned as the learner's loss sample
 (:class:`~qnprox.learner.LossSample`): w = grad_f(x~) - g from the gradient
 already paid for, s as solved, and B s read off the shared basis by the
 Lanczos relation (``KrylovBasis.image``), so the sample costs no gradient
 query and no product with B.  Acceptance is guaranteed once
-eta < alpha2 / (L1 + ||B||_op), so with consistent inputs the loop is finite.
+eta < ALPHA2 / (L1 + ||B||_op), so with consistent inputs the loop is finite.
+ALPHA1, ALPHA2 and BETA are the paper's constants, not arguments.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ from .learner import LossSample
 from .linear_solver import KrylovBasis, conjugate_residual
 
 UNDERFLOW_RATIO = 1e-16
+# the linear solve's accuracy ALPHA1, the proximal slack ALPHA2
+# (ALPHA1 + ALPHA2 < 1) and the backtracking factor BETA
+ALPHA1 = 0.1
+ALPHA2 = 0.85
+BETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,7 @@ class LineSearchOutcome:
     """Accepted pair plus the loss sample of the last rejected trial.
 
     ``rejected`` is None iff the first trial was accepted.  Otherwise it is
-    the trial at step size eta_hat / beta: ``rejected.s`` its solved
+    the trial at step size eta_hat / BETA: ``rejected.s`` its solved
     displacement (the trial point is y + s), ``rejected.w`` the gradient
     there minus g and ``rejected.Bs`` the product with B, read off the basis.
     """
@@ -60,9 +66,8 @@ class LineSearchOutcome:
     matvecs: int
 
 
-def backtracking_search(y: np.ndarray, g: np.ndarray, B,
-                        eta_init: float, alpha1: float, alpha2: float,
-                        beta: float, oracle) -> LineSearchOutcome:
+def backtracking_search(y: np.ndarray, g: np.ndarray, B, eta_init: float,
+                        oracle) -> LineSearchOutcome:
     """Find (eta_hat, x_hat) satisfying the solve and proximal conditions.
 
     ``g`` must be the gradient at ``y`` (already computed by the caller, never
@@ -73,7 +78,7 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
     size, the products B v the solves added to it, which is the largest
     Krylov dimension any trial used.  The rejected trial's B s takes none.
     """
-    sigma = alpha1 + alpha2
+    sigma = ALPHA1 + ALPHA2
     eta_hat = float(eta_init)
     rejected = grad_rejected = None
     backtracks = 0
@@ -86,7 +91,7 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                 f"[{eta_hat:.3e}, {eta_init:.3e}] was accepted; the supplied "
                 "smoothness constant is likely inconsistent with the oracle")
 
-        solve = conjugate_residual(basis, eta_hat, -eta_hat * g, alpha1)
+        solve = conjugate_residual(basis, eta_hat, -eta_hat * g, ALPHA1)
         x_hat = y + solve.s
         grad_hat = oracle.gradient(x_hat)
 
@@ -103,5 +108,5 @@ def backtracking_search(y: np.ndarray, g: np.ndarray, B,
                 backtracks=backtracks, rejected=sample,
                 matvecs=basis.size)
         rejected, grad_rejected = solve, grad_hat
-        eta_hat *= beta
+        eta_hat *= BETA
         backtracks += 1

@@ -16,12 +16,11 @@ from .datasets import LogisticObjective, SyntheticLogisticSpec, generate_logisti
 from .baselines import BaselineConfig, bfgs_solve
 from .errors import ConvergenceError
 from .learner import LossSample, init_learner, learner_step
-from .line_search import backtracking_search
+from .line_search import ALPHA1, ALPHA2, BETA, backtracking_search
 from .linear_solver import KrylovBasis, conjugate_residual
 from .oracles import CountingOracle
 from .separation import PackedSymmetric, separation_oracle
-from .solver import (ALPHA1, ALPHA2, BETA, IterationReport, SolverConfig,
-                     momentum_weights, solve)
+from .solver import IterationReport, SolverConfig, momentum_weights, solve
 
 
 def symmetrize(matrix):
@@ -109,10 +108,10 @@ def potential_violation(reports, objective, x_star, f_star, z0, rtol=1e-9):
     return None
 
 
-def weight_growth_violation(reports, beta, rtol=1e-12):
+def weight_growth_violation(reports, rtol=1e-12):
     """A_k >= c (sum_{i <= k} sqrt(eta_hat_i))^2 for every report, with
-    c = (1 - sqrt(beta))^2 / (4 (2 - sqrt(beta))^2)."""
-    const = (1.0 - math.sqrt(beta)) ** 2 / (4.0 * (2.0 - math.sqrt(beta)) ** 2)
+    c = (1 - sqrt(BETA))^2 / (4 (2 - sqrt(BETA))^2)."""
+    const = (1.0 - math.sqrt(BETA)) ** 2 / (4.0 * (2.0 - math.sqrt(BETA)) ** 2)
     partial = 0.0
     for rep in reports:
         partial += math.sqrt(rep.search.eta_hat)
@@ -123,14 +122,16 @@ def weight_growth_violation(reports, beta, rtol=1e-12):
 
 def gradient_query_violation(record):
     """An aqnpe iteration queries 2 + backtracks gradients, and N of them,
-    started at sigma0 = alpha2 / L1, at most 3 N."""
-    for delta, row in zip(record.grad_query_deltas(), record.rows):
+    started at sigma0 = ALPHA2 / L1, at most 3 N (0 on a record with no
+    rows)."""
+    deltas = record.grad_query_deltas()
+    for delta, row in zip(deltas, record.rows):
         if delta != 2 + row.backtracks:
             return (f"{delta} gradient queries with {row.backtracks} "
                     f"backtracks at iteration {row.iteration}")
-    bound = 3 * len(record.rows)
-    if not record.rows[-1].grad_queries <= bound:
-        return f"{record.rows[-1].grad_queries} gradient queries > {bound}"
+    bound = 3 * len(deltas)
+    if not sum(deltas) <= bound:
+        return f"{sum(deltas)} gradient queries > {bound}"
     return None
 
 
@@ -142,40 +143,25 @@ def fed_loss_violation(losses, L1, rtol=1e-8):
     return None
 
 
-def step_size_bound_violation(outcome, y, alpha2, beta, rtol=1e-10):
-    """After a backtrack from anchor y with gradient g and curvature B,
-    eta_hat >= alpha2 beta ||x~ - y|| / ||grad(x~) - g - B s||, for the line
-    search ``outcome`` and its rejected trial x~ = y + s.  The model error
-    is w - Bs of ``outcome.rejected``, the sample the learner is fed."""
+def backtrack_violation(outcome, y, rtol=1e-10):
+    """After a backtrack from anchor y with gradient g and curvature B, for
+    the line search ``outcome`` and its rejected trial x~ = y + s: the
+    step-size lower bound
+    eta_hat >= ALPHA2 BETA ||x~ - y|| / ||grad(x~) - g - B s||, its model
+    error w - Bs of ``outcome.rejected`` (the sample the learner is fed),
+    then ||x~ - y|| <= (1 + ALPHA1) / (BETA (1 - ALPHA1)) ||x_hat - y||."""
     if outcome.rejected is None:
         return None
-    displacement = (y + outcome.rejected.s) - y
+    displacement = float(np.linalg.norm((y + outcome.rejected.s) - y))
     model_error = outcome.rejected.w - outcome.rejected.Bs
-    bound = (alpha2 * beta * float(np.linalg.norm(displacement))
-             / float(np.linalg.norm(model_error)))
+    bound = ALPHA2 * BETA * displacement / float(np.linalg.norm(model_error))
     if not outcome.eta_hat >= bound * (1.0 - rtol):
         return f"step {outcome.eta_hat:.6e} below its lower bound {bound:.6e}"
-    return None
-
-
-def displacement_violation(outcome, y, alpha1, beta, rtol=1e-10):
-    """After a backtrack from anchor y,
-    ||x~ - y|| <= (1 + alpha1) / (beta (1 - alpha1)) ||x_hat - y||, for the
-    line search ``outcome`` and its rejected trial x~ = y + s."""
-    if outcome.rejected is None:
-        return None
-    ratio = (1.0 + alpha1) / (beta * (1.0 - alpha1))
-    if not (np.linalg.norm((y + outcome.rejected.s) - y)
+    ratio = (1.0 + ALPHA1) / (BETA * (1.0 - ALPHA1))
+    if not (displacement
             <= ratio * np.linalg.norm(outcome.x_hat - y) * (1.0 + rtol)):
         return "rejected trial too far from the anchor"
     return None
-
-
-def backtrack_violation(outcome, y, alpha1, alpha2, beta, rtol=1e-10):
-    """Both backtrack relations of a line search ``outcome``: the step-size
-    lower bound, then the displacement relation."""
-    return (step_size_bound_violation(outcome, y, alpha2, beta, rtol)
-            or displacement_violation(outcome, y, alpha1, beta, rtol))
 
 
 def conjugate_residual_violation(result, A, b, alpha, rtol=1e-9,
@@ -326,11 +312,11 @@ def check_line_search():
         B = random_psd(rng, objective.dimension, top=objective.smoothness)
         before = oracle.counters.gradient_queries
         outcome = backtracking_search(y, g, B, 64.0 / objective.smoothness,
-                                      ALPHA1, ALPHA2, BETA, oracle)
+                                      oracle)
         spent = oracle.counters.gradient_queries - before
         if spent != outcome.backtracks + 1:
             return f"gradient accounting off: {spent} queries"
-        if problem := backtrack_violation(outcome, y, ALPHA1, ALPHA2, BETA):
+        if problem := backtrack_violation(outcome, y):
             return problem
     return None
 
@@ -347,10 +333,9 @@ def check_solver_certificate():
     return next(filter(None, [
         certificate_violation(reports, objective, x_star, f_star, x0),
         potential_violation(reports, objective, x_star, f_star, x0),
-        weight_growth_violation(reports, BETA),
+        weight_growth_violation(reports),
         gradient_query_violation(record),
-        *(backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2, BETA)
-          for rep in reports),
+        *(backtrack_violation(rep.search, rep.y) for rep in reports),
     ]), None)
 
 

@@ -20,19 +20,14 @@ from .errors import (ConfigurationError, SolverError, check_at_least,
                      check_integer, check_interval)
 from .learner import (DEFAULT_STEP_SIZE, LearnerState, init_learner,
                       learner_step)
-from .line_search import LineSearchOutcome, backtracking_search
+from .line_search import (ALPHA1, ALPHA2, BETA, LineSearchOutcome,
+                          backtracking_search)
 from .oracles import checked_input
 from .trace import (FLOAT_NOISE, PRECISION_FLOOR, TOLERANCE, RunRecord,
                     format_float, record_run)
 
 CASE_ACCEPTED = "I"
 CASE_DAMPED = "II"
-# the linear solve's accuracy and the proximal slack, alpha1 + alpha2 < 1
-ALPHA1 = 0.1
-ALPHA2 = 0.85
-# the backtracking factor; every solve starts at sigma0 = ALPHA2 / L1, under
-# which N iterations cost at most 3 N gradient queries
-BETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -40,8 +35,8 @@ class SolverConfig:
     """The accelerated solver's settings, checked when constructed: a field
     out of range raises :class:`ValueError` naming it.
 
-    The paper's other inputs are the constants ALPHA1, ALPHA2 and BETA, and
-    the first step size sigma0 = ALPHA2 / L1.
+    The paper's other inputs are the constants ALPHA1, ALPHA2 and BETA of
+    ``qnprox.line_search``, and the first step size sigma0 = ALPHA2 / L1.
     """
 
     max_iters: int = 100
@@ -111,7 +106,7 @@ def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,
     matvecs on ``oracle.counters``; the learner step consumes the learner's
     W.  Returns PRECISION_FLOOR when the gradient at the anchor is at the
     precision floor.  The observer gets each report before its row is taken,
-    and the tolerance test follows the row.  Iteration k counts from 0, so
+    and the row carries the tolerance test.  Iteration k counts from 0, so
     it is the number of rows already written; an error is raised as
     :class:`SolverError` naming it.
     """
@@ -123,7 +118,7 @@ def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,
             grad_y = oracle.gradient(y)
             try:
                 outcome = backtracking_search(y, grad_y, learner.B, eta,
-                                              ALPHA1, ALPHA2, BETA, oracle)
+                                              oracle)
             except ConfigurationError:
                 # a failed search with a gradient at the floor: converged
                 if (float(np.linalg.norm(grad_y))
@@ -155,9 +150,9 @@ def _iterations(oracle, x: np.ndarray, z: np.ndarray, sigma0: float,
                     k=k, a=a, eta=eta, case=case, y=y, x=x, z=z, A=A,
                     grad_at_y=grad_y, search=outcome, loss_fed=loss_fed,
                     gamma=gamma))
-            yield f, outcome.eta_hat, case, outcome.backtracks, x
-            if np.linalg.norm(outcome.grad_at_x_hat) <= config.tolerance:
-                return TOLERANCE
+            met = np.linalg.norm(outcome.grad_at_x_hat) <= config.tolerance
+            yield (f, outcome.eta_hat, case, outcome.backtracks, x,
+                   TOLERANCE if met else None)
             # the next search holds no finished iteration's vectors
             del outcome, y, grad_y
             eta, k = eta_next, k + 1

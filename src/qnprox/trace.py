@@ -157,7 +157,8 @@ def record_run(method: str, oracle, x0, config, begin) -> RunRecord:
     is one, and checks ``x0`` against its dimension (:class:`ValueError`).
     ``begin(oracle, x)``, x a copy of x0, returns the run's metadata and its
     iterations: a generator that yields each finished iteration's f,
-    eta_hat, case, backtracks and iterate, and returns TOLERANCE or
+    eta_hat, case, backtracks, iterate, and None or the TOLERANCE its row
+    meets, after which it is not resumed; it returns TOLERANCE or
     PRECISION_FLOOR, the one written as ``stopped``.  A row is numbered and
     counted here, and ``record.stopped`` set.  An error raised by the
     iterations carries the partial record as ``trace`` and a copy of the
@@ -174,16 +175,19 @@ def record_run(method: str, oracle, x0, config, begin) -> RunRecord:
     try:
         for k in range(1, config.max_iters + 1):
             try:
-                *columns, x = next(iterations)
+                *columns, x, stopped = next(iterations)
             except StopIteration as stop:
-                record.stopped = stop.value
-                if stop.value == PRECISION_FLOOR:
-                    record.metadata["stopped"] = PRECISION_FLOOR
+                stopped = stop.value
                 break
             record.append(TraceRow(k, *columns, counters.gradient_queries,
                                    counters.matvecs))
+            if stopped is not None:
+                break
         else:
-            record.stopped = MAX_ITERS
+            stopped = MAX_ITERS
+        record.stopped = stopped
+        if stopped == PRECISION_FLOOR:
+            record.metadata["stopped"] = PRECISION_FLOOR
     except Exception as exc:
         record.stopped = ERROR
         exc.trace, exc.counters = record, replace(counters)

@@ -24,7 +24,6 @@ from qnprox.selftest import (backtrack_violation, band_violation,
                              conjugate_residual_violation, fed_loss_violation,
                              gradient_query_violation, potential_violation,
                              separation_violation, weight_growth_violation)
-from qnprox.solver import ALPHA1, ALPHA2, BETA
 from conftest import (make_logistic, random_psd, random_unit_opnorm,
                       reference_minimizer)
 from helpers import (hyperplane, iterations_to_gap, loss_sample,
@@ -71,7 +70,7 @@ def test_c02_potential_monotonicity(criterion_run, reference_optimum,
 @criterion(3, "accumulated weight growth bound")
 def test_c03_weight_growth(criterion_run):
     _, reports, _ = criterion_run
-    assert weight_growth_violation(reports, BETA) is None
+    assert weight_growth_violation(reports) is None
 
 
 @criterion(4, "total gradient queries within 3N")
@@ -104,8 +103,7 @@ def test_c07_backtrack_relations(criterion_run):
     backtracked = [rep for rep in reports if rep.search.rejected is not None]
     assert backtracked
     for rep in backtracked:
-        assert backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2,
-                                   BETA) is None
+        assert backtrack_violation(rep.search, rep.y) is None
 
 
 @criterion(8, "conjugate residual bounds on 100 random shifted operators")

@@ -167,6 +167,22 @@ def test_iteration_reports_hold_no_solver_state():
             if live & set(annotated_types(hints[field.name]))] == []
 
 
+def test_the_line_search_constants_are_assigned_once():
+    # ALPHA1, ALPHA2 and BETA define the line search's rule: the library,
+    # the tests and the tools import them from it, and no second copy can
+    # drift from it
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in ("src/qnprox", "tests", "tools")
+             for path in sorted((root / folder).glob("*.py"))]
+    assigned = sorted(
+        (node.id, str(path.relative_to(root)))
+        for path in paths for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id in ("ALPHA1", "ALPHA2", "BETA"))
+    assert assigned == [(name, "src/qnprox/line_search.py")
+                        for name in ("ALPHA1", "ALPHA2", "BETA")]
+
+
 @pytest.mark.parametrize("module, name", PATCHED)
 def test_patched_stage_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name))
@@ -186,8 +202,7 @@ def test_patched_stages_return_what_the_benchmark_reads(monkeypatch):
     y = np.ones(d)
     g = oracle.gradient(y)
     state = init_learner(d, 1.0)
-    outcome = qnprox.solver.backtracking_search(
-        y, g, state.B, 64.0, 0.1, 0.85, 0.5, oracle)
+    outcome = qnprox.solver.backtracking_search(y, g, state.B, 64.0, oracle)
     # perfbench counts backtracks + 1 trials, one gradient query each
     assert outcome.backtracks >= 1
     assert oracle.counters.gradient_queries == 1 + outcome.backtracks + 1

@@ -7,12 +7,10 @@ import pytest
 import qnprox.line_search
 from qnprox import CountingOracle
 from qnprox.errors import ConfigurationError
-from qnprox.line_search import backtracking_search
-from qnprox.selftest import displacement_violation, step_size_bound_violation
+from qnprox.line_search import ALPHA1, ALPHA2, BETA, backtracking_search
+from qnprox.selftest import backtrack_violation
 from conftest import make_logistic, random_psd
 from helpers import CountingMatrix, QuadraticObjective
-
-ALPHA1, ALPHA2, BETA = 0.1, 0.85, 0.5
 
 
 def conditions_hold(outcome, y, g, B, eta_hat):
@@ -31,8 +29,7 @@ class TestAcceptance:
         y = np.zeros(4)
         g = oracle.inner.gradient(y)
         assert np.linalg.norm(g) == 0.0
-        outcome = backtracking_search(y, g, np.eye(4), 7.0, ALPHA1, ALPHA2,
-                                      BETA, oracle)
+        outcome = backtracking_search(y, g, np.eye(4), 7.0, oracle)
         assert outcome.backtracks == 0
         assert outcome.eta_hat == 7.0
         assert np.array_equal(outcome.x_hat, y)
@@ -47,8 +44,7 @@ class TestAcceptance:
         y = rng.standard_normal(6)
         g = oracle.inner.gradient(y)
         for eta_init in (1e-3, 1.0, 1e4):
-            outcome = backtracking_search(y, g, Q.copy(), eta_init, 0.05,
-                                          ALPHA2, BETA, oracle)
+            outcome = backtracking_search(y, g, Q.copy(), eta_init, oracle)
             assert outcome.backtracks == 0
             assert outcome.eta_hat == eta_init
 
@@ -61,7 +57,7 @@ class TestAcceptance:
         g = oracle.gradient(y)
         eta_init = 1e6 / L1
         outcome = backtracking_search(y, g, np.zeros((20, 20)), eta_init,
-                                      ALPHA1, ALPHA2, BETA, oracle)
+                                      oracle)
         cap = math.ceil(math.log(eta_init * L1 / ALPHA2)
                         / math.log(1.0 / BETA)) + 1
         assert outcome.backtracks <= cap
@@ -80,9 +76,8 @@ def backtracked():
         g = oracle.gradient(y)
         B = random_psd(rng, 20, top=objective.smoothness)
         before = oracle.counters.gradient_queries
-        outcome = backtracking_search(
-            y, g, B, 256.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
-            oracle)
+        outcome = backtracking_search(y, g, B, 256.0 / objective.smoothness,
+                                      oracle)
         spent = oracle.counters.gradient_queries - before
         runs.append((y, g, B, outcome, spent, objective))
     return runs
@@ -105,8 +100,7 @@ class TestInvariants:
             B = random_psd(rng, 20, top=objective.smoothness)
             B = B.view(CountingMatrix)
             outcome = backtracking_search(
-                y, g, B, 256.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
-                oracle)
+                y, g, B, 256.0 / objective.smoothness, oracle)
             assert outcome.matvecs == B.products > 0
             backtracks += outcome.backtracks
         assert backtracks > 0
@@ -134,22 +128,17 @@ class TestInvariants:
             B = random_psd(rng, 20, top=objective.smoothness)
             dimensions.clear()
             outcome = backtracking_search(
-                y, g, B, 256.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
-                oracle)
+                y, g, B, 256.0 / objective.smoothness, oracle)
             assert len(dimensions) == outcome.backtracks + 1
             assert outcome.matvecs == max(dimensions)
             reused += outcome.matvecs < sum(dimensions)
         assert reused > 0
 
-    def test_step_size_lower_bound(self, backtracked):
+    def test_backtrack_relations(self, backtracked):
+        # the step-size lower bound and the displacement relation
         assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
         for y, _, _, outcome, _, _ in backtracked:
-            assert step_size_bound_violation(outcome, y, ALPHA2, BETA) is None
-
-    def test_displacement_relation(self, backtracked):
-        assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
-        for y, _, _, outcome, _, _ in backtracked:
-            assert displacement_violation(outcome, y, ALPHA1, BETA) is None
+            assert backtrack_violation(outcome, y) is None
 
     def test_accepted_pair_satisfies_both_conditions(self, backtracked):
         for y, g, B, outcome, _, _ in backtracked:
@@ -188,9 +177,8 @@ def test_search_allocates_no_d_by_d_array():
     B = random_psd(rng, d, top=objective.smoothness)
     tracemalloc.start()
     try:
-        outcome = backtracking_search(
-            y, g, B, 64.0 / objective.smoothness, ALPHA1, ALPHA2, BETA,
-            oracle)
+        outcome = backtracking_search(y, g, B, 64.0 / objective.smoothness,
+                                      oracle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,5 +211,4 @@ class TestErrors:
         pull = np.array([1.0, 0.0, 0.0])
         oracle = CountingOracle(FlippingOracle(anchor, pull))
         with pytest.raises(ConfigurationError):
-            backtracking_search(anchor, pull, np.zeros((3, 3)), 1.0, ALPHA1,
-                                ALPHA2, BETA, oracle)
+            backtracking_search(anchor, pull, np.zeros((3, 3)), 1.0, oracle)

@@ -11,7 +11,7 @@ from qnprox import ConvergenceError, SolverConfig, solve
 from qnprox.learner import init_learner
 from qnprox.linear_solver import KrylovBasis, conjugate_residual
 from qnprox.separation import separation_oracle
-from qnprox.solver import ALPHA1, ALPHA2, BETA, momentum_weights
+from qnprox.solver import momentum_weights
 from qnprox.selftest import (backtrack_violation, band_violation,
                              certificate_violation,
                              conjugate_residual_violation, fed_loss_violation,
@@ -65,9 +65,8 @@ def potential(run):
 
 
 def weight_growth(run):
-    def check(reports):
-        return weight_growth_violation(reports, BETA)
-    return check, run.reports, with_report(run.reports, 30, A=0.0)
+    return (weight_growth_violation, run.reports,
+            with_report(run.reports, 30, A=0.0))
 
 
 def gradient_queries(run):
@@ -90,8 +89,7 @@ def backtracked_report(run):
 
 
 def backtrack_check(run, rep):
-    return lambda outcome: backtrack_violation(outcome, rep.y, ALPHA1,
-                                               ALPHA2, BETA)
+    return lambda outcome: backtrack_violation(outcome, rep.y)
 
 
 def backtrack_step(run):

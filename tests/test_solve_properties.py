@@ -36,7 +36,7 @@ from qnprox.selftest import (backtrack_violation, certificate_violation,
                              learner_bound_violation, make_logistic,
                              momentum_violation, potential_violation,
                              reference_minimizer, weight_growth_violation)
-from qnprox.solver import ALPHA1, ALPHA2, BETA, precision_floor
+from qnprox.solver import precision_floor
 from helpers import QuadraticObjective
 
 MAX_ITERS = 40
@@ -92,11 +92,10 @@ def violations(objective, x_star, f_star, record, reports, bounds, losses):
                 for A, rep in zip(previous_A, reports))
     yield certificate_violation(reports, objective, x_star, f_star, z0)
     yield potential_violation(reports, objective, x_star, f_star, z0)
-    yield weight_growth_violation(reports, BETA)
+    yield weight_growth_violation(reports)
     yield gradient_query_violation(record)
     yield fed_loss_violation(losses, float(record.metadata["L1"]))
-    yield from (backtrack_violation(rep.search, rep.y, ALPHA1, ALPHA2, BETA)
-                for rep in reports)
+    yield from (backtrack_violation(rep.search, rep.y) for rep in reports)
     yield from bounds
 
 
@@ -172,8 +171,8 @@ def test_backtrack_relations_fail_only_at_the_precision_floor():
     record, reports, bounds, losses = solve_recording_learner(objective,
                                                               config)
     assert record.metadata["stopped"] == "precision_floor"
-    near_floor = [rep for rep in reports if backtrack_violation(
-        rep.search, rep.y, ALPHA1, ALPHA2, BETA)]
+    near_floor = [rep for rep in reports
+                  if backtrack_violation(rep.search, rep.y)]
     for rep in near_floor:
         assert (np.linalg.norm(rep.grad_at_y)
                 <= 2.0 * precision_floor(objective.smoothness, rep.y))

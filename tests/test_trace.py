@@ -14,6 +14,7 @@ from qnprox import (BaselineConfig, CountingOracle, NumericsError, RunRecord,
                     SolverConfig, SolverError, TraceRow, bfgs_solve,
                     nag_solve, read_trace_csv, solve, write_trace_csv)
 from qnprox.bench import SOLVERS, method_configs
+from qnprox.selftest import gradient_query_violation
 from qnprox.trace import format_float
 from helpers import FaultAfter, QuadraticObjective
 
@@ -364,6 +365,37 @@ def test_record_names_why_the_run_stopped(method, reason, problem,
     assert (("# stopped=" in path.read_text())
             == (reason == "precision_floor"))
     assert read_trace_csv(path).stopped is None
+
+
+@pytest.mark.parametrize("method", list(SOLVERS))
+def test_a_run_capped_at_its_tolerance_row_names_the_tolerance(method):
+    # aqnpe and BFGS test the gradient their last row already paid for, so
+    # a run capped at the row that meets the tolerance stops for it with
+    # the same rows; NAG tests the gradient at the next anchor, a query the
+    # capped run never makes, so it stops at the cap
+    objective = QuadraticObjective(np.diag(np.linspace(1.0, 6.0, 6)),
+                                   center=np.ones(6))
+
+    def run(max_iters):
+        config = method_configs([method], max_iters, 1e-9, 0)[method]
+        return SOLVERS[method](objective, np.zeros(6), config=config)
+
+    free = run(500)
+    assert free.stopped == "tolerance" and len(free.rows) > 1
+    capped = run(len(free.rows))
+    assert capped.rows == free.rows
+    assert capped.stopped == ("max_iters" if method == "nag"
+                              else "tolerance")
+
+
+def test_a_run_stopped_before_its_first_row_keeps_the_query_bound():
+    # one ulp from the center the first anchor gradient is at the precision
+    # floor, so aqnpe writes no row, and 0 queries are at most 3 * 0
+    objective = floor_quadratic()
+    record = solve(objective, np.nextafter(objective.center, np.inf),
+                   config=SolverConfig(max_iters=10))
+    assert record.stopped == "precision_floor" and len(record.rows) == 0
+    assert gradient_query_violation(record) is None
 
 
 @pytest.mark.parametrize("method", list(SOLVES))
