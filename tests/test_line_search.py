@@ -134,10 +134,30 @@ class TestInvariants:
             reused += outcome.matvecs < sum(dimensions)
         assert reused > 0
 
-    def test_backtrack_relations(self, backtracked):
-        # the step-size lower bound and the displacement relation
+    def test_step_size_lower_bound(self, backtracked):
+        # eta_hat >= alpha2 beta ||x~ - y|| / ||grad(x~) - g - B s||, from
+        # the rejected trial x~ = y + s
         assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
         for y, _, _, outcome, _, _ in backtracked:
+            rejected = outcome.rejected
+            if rejected is None:
+                continue
+            bound = (ALPHA2 * BETA * np.linalg.norm(rejected.s)
+                     / np.linalg.norm(rejected.w - rejected.Bs))
+            assert outcome.eta_hat >= bound * (1.0 - 1e-10)
+            assert backtrack_violation(outcome, y) is None
+
+    def test_displacement_relation(self, backtracked):
+        # ||x~ - y|| <= (1 + alpha1) / (beta (1 - alpha1)) ||x_hat - y||
+        assert any(outcome.backtracks for _, _, _, outcome, _, _ in backtracked)
+        ratio = (1.0 + ALPHA1) / (BETA * (1.0 - ALPHA1))
+        for y, _, _, outcome, _, _ in backtracked:
+            rejected = outcome.rejected
+            if rejected is None:
+                continue
+            assert (np.linalg.norm(rejected.s)
+                    <= ratio * np.linalg.norm(outcome.x_hat - y)
+                    * (1.0 + 1e-10))
             assert backtrack_violation(outcome, y) is None
 
     def test_accepted_pair_satisfies_both_conditions(self, backtracked):
